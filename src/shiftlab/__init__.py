@@ -10,7 +10,7 @@ from __future__ import annotations
 from .autodiff import Tape, TapeError, Tensor, ShapeError
 from .calibration import (
     LabelShiftState,
-    PseudoLabel,
+    PseudoLabels,
     calibrate,
     estimate_target_distribution,
     shift_metric,
@@ -25,7 +25,6 @@ from .data import (
     LabelAccess,
     ParameterError,
     ShiftSpec,
-    balanced_source_batches,
     class_sizes,
     generate,
     load_dataset,

@@ -17,7 +17,7 @@ import numpy as np
 
 __all__ = [
     "SMOOTHING",
-    "PseudoLabel",
+    "PseudoLabels",
     "LabelShiftState",
     "source_distribution",
     "estimate_target_distribution",
@@ -34,16 +34,23 @@ SMOOTHING = 0.5
 
 
 @dataclass(frozen=True)
-class PseudoLabel:
-    """One target sample's prediction before and after calibration."""
+class PseudoLabels:
+    """Every target sample's prediction before and after calibration.
 
-    raw_label: int
-    raw_confidence: float
-    calibrated_label: int
-    calibrated_confidence: float
+    One array per field, row i describing sample i; ``calibrated`` marks
+    the rows whose label calibration changed.
+    """
+
+    raw_label: np.ndarray
+    raw_confidence: np.ndarray
+    calibrated_label: np.ndarray
+    calibrated_confidence: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.raw_label)
 
     @property
-    def calibrated(self) -> bool:
+    def calibrated(self) -> np.ndarray:
         return self.raw_label != self.calibrated_label
 
 
@@ -60,19 +67,18 @@ def source_distribution(labels, num_classes: int) -> np.ndarray:
 
 
 def estimate_target_distribution(
-    pseudo: list[PseudoLabel], threshold: float, num_classes: int
+    pseudo: PseudoLabels, threshold: float, num_classes: int
 ) -> np.ndarray:
     """Smoothed frequencies of raw pseudo-labels above the confidence cut.
 
     If no sample clears the threshold the estimate falls back to all
     samples, with a logged warning, rather than failing the run.
     """
-    if not pseudo:
+    if len(pseudo) == 0:
         raise ValueError("cannot estimate a distribution from zero pseudo-labels")
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    labels = np.array([p.raw_label for p in pseudo], dtype=np.int64)
-    confident = np.array([p.raw_confidence for p in pseudo]) > threshold
+    confident = pseudo.raw_confidence > threshold
     if not confident.any():
         log.warning(
             "no pseudo-label above confidence %.3g; estimating from all %d samples",
@@ -80,7 +86,7 @@ def estimate_target_distribution(
             len(pseudo),
         )
         confident[:] = True
-    counts = np.bincount(labels[confident], minlength=num_classes).astype(np.float64)
+    counts = np.bincount(pseudo.raw_label[confident], minlength=num_classes).astype(np.float64)
     if counts.size > num_classes:
         raise ValueError(f"pseudo-label out of range [0, {num_classes})")
     counts += SMOOTHING
@@ -113,7 +119,7 @@ def weighting_matrix(metric: np.ndarray, offset: float) -> np.ndarray:
     return 1.0 / (offset + np.exp(-np.sqrt(metric)))
 
 
-def calibrate(probs: np.ndarray, class_weights: np.ndarray) -> list[PseudoLabel]:
+def calibrate(probs: np.ndarray, class_weights: np.ndarray) -> PseudoLabels:
     """Re-rank each probability row by the class weights.
 
     The calibrated label is argmax(probs * class_weights); its confidence
@@ -129,12 +135,7 @@ def calibrate(probs: np.ndarray, class_weights: np.ndarray) -> list[PseudoLabel]
     raw = np.argmax(probs, axis=1)
     adjusted = np.argmax(probs * class_weights, axis=1)
     rows = np.arange(probs.shape[0])
-    raw_conf = probs[rows, raw]
-    adj_conf = probs[rows, adjusted]
-    return [
-        PseudoLabel(int(y), float(w), int(ym), float(wm))
-        for y, w, ym, wm in zip(raw, raw_conf, adjusted, adj_conf)
-    ]
+    return PseudoLabels(raw, probs[rows, raw], adjusted, probs[rows, adjusted])
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,7 @@ class LabelShiftState:
     def estimate(
         cls,
         source_labels,
-        pseudo: list[PseudoLabel],
+        pseudo: PseudoLabels,
         threshold: float,
         num_classes: int,
         offset: float,

@@ -31,7 +31,6 @@ __all__ = [
     "save_dataset",
     "load_dataset",
     "BalancedSampler",
-    "balanced_source_batches",
 ]
 
 
@@ -332,10 +331,13 @@ class BalancedSampler:
         if ds.num_classes < 2:
             raise ParameterError("balanced sampling needs at least 2 classes")
         labels = ds.labels  # raises on hidden datasets by design
-        self._by_class = [np.flatnonzero(labels == k) for k in range(ds.num_classes)]
-        for k, idx in enumerate(self._by_class):
-            if idx.size == 0:
-                raise ParameterError(f"class {k} has no samples to draw from")
+        sizes = np.bincount(labels, minlength=ds.num_classes)
+        if not sizes.all():
+            raise ParameterError(f"class {int(np.argmin(sizes))} has no samples to draw from")
+        # sample indices grouped by class, ascending within each class
+        self._order = np.argsort(labels, kind="stable")
+        self._starts = np.cumsum(sizes) - sizes
+        self._sizes = sizes
         self._rng = np.random.default_rng(seed)
         self.num_classes = ds.num_classes
 
@@ -343,15 +345,5 @@ class BalancedSampler:
         if batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
         classes = self._rng.integers(0, self.num_classes, size=batch_size)
-        out = np.empty(batch_size, dtype=np.int64)
-        for slot, k in enumerate(classes):
-            pool = self._by_class[k]
-            out[slot] = pool[self._rng.integers(0, pool.size)]
-        return out
-
-
-def balanced_source_batches(ds: DomainDataset, batch_size: int, seed: int):
-    """Infinite stream of class-balanced index batches; consume with care."""
-    sampler = BalancedSampler(ds, seed)
-    while True:
-        yield sampler.draw(batch_size)
+        picks = self._rng.integers(0, self._sizes[classes])
+        return self._order[self._starts[classes] + picks]

@@ -23,11 +23,9 @@ from .autodiff import (
     Tape,
     Tensor,
     add,
-    add_n,
     affine,
     clamp_min,
     div,
-    euclidean_distance,
     gather_rows,
     log as log_op,
     matmul,
@@ -111,14 +109,19 @@ def domain_adversarial_loss(tape: Tape | None, d_src: Tensor, d_tgt: Tensor) -> 
     return affine(tape, add(tape, src_term, tgt_term), -1.0)
 
 
+_DOMAINS = ("source", "target")
+
+
 class CentroidBank:
     """Per-domain, per-class weighted moving-average feature centroids.
 
-    Stored centroids are constants for gradient purposes; only the current
-    batch's contribution, recorded as a tensor expression during
-    ``update_centroids``, is differentiated. Expressions are tagged with
-    the tape that built them so a stale expression from an earlier step is
-    never reused.
+    Each domain holds one C x d array of centroids and a boolean ``seen``
+    mask of the classes it has been given; rows of unseen classes are
+    zero and never enter a loss. Stored centroids are constants for
+    gradient purposes; only the current batch's contribution, recorded as
+    a tensor expression during ``update_centroids``, is differentiated.
+    Expressions are tagged with the tape that built them so a stale
+    expression from an earlier step is never reused.
     """
 
     def __init__(self, num_classes: int, ema_coeff: float = 0.7) -> None:
@@ -128,29 +131,28 @@ class CentroidBank:
             raise ValueError(f"num_classes must be >= 2, got {num_classes}")
         self.num_classes = num_classes
         self.ema_coeff = ema_coeff
-        self._values: dict[tuple[str, int], np.ndarray] = {}
-        self._exprs: dict[tuple[str, int], tuple[Tape | None, Tensor]] = {}
+        self.seen = {d: np.zeros(num_classes, dtype=bool) for d in _DOMAINS}
+        self._values: dict[str, np.ndarray] = {}
+        self._exprs: dict[str, tuple[Tape | None, Tensor]] = {}
 
     def initialized(self, domain: str, klass: int) -> bool:
-        return (domain, klass) in self._values
+        return bool(self.seen[domain][klass])
 
     def value(self, domain: str, klass: int) -> np.ndarray:
-        return self._values[(domain, klass)]
+        if not self.initialized(domain, klass):
+            raise KeyError((domain, klass))
+        return self._values[domain][klass]
 
     def eligible_classes(self) -> list[int]:
         """Classes with both source and target centroids initialized."""
-        return [
-            k
-            for k in range(self.num_classes)
-            if ("source", k) in self._values and ("target", k) in self._values
-        ]
+        return np.flatnonzero(self.seen["source"] & self.seen["target"]).tolist()
 
-    def _term(self, tape: Tape | None, domain: str, klass: int) -> Tensor:
-        """Centroid as a graph node: this step's expression, else a constant."""
-        entry = self._exprs.get((domain, klass))
+    def _term(self, tape: Tape | None, domain: str) -> Tensor:
+        """Centroids as a graph node: this step's expression, else a constant."""
+        entry = self._exprs.get(domain)
         if entry is not None and entry[0] is tape:
             return entry[1]
-        return Tensor(self._values[(domain, klass)])
+        return Tensor(self._values[domain])
 
 
 def update_centroids(
@@ -164,28 +166,32 @@ def update_centroids(
     Classes absent from the batch (or present only with zero weight) are
     untouched.
     """
-    if domain not in ("source", "target"):
+    if domain not in _DOMAINS:
         raise ValueError(f"domain must be source|target, got {domain!r}")
     if batch.labels.size and batch.labels.max() >= bank.num_classes:
         raise ValueError(
             f"label {int(batch.labels.max())} out of range for {bank.num_classes} classes"
         )
     theta = bank.ema_coeff
-    for k in np.unique(batch.labels):
-        k = int(k)
-        mask = batch.labels == k
-        total_w = float(batch.weights[mask].sum())
-        if total_w == 0.0:
-            continue
-        coeff = np.where(mask, batch.weights, 0.0) / total_w
-        contrib = matmul(tape, Tensor(coeff.reshape(1, -1)), batch.features)
-        if bank.initialized(domain, k):
-            old = bank.value(domain, k)
-            expr = add(tape, affine(tape, contrib, 1.0 - theta), Tensor(theta * old))
-        else:
-            expr = contrib
-        bank._values[(domain, k)] = expr.values[0].copy()
-        bank._exprs[(domain, k)] = (tape, expr)
+    # C x n: row k holds the weights of the batch's class-k samples, else 0
+    weights = (batch.labels == np.arange(bank.num_classes)[:, None]) * batch.weights
+    totals = weights.sum(axis=1)
+    present = totals > 0.0
+    coeff = weights / np.where(present, totals, 1.0)[:, None]
+    contrib = matmul(tape, Tensor(coeff), batch.features)  # C x d batch centroids
+    seen = bank.seen[domain]
+    old = bank._values.get(domain, np.zeros(contrib.shape))
+    # seen and present: (1 - theta) new + theta old; new: adopt; absent: keep
+    mix = np.where(seen, 1.0 - theta, 1.0) * present
+    keep = np.where(present, theta * seen, 1.0)
+    expr = add(
+        tape,
+        scale_by(tape, contrib, np.broadcast_to(mix[:, None], contrib.shape)),
+        Tensor(keep[:, None] * old),
+    )
+    bank._values[domain] = expr.values
+    bank._exprs[domain] = (tape, expr)
+    bank.seen[domain] = seen | present
 
 
 def centroid_alignment_loss(tape: Tape | None, bank: CentroidBank) -> Tensor:
@@ -194,27 +200,23 @@ def centroid_alignment_loss(tape: Tape | None, bank: CentroidBank) -> Tensor:
     Numerator: mean distance between source and target centroids of the
     same class. Denominator: mean over ordered cross-class pairs (i, k),
     i != k, of the distance from source centroid i to target centroid k.
-    With a single eligible class there are no cross pairs and the plain
-    numerator is returned; with none, the loss is 0 and carries no
-    gradient.
+    Only classes eligible in both domains take part. With a single
+    eligible class there are no cross pairs and the plain numerator is
+    returned; with none, the loss is 0 and carries no gradient.
     """
-    eligible = bank.eligible_classes()
-    if not eligible:
+    eligible = bank.seen["source"] & bank.seen["target"]
+    n_eligible = int(eligible.sum())
+    if n_eligible == 0:
         log.warning("centroid alignment skipped: no class has centroids in both domains")
         return Tensor([[0.0]])
-    src = {k: bank._term(tape, "source", k) for k in eligible}
-    tgt = {k: bank._term(tape, "target", k) for k in eligible}
-    same = [euclidean_distance(tape, src[k], tgt[k]) for k in eligible]
-    numerator = affine(tape, add_n(tape, same), 1.0 / len(same))
-    if len(eligible) < 2:
+    pairs = eligible[:, None] & eligible[None, :]
+    same = pairs & np.eye(bank.num_classes, dtype=bool)
+    dists = pairwise_distances(tape, bank._term(tape, "source"), bank._term(tape, "target"))
+    numerator = sum_all(tape, scale_by(tape, dists, same / n_eligible))
+    if n_eligible < 2:
         return numerator
-    cross = [
-        euclidean_distance(tape, src[i], tgt[k])
-        for i in eligible
-        for k in eligible
-        if i != k
-    ]
-    denominator = affine(tape, add_n(tape, cross), 1.0 / len(cross))
+    cross = pairs & ~same
+    denominator = sum_all(tape, scale_by(tape, dists, cross / int(cross.sum())))
     return div(tape, numerator, affine(tape, denominator, 1.0, RATIO_EPS))
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import PseudoLabel
+from .calibration import PseudoLabels
 from .data import DomainDataset, LabelAccess
 
 __all__ = [
@@ -68,14 +68,12 @@ class AuditRecord:
     calibrated_fraction: float
 
 
-def pseudo_label_audit(pseudo: list[PseudoLabel], true_target_labels) -> AuditRecord:
+def pseudo_label_audit(pseudo: PseudoLabels, true_target_labels) -> AuditRecord:
     """Score raw and calibrated pseudo-labels; subset fields cover flips only."""
     true = np.asarray(true_target_labels, dtype=np.int64)
     if len(pseudo) != true.shape[0]:
         raise ValueError(f"{len(pseudo)} pseudo-labels for {true.shape[0]} true labels")
-    raw = np.array([p.raw_label for p in pseudo], dtype=np.int64)
-    cal = np.array([p.calibrated_label for p in pseudo], dtype=np.int64)
-    flipped = raw != cal
+    raw, cal, flipped = pseudo.raw_label, pseudo.calibrated_label, pseudo.calibrated
     subset_raw = subset_cal = None
     if flipped.any():
         subset_raw = float((raw[flipped] == true[flipped]).mean())
@@ -104,15 +102,14 @@ def make_audit_fn(target: DomainDataset):
     truth = target.labels_for_eval(EVALUATOR_ACCESS)
     num_classes = target.num_classes
 
-    def audit(pseudo: list[PseudoLabel]) -> dict:
+    def audit(pseudo: PseudoLabels) -> dict:
         rec = pseudo_label_audit(pseudo, truth)
-        raw = [p.raw_label for p in pseudo]
         return {
             "pseudo_acc_raw": rec.pseudo_acc_raw,
             "pseudo_acc_calibrated": rec.pseudo_acc_calibrated,
             "subset_acc_raw": rec.subset_acc_raw,
             "subset_acc_calibrated": rec.subset_acc_calibrated,
-            "target_per_class_acc": per_class_mean_accuracy(raw, truth, num_classes),
+            "target_per_class_acc": per_class_mean_accuracy(pseudo.raw_label, truth, num_classes),
         }
 
     return audit

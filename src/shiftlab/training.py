@@ -18,12 +18,12 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, add_n, affine, sgd_step
-from .calibration import LabelShiftState, calibrate
+from .calibration import LabelShiftState, PseudoLabels, calibrate
 from .data import BalancedSampler, DomainDataset
 from .losses import (
     CentroidBank,
@@ -86,7 +86,6 @@ class TrainConfig:
     grl_schedule: bool = False
     reestimate_period: int = 0
     lsc_enabled: bool = True
-    stage2_raw_weights: bool = False
 
     def __post_init__(self) -> None:
         if min(self.centroid_loss_weight, self.pairwise_loss_weight,
@@ -142,20 +141,7 @@ class EpochRecord:
     target_per_class_acc: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "lr": self.lr,
-            "loss_class": self.loss_class,
-            "loss_adversarial": self.loss_adversarial,
-            "loss_centroid": self.loss_centroid,
-            "loss_pairwise": self.loss_pairwise,
-            "calibrated_fraction": self.calibrated_fraction,
-            "pseudo_acc_raw": self.pseudo_acc_raw,
-            "pseudo_acc_calibrated": self.pseudo_acc_calibrated,
-            "subset_acc_raw": self.subset_acc_raw,
-            "subset_acc_calibrated": self.subset_acc_calibrated,
-            "target_per_class_acc": self.target_per_class_acc,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
@@ -179,20 +165,14 @@ def _grl_coeff(cfg: TrainConfig, progress: float) -> float:
 
 
 def _target_pseudo(
-    probs: np.ndarray, shift_state: LabelShiftState | None, raw_weights: bool
+    probs: np.ndarray, shift_state: LabelShiftState | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stage-appropriate pseudo-labels and confidence weights per row."""
     if shift_state is None:
         labels = np.argmax(probs, axis=1)
-        conf = probs[np.arange(probs.shape[0]), labels]
-        return labels, conf
+        return labels, probs[np.arange(probs.shape[0]), labels]
     pseudo = calibrate(probs, shift_state.class_weights)
-    labels = np.array([p.calibrated_label for p in pseudo], dtype=np.int64)
-    if raw_weights:
-        conf = np.array([p.raw_confidence for p in pseudo])
-    else:
-        conf = np.array([p.calibrated_confidence for p in pseudo])
-    return labels, conf
+    return pseudo.calibrated_label, pseudo.calibrated_confidence
 
 
 def train_step(
@@ -236,7 +216,7 @@ def train_step(
     if lam > 0.0 or mu > 0.0:
         src_conf = p_src.values.max(axis=1)
         p_tgt = classify(state, f_tgt, tape)
-        tgt_labels, tgt_conf = _target_pseudo(p_tgt.values, shift_state, cfg.stage2_raw_weights)
+        tgt_labels, tgt_conf = _target_pseudo(p_tgt.values, shift_state)
         src_wb = WeightedBatch(f_src, src_labels, src_conf)
         tgt_wb = WeightedBatch(f_tgt, tgt_labels, tgt_conf)
 
@@ -270,7 +250,7 @@ def train_step(
 
 def _inference_pseudo(
     state: ModelState, target: DomainDataset, shift_state: LabelShiftState | None
-):
+) -> PseudoLabels:
     """Full-target inference pass; uniform weights before calibration exists."""
     probs = classify(state, features(state, target.features)).values
     if shift_state is None:
@@ -280,8 +260,7 @@ def _inference_pseudo(
     return calibrate(probs, weights)
 
 
-def _epoch_record(epoch, lr, sums, steps, pseudo, audit_fn) -> EpochRecord:
-    flips = sum(1 for p in pseudo if p.calibrated)
+def _epoch_record(epoch, lr, sums, steps, pseudo: PseudoLabels, audit_fn) -> EpochRecord:
     rec = EpochRecord(
         epoch=epoch,
         lr=lr,
@@ -289,7 +268,7 @@ def _epoch_record(epoch, lr, sums, steps, pseudo, audit_fn) -> EpochRecord:
         loss_adversarial=sums["loss_adversarial"] / steps,
         loss_centroid=sums["loss_centroid"] / steps,
         loss_pairwise=sums["loss_pairwise"] / steps,
-        calibrated_fraction=flips / len(pseudo),
+        calibrated_fraction=float(pseudo.calibrated.mean()),
     )
     if audit_fn is not None:
         audit = audit_fn(pseudo)
@@ -340,7 +319,7 @@ def run(
     """Train the full (or ablated) method; see the module docstring.
 
     ``audit_fn``, when given, is called once per epoch with the target
-    pseudo-label list and returns the accuracy fields of the EpochRecord;
+    ``PseudoLabels`` and returns the accuracy fields of the EpochRecord;
     it is the only place target labels are consulted, and it is supplied
     by the evaluation layer, never constructed here.
     """

@@ -371,13 +371,13 @@ def test_criterion_2_calibrate_matches_brute_force():
     started = time.perf_counter()
     out = calibrate(probs, weights)
     mismatches = 0
-    for i, p in enumerate(out):
+    for i in range(len(out)):
         best, best_v = 0, -np.inf
         for k in range(num_classes):
             v = probs[i, k] * weights[k]
             if v > best_v:
                 best, best_v = k, v
-        if p.calibrated_label != best or p.calibrated_confidence != probs[i, best]:
+        if out.calibrated_label[i] != best or out.calibrated_confidence[i] != probs[i, best]:
             mismatches += 1
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 1.0
@@ -395,7 +395,7 @@ def test_criterion_3_calibration_invariants():
     raw = rng.uniform(size=(10000, 5))
     probs = raw / raw.sum(axis=1, keepdims=True)
     uniform_w = weighting_matrix(np.ones(5), offset=1.5)
-    flips = sum(p.calibrated for p in calibrate(probs, uniform_w))
+    flips = int(calibrate(probs, uniform_w).calibrated.sum())
     # b) weight bounds over a log-uniform metric range
     metric = 10.0 ** rng.uniform(-3, 3, 100000)
     w = weighting_matrix(metric, offset=1.5)
@@ -406,9 +406,9 @@ def test_criterion_3_calibration_invariants():
         row = rng.uniform(size=(1, 5))
         row /= row.sum()
         metric = 10.0 ** rng.uniform(-2, 2, 5)
-        label = calibrate(row, weighting_matrix(metric, 1.5))[0].calibrated_label
+        label = calibrate(row, weighting_matrix(metric, 1.5)).calibrated_label[0]
         metric[label] *= rng.uniform(1.0, 100.0)
-        if calibrate(row, weighting_matrix(metric, 1.5))[0].calibrated_label == label:
+        if calibrate(row, weighting_matrix(metric, 1.5)).calibrated_label[0] == label:
             stable += 1
     ok = flips == 0 and bounds_ok and stable == 1000
     assert verdict(
@@ -423,18 +423,18 @@ def test_criterion_4_worked_example_bit_exact():
     # weights built to flip the [0.6, 0.4] argmax toward the shifted class
     weights = weighting_matrix(np.array([1e-9, 1e9]), offset=1.5)
     out = calibrate(np.array([[0.6, 0.4]]), weights)
-    p = out[0]
+    label, conf = int(out.calibrated_label[0]), float(out.calibrated_confidence[0])
     ok = (
-        p.raw_label == 0
-        and p.raw_confidence == 0.6
-        and p.calibrated_label == 1
-        and p.calibrated_confidence == 0.4
+        out.raw_label[0] == 0
+        and out.raw_confidence[0] == 0.6
+        and label == 1
+        and conf == 0.4
     )
     assert verdict(
         4,
         ok,
-        f"probs [0.6, 0.4] reranked to class {p.calibrated_label} with confidence "
-        f"{p.calibrated_confidence!r} (need exactly 0.4)",
+        f"probs [0.6, 0.4] reranked to class {label} with confidence "
+        f"{conf!r} (need exactly 0.4)",
     )
 
 

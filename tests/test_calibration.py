@@ -10,7 +10,7 @@ import pytest
 
 from shiftlab import (
     LabelShiftState,
-    PseudoLabel,
+    PseudoLabels,
     calibrate,
     estimate_target_distribution,
     shift_metric,
@@ -19,11 +19,10 @@ from shiftlab import (
 )
 
 
-def pseudo(labels, confidences) -> list[PseudoLabel]:
-    return [
-        PseudoLabel(int(y), float(c), int(y), float(c))
-        for y, c in zip(labels, confidences)
-    ]
+def pseudo(labels, confidences) -> PseudoLabels:
+    labels = np.asarray(labels, dtype=np.int64)
+    confidences = np.asarray(confidences, dtype=np.float64)
+    return PseudoLabels(labels, confidences, labels, confidences)
 
 
 class TestSourceDistribution:
@@ -131,25 +130,24 @@ class TestCalibrate:
         w = weighting_matrix(np.array([0.5, 2.0]), offset=1.5)
         out = calibrate(np.array([[0.52, 0.48]]), w)
         assert len(out) == 1
-        p = out[0]
-        assert p.raw_label == 0
-        assert p.raw_confidence == 0.52
-        assert p.calibrated_label == 1
-        assert p.calibrated_confidence == 0.48
-        assert p.calibrated
+        assert out.raw_label[0] == 0
+        assert out.raw_confidence[0] == 0.52
+        assert out.calibrated_label[0] == 1
+        assert out.calibrated_confidence[0] == 0.48
+        assert out.calibrated[0]
 
     def test_uniform_weights_no_op(self):
         rng = np.random.default_rng(23)
         raw = rng.uniform(size=(10000, 4))
         probs = raw / raw.sum(axis=1, keepdims=True)
         out = calibrate(probs, np.full(4, 0.37))
-        assert all(p.calibrated_label == p.raw_label for p in out)
-        assert all(p.calibrated_confidence == p.raw_confidence for p in out)
+        assert np.all(out.calibrated_label == out.raw_label)
+        assert np.all(out.calibrated_confidence == out.raw_confidence)
 
     def test_tie_takes_lowest_index(self):
         out = calibrate(np.array([[0.5, 0.5]]), np.ones(2))
-        assert out[0].raw_label == 0
-        assert out[0].calibrated_label == 0
+        assert out.raw_label[0] == 0
+        assert out.calibrated_label[0] == 0
 
     def test_calibrated_confidence_never_exceeds_raw(self):
         rng = np.random.default_rng(29)
@@ -157,7 +155,7 @@ class TestCalibrate:
         probs = raw / raw.sum(axis=1, keepdims=True)
         w = weighting_matrix(10.0 ** rng.uniform(-2, 2, 5), offset=1.5)
         out = calibrate(probs, w)
-        assert all(p.calibrated_confidence <= p.raw_confidence for p in out)
+        assert np.all(out.calibrated_confidence <= out.raw_confidence)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -171,14 +169,14 @@ class TestCalibrate:
         probs = raw / raw.sum(axis=1, keepdims=True)
         w = weighting_matrix(10.0 ** rng.uniform(-1, 1, 6), offset=1.5)
         out = calibrate(probs, w)
-        for i, p in enumerate(out):
+        for i in range(len(out)):
             best, best_v = 0, -np.inf
             for k in range(6):
                 v = probs[i, k] * w[k]
                 if v > best_v:
                     best, best_v = k, v
-            assert p.calibrated_label == best
-            assert p.calibrated_confidence == probs[i, best]
+            assert out.calibrated_label[i] == best
+            assert out.calibrated_confidence[i] == probs[i, best]
 
 
 class TestLabelShiftState:

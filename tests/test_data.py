@@ -13,7 +13,6 @@ from shiftlab import (
     LabelAccess,
     ParameterError,
     ShiftSpec,
-    balanced_source_batches,
     class_sizes,
     generate,
     load_dataset,
@@ -203,6 +202,18 @@ class TestBalancedSampler:
         b = BalancedSampler(src, seed=9).draw(12)
         np.testing.assert_array_equal(a, b)
 
+    def test_matches_per_slot_loop(self):
+        # reference: pick a class per slot, then one of its samples, slot by slot
+        labels = np.random.default_rng(1).permutation(np.repeat(np.arange(4), [90, 40, 20, 7]))
+        src = DomainDataset("source", np.zeros((labels.size, 2)), labels, 4)
+        pools = [np.flatnonzero(labels == k) for k in range(4)]
+        rng = np.random.default_rng(5)
+        sampler = BalancedSampler(src, seed=5)
+        for size in (1, 7, 50, 1, 123):
+            classes = rng.integers(0, 4, size=size)
+            expected = [pools[k][rng.integers(0, pools[k].size)] for k in classes]
+            np.testing.assert_array_equal(sampler.draw(size), expected)
+
     def test_class_frequencies_uniform(self):
         # tail class must appear ~1/C of the time despite 5x imbalance
         src, _ = generate(ShiftSpec(num_classes=3, feature_dim=4, max_class_size=60,
@@ -220,15 +231,6 @@ class TestBalancedSampler:
                                     seed=2))
         idx = BalancedSampler(src, seed=1).draw(50)
         assert idx.min() >= 0 and idx.max() < len(src)
-
-    def test_generator_stream(self):
-        src, _ = generate(ShiftSpec(num_classes=3, feature_dim=4, max_class_size=20,
-                                    seed=2))
-        gen = balanced_source_batches(src, batch_size=8, seed=4)
-        first = next(gen)
-        second = next(gen)
-        assert first.shape == (8,) and second.shape == (8,)
-        assert not np.array_equal(first, second)
 
     def test_hidden_labels_unusable(self):
         # sampler needs labels; target datasets must refuse

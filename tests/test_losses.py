@@ -164,6 +164,32 @@ class TestCentroidBank:
         update_centroids(None, bank, batch([[9.0, 9.0]], [1]), "source")
         np.testing.assert_allclose(bank.value("source", 0), [1.0, 0.0])
 
+    def test_one_batch_mixes_new_seen_zero_weight_and_absent_classes(self):
+        bank = CentroidBank(num_classes=4, ema_coeff=0.7)
+        update_centroids(None, bank, batch([[10.0, 10.0], [4.0, -2.0]], [1, 3]), "source")
+        update_centroids(
+            None,
+            bank,
+            batch(
+                [[0.0, 0.0], [4.0, 8.0], [0.0, 0.0], [5.0, 5.0]],
+                [0, 0, 1, 2],
+                [0.25, 0.75, 1.0, 0.0],
+            ),
+            "source",
+        )
+        # class 0 is new: adopted outright as 0.25 * [0, 0] + 0.75 * [4, 8]
+        np.testing.assert_allclose(bank.value("source", 0), [3.0, 6.0], rtol=1e-15)
+        # class 1 was seen: 0.7 * [10, 10] + 0.3 * [0, 0]
+        np.testing.assert_allclose(bank.value("source", 1), [7.0, 7.0], rtol=1e-15)
+        # class 2 came with zero weight only: still unseen
+        assert not bank.initialized("source", 2)
+        with pytest.raises(KeyError):
+            bank.value("source", 2)
+        # class 3 was seen but is absent from the batch: kept bit for bit
+        np.testing.assert_array_equal(bank.value("source", 3), [4.0, -2.0])
+        assert [bank.initialized("source", k) for k in range(4)] == [True, True, False, True]
+        assert not any(bank.initialized("target", k) for k in range(4))
+
     def test_eligible_needs_both_domains(self):
         bank = CentroidBank(num_classes=2)
         update_centroids(None, bank, batch([[1.0, 0.0]], [0]), "source")
@@ -286,6 +312,46 @@ class TestCentroidAlignment:
         fresh = Tape()
         fresh.backward(centroid_alignment_loss(fresh, bank))
         assert np.all(feats.grad == 0.0)
+
+    def test_matches_per_class_loop(self):
+        # reference: one weighted mean and EMA per (domain, class), one
+        # distance per class pair; the bank sums in another order
+        rng = np.random.default_rng(11)
+        num_classes, theta = 5, 0.7
+        bank = CentroidBank(num_classes, theta)
+        ref: dict[tuple[str, int], np.ndarray] = {}
+        for _ in range(6):
+            for domain in ("source", "target"):
+                n = int(rng.integers(1, 9))
+                x = rng.standard_normal((n, 3))
+                y = rng.integers(0, num_classes, n)
+                w = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) > 0.3)
+                update_centroids(None, bank, batch(x, y, w), domain)
+                for k in np.unique(y):
+                    total = w[y == k].sum()
+                    if total == 0.0:
+                        continue
+                    mean = (w[y == k] @ x[y == k]) / total
+                    old = ref.get((domain, k))
+                    ref[(domain, k)] = mean if old is None else (1 - theta) * mean + theta * old
+            for (domain, k), value in ref.items():
+                np.testing.assert_allclose(bank.value(domain, k), value, rtol=1e-12, atol=1e-15)
+            eligible = [k for k in range(num_classes)
+                        if ("source", k) in ref and ("target", k) in ref]
+            assert bank.eligible_classes() == eligible
+
+            def dist(i, k):
+                return np.linalg.norm(ref[("source", i)] - ref[("target", k)])
+
+            loss = centroid_alignment_loss(None, bank).item()
+            if not eligible:
+                assert loss == 0.0
+                continue
+            expected = np.mean([dist(k, k) for k in eligible])
+            if len(eligible) > 1:
+                cross = np.mean([dist(i, k) for i in eligible for k in eligible if i != k])
+                expected /= cross + 1e-8
+            assert loss == pytest.approx(expected, rel=1e-12)
 
 
 class TestDiscriminativeAlignment:

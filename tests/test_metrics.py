@@ -7,7 +7,7 @@ import pytest
 
 from shiftlab import (
     EVALUATOR_ACCESS,
-    PseudoLabel,
+    PseudoLabels,
     ShiftSpec,
     generate,
     make_audit_fn,
@@ -56,17 +56,23 @@ class TestPerClassAccuracy:
             per_class_accuracies([0, 2], [0, 1], 2)
 
 
+def pseudo_labels(rows) -> PseudoLabels:
+    """PseudoLabels from (raw, raw_conf, calibrated, calibrated_conf) rows."""
+    raw, raw_conf, cal, cal_conf = (np.array(col) for col in zip(*rows))
+    return PseudoLabels(raw, raw_conf, cal, cal_conf)
+
+
 class TestPseudoLabelAudit:
     def audit_fixture(self):
         truth = [0, 1, 2, 0, 1, 2]
-        pseudo = [
-            PseudoLabel(0, 0.9, 0, 0.9),
-            PseudoLabel(1, 0.9, 1, 0.9),
-            PseudoLabel(0, 0.5, 2, 0.4),  # flip, calibration fixes it
-            PseudoLabel(0, 0.5, 1, 0.4),  # flip, calibration breaks it
-            PseudoLabel(2, 0.9, 2, 0.9),
-            PseudoLabel(2, 0.9, 2, 0.9),
-        ]
+        pseudo = pseudo_labels([
+            (0, 0.9, 0, 0.9),
+            (1, 0.9, 1, 0.9),
+            (0, 0.5, 2, 0.4),  # flip, calibration fixes it
+            (0, 0.5, 1, 0.4),  # flip, calibration breaks it
+            (2, 0.9, 2, 0.9),
+            (2, 0.9, 2, 0.9),
+        ])
         return pseudo, truth
 
     def test_subset_scores_cover_flips_only(self):
@@ -83,7 +89,7 @@ class TestPseudoLabelAudit:
         assert rec.pseudo_acc_calibrated == pytest.approx(4 / 6)
 
     def test_no_flips_leaves_subsets_none(self):
-        pseudo = [PseudoLabel(0, 0.9, 0, 0.9), PseudoLabel(1, 0.8, 1, 0.8)]
+        pseudo = pseudo_labels([(0, 0.9, 0, 0.9), (1, 0.8, 1, 0.8)])
         rec = pseudo_label_audit(pseudo, [0, 0])
         assert rec.subset_acc_raw is None
         assert rec.subset_acc_calibrated is None
@@ -91,7 +97,7 @@ class TestPseudoLabelAudit:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            pseudo_label_audit([PseudoLabel(0, 0.9, 0, 0.9)], [0, 1])
+            pseudo_label_audit(pseudo_labels([(0, 0.9, 0, 0.9)]), [0, 1])
 
 
 class TestEvaluatorAccess:
@@ -108,7 +114,8 @@ class TestEvaluatorAccess:
         truth = tgt.labels_for_eval(EVALUATOR_ACCESS)
         rng = np.random.default_rng(7)
         raw = rng.integers(0, 3, len(truth))
-        pseudo = [PseudoLabel(int(r), 0.9, int(r), 0.9) for r in raw]
+        conf = np.full(len(raw), 0.9)
+        pseudo = PseudoLabels(raw, conf, raw, conf)
         out = make_audit_fn(tgt)(pseudo)
         assert out["pseudo_acc_raw"] == pytest.approx((raw == truth).mean())
         assert out["pseudo_acc_calibrated"] == out["pseudo_acc_raw"]

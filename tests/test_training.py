@@ -106,30 +106,25 @@ class TestTrainConfig:
 class TestTargetPseudo:
     def test_no_state_uses_argmax(self):
         probs = np.array([[0.2, 0.8], [0.9, 0.1]])
-        labels, conf = _target_pseudo(probs, None, raw_weights=False)
+        labels, conf = _target_pseudo(probs, None)
         np.testing.assert_array_equal(labels, [1, 0])
         np.testing.assert_allclose(conf, [0.8, 0.9])
 
     def flip_state(self) -> LabelShiftState:
         # source head 0, target head 1: weights favor class 1
-        from shiftlab import PseudoLabel
+        from shiftlab import PseudoLabels
 
-        pseudo = [PseudoLabel(1, 0.9, 1, 0.9)] * 9 + [PseudoLabel(0, 0.9, 0, 0.9)]
+        labels = np.array([1] * 9 + [0])
+        conf = np.full(10, 0.9)
+        pseudo = PseudoLabels(labels, conf, labels, conf)
         return LabelShiftState.estimate([0] * 9 + [1], pseudo, 0.5, 2, 1.5)
 
     def test_state_flips_near_ties(self):
         state = self.flip_state()
         probs = np.array([[0.52, 0.48]])
-        labels, conf = _target_pseudo(probs, state, raw_weights=False)
+        labels, conf = _target_pseudo(probs, state)
         assert labels[0] == 1
         assert conf[0] == 0.48
-
-    def test_raw_weights_keep_original_confidence(self):
-        state = self.flip_state()
-        probs = np.array([[0.52, 0.48]])
-        labels, conf = _target_pseudo(probs, state, raw_weights=True)
-        assert labels[0] == 1
-        assert conf[0] == 0.52
 
 
 def quick_cfg(**kwargs) -> TrainConfig:
