@@ -76,7 +76,6 @@ from .training import (
     TrainConfig,
     lr_schedule,
     run,
-    run_source_only,
     train_step,
 )
 

@@ -4,8 +4,13 @@ Forward evaluation is eager: every operation computes its result
 immediately and, when a tape is supplied, records a closure that knows how
 to push gradients back to its inputs. Calling ``Tape.backward`` on a
 scalar output replays the closures in reverse order. Gradients accumulate
-with ``+=`` so tensors reused in several places receive the sum of all
-contributions.
+so tensors reused in several places receive the sum of all contributions.
+
+Only the user boundary pays for a full ``Tensor``: the public constructor
+copies its input, while op outputs own the array their op just computed.
+Gradient buffers are allocated on the first accumulation, usually by
+adopting the array the backward rule computed; a rule whose output got no
+gradient does nothing. ``Tensor.grad`` reads as zeros until then.
 
 Only the operations the training method needs are provided, and all
 tensors are 2-D. There is no broadcasting beyond what the individual
@@ -22,6 +27,7 @@ __all__ = [
     "Tape",
     "matmul",
     "add_bias",
+    "linear",
     "add",
     "sub",
     "mul",
@@ -37,6 +43,7 @@ __all__ = [
     "sum_all",
     "mean_all",
     "gather_rows",
+    "nll",
     "euclidean_distance",
     "pairwise_distances",
     "grad_reverse",
@@ -54,13 +61,20 @@ class TapeError(RuntimeError):
 
 
 class Tensor:
-    """A 2-D float64 array paired with a same-shape gradient buffer.
+    """A 2-D float64 array paired with a lazily allocated gradient.
 
-    1-D input is promoted to a single row. Values are copied on
-    construction so a tensor never aliases caller-owned memory.
+    1-D input is promoted to a single row. The public constructor copies
+    its input, so a tensor never aliases caller-owned memory. Op outputs
+    skip the constructor: each owns the array its op just computed.
+
+    The gradient buffer is allocated on the first accumulation into it.
+    Until then ``grad`` reads as zeros of the tensor's shape (and keeps
+    that buffer), so ``t.grad += 1.0`` works on a fresh tensor.
+    ``zero_grad`` drops the buffer; an array read from ``grad`` before
+    that keeps its values.
     """
 
-    __slots__ = ("values", "grad")
+    __slots__ = ("values", "_grad")
 
     def __init__(self, values) -> None:
         arr = np.array(values, dtype=np.float64)
@@ -71,11 +85,24 @@ class Tensor:
         if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got array of shape {arr.shape}")
         self.values = arr
-        self.grad = np.zeros_like(arr)
+        self._grad = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.values)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.shape != self.values.shape:
+            raise ShapeError(f"grad of shape {arr.shape} for a tensor of shape {self.shape}")
+        self._grad = arr
 
     def item(self) -> float:
         if self.values.size != 1:
@@ -83,10 +110,38 @@ class Tensor:
         return float(self.values[0, 0])
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        self._grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
+
+
+def _wrap(values: np.ndarray) -> Tensor:
+    """An op output that owns ``values`` (2-D float64): no copy, no gradient yet."""
+    out = Tensor.__new__(Tensor)
+    out.values = values
+    out._grad = None
+    return out
+
+
+def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
+    """Add ``g`` into ``t``'s gradient.
+
+    On the first write the buffer adopts ``g``, which must then be a fresh
+    array nothing else holds; ``shared=True`` copies it instead.
+    """
+    if t._grad is None:
+        t._grad = g.copy() if shared else g
+    else:
+        t._grad += g
+
+
+def _deduct(t: Tensor, g: np.ndarray) -> None:
+    """Subtract ``g`` from ``t``'s gradient; ``g`` is never adopted."""
+    if t._grad is None:
+        t._grad = np.negative(g)
+    else:
+        t._grad -= g
 
 
 class Tape:
@@ -114,21 +169,32 @@ class Tape:
             rule()
 
 
-def _record(tape: Tape | None, rule) -> None:
-    if tape is not None:
-        tape.record(rule)
+def _record(tape: Tape | None, out: Tensor, rule) -> None:
+    """Record ``rule(g)``, run on backward with ``out``'s gradient ``g``.
+
+    An output that received no gradient sends none back, so the rule is
+    skipped.
+    """
+    if tape is None:
+        return
+
+    def backward() -> None:
+        if out._grad is not None:
+            rule(out._grad)
+
+    tape.record(backward)
 
 
 def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = Tensor(a.values @ b.values)
+    out = _wrap(a.values @ b.values)
 
-    def backward() -> None:
-        a.grad += out.grad @ b.values.T
-        b.grad += a.values.T @ out.grad
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, g @ b.values.T)
+        _accumulate(b, a.values.T @ g)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
@@ -136,13 +202,36 @@ def add_bias(tape: Tape | None, x: Tensor, bias: Tensor) -> Tensor:
     """Add a 1 x m bias row to every row of an n x m tensor."""
     if bias.shape != (1, x.shape[1]):
         raise ShapeError(f"add_bias: bias {bias.shape} does not fit rows of {x.shape}")
-    out = Tensor(x.values + bias.values)
+    out = _wrap(x.values + bias.values)
 
-    def backward() -> None:
-        x.grad += out.grad
-        bias.grad += out.grad.sum(axis=0, keepdims=True)
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g, shared=True)
+        _accumulate(bias, g.sum(axis=0, keepdims=True))
 
-    _record(tape, backward)
+    _record(tape, out, backward)
+    return out
+
+
+def linear(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer x @ w + b in one node; b is a 1 x m bias row.
+
+    Same values and gradients, bit for bit, as
+    ``add_bias(matmul(x, w), b)``.
+    """
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: inner dimensions differ, {x.shape} @ {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise ShapeError(f"linear: bias {b.shape} does not fit {w.shape[1]} outputs")
+    h = x.values @ w.values
+    h += b.values
+    out = _wrap(h)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(b, g.sum(axis=0, keepdims=True))
+        _accumulate(x, g @ w.values.T)
+        _accumulate(w, x.values.T @ g)
+
+    _record(tape, out, backward)
     return out
 
 
@@ -153,51 +242,51 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("add", a, b)
-    out = Tensor(a.values + b.values)
+    out = _wrap(a.values + b.values)
 
-    def backward() -> None:
-        a.grad += out.grad
-        b.grad += out.grad
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, g, shared=True)
+        _accumulate(b, g, shared=True)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
 def sub(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("sub", a, b)
-    out = Tensor(a.values - b.values)
+    out = _wrap(a.values - b.values)
 
-    def backward() -> None:
-        a.grad += out.grad
-        b.grad -= out.grad
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, g, shared=True)
+        _deduct(b, g)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
 def mul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     _require_same_shape("mul", a, b)
-    out = Tensor(a.values * b.values)
+    out = _wrap(a.values * b.values)
 
-    def backward() -> None:
-        a.grad += out.grad * b.values
-        b.grad += out.grad * a.values
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, g * b.values)
+        _accumulate(b, g * a.values)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
 def div(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise quotient a / b of two same-shape tensors."""
     _require_same_shape("div", a, b)
-    out = Tensor(a.values / b.values)
+    out = _wrap(a.values / b.values)
 
-    def backward() -> None:
-        a.grad += out.grad / b.values
-        b.grad -= out.grad * out.values / b.values
+    def backward(g: np.ndarray) -> None:
+        _accumulate(a, g / b.values)
+        _deduct(b, g * out.values / b.values)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
@@ -208,24 +297,24 @@ def add_n(tape: Tape | None, tensors: list[Tensor]) -> Tensor:
     first = tensors[0]
     for t in tensors[1:]:
         _require_same_shape("add_n", first, t)
-    out = Tensor(sum(t.values for t in tensors))
+    out = _wrap(sum(t.values for t in tensors))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         for t in tensors:
-            t.grad += out.grad
+            _accumulate(t, g, shared=True)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
 def affine(tape: Tape | None, x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     """scale * x + shift with scalar constants."""
-    out = Tensor(scale * x.values + shift)
+    out = _wrap(scale * x.values + shift)
 
-    def backward() -> None:
-        x.grad += scale * out.grad
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, scale * g)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
@@ -234,24 +323,24 @@ def scale_by(tape: Tape | None, x: Tensor, factor: np.ndarray) -> Tensor:
     fac = np.asarray(factor, dtype=np.float64)
     if fac.shape != x.values.shape:
         raise ShapeError(f"scale_by: factor {fac.shape} vs tensor {x.shape}")
-    out = Tensor(x.values * fac)
+    out = _wrap(x.values * fac)
 
-    def backward() -> None:
-        x.grad += out.grad * fac
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * fac)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
 def relu(tape: Tape | None, x: Tensor) -> Tensor:
     # Subgradient at exactly 0 is taken as 0.
     mask = x.values > 0.0
-    out = Tensor(np.where(mask, x.values, 0.0))
+    out = _wrap(np.where(mask, x.values, 0.0))
 
-    def backward() -> None:
-        x.grad += out.grad * mask
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * mask)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
@@ -268,36 +357,36 @@ def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
     ev = np.exp(v[~pos])
     s[~pos] = ev / (1.0 + ev)
     np.clip(s, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=s)
-    out = Tensor(s)
+    out = _wrap(s)
 
-    def backward() -> None:
-        x.grad += out.grad * out.values * (1.0 - out.values)
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * out.values * (1.0 - out.values))
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
 def log(tape: Tape | None, x: Tensor) -> Tensor:
     if np.any(x.values <= 0.0):
         raise ValueError("log: all entries must be positive")
-    out = Tensor(np.log(x.values))
+    out = _wrap(np.log(x.values))
 
-    def backward() -> None:
-        x.grad += out.grad / x.values
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g / x.values)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
 def clamp_min(tape: Tape | None, x: Tensor, floor: float) -> Tensor:
     """max(x, floor) elementwise; gradient is zero where the clamp binds."""
     mask = x.values > floor
-    out = Tensor(np.where(mask, x.values, floor))
+    out = _wrap(np.where(mask, x.values, floor))
 
-    def backward() -> None:
-        x.grad += out.grad * mask
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * mask)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
@@ -307,56 +396,82 @@ def softmax(tape: Tape | None, logits: Tensor) -> Tensor:
         raise ShapeError(f"softmax: need at least 2 columns, got {logits.shape}")
     z = logits.values - logits.values.max(axis=1, keepdims=True)
     e = np.exp(z)
-    out = Tensor(e / e.sum(axis=1, keepdims=True))
+    out = _wrap(e / e.sum(axis=1, keepdims=True))
 
-    def backward() -> None:
-        g = out.grad
+    def backward(g: np.ndarray) -> None:
         p = out.values
-        logits.grad += p * (g - (g * p).sum(axis=1, keepdims=True))
+        _accumulate(logits, p * (g - (g * p).sum(axis=1, keepdims=True)))
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
 def sum_all(tape: Tape | None, x: Tensor) -> Tensor:
-    out = Tensor(np.array([[x.values.sum()]]))
+    out = _wrap(np.array([[x.values.sum()]]))
 
-    def backward() -> None:
-        x.grad += out.grad[0, 0]
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, np.full(x.values.shape, g[0, 0]))
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
 def mean_all(tape: Tape | None, x: Tensor) -> Tensor:
     n = x.values.size
-    out = Tensor(np.array([[x.values.mean()]]))
+    out = _wrap(np.array([[x.values.mean()]]))
 
-    def backward() -> None:
-        x.grad += out.grad[0, 0] / n
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, np.full(x.values.shape, g[0, 0] / n))
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
+
+
+def _row_indices(op: str, x: Tensor, indices) -> np.ndarray:
+    """One in-range column index per row of ``x``."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.shape[0] != x.shape[0]:
+        raise ShapeError(f"{op}: need one index per row of {x.shape}, got {idx.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
+        raise IndexError(f"{op}: index out of range for {x.shape[1]} columns")
+    return idx
 
 
 def gather_rows(tape: Tape | None, x: Tensor, indices: np.ndarray) -> Tensor:
     """Pick one column per row: out[i, 0] = x[i, indices[i]]."""
-    idx = np.asarray(indices)
-    if idx.ndim != 1 or idx.shape[0] != x.shape[0]:
-        raise ShapeError(
-            f"gather_rows: need one index per row of {x.shape}, got {idx.shape}"
-        )
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
-        raise IndexError(
-            f"gather_rows: index out of range for {x.shape[1]} columns"
-        )
+    idx = _row_indices("gather_rows", x, indices)
     rows = np.arange(x.shape[0])
-    out = Tensor(x.values[rows, idx].reshape(-1, 1))
+    out = _wrap(x.values[rows, idx].reshape(-1, 1))
 
-    def backward() -> None:
-        np.add.at(x.grad, (rows, idx), out.grad[:, 0])
+    def backward(g: np.ndarray) -> None:
+        np.add.at(x.grad, (rows, idx), g[:, 0])
 
-    _record(tape, backward)
+    _record(tape, out, backward)
+    return out
+
+
+def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> Tensor:
+    """Mean negative log of each row's labelled probability, floored at ``floor``.
+
+    One node with the same scalar operations, in the same order, as
+    ``affine(mean_all(log(clamp_min(gather_rows(probs, labels), floor))), -1.0)``;
+    no gradient flows where the floor binds.
+    """
+    idx = _row_indices("nll", probs, labels)
+    rows = np.arange(probs.shape[0])
+    picked = probs.values[rows, idx].reshape(-1, 1)
+    mask = picked > floor
+    clamped = np.where(mask, picked, floor)
+    if np.any(clamped <= 0.0):
+        raise ValueError("nll: floored probabilities must be positive")
+    n = clamped.size
+    out = _wrap(-1.0 * np.array([[np.log(clamped).mean()]]) + 0.0)
+
+    def backward(g: np.ndarray) -> None:
+        per_row = (-1.0 * g)[0, 0] / n / clamped * mask
+        probs.grad[rows, idx] += per_row[:, 0]
+
+    _record(tape, out, backward)
     return out
 
 
@@ -369,15 +484,15 @@ def euclidean_distance(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("euclidean_distance", a, b)
     diff = a.values - b.values
     dist = float(np.sqrt((diff * diff).sum()))
-    out = Tensor(np.array([[dist]]))
+    out = _wrap(np.array([[dist]]))
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         if dist > 0.0:
-            unit = diff / dist
-            a.grad += out.grad[0, 0] * unit
-            b.grad -= out.grad[0, 0] * unit
+            step = g[0, 0] * (diff / dist)
+            _accumulate(a, step)
+            _deduct(b, step)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
@@ -394,15 +509,15 @@ def pairwise_distances(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
         )
     diff = a.values[:, None, :] - b.values[None, :, :]  # n x m x d
     dist = np.sqrt((diff * diff).sum(axis=2))
-    out = Tensor(dist)
+    out = _wrap(dist)
 
-    def backward() -> None:
+    def backward(g: np.ndarray) -> None:
         safe = np.where(dist > 0.0, dist, 1.0)
-        scaled = (out.grad * (dist > 0.0) / safe)[:, :, None] * diff
-        a.grad += scaled.sum(axis=1)
-        b.grad -= scaled.sum(axis=0)
+        scaled = (g * (dist > 0.0) / safe)[:, :, None] * diff
+        _accumulate(a, scaled.sum(axis=1))
+        _deduct(b, scaled.sum(axis=0))
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
@@ -410,12 +525,12 @@ def grad_reverse(tape: Tape | None, x: Tensor, coeff: float) -> Tensor:
     """Identity forward; backward multiplies the gradient by -coeff."""
     if coeff < 0.0:
         raise ValueError(f"grad_reverse: coeff must be >= 0, got {coeff}")
-    out = Tensor(x.values)
+    out = _wrap(x.values.copy())
 
-    def backward() -> None:
-        x.grad -= coeff * out.grad
+    def backward(g: np.ndarray) -> None:
+        _deduct(x, coeff * g)
 
-    _record(tape, backward)
+    _record(tape, out, backward)
     return out
 
 
@@ -431,8 +546,9 @@ def sgd_step(
 ) -> None:
     """One in-place SGD update with classical momentum.
 
-    v <- momentum * v + grad; param <- param - lr * v. Gradients are
-    cleared afterwards so the next forward pass starts fresh.
+    v <- momentum * v + grad; param <- param - lr * v. A parameter that
+    received no gradient adds nothing to v. Gradients are cleared
+    afterwards so the next forward pass starts fresh.
     """
     if len(params) != len(velocity):
         raise ValueError(
@@ -440,6 +556,7 @@ def sgd_step(
         )
     for p, v in zip(params, velocity):
         v *= momentum
-        v += p.grad
+        if p._grad is not None:
+            v += p._grad
         p.values -= lr * v
-        p.zero_grad()
+        p._grad = None

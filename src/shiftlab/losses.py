@@ -26,10 +26,10 @@ from .autodiff import (
     affine,
     clamp_min,
     div,
-    gather_rows,
     log as log_op,
     matmul,
     mean_all,
+    nll,
     pairwise_distances,
     scale_by,
     sum_all,
@@ -86,8 +86,7 @@ class WeightedBatch:
 
 def cross_entropy(tape: Tape | None, probs: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-probability of the given label per row."""
-    picked = gather_rows(tape, probs, labels)
-    return affine(tape, mean_all(tape, log_op(tape, clamp_min(tape, picked, PROB_FLOOR))), -1.0)
+    return nll(tape, probs, labels, PROB_FLOOR)
 
 
 def domain_adversarial_loss(tape: Tape | None, d_src: Tensor, d_tgt: Tensor) -> Tensor:

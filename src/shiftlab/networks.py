@@ -16,10 +16,9 @@ from .autodiff import (
     ShapeError,
     Tape,
     Tensor,
-    add_bias,
     grad_reverse,
     init_velocity,
-    matmul,
+    linear,
     relu,
     sigmoid,
     softmax,
@@ -78,14 +77,24 @@ def _init_layer(rng: np.random.Generator, fan_in: int, fan_out: int) -> tuple[Te
     return weight, bias
 
 
+def _layer_dims(cfg: ModelConfig) -> dict[str, list[tuple[int, int]]]:
+    """(fan_in, fan_out) of every layer of each network, in parameter order."""
+    ext_dims = [cfg.input_dim] + cfg.hidden_dims + [cfg.bottleneck_dim]
+    dis_dims = [cfg.bottleneck_dim] + cfg.discriminator_hidden_dims + [1]
+    return {
+        "extractor": list(zip(ext_dims, ext_dims[1:])),
+        "classifier": [(cfg.bottleneck_dim, cfg.num_classes)],
+        "discriminator": list(zip(dis_dims, dis_dims[1:])),
+    }
+
+
 def init_model(cfg: ModelConfig, seed: int) -> ModelState:
     """Uniform fan-scaled weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
     rng = np.random.default_rng(seed)
-    ext_dims = [cfg.input_dim] + cfg.hidden_dims + [cfg.bottleneck_dim]
-    extractor = [_init_layer(rng, a, b) for a, b in zip(ext_dims, ext_dims[1:])]
-    classifier = _init_layer(rng, cfg.bottleneck_dim, cfg.num_classes)
-    dis_dims = [cfg.bottleneck_dim] + cfg.discriminator_hidden_dims + [1]
-    discriminator = [_init_layer(rng, a, b) for a, b in zip(dis_dims, dis_dims[1:])]
+    dims = _layer_dims(cfg)
+    extractor = [_init_layer(rng, a, b) for a, b in dims["extractor"]]
+    classifier = _init_layer(rng, *dims["classifier"][0])
+    discriminator = [_init_layer(rng, a, b) for a, b in dims["discriminator"]]
     state = ModelState(cfg, extractor, classifier, discriminator, [], seed)
     state.velocity = init_velocity(state.parameters())
     return state
@@ -104,7 +113,7 @@ def features(state: ModelState, x, tape: Tape | None = None) -> Tensor:
         )
     last = len(state.extractor) - 1
     for i, (w, b) in enumerate(state.extractor):
-        h = add_bias(tape, matmul(tape, h, w), b)
+        h = linear(tape, h, w, b)
         if i != last:
             h = relu(tape, h)
     return h
@@ -113,7 +122,7 @@ def features(state: ModelState, x, tape: Tape | None = None) -> Tensor:
 def classify(state: ModelState, feats: Tensor, tape: Tape | None = None) -> Tensor:
     """Linear layer then row-wise softmax; rows sum to 1."""
     w, b = state.classifier
-    return softmax(tape, add_bias(tape, matmul(tape, feats, w), b))
+    return softmax(tape, linear(tape, feats, w, b))
 
 
 def discriminate(
@@ -123,7 +132,7 @@ def discriminate(
     h = grad_reverse(tape, feats, grl_coeff)
     last = len(state.discriminator) - 1
     for i, (w, b) in enumerate(state.discriminator):
-        h = add_bias(tape, matmul(tape, h, w), b)
+        h = linear(tape, h, w, b)
         if i != last:
             h = relu(tape, h)
     return sigmoid(tape, h)
@@ -153,24 +162,36 @@ def save_checkpoint(state: ModelState, path) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
+    """Restore a checkpoint; every layer's shapes must match its config."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     cfg = ModelConfig(**doc["config"])
 
-    def load_layers(entries):
-        return [(Tensor(e["weight"]), Tensor(e["bias"])) for e in entries]
+    layers = {}
+    for net, dims in _layer_dims(cfg).items():
+        entries = doc[net]
+        if len(entries) != len(dims):
+            raise ValueError(
+                f"checkpoint {net} has {len(entries)} layers, config expects {len(dims)}"
+            )
+        layers[net] = []
+        for i, (entry, (fan_in, fan_out)) in enumerate(zip(entries, dims)):
+            name = net if len(dims) == 1 else f"{net} layer {i}"
+            w, b = Tensor(entry["weight"]), Tensor(entry["bias"])
+            for key, t, expected in (("weight", w, (fan_in, fan_out)), ("bias", b, (1, fan_out))):
+                if t.shape != expected:
+                    raise ValueError(
+                        f"checkpoint {name} {key} has shape {t.shape}, config expects {expected}"
+                    )
+            layers[net].append((w, b))
 
     state = ModelState(
         cfg,
-        load_layers(doc["extractor"]),
-        load_layers(doc["classifier"])[0],
-        load_layers(doc["discriminator"]),
+        layers["extractor"],
+        layers["classifier"][0],
+        layers["discriminator"],
         [],
         int(doc["init_seed"]),
     )
     state.velocity = init_velocity(state.parameters())
-    expected = [cfg.input_dim] + cfg.hidden_dims + [cfg.bottleneck_dim]
-    got = [state.extractor[0][0].shape[0]] + [w.shape[1] for w, _ in state.extractor]
-    if got != expected:
-        raise ValueError(f"checkpoint layer shapes {got} do not match config {expected}")
     return state

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add_n, affine, sgd_step
+from .autodiff import Tape, add_n, affine, sgd_step
 from .calibration import LabelShiftState, PseudoLabels, calibrate
 from .data import BalancedSampler, DomainDataset
 from .losses import (
@@ -44,7 +44,6 @@ __all__ = [
     "lr_schedule",
     "train_step",
     "run",
-    "run_source_only",
 ]
 
 log = logging.getLogger(__name__)
@@ -342,8 +341,11 @@ def run(
     completed = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        if epoch <= cfg.pretrain_epochs:
-            assert shift_state is None, "calibration state must not exist before estimation"
+        if epoch <= cfg.pretrain_epochs and shift_state is not None:
+            raise RuntimeError(
+                f"epoch {epoch} is in pre-training (pretrain_epochs={cfg.pretrain_epochs}) "
+                "but a label-shift estimate already exists"
+            )
         perm = shuffle_rng.permutation(n_tgt)
         sums = {"loss_class": 0.0, "loss_adversarial": 0.0,
                 "loss_centroid": 0.0, "loss_pairwise": 0.0}
@@ -386,58 +388,3 @@ def run(
     if out_dir is not None:
         _write_outputs(out_dir, state, records, shift_state)
     return state, records, shift_state
-
-
-def run_source_only(
-    source: DomainDataset,
-    target: DomainDataset,
-    cfg: TrainConfig,
-    model_cfg: ModelConfig | None = None,
-    audit_fn=None,
-    out_dir=None,
-) -> tuple[ModelState, list[EpochRecord], None]:
-    """Plain classifier training, written as its own minimal loop.
-
-    Kept deliberately separate from ``run`` so it can serve as an
-    independent baseline: ``run`` with all loss weights at zero must
-    reproduce this runner's parameters bit for bit.
-    """
-    _check_datasets(source, target)
-    if model_cfg is None:
-        model_cfg = ModelConfig(input_dim=source.feature_dim, num_classes=source.num_classes)
-    init_seed, sampler_seed, shuffle_seed = _seed_streams(cfg.seed)
-    state = init_model(model_cfg, init_seed)
-    sampler = BalancedSampler(source, sampler_seed)
-    shuffle_rng = np.random.default_rng(shuffle_seed)
-
-    n_tgt = len(target)
-    steps_per_epoch = math.ceil(n_tgt / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
-    records: list[EpochRecord] = []
-    completed = 0
-    for epoch in range(1, cfg.epochs + 1):
-        perm = shuffle_rng.permutation(n_tgt)
-        loss_sum = 0.0
-        epoch_lr = None
-        for start in range(0, n_tgt, cfg.batch_size):
-            size = perm[start:start + cfg.batch_size].size
-            src_idx = sampler.draw(size)
-            lr = lr_schedule(cfg.lr0, completed / total_steps, cfg.lr_alpha, cfg.lr_beta)
-            if epoch_lr is None:
-                epoch_lr = lr
-            tape = Tape()
-            probs = classify(state, features(state, source.features[src_idx], tape), tape)
-            loss = cross_entropy(tape, probs, source.labels[src_idx])
-            if not np.isfinite(loss.values[0, 0]):
-                raise NumericError(f"non-finite classification loss at epoch {epoch}")
-            loss_sum += loss.item()
-            tape.backward(loss)
-            sgd_step(state.parameters(), lr, cfg.momentum, state.velocity)
-            completed += 1
-        pseudo = _inference_pseudo(state, target, None)
-        sums = {"loss_class": loss_sum, "loss_adversarial": 0.0,
-                "loss_centroid": 0.0, "loss_pairwise": 0.0}
-        records.append(_epoch_record(epoch, epoch_lr, sums, steps_per_epoch, pseudo, audit_fn))
-    if out_dir is not None:
-        _write_outputs(out_dir, state, records, None)
-    return state, records, None

@@ -20,10 +20,12 @@ from shiftlab.autodiff import (
     gather_rows,
     grad_reverse,
     init_velocity,
+    linear,
     log,
     matmul,
     mean_all,
     mul,
+    nll,
     pairwise_distances,
     relu,
     scale_by,
@@ -62,6 +64,36 @@ class TestTensorBasics:
         t.zero_grad()
         assert np.all(t.grad == 0.0)
 
+    def test_grad_reads_zeros_of_the_tensor_shape(self):
+        t = Tensor(np.ones((2, 3)))
+        assert t.grad.shape == (2, 3)
+        assert t.grad.dtype == np.float64
+        assert not t.grad.any()
+
+    def test_grad_read_then_written_keeps_the_write(self):
+        t = Tensor(np.ones((1, 2)))
+        t.grad[0, 1] = 5.0
+        np.testing.assert_array_equal(t.grad, [[0.0, 5.0]])
+
+    def test_zero_grad_clears_a_backward_gradient(self):
+        tape = Tape()
+        x = Tensor([[1.0, 2.0]])
+        tape.backward(sum_all(tape, mul(tape, x, x)))
+        np.testing.assert_array_equal(x.grad, [[2.0, 4.0]])
+        x.zero_grad()
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0]])
+
+    def test_grad_setter_checks_shape(self):
+        t = Tensor(np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            t.grad = np.ones((3, 2))
+
+    def test_op_outputs_own_fresh_arrays(self):
+        x = Tensor([[1.0, -2.0]])
+        y = grad_reverse(None, x, 1.0)
+        y.values[0, 0] = 7.0
+        assert x.values[0, 0] == 1.0
+
 
 class TestTapeMechanics:
     def test_backward_requires_scalar(self):
@@ -83,6 +115,24 @@ class TestTapeMechanics:
         y = add(tape, x, x)
         tape.backward(y)
         assert x.grad[0, 0] == pytest.approx(2.0)
+
+    def test_tensor_feeding_two_ops_gets_the_summed_gradient(self):
+        # d/dx [sum(3x) + sum(x*x)] = 3 + 2x
+        tape = Tape()
+        x = Tensor([[1.0, -2.0]])
+        s = add(tape, sum_all(tape, affine(tape, x, 3.0)), sum_all(tape, mul(tape, x, x)))
+        tape.backward(s)
+        np.testing.assert_array_equal(x.grad, [[5.0, -1.0]])
+
+    def test_output_outside_the_loss_sends_no_gradient(self):
+        # the matmul is recorded but does not reach the loss: x gets only the loss's part
+        tape = Tape()
+        x = Tensor([[1.0, 2.0]])
+        w = Tensor([[1.0], [1.0]])
+        matmul(tape, x, w)
+        tape.backward(sum_all(tape, x))
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0]])
+        assert not w.grad.any()
 
     def test_no_tape_records_nothing(self):
         x = Tensor(2.0)
@@ -302,7 +352,176 @@ class TestOpGradients:
         assert np.all(b.grad == 0.0)
 
 
+class TestGradientsDoNotAlias:
+    """Ops that pass one upstream gradient to several inputs must copy it."""
+
+    def _backward(self, build):
+        tape = Tape()
+        out = build(tape)
+        tape.backward(sum_all(tape, scale_by(tape, out, np.full(out.shape, 2.0))))
+        return out
+
+    def test_add(self):
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))
+        out = self._backward(lambda tape: add(tape, a, b))
+        a.grad += 100.0
+        np.testing.assert_array_equal(b.grad, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(out.grad, np.full((2, 3), 2.0))
+
+    def test_sub(self):
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3)))
+        out = self._backward(lambda tape: sub(tape, a, b))
+        a.grad += 100.0
+        np.testing.assert_array_equal(b.grad, np.full((2, 3), -2.0))
+        np.testing.assert_array_equal(out.grad, np.full((2, 3), 2.0))
+
+    def test_add_n(self):
+        ts = [Tensor(np.ones((2, 3))) for _ in range(3)]
+        self._backward(lambda tape: add_n(tape, ts))
+        ts[0].grad += 100.0
+        ts[1].grad -= 50.0
+        np.testing.assert_array_equal(ts[2].grad, np.full((2, 3), 2.0))
+
+    def test_add_bias(self):
+        x, b = Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3)))
+        out = self._backward(lambda tape: add_bias(tape, x, b))
+        x.grad += 100.0
+        np.testing.assert_array_equal(out.grad, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(b.grad, np.full((1, 3), 4.0))
+
+    def test_add_of_one_tensor_with_itself(self):
+        a = Tensor(np.ones((2, 3)))
+        out = self._backward(lambda tape: add(tape, a, a))
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
+        np.testing.assert_array_equal(out.grad, np.full((2, 3), 2.0))
+
+
+def _linear_pair(rng, n=50, d_in=10, d_out=128):
+    """Leaves and a fixed downstream weighting at the benchmark's first layer."""
+    x = rng.standard_normal((n, d_in))
+    w = rng.standard_normal((d_in, d_out))
+    b = rng.standard_normal((1, d_out))
+    r = rng.standard_normal((n, d_out))
+    return x, w, b, r
+
+
+class TestLinear:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_matmul_add_bias(self, seed):
+        xv, wv, bv, r = _linear_pair(np.random.default_rng(800 + seed))
+        results = []
+        for fused in (True, False):
+            x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
+            tape = Tape()
+            if fused:
+                out = linear(tape, x, w, b)
+            else:
+                out = add_bias(tape, matmul(tape, x, w), b)
+            tape.backward(sum_all(tape, scale_by(tape, relu(tape, out), r)))
+            results.append((out.values, x.grad, w.grad, b.grad))
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert (got == want).all()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gradients_match_finite_differences(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        x = Tensor(rng.standard_normal((3, 4)))
+        w = Tensor(rng.standard_normal((4, 2)))
+        b = Tensor(rng.standard_normal((1, 2)))
+        r = rng.standard_normal((3, 2))
+
+        def build():
+            tape = Tape()
+            return tape, sum_all(tape, scale_by(tape, linear(tape, x, w, b), r))
+
+        _fd_check(build, [x, w, b])
+
+    def test_inner_dimension_mismatch(self):
+        with pytest.raises(ShapeError):
+            linear(None, Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones((1, 4))))
+
+    def test_bias_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            linear(None, Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones((1, 3))))
+
+
+def _unfused_nll(tape, probs, labels, floor):
+    picked = gather_rows(tape, probs, labels)
+    return affine(tape, mean_all(tape, log(tape, clamp_min(tape, picked, floor))), -1.0)
+
+
+class TestNll:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_the_unfused_chain(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        logits_v = rng.standard_normal((50, 5)) * 3.0
+        labels = rng.integers(0, 5, size=50)
+        results = []
+        for op in (nll, _unfused_nll):
+            logits = Tensor(logits_v)
+            tape = Tape()
+            probs = softmax(tape, logits)
+            probs.values[0, labels[0]] = 1e-20  # one row where the floor binds
+            loss = op(tape, probs, labels, 1e-12)
+            tape.backward(affine(tape, loss, 0.6))
+            results.append((loss.values, probs.grad, logits.grad))
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert (got == want).all()
+        assert results[0][1][0, labels[0]] == 0.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gradients_match_finite_differences(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        x = Tensor(rng.standard_normal((4, 3)))
+        labels = rng.integers(0, 3, size=4)
+
+        def build():
+            tape = Tape()
+            return tape, nll(tape, softmax(tape, x), labels, 1e-12)
+
+        _fd_check(build, [x])
+
+    def test_value(self):
+        loss = nll(None, Tensor([[0.5, 0.5], [0.25, 0.75]]), np.array([0, 1]), 1e-12)
+        assert loss.item() == pytest.approx(-(np.log(0.5) + np.log(0.75)) / 2.0)
+
+    def test_floor_binds(self):
+        loss = nll(None, Tensor([[0.0, 1.0]]), np.array([0]), 1e-12)
+        assert loss.item() == pytest.approx(-np.log(1e-12))
+
+    def test_one_label_per_row(self):
+        with pytest.raises(ShapeError):
+            nll(None, Tensor(np.full((3, 2), 0.5)), np.array([0, 1]), 1e-12)
+        with pytest.raises(ShapeError):
+            nll(None, Tensor(np.full((2, 2), 0.5)), np.array([[0], [1]]), 1e-12)
+
+    def test_label_out_of_range(self):
+        with pytest.raises(IndexError):
+            nll(None, Tensor(np.full((2, 2), 0.5)), np.array([0, 2]), 1e-12)
+        with pytest.raises(IndexError):
+            nll(None, Tensor(np.full((2, 2), 0.5)), np.array([-1, 0]), 1e-12)
+
+    def test_nonpositive_floor_rejected_on_zero_probability(self):
+        with pytest.raises(ValueError):
+            nll(None, Tensor([[0.0, 1.0]]), np.array([0]), 0.0)
+
+
 class TestSgdStep:
+    def test_parameter_without_gradient_takes_the_momentum_step(self):
+        # v <- 0.9 v + 0; p <- p - lr v, exactly as with an explicit zero gradient
+        p = Tensor([[1.0, -2.0]])
+        v0 = np.array([[0.3, -0.7]])
+        vel = [v0.copy()]
+        sgd_step([p], 0.05, 0.9, vel)
+        v_old = v0 * 0.9
+        v_old += np.zeros((1, 2))
+        p_old = np.array([[1.0, -2.0]])
+        p_old -= 0.05 * v_old
+        assert (vel[0] == v_old).all()
+        assert (p.values == p_old).all()
+
     def test_two_step_momentum_oracle(self):
         # lr=0.1, momentum=0.9, constant unit gradient:
         # v1=1, p1=-0.1; v2=1.9, p2=-0.29

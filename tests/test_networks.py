@@ -149,3 +149,36 @@ class TestCheckpoint:
         path.write_text(json.dumps(blob))
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "net, index, key, value, named",
+        [
+            ("classifier", 0, "weight", [[1.0, 2.0, 3.0]], "classifier weight"),
+            ("classifier", 0, "bias", [[0.0, 0.0]], "classifier bias"),
+            ("discriminator", 0, "weight", [[1.0], [2.0]], "discriminator layer 0 weight"),
+            ("discriminator", 1, "bias", [[0.0, 0.0]], "discriminator layer 1 bias"),
+        ],
+    )
+    def test_tampered_head_rejected_at_load(self, tmp_path, net, index, key, value, named):
+        import json
+
+        state = init_model(small_cfg(), seed=42)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        blob = json.loads(path.read_text())
+        blob[net][index][key] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match=named):
+            load_checkpoint(path)
+
+    def test_missing_layer_rejected(self, tmp_path):
+        import json
+
+        state = init_model(small_cfg(), seed=42)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+        blob = json.loads(path.read_text())
+        del blob["discriminator"][1]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ValueError, match="discriminator has 1 layers"):
+            load_checkpoint(path)

@@ -3,26 +3,89 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from shiftlab import (
+    BalancedSampler,
+    DomainDataset,
     LabelShiftState,
     ModelConfig,
+    Tape,
     TrainConfig,
+    classify,
+    cross_entropy,
+    features,
+    init_model,
     load_checkpoint,
     make_audit_fn,
     run,
-    run_source_only,
 )
+from shiftlab.autodiff import sgd_step
 from shiftlab.training import (
     ConfigError,
+    EpochRecord,
     NumericError,
+    _check_datasets,
+    _epoch_record,
     _grl_coeff,
+    _inference_pseudo,
+    _seed_streams,
     _target_pseudo,
     lr_schedule,
 )
+
+
+def run_source_only(
+    source: DomainDataset,
+    target: DomainDataset,
+    cfg: TrainConfig,
+    model_cfg: ModelConfig | None = None,
+) -> tuple:
+    """Plain classifier training, written as its own minimal loop.
+
+    An oracle kept apart from ``run``: ``run`` with all loss weights at
+    zero must reproduce this loop's parameters bit for bit.
+    """
+    _check_datasets(source, target)
+    if model_cfg is None:
+        model_cfg = ModelConfig(input_dim=source.feature_dim, num_classes=source.num_classes)
+    init_seed, sampler_seed, shuffle_seed = _seed_streams(cfg.seed)
+    state = init_model(model_cfg, init_seed)
+    sampler = BalancedSampler(source, sampler_seed)
+    shuffle_rng = np.random.default_rng(shuffle_seed)
+
+    n_tgt = len(target)
+    steps_per_epoch = math.ceil(n_tgt / cfg.batch_size)
+    total_steps = cfg.epochs * steps_per_epoch
+    records: list[EpochRecord] = []
+    completed = 0
+    for epoch in range(1, cfg.epochs + 1):
+        perm = shuffle_rng.permutation(n_tgt)
+        loss_sum = 0.0
+        epoch_lr = None
+        for start in range(0, n_tgt, cfg.batch_size):
+            size = perm[start:start + cfg.batch_size].size
+            src_idx = sampler.draw(size)
+            lr = lr_schedule(cfg.lr0, completed / total_steps, cfg.lr_alpha, cfg.lr_beta)
+            if epoch_lr is None:
+                epoch_lr = lr
+            tape = Tape()
+            probs = classify(state, features(state, source.features[src_idx], tape), tape)
+            loss = cross_entropy(tape, probs, source.labels[src_idx])
+            if not np.isfinite(loss.values[0, 0]):
+                raise NumericError(f"non-finite classification loss at epoch {epoch}")
+            loss_sum += loss.item()
+            tape.backward(loss)
+            sgd_step(state.parameters(), lr, cfg.momentum, state.velocity)
+            completed += 1
+        pseudo = _inference_pseudo(state, target, None)
+        sums = {"loss_class": loss_sum, "loss_adversarial": 0.0,
+                "loss_centroid": 0.0, "loss_pairwise": 0.0}
+        records.append(_epoch_record(epoch, epoch_lr, sums, steps_per_epoch, pseudo, None))
+    return state, records, None
 
 
 class TestLrSchedule:
@@ -241,9 +304,26 @@ class TestRun:
         assert shift is not None
         assert len(records) == 5
 
+    def test_estimate_inside_pretraining_raises(self, tiny_pair, tiny_model_cfg):
+        # The estimate is made after epoch 1; the audit of epoch 2 then moves
+        # the stage boundary past epoch 3, so epoch 3 starts in pre-training
+        # with an estimate in hand. The check is an exception, kept under -O.
+        src, tgt = tiny_pair
+        cfg = quick_cfg(epochs=5, pretrain_epochs=1)
+
+        def move_boundary(pseudo):
+            audited.append(pseudo)
+            if len(audited) == 2:
+                cfg.pretrain_epochs = 4
+            return {}
+
+        audited = []
+        with pytest.raises(RuntimeError, match="pre-training"):
+            run(src, tgt, cfg, tiny_model_cfg, audit_fn=move_boundary)
+        assert len(audited) == 2
+
     def test_single_step_descends(self, tiny_pair, tiny_model_cfg):
         # with all extras off, one small-lr step lowers the batch's own loss
-        from shiftlab import Tape, classify, cross_entropy, features, init_model
         from shiftlab.losses import CentroidBank
         from shiftlab.training import train_step
 
@@ -276,8 +356,6 @@ class TestRunSourceOnly:
         assert all(r.loss_centroid == 0.0 for r in records)
 
     def test_learns_the_source_task(self, tiny_pair, tiny_model_cfg):
-        from shiftlab import classify, features
-
         src, tgt = tiny_pair
         cfg = quick_cfg(epochs=10, pretrain_epochs=2)
         state, _, _ = run_source_only(src, tgt, cfg, tiny_model_cfg)
