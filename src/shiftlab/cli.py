@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 config error, 2 runtime or numeric failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -15,6 +16,7 @@ import sys
 
 import numpy as np
 
+from ._jsonio import write_json
 from .data import DatasetFormatError, ParameterError, generate, save_dataset
 from .experiments import (
     OutputExistsError,
@@ -105,10 +107,7 @@ def _cmd_gen_data(args) -> int:
     source, target = generate(cfg.data)
     save_dataset(source, os.path.join(out_dir, "source.csv"))
     save_dataset(target, os.path.join(out_dir, "target.csv"))
-    import dataclasses
-
-    with open(os.path.join(out_dir, "spec.json"), "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(cfg.data), fh, indent=2)
+    write_json(os.path.join(out_dir, "spec.json"), dataclasses.asdict(cfg.data))
     print(f"wrote {len(source)} source and {len(target)} target samples to {out_dir}")
     return 0
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._jsonio import write_json
 from .calibration import LabelShiftState
 from .data import DomainDataset, ShiftSpec, generate
 from .metrics import (
@@ -302,8 +303,7 @@ def run_single(
         true_head_class=int(np.argmax(true_dist)),
     )
     if out_dir is not None:
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+        write_json(os.path.join(out_dir, "report.json"), report.to_dict())
     return report
 
 
@@ -319,11 +319,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     if cfg.model is not None:
         doc["model"] = dataclasses.asdict(cfg.model)
     return doc
-
-
-def _write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
 
 
 def _fmt(value) -> str:
@@ -368,7 +363,7 @@ def _write_plotdata(out_dir: str, reports: list[RunReport]) -> None:
     plot_dir = os.path.join(out_dir, "plotdata")
     os.makedirs(plot_dir, exist_ok=True)
     epochs = list(range(1, len(reports[0].records) + 1))
-    _write_json(
+    write_json(
         os.path.join(plot_dir, "calibrated_fraction.json"),
         {
             "epochs": epochs,
@@ -376,7 +371,7 @@ def _write_plotdata(out_dir: str, reports: list[RunReport]) -> None:
             "mean": _mean_series([r.calibrated_fraction for r in reports]),
         },
     )
-    _write_json(
+    write_json(
         os.path.join(plot_dir, "calibrated_subset_accuracy.json"),
         {
             "epochs": epochs,
@@ -389,7 +384,7 @@ def _write_plotdata(out_dir: str, reports: list[RunReport]) -> None:
     shifted = [r for r in reports if r.label_shift is not None]
     if shifted:
         first = shifted[0]
-        _write_json(
+        write_json(
             os.path.join(plot_dir, "distribution_estimate.json"),
             {
                 "classes": list(range(len(first.true_target_dist))),
@@ -404,7 +399,7 @@ def _write_plotdata(out_dir: str, reports: list[RunReport]) -> None:
 
 def _summarize(out_dir: str, name: str, reports: list[RunReport]) -> dict:
     aggregate = aggregate_reports(name, reports)
-    _write_json(os.path.join(out_dir, "aggregate.json"), aggregate)
+    write_json(os.path.join(out_dir, "aggregate.json"), aggregate)
     rows = [
         [name, r.seed, r.final_per_class_mean_acc, r.dist_l1_error, r.wall_clock_sec]
         for r in reports
@@ -428,10 +423,10 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False) -> list[RunReport
     updated.
     """
     out_dir = claim_output_dir(cfg.output_dir, force)
-    _write_json(os.path.join(out_dir, "config.json"), _config_echo(cfg))
+    write_json(os.path.join(out_dir, "config.json"), _config_echo(cfg))
     manifest = {"name": cfg.name, "seeds": cfg.seeds, "completed": [], "failed": []}
     manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_json(manifest_path, manifest)
+    write_json(manifest_path, manifest)
 
     source, target = generate(cfg.data)
     train_cfg = effective_train_config(cfg.train, cfg.ablation)
@@ -444,10 +439,10 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False) -> list[RunReport
             reports.append(run_single(source, target, seeded, cfg.model, cfg.name, run_dir))
         except Exception as exc:
             manifest["failed"].append({"seed": seed, "error": str(exc)})
-            _write_json(manifest_path, manifest)
+            write_json(manifest_path, manifest)
             raise
         manifest["completed"].append(seed)
-        _write_json(manifest_path, manifest)
+        write_json(manifest_path, manifest)
 
     _summarize(out_dir, cfg.name, reports)
     return reports
@@ -475,7 +470,7 @@ def ablate(cfg: ExperimentConfig, force: bool = False) -> dict[str, dict]:
         ["component_set", "mean_accuracy", "stddev_accuracy"],
         rows,
     )
-    _write_json(os.path.join(out_dir, "aggregate.json"), results)
+    write_json(os.path.join(out_dir, "aggregate.json"), results)
     return results
 
 
@@ -506,14 +501,14 @@ def sweep_if(cfg: ExperimentConfig, if_values: list[float], force: bool = False)
     )
     plot_dir = os.path.join(out_dir, "plotdata")
     os.makedirs(plot_dir, exist_ok=True)
-    _write_json(
+    write_json(
         os.path.join(plot_dir, "if_sweep.json"),
         {
             "if_values": [float(v) for v in if_values],
             "methods": {m: [table[f"{v:g}"][m] for v in if_values] for m in methods},
         },
     )
-    _write_json(os.path.join(out_dir, "aggregate.json"), table)
+    write_json(os.path.join(out_dir, "aggregate.json"), table)
     return table
 
 

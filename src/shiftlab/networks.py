@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._jsonio import compact_json, write_text
 from .autodiff import (
     ShapeError,
     Tape,
@@ -139,7 +140,11 @@ def discriminate(
 
 
 def save_checkpoint(state: ModelState, path) -> None:
-    """JSON checkpoint; float repr round-trips bit-exact."""
+    """JSON checkpoint; float repr round-trips bit-exact.
+
+    The file is ``json.dumps`` of the document, written one weight row at a
+    time and moved into place only when complete.
+    """
 
     def dump_layers(layers):
         return [{"weight": w.values.tolist(), "bias": b.values.tolist()} for w, b in layers]
@@ -157,8 +162,7 @@ def save_checkpoint(state: ModelState, path) -> None:
         "classifier": dump_layers([state.classifier]),
         "discriminator": dump_layers(state.discriminator),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    write_text(path, compact_json(doc))
 
 
 def load_checkpoint(path) -> ModelState:

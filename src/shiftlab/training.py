@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._jsonio import write_json
 from .autodiff import Tape, add_n, affine, sgd_step
 from .calibration import LabelShiftState, PseudoLabels, calibrate
 from .data import BalancedSampler, DomainDataset
@@ -287,8 +288,7 @@ def _write_outputs(out_dir, state, records, shift_state) -> None:
             fh.write(rec.to_json() + "\n")
     save_checkpoint(state, os.path.join(out_dir, "checkpoint.json"))
     if shift_state is not None:
-        with open(os.path.join(out_dir, "label_shift.json"), "w", encoding="utf-8") as fh:
-            json.dump(shift_state.to_dict(), fh, indent=2)
+        write_json(os.path.join(out_dir, "label_shift.json"), shift_state.to_dict())
 
 
 def _check_datasets(source: DomainDataset, target: DomainDataset) -> None:

@@ -508,6 +508,106 @@ class TestNll:
             nll(None, Tensor([[0.0, 1.0]]), np.array([0]), 0.0)
 
 
+def _explicit_pairwise(av, bv, g):
+    """The former op, kept as the oracle: distances and the input gradients
+    under upstream gradient ``g``, from the full n x m x d row differences."""
+    diff = av[:, None, :] - bv[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    safe = np.where(dist > 0.0, dist, 1.0)
+    scaled = (g * (dist > 0.0) / safe)[:, :, None] * diff
+    return dist, scaled.sum(axis=1), -scaled.sum(axis=0)
+
+
+def _pairwise_with_grads(av, bv, g):
+    a, b = Tensor(av), Tensor(bv)
+    tape = Tape()
+    dist = pairwise_distances(tape, a, b)
+    tape.backward(sum_all(tape, scale_by(tape, dist, g)))
+    return dist.values, a.grad, b.grad
+
+
+# The op documents a relative error below about 2e-11 for d <= 16.
+PAIRWISE_RTOL = 1e-10
+
+
+def _assert_matches_explicit(av, bv, g):
+    """Distances within a relative PAIRWISE_RTOL (so exact zeros stay exact);
+    each gradient entry sums unit vectors weighted by g, so its error is
+    bounded by PAIRWISE_RTOL times the row's or column's sum of |g|."""
+    got = _pairwise_with_grads(av, bv, g)
+    want = _explicit_pairwise(av, bv, g)
+    np.testing.assert_allclose(got[0], want[0], rtol=PAIRWISE_RTOL, atol=0.0)
+    weight_a = np.abs(g).sum(axis=1, keepdims=True)
+    weight_b = np.abs(g).sum(axis=0)[:, None]
+    assert np.all(np.abs(got[1] - want[1]) <= PAIRWISE_RTOL * weight_a)
+    assert np.all(np.abs(got[2] - want[2]) <= PAIRWISE_RTOL * weight_b)
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("n, m", [(5, 5), (50, 50), (400, 400)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_explicit_differences_at_benchmark_shapes(self, n, m, seed):
+        rng = np.random.default_rng(1200 + seed)
+        av = rng.standard_normal((n, 8)) * 2.0 + 0.5
+        bv = rng.standard_normal((m, 8)) * 2.0 - 0.5
+        _assert_matches_explicit(av, bv, rng.standard_normal((n, m)))
+
+    def test_coincident_rows_give_exact_zeros(self):
+        rng = np.random.default_rng(1300)
+        av = 1e3 + rng.standard_normal((4, 8))
+        bv = np.vstack([av[2], rng.standard_normal(8), av[0]])
+        coincident = np.zeros((4, 3))
+        coincident[2, 0] = coincident[0, 2] = 1.0
+        dist, grad_a, grad_b = _pairwise_with_grads(av, bv, coincident)
+        assert dist[2, 0] == 0.0 and dist[0, 2] == 0.0
+        assert np.all(dist[coincident == 0.0] > 0.0)
+        assert np.all(grad_a == 0.0)
+        assert np.all(grad_b == 0.0)
+        _assert_matches_explicit(av, bv, rng.standard_normal((4, 3)))
+
+    def test_nearby_rows_at_a_large_offset_keep_their_digits(self):
+        rng = np.random.default_rng(1400)
+        av = 1e3 + rng.standard_normal((6, 8))
+        step = rng.standard_normal((6, 8))
+        bv = av + 1e-6 * step / np.linalg.norm(step, axis=1, keepdims=True)
+        dist = pairwise_distances(None, Tensor(av), Tensor(bv)).values
+        assert np.all(np.abs(np.diag(dist) - 1e-6) < 1e-9)
+        _assert_matches_explicit(av, bv, rng.standard_normal((6, 6)))
+
+    def test_empty_side_gives_an_empty_table(self):
+        assert pairwise_distances(None, Tensor(np.ones((3, 2))), Tensor(np.ones((0, 2)))).shape == (3, 0)
+        assert pairwise_distances(None, Tensor(np.ones((0, 2))), Tensor(np.ones((3, 2)))).shape == (0, 3)
+
+    def test_feature_dims_must_agree(self):
+        with pytest.raises(ShapeError):
+            pairwise_distances(None, Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+
+
+def test_pairwise_distances_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 30),
+        m=st.integers(1, 30),
+        d=st.integers(1, 16),
+        offset=st.floats(-1e4, 1e4),
+        spread=st.sampled_from([1e-6, 1e-3, 1.0, 1e2]),
+        duplicates=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n, m, d, offset, spread, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        av = offset + spread * rng.standard_normal((n, d))
+        bv = offset + spread * rng.standard_normal((m, d))
+        for _ in range(duplicates):
+            bv[rng.integers(m)] = av[rng.integers(n)]
+        _assert_matches_explicit(av, bv, rng.standard_normal((n, m)))
+
+    check()
+
+
 class TestSgdStep:
     def test_parameter_without_gradient_takes_the_momentum_step(self):
         # v <- 0.9 v + 0; p <- p - lr v, exactly as with an explicit zero gradient

@@ -182,3 +182,39 @@ class TestCheckpoint:
         path.write_text(json.dumps(blob))
         with pytest.raises(ValueError, match="discriminator has 1 layers"):
             load_checkpoint(path)
+
+    def test_bytes_match_streamed_json_dump(self, tmp_path):
+        # the file is json.dumps of the document: the same bytes json.dump streams
+        import io
+        import json
+
+        state = init_model(small_cfg(), seed=42)
+        for p in state.parameters():
+            p.values += 1.0 / 3.0
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(state, path)
+
+        def layers(pairs):
+            return [{"weight": w.values.tolist(), "bias": b.values.tolist()} for w, b in pairs]
+
+        cfg = state.config
+        doc = {
+            "config": {
+                "input_dim": cfg.input_dim,
+                "num_classes": cfg.num_classes,
+                "hidden_dims": cfg.hidden_dims,
+                "bottleneck_dim": cfg.bottleneck_dim,
+                "discriminator_hidden_dims": cfg.discriminator_hidden_dims,
+            },
+            "init_seed": state.init_seed,
+            "extractor": layers(state.extractor),
+            "classifier": layers([state.classifier]),
+            "discriminator": layers(state.discriminator),
+        }
+        streamed = io.StringIO()
+        json.dump(doc, streamed)
+        assert path.read_bytes() == json.dumps(doc).encode("utf-8")
+        assert path.read_text(encoding="utf-8") == streamed.getvalue()
+        back = load_checkpoint(path)
+        for pa, pb in zip(state.parameters(), back.parameters()):
+            np.testing.assert_array_equal(pa.values, pb.values)
