@@ -52,7 +52,6 @@ from .losses import (
 )
 from .metrics import (
     EVALUATOR_ACCESS,
-    AuditRecord,
     make_audit_fn,
     per_class_accuracies,
     per_class_mean_accuracy,

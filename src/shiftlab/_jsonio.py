@@ -1,4 +1,4 @@
-"""Crash-safe writes of JSON artifacts."""
+"""Crash-safe writes of JSON and text artifacts."""
 from __future__ import annotations
 
 import json
@@ -45,12 +45,13 @@ def write_text(path, pieces: Iterable[str]) -> None:
     the complete new one, never a truncated one. If any step fails, making
     the pieces included, the old file stays as it was and the temporary
     file is removed. Nothing is fsynced: this guards against a failing or
-    killed process, not against power loss.
+    killed process, not against power loss. Newlines are written as
+    ``\n`` on every platform.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             for piece in pieces:
                 fh.write(piece)
         os.replace(tmp, path)

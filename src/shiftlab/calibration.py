@@ -125,6 +125,10 @@ def calibrate(probs: np.ndarray, class_weights: np.ndarray) -> PseudoLabels:
     The calibrated label is argmax(probs * class_weights); its confidence
     is probs at that class, unweighted. Ties resolve to the lowest class
     index. The raw label and confidence are kept alongside.
+
+    The weights are first divided by their maximum, which leaves the argmax
+    unchanged in exact arithmetic. A constant vector then becomes exactly
+    ones, so a uniform shift cannot flip a near-tie through rounding.
     """
     probs = np.asarray(probs, dtype=np.float64)
     class_weights = np.asarray(class_weights, dtype=np.float64)
@@ -133,7 +137,7 @@ def calibrate(probs: np.ndarray, class_weights: np.ndarray) -> PseudoLabels:
             f"probs {probs.shape} incompatible with {class_weights.shape[0]} class weights"
         )
     raw = np.argmax(probs, axis=1)
-    adjusted = np.argmax(probs * class_weights, axis=1)
+    adjusted = np.argmax(probs * (class_weights / class_weights.max()), axis=1)
     rows = np.arange(probs.shape[0])
     return PseudoLabels(raw, probs[rows, raw], adjusted, probs[rows, adjusted])
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._jsonio import write_text
+
 __all__ = [
     "ParameterError",
     "DatasetFormatError",
@@ -253,13 +255,12 @@ def save_dataset(ds: DomainDataset, path) -> None:
 
     Labels are written even when hidden; hiding is re-imposed on load.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        header = ["domain", "label"] + [f"f{j}" for j in range(ds.feature_dim)]
-        fh.write(",".join(header) + "\n")
-        for i in range(len(ds)):
-            row = [ds.domain_tag, str(int(ds._labels[i]))]
-            row += [format(v, ".17g") for v in ds.features[i]]
-            fh.write(",".join(row) + "\n")
+    def lines():
+        yield ",".join(["domain", "label"] + [f"f{j}" for j in range(ds.feature_dim)]) + "\n"
+        for label, x in zip(ds._labels, ds.features):
+            yield ",".join([ds.domain_tag, str(int(label))] + [format(v, ".17g") for v in x]) + "\n"
+
+    write_text(path, lines())
 
 
 def load_dataset(path, expected_classes: int | None = None) -> DomainDataset:

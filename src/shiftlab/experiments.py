@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonio import write_json
-from .calibration import LabelShiftState
+from ._jsonio import write_json, write_text
 from .data import DomainDataset, ShiftSpec, generate
 from .metrics import (
     EVALUATOR_ACCESS,
@@ -30,7 +29,7 @@ from .metrics import (
     true_distribution,
 )
 from .networks import ModelConfig, classify, features
-from .training import ConfigError, EpochRecord, TrainConfig, run
+from .training import ConfigError, TrainConfig, run
 
 __all__ = [
     "OutputExistsError",
@@ -191,13 +190,13 @@ def apply_overrides(doc: dict, settings: list[str]) -> dict:
 
 
 def effective_train_config(train: TrainConfig, mask: AblationMask) -> TrainConfig:
-    """Zero out the loss weights of disabled components; disable LSC."""
+    """Switch off what the mask disables; what it enables keeps its own setting."""
     cfg = dataclasses.replace(
         train,
         adversarial_loss_weight=train.adversarial_loss_weight if mask.domain_adversarial else 0.0,
         centroid_loss_weight=train.centroid_loss_weight if mask.centroid_alignment else 0.0,
         pairwise_loss_weight=train.pairwise_loss_weight if mask.discriminative_alignment else 0.0,
-        lsc_enabled=mask.label_shift_calibration,
+        lsc_enabled=train.lsc_enabled and mask.label_shift_calibration,
     )
     if cfg.lsc_enabled and cfg.centroid_loss_weight == 0.0 and cfg.pairwise_loss_weight == 0.0:
         log.warning(
@@ -238,10 +237,6 @@ class RunReport:
     records: list[dict]
     final_per_class_acc: list[float | None]
     final_per_class_mean_acc: float
-    false_pseudo_rate: list[float | None]
-    calibrated_fraction: list[float]
-    subset_acc_raw: list[float | None]
-    subset_acc_calibrated: list[float | None]
     label_shift: dict | None
     true_target_dist: list[float]
     dist_l1_error: float | None
@@ -290,12 +285,6 @@ def run_single(
         records=[r.to_dict() for r in records],
         final_per_class_acc=per_class_accuracies(preds, truth, target.num_classes),
         final_per_class_mean_acc=final_acc,
-        false_pseudo_rate=[
-            None if r.pseudo_acc_raw is None else 1.0 - r.pseudo_acc_raw for r in records
-        ],
-        calibrated_fraction=[r.calibrated_fraction for r in records],
-        subset_acc_raw=[r.subset_acc_raw for r in records],
-        subset_acc_calibrated=[r.subset_acc_calibrated for r in records],
         label_shift=None if shift_state is None else shift_state.to_dict(),
         true_target_dist=true_dist.tolist(),
         dist_l1_error=dist_l1,
@@ -330,10 +319,8 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    lines = [header] + [[_fmt(v) for v in row] for row in rows]
+    write_text(path, (",".join(line) + "\n" for line in lines))
 
 
 def _mean_series(per_run: list[list[float | None]]) -> list[float | None]:
@@ -359,26 +346,30 @@ def aggregate_reports(name: str, reports: list[RunReport]) -> dict:
     }
 
 
+def _series(report: RunReport, key: str) -> list:
+    return [rec[key] for rec in report.records]
+
+
 def _write_plotdata(out_dir: str, reports: list[RunReport]) -> None:
     plot_dir = os.path.join(out_dir, "plotdata")
     os.makedirs(plot_dir, exist_ok=True)
     epochs = list(range(1, len(reports[0].records) + 1))
+    fraction = [_series(r, "calibrated_fraction") for r in reports]
+    raw = [_series(r, "subset_acc_raw") for r in reports]
+    cal = [_series(r, "subset_acc_calibrated") for r in reports]
+    seeds = [str(r.seed) for r in reports]
     write_json(
         os.path.join(plot_dir, "calibrated_fraction.json"),
-        {
-            "epochs": epochs,
-            "per_seed": {str(r.seed): r.calibrated_fraction for r in reports},
-            "mean": _mean_series([r.calibrated_fraction for r in reports]),
-        },
+        {"epochs": epochs, "per_seed": dict(zip(seeds, fraction)), "mean": _mean_series(fraction)},
     )
     write_json(
         os.path.join(plot_dir, "calibrated_subset_accuracy.json"),
         {
             "epochs": epochs,
-            "subset_acc_raw": _mean_series([r.subset_acc_raw for r in reports]),
-            "subset_acc_calibrated": _mean_series([r.subset_acc_calibrated for r in reports]),
-            "per_seed_raw": {str(r.seed): r.subset_acc_raw for r in reports},
-            "per_seed_calibrated": {str(r.seed): r.subset_acc_calibrated for r in reports},
+            "subset_acc_raw": _mean_series(raw),
+            "subset_acc_calibrated": _mean_series(cal),
+            "per_seed_raw": dict(zip(seeds, raw)),
+            "per_seed_calibrated": dict(zip(seeds, cal)),
         },
     )
     shifted = [r for r in reports if r.label_shift is not None]

@@ -6,8 +6,6 @@ audit callback built by ``make_audit_fn`` and stays label-blind.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .calibration import PseudoLabels
@@ -15,7 +13,6 @@ from .data import DomainDataset, LabelAccess
 
 __all__ = [
     "EVALUATOR_ACCESS",
-    "AuditRecord",
     "per_class_accuracies",
     "per_class_mean_accuracy",
     "pseudo_label_audit",
@@ -57,19 +54,11 @@ def per_class_mean_accuracy(predictions, true_labels, num_classes: int) -> float
     return float(np.mean(recalls))
 
 
-@dataclass(frozen=True)
-class AuditRecord:
-    """Pseudo-label quality against hidden truth, overall and on flips."""
+def pseudo_label_audit(pseudo: PseudoLabels, true_target_labels) -> dict:
+    """Score raw and calibrated pseudo-labels; subset fields cover flips only.
 
-    pseudo_acc_raw: float
-    pseudo_acc_calibrated: float
-    subset_acc_raw: float | None
-    subset_acc_calibrated: float | None
-    calibrated_fraction: float
-
-
-def pseudo_label_audit(pseudo: PseudoLabels, true_target_labels) -> AuditRecord:
-    """Score raw and calibrated pseudo-labels; subset fields cover flips only."""
+    Returns four ``EpochRecord`` fields, keyed by their names.
+    """
     true = np.asarray(true_target_labels, dtype=np.int64)
     if len(pseudo) != true.shape[0]:
         raise ValueError(f"{len(pseudo)} pseudo-labels for {true.shape[0]} true labels")
@@ -78,13 +67,12 @@ def pseudo_label_audit(pseudo: PseudoLabels, true_target_labels) -> AuditRecord:
     if flipped.any():
         subset_raw = float((raw[flipped] == true[flipped]).mean())
         subset_cal = float((cal[flipped] == true[flipped]).mean())
-    return AuditRecord(
-        pseudo_acc_raw=float((raw == true).mean()),
-        pseudo_acc_calibrated=float((cal == true).mean()),
-        subset_acc_raw=subset_raw,
-        subset_acc_calibrated=subset_cal,
-        calibrated_fraction=float(flipped.mean()),
-    )
+    return {
+        "pseudo_acc_raw": float((raw == true).mean()),
+        "pseudo_acc_calibrated": float((cal == true).mean()),
+        "subset_acc_raw": subset_raw,
+        "subset_acc_calibrated": subset_cal,
+    }
 
 
 def true_distribution(ds: DomainDataset) -> np.ndarray:
@@ -103,12 +91,8 @@ def make_audit_fn(target: DomainDataset):
     num_classes = target.num_classes
 
     def audit(pseudo: PseudoLabels) -> dict:
-        rec = pseudo_label_audit(pseudo, truth)
         return {
-            "pseudo_acc_raw": rec.pseudo_acc_raw,
-            "pseudo_acc_calibrated": rec.pseudo_acc_calibrated,
-            "subset_acc_raw": rec.subset_acc_raw,
-            "subset_acc_calibrated": rec.subset_acc_calibrated,
+            **pseudo_label_audit(pseudo, truth),
             "target_per_class_acc": per_class_mean_accuracy(pseudo.raw_label, truth, num_classes),
         }
 

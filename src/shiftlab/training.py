@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._jsonio import write_json
+from ._jsonio import write_json, write_text
 from .autodiff import Tape, add_n, affine, sgd_step
 from .calibration import LabelShiftState, PseudoLabels, calibrate
 from .data import BalancedSampler, DomainDataset
@@ -84,7 +84,6 @@ class TrainConfig:
     centroid_ema: float = 0.7
     seed: int = 100
     grl_schedule: bool = False
-    reestimate_period: int = 0
     lsc_enabled: bool = True
 
     def __post_init__(self) -> None:
@@ -111,8 +110,6 @@ class TrainConfig:
             )
         if not 0.0 < self.centroid_ema <= 1.0:
             raise ConfigError(f"centroid_ema must be in (0, 1], got {self.centroid_ema}")
-        if self.reestimate_period < 0:
-            raise ConfigError("reestimate_period must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
@@ -146,10 +143,6 @@ class EpochRecord:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EpochRecord":
-        return cls(**doc)
-
 
 def lr_schedule(lr0: float, progress: float, alpha: float, beta: float) -> float:
     """Annealed learning rate lr0 / (1 + alpha * progress) ** beta."""
@@ -164,21 +157,10 @@ def _grl_coeff(cfg: TrainConfig, progress: float) -> float:
     return 2.0 / (1.0 + math.exp(-10.0 * progress)) - 1.0
 
 
-def _target_pseudo(
-    probs: np.ndarray, shift_state: LabelShiftState | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stage-appropriate pseudo-labels and confidence weights per row."""
-    if shift_state is None:
-        labels = np.argmax(probs, axis=1)
-        return labels, probs[np.arange(probs.shape[0]), labels]
-    pseudo = calibrate(probs, shift_state.class_weights)
-    return pseudo.calibrated_label, pseudo.calibrated_confidence
-
-
 def train_step(
     state: ModelState,
     bank: CentroidBank,
-    shift_state: LabelShiftState | None,
+    class_weights: np.ndarray,
     cfg: TrainConfig,
     src_features: np.ndarray,
     src_labels: np.ndarray,
@@ -189,8 +171,10 @@ def train_step(
 ) -> dict[str, float]:
     """One joint SGD step; returns the step's individual loss values.
 
-    Losses with zero weight are skipped entirely (reported as 0.0), so a
-    run with all weights zero performs exactly the source-only update.
+    Target pseudo-labels are ``calibrate(probs, class_weights)``; all-ones
+    weights give the raw argmax. Losses with zero weight are skipped
+    entirely (reported as 0.0), so a run with all weights zero performs
+    exactly the source-only update.
     """
     lam = cfg.centroid_loss_weight
     mu = cfg.pairwise_loss_weight
@@ -216,9 +200,9 @@ def train_step(
     if lam > 0.0 or mu > 0.0:
         src_conf = p_src.values.max(axis=1)
         p_tgt = classify(state, f_tgt, tape)
-        tgt_labels, tgt_conf = _target_pseudo(p_tgt.values, shift_state)
+        pseudo = calibrate(p_tgt.values, class_weights)
         src_wb = WeightedBatch(f_src, src_labels, src_conf)
-        tgt_wb = WeightedBatch(f_tgt, tgt_labels, tgt_conf)
+        tgt_wb = WeightedBatch(f_tgt, pseudo.calibrated_label, pseudo.calibrated_confidence)
 
     if lam > 0.0:
         update_centroids(tape, bank, src_wb, "source")
@@ -248,20 +232,8 @@ def train_step(
     return out
 
 
-def _inference_pseudo(
-    state: ModelState, target: DomainDataset, shift_state: LabelShiftState | None
-) -> PseudoLabels:
-    """Full-target inference pass; uniform weights before calibration exists."""
-    probs = classify(state, features(state, target.features)).values
-    if shift_state is None:
-        weights = np.ones(target.num_classes)
-    else:
-        weights = shift_state.class_weights
-    return calibrate(probs, weights)
-
-
 def _epoch_record(epoch, lr, sums, steps, pseudo: PseudoLabels, audit_fn) -> EpochRecord:
-    rec = EpochRecord(
+    return EpochRecord(
         epoch=epoch,
         lr=lr,
         loss_class=sums["loss_class"] / steps,
@@ -269,23 +241,14 @@ def _epoch_record(epoch, lr, sums, steps, pseudo: PseudoLabels, audit_fn) -> Epo
         loss_centroid=sums["loss_centroid"] / steps,
         loss_pairwise=sums["loss_pairwise"] / steps,
         calibrated_fraction=float(pseudo.calibrated.mean()),
+        **(audit_fn(pseudo) if audit_fn is not None else {}),
     )
-    if audit_fn is not None:
-        audit = audit_fn(pseudo)
-        rec.pseudo_acc_raw = audit.get("pseudo_acc_raw")
-        rec.pseudo_acc_calibrated = audit.get("pseudo_acc_calibrated")
-        rec.subset_acc_raw = audit.get("subset_acc_raw")
-        rec.subset_acc_calibrated = audit.get("subset_acc_calibrated")
-        rec.target_per_class_acc = audit.get("target_per_class_acc")
-    return rec
 
 
 def _write_outputs(out_dir, state, records, shift_state) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "epoch_records.jsonl")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
+    write_text(os.path.join(out_dir, "epoch_records.jsonl"),
+               (rec.to_json() + "\n" for rec in records))
     save_checkpoint(state, os.path.join(out_dir, "checkpoint.json"))
     if shift_state is not None:
         write_json(os.path.join(out_dir, "label_shift.json"), shift_state.to_dict())
@@ -336,6 +299,7 @@ def run(
     total_steps = cfg.epochs * steps_per_epoch
     bank = CentroidBank(source.num_classes, cfg.centroid_ema)
     shift_state: LabelShiftState | None = None
+    class_weights = np.ones(source.num_classes)
     diagnostics: dict = {}
     records: list[EpochRecord] = []
     completed = 0
@@ -358,7 +322,7 @@ def run(
             if epoch_lr is None:
                 epoch_lr = lr
             step = train_step(
-                state, bank, shift_state, cfg,
+                state, bank, class_weights, cfg,
                 source.features[src_idx], src_labels_all[src_idx],
                 target.features[tgt_idx],
                 lr, _grl_coeff(cfg, progress), diagnostics,
@@ -367,21 +331,16 @@ def run(
                 sums[key] += val
             completed += 1
 
-        pseudo = _inference_pseudo(state, target, shift_state)
+        probs = classify(state, features(state, target.features)).values
+        pseudo = calibrate(probs, class_weights)
         records.append(_epoch_record(epoch, epoch_lr, sums, steps_per_epoch, pseudo, audit_fn))
 
-        boundary = epoch == cfg.pretrain_epochs
-        periodic = (
-            shift_state is not None
-            and cfg.reestimate_period > 0
-            and epoch < cfg.epochs
-            and (epoch - cfg.pretrain_epochs) % cfg.reestimate_period == 0
-        )
-        if cfg.lsc_enabled and (boundary or periodic):
+        if cfg.lsc_enabled and epoch == cfg.pretrain_epochs:
             shift_state = LabelShiftState.estimate(
                 src_labels_all, pseudo, cfg.confidence_threshold,
                 source.num_classes, cfg.calibration_offset,
             )
+            class_weights = shift_state.class_weights
 
     if diagnostics:
         log.info("alignment loss diagnostics: %s", diagnostics)

@@ -144,6 +144,13 @@ class TestCalibrate:
         assert np.all(out.calibrated_label == out.raw_label)
         assert np.all(out.calibrated_confidence == out.raw_confidence)
 
+    def test_uniform_weights_keep_a_one_ulp_near_tie(self):
+        # 0.51 * p and 0.51 * nextafter(p) round to the same product
+        p = 0.4910796374667714
+        out = calibrate(np.array([[p, np.nextafter(p, 1.0)]]), np.array([0.51, 0.51]))
+        assert out.raw_label[0] == 1
+        assert out.calibrated_label[0] == 1
+
     def test_tie_takes_lowest_index(self):
         out = calibrate(np.array([[0.5, 0.5]]), np.ones(2))
         assert out.raw_label[0] == 0
@@ -219,3 +226,72 @@ class TestLabelShiftState:
         blob = json.loads(json.dumps(state.to_dict()))
         np.testing.assert_array_equal(blob["class_weights"], state.class_weights)
         assert blob["offset"] == 1.5
+
+
+def _near_tie_rows(draw, st, num_classes):
+    """Probability-like rows whose entries lie a few ulps from one base value."""
+    base = draw(st.floats(1e-3, 1.0))
+    steps = draw(st.lists(st.lists(st.integers(-3, 3), min_size=num_classes,
+                                   max_size=num_classes), min_size=1, max_size=20))
+    return base + np.array(steps, dtype=np.float64) * np.spacing(base)
+
+
+def test_constant_weights_are_a_no_op_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(data=st.data(), num_classes=st.integers(1, 8),
+                      weight=st.floats(1e-300, 1e300), near_ties=st.booleans())
+    def check(data, num_classes, weight, near_ties):
+        if near_ties:
+            probs = _near_tie_rows(data.draw, st, num_classes)
+        else:
+            rows = data.draw(st.integers(1, 20))
+            probs = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows * num_classes,
+                                                max_size=rows * num_classes)))
+            probs = probs.reshape(rows, num_classes)
+        out = calibrate(probs, np.full(num_classes, weight))
+        np.testing.assert_array_equal(out.calibrated_label, out.raw_label)
+        np.testing.assert_array_equal(out.calibrated_confidence, out.raw_confidence)
+
+    check()
+
+
+def test_ties_go_to_the_lowest_index_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(data=st.data(), num_classes=st.integers(2, 8),
+                      top=st.floats(1e-3, 1.0), weight=st.floats(1e-3, 1e3))
+    def check(data, num_classes, top, weight):
+        tied = data.draw(st.sets(st.integers(0, num_classes - 1), min_size=2))
+        below = data.draw(st.lists(st.floats(0.0, top, exclude_max=True),
+                                   min_size=num_classes, max_size=num_classes))
+        row = np.array(below)
+        row[sorted(tied)] = top
+        out = calibrate(row[None, :], np.full(num_classes, weight))
+        assert out.raw_label[0] == min(tied)
+        assert out.calibrated_label[0] == min(tied)
+
+    check()
+
+
+def test_weighting_matrix_bounds_and_monotone_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # Over this range exp(-sqrt(metric)) stays far enough from 0 and 1 that
+    # the open bounds hold in floating point too, not only in exact arithmetic.
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(metric=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=30),
+                      offset=st.floats(0.1, 10.0))
+    def check(metric, offset):
+        metric = np.sort(np.array(metric))
+        w = weighting_matrix(metric, offset)
+        assert np.all(w > 1.0 / (offset + 1.0))
+        assert np.all(w < 1.0 / offset)
+        assert np.all(np.diff(w) >= 0.0)
+
+    check()

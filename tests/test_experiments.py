@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -145,6 +146,11 @@ class TestEffectiveTrainConfig:
         assert out.pairwise_loss_weight == 0.0
         assert out.lsc_enabled is False
 
+    def test_disabled_calibration_setting_is_kept(self):
+        # the mask enables calibration, the train setting turns it off
+        out = effective_train_config(TrainConfig(lsc_enabled=False), AblationMask())
+        assert out.lsc_enabled is False
+
     def test_unconsumed_calibration_warns(self, caplog):
         mask = AblationMask(
             domain_adversarial=True,
@@ -264,6 +270,26 @@ class TestRunExperiment:
         original = json.loads(open(os.path.join(out, "aggregate.json")).read())
         rebuilt = regenerate_reports(out)
         assert rebuilt == original
+
+    def test_regenerate_reads_reports_with_the_dropped_series(self, micro_experiment, tmp_path):
+        # report.json once also held four per-epoch series copied from its records
+        _, _, out = micro_experiment
+        copy = tmp_path / "old"
+        shutil.copytree(out, copy)
+        for seed in (100, 101):
+            path = copy / "runs" / f"seed{seed}" / "report.json"
+            doc = json.loads(path.read_text())
+            records = doc["records"]
+            doc["false_pseudo_rate"] = [1.0 - r["pseudo_acc_raw"] for r in records]
+            for key in ("calibrated_fraction", "subset_acc_raw", "subset_acc_calibrated"):
+                doc[key] = [r[key] for r in records]
+            path.write_text(json.dumps(doc))
+        shutil.rmtree(copy / "plotdata")
+        original = json.loads(open(os.path.join(out, "aggregate.json")).read())
+        assert regenerate_reports(str(copy)) == original
+        for name in os.listdir(os.path.join(out, "plotdata")):
+            with open(os.path.join(out, "plotdata", name), "rb") as fh:
+                assert (copy / "plotdata" / name).read_bytes() == fh.read(), name
 
     def test_regenerate_needs_runs(self, tmp_path):
         with pytest.raises(ConfigError):

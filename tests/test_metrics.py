@@ -78,22 +78,22 @@ class TestPseudoLabelAudit:
     def test_subset_scores_cover_flips_only(self):
         pseudo, truth = self.audit_fixture()
         rec = pseudo_label_audit(pseudo, truth)
-        assert rec.subset_acc_raw == 0.5
-        assert rec.subset_acc_calibrated == 0.5
-        assert rec.calibrated_fraction == pytest.approx(1 / 3)
+        assert rec["subset_acc_raw"] == 0.5
+        assert rec["subset_acc_calibrated"] == 0.5
 
     def test_overall_scores(self):
         pseudo, truth = self.audit_fixture()
         rec = pseudo_label_audit(pseudo, truth)
-        assert rec.pseudo_acc_raw == pytest.approx(4 / 6)
-        assert rec.pseudo_acc_calibrated == pytest.approx(4 / 6)
+        assert rec["pseudo_acc_raw"] == pytest.approx(4 / 6)
+        assert rec["pseudo_acc_calibrated"] == pytest.approx(4 / 6)
+        assert set(rec) == {"pseudo_acc_raw", "pseudo_acc_calibrated",
+                            "subset_acc_raw", "subset_acc_calibrated"}
 
     def test_no_flips_leaves_subsets_none(self):
         pseudo = pseudo_labels([(0, 0.9, 0, 0.9), (1, 0.8, 1, 0.8)])
         rec = pseudo_label_audit(pseudo, [0, 0])
-        assert rec.subset_acc_raw is None
-        assert rec.subset_acc_calibrated is None
-        assert rec.calibrated_fraction == 0.0
+        assert rec["subset_acc_raw"] is None
+        assert rec["subset_acc_calibrated"] is None
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ import pytest
 from shiftlab import (
     BalancedSampler,
     DomainDataset,
-    LabelShiftState,
     ModelConfig,
+    PseudoLabels,
     Tape,
     TrainConfig,
+    calibrate,
     classify,
     cross_entropy,
     features,
@@ -31,9 +33,8 @@ from shiftlab.training import (
     _check_datasets,
     _epoch_record,
     _grl_coeff,
-    _inference_pseudo,
     _seed_streams,
-    _target_pseudo,
+    _write_outputs,
     lr_schedule,
 )
 
@@ -81,7 +82,8 @@ def run_source_only(
             tape.backward(loss)
             sgd_step(state.parameters(), lr, cfg.momentum, state.velocity)
             completed += 1
-        pseudo = _inference_pseudo(state, target, None)
+        probs = classify(state, features(state, target.features)).values
+        pseudo = calibrate(probs, np.ones(target.num_classes))
         sums = {"loss_class": loss_sum, "loss_adversarial": 0.0,
                 "loss_centroid": 0.0, "loss_pairwise": 0.0}
         records.append(_epoch_record(epoch, epoch_lr, sums, steps_per_epoch, pseudo, None))
@@ -157,37 +159,12 @@ class TestTrainConfig:
             {"lr_alpha": -1.0},
             {"confidence_threshold": 1.0},
             {"centroid_ema": 0.0},
-            {"reestimate_period": -1},
             {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
-
-
-class TestTargetPseudo:
-    def test_no_state_uses_argmax(self):
-        probs = np.array([[0.2, 0.8], [0.9, 0.1]])
-        labels, conf = _target_pseudo(probs, None)
-        np.testing.assert_array_equal(labels, [1, 0])
-        np.testing.assert_allclose(conf, [0.8, 0.9])
-
-    def flip_state(self) -> LabelShiftState:
-        # source head 0, target head 1: weights favor class 1
-        from shiftlab import PseudoLabels
-
-        labels = np.array([1] * 9 + [0])
-        conf = np.full(10, 0.9)
-        pseudo = PseudoLabels(labels, conf, labels, conf)
-        return LabelShiftState.estimate([0] * 9 + [1], pseudo, 0.5, 2, 1.5)
-
-    def test_state_flips_near_ties(self):
-        state = self.flip_state()
-        probs = np.array([[0.52, 0.48]])
-        labels, conf = _target_pseudo(probs, state)
-        assert labels[0] == 1
-        assert conf[0] == 0.48
 
 
 def quick_cfg(**kwargs) -> TrainConfig:
@@ -296,14 +273,6 @@ class TestRun:
             with pytest.raises(NumericError):
                 run(src, tgt, quick_cfg(lr0=1e9), tiny_model_cfg)
 
-    def test_reestimate_period_smoke(self, tiny_pair, tiny_model_cfg):
-        src, tgt = tiny_pair
-        _, records, shift = run(
-            src, tgt, quick_cfg(epochs=5, reestimate_period=1), tiny_model_cfg
-        )
-        assert shift is not None
-        assert len(records) == 5
-
     def test_estimate_inside_pretraining_raises(self, tiny_pair, tiny_model_cfg):
         # The estimate is made after epoch 1; the audit of epoch 2 then moves
         # the stage boundary past epoch 3, so epoch 3 starts in pre-training
@@ -342,8 +311,49 @@ class TestRun:
 
         before = loss_now()
         bank = CentroidBank(3, cfg.centroid_ema)
-        train_step(state, bank, None, cfg, x, y, x, lr=0.01)
+        train_step(state, bank, np.ones(3), cfg, x, y, x, lr=0.01)
         assert loss_now() < before
+
+
+class TestEpochRecord:
+    SUMS = {"loss_class": 2.0, "loss_adversarial": 0.0, "loss_centroid": 1.0,
+            "loss_pairwise": 0.5}
+
+    def flips_two_of_six(self) -> PseudoLabels:
+        raw = np.array([0, 1, 0, 0, 2, 2])
+        cal = np.array([0, 1, 2, 1, 2, 2])
+        conf = np.full(6, 0.9)
+        return PseudoLabels(raw, conf, cal, conf)
+
+    def test_calibrated_fraction_counts_flips(self):
+        rec = _epoch_record(4, 0.01, self.SUMS, 2, self.flips_two_of_six(), None)
+        assert rec.calibrated_fraction == pytest.approx(1 / 3)
+        assert (rec.loss_class, rec.loss_centroid, rec.loss_pairwise) == (1.0, 0.5, 0.25)
+        assert rec.pseudo_acc_raw is None
+
+    def test_misspelt_audit_key_raises(self):
+        with pytest.raises(TypeError):
+            _epoch_record(1, 0.01, self.SUMS, 2, self.flips_two_of_six(),
+                          lambda p: {"pseudo_acc_rwa": 0.5})
+
+
+class TestWriteOutputs:
+    def test_failed_rewrite_keeps_old_records(self, tiny_model_cfg, tmp_path):
+        class Unwritable:
+            def to_json(self):
+                raise RuntimeError("cannot encode")
+
+        state = init_model(tiny_model_cfg, seed=5)
+        records = [EpochRecord(epoch, 0.01, 1.0, 0.0, 0.0, 0.0, 0.0) for epoch in (1, 2)]
+        _write_outputs(tmp_path, state, records, None)
+        path = tmp_path / "epoch_records.jsonl"
+        before = path.read_bytes()
+        assert before.count(b"\n") == 2
+        # the first record is already in the temporary file when the second fails
+        with pytest.raises(RuntimeError, match="cannot encode"):
+            _write_outputs(tmp_path, state, [records[0], Unwritable()], None)
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["checkpoint.json", "epoch_records.jsonl"]
 
 
 class TestRunSourceOnly:
