@@ -159,6 +159,7 @@ class TestTrainConfig:
             {"lr_alpha": -1.0},
             {"confidence_threshold": 1.0},
             {"centroid_ema": 0.0},
+            {"lr_beta": -0.5},
             {"seed": -1},
         ],
     )
