@@ -52,38 +52,19 @@ log = logging.getLogger(__name__)
 
 OUTPUT_ROOT_ENV = "SHIFTLAB_OUTPUT_ROOT"
 
-ABLATION_LADDER = [
-    ("source_only", ()),
-    ("adversarial", ("domain_adversarial",)),
-    ("adversarial_centroid", ("domain_adversarial", "centroid_alignment")),
-    (
-        "adversarial_centroid_pairwise",
-        ("domain_adversarial", "centroid_alignment", "discriminative_alignment"),
-    ),
-    (
-        "full",
-        (
-            "domain_adversarial",
-            "centroid_alignment",
-            "discriminative_alignment",
-            "label_shift_calibration",
-        ),
-    ),
+# The cumulative ablation ladder; see AblationMask.rung.
+LADDER = [
+    "source_only",
+    "adversarial",
+    "adversarial_centroid",
+    "adversarial_centroid_pairwise",
+    "full",
 ]
 
 SWEEP_METHODS = {
-    "full": (
-        "domain_adversarial",
-        "centroid_alignment",
-        "discriminative_alignment",
-        "label_shift_calibration",
-    ),
-    "no_calibration": (
-        "domain_adversarial",
-        "centroid_alignment",
-        "discriminative_alignment",
-    ),
-    "source_only": (),
+    "full": "full",
+    "no_calibration": "adversarial_centroid_pairwise",
+    "source_only": "source_only",
 }
 
 
@@ -99,11 +80,11 @@ class AblationMask:
     label_shift_calibration: bool = True
 
     @classmethod
-    def from_names(cls, enabled: tuple[str, ...]) -> "AblationMask":
-        mask = cls(False, False, False, False)
-        for name in enabled:
-            setattr(mask, name, True)
-        return mask
+    def rung(cls, name: str) -> "AblationMask":
+        """The mask of ``LADDER`` rung k: the first k fields enabled, the rest off."""
+        if name not in LADDER:
+            raise ConfigError(f"unknown ladder rung {name!r}; expected one of {LADDER}")
+        return cls(*(i < LADDER.index(name) for i in range(len(dataclasses.fields(cls)))))
 
 
 @dataclass
@@ -120,6 +101,8 @@ class ExperimentConfig:
         if not self.seeds:
             self.seeds = [self.train.seed]
         self.seeds = [int(s) for s in self.seeds]
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {self.seeds}")
 
 
 def _field_names(cls) -> set[str]:
@@ -439,27 +422,40 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False) -> list[RunReport
     return reports
 
 
-def ablate(cfg: ExperimentConfig, force: bool = False) -> dict[str, dict]:
-    """Run the cumulative component ladder and tabulate mean accuracies."""
+def _run_grid(
+    cfg: ExperimentConfig, cells: list[tuple[str, str, str, ShiftSpec]], force: bool
+) -> tuple[str, list[dict]]:
+    """Run the sub-experiment of each ``(subdir, name, rung, data)`` cell, in order.
+
+    Refuses repeated sub-directories before creating anything; the first
+    failing cell stops the grid. Returns the output directory and aggregates.
+    """
+    subdirs = [subdir for subdir, _, _, _ in cells]
+    repeated = sorted({s for s in subdirs if subdirs.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"sub-experiments would share directories: {repeated}")
     out_dir = claim_output_dir(cfg.output_dir, force)
-    results: dict[str, dict] = {}
-    for rung_name, enabled in ABLATION_LADDER:
+    aggregates = []
+    for subdir, name, rung, data in cells:
         sub = dataclasses.replace(
             cfg,
-            name=rung_name,
-            ablation=AblationMask.from_names(enabled),
-            output_dir=os.path.join(out_dir, rung_name),
+            name=name,
+            data=data,
+            ablation=AblationMask.rung(rung),
+            output_dir=os.path.join(out_dir, subdir),
         )
-        reports = run_experiment(sub, force=force)
-        results[rung_name] = aggregate_reports(rung_name, reports)
-    rows = [
-        [rung, agg["mean_accuracy"], agg["stddev_accuracy"]]
-        for rung, agg in results.items()
-    ]
+        aggregates.append(aggregate_reports(name, run_experiment(sub, force=force)))
+    return out_dir, aggregates
+
+
+def ablate(cfg: ExperimentConfig, force: bool = False) -> dict[str, dict]:
+    """Run the cumulative component ladder and tabulate mean accuracies."""
+    out_dir, aggregates = _run_grid(cfg, [(r, r, r, cfg.data) for r in LADDER], force)
+    results = dict(zip(LADDER, aggregates))
     _write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["component_set", "mean_accuracy", "stddev_accuracy"],
-        rows,
+        [[agg["name"], agg["mean_accuracy"], agg["stddev_accuracy"]] for agg in aggregates],
     )
     write_json(os.path.join(out_dir, "aggregate.json"), results)
     return results
@@ -469,22 +465,16 @@ def sweep_if(cfg: ExperimentConfig, if_values: list[float], force: bool = False)
     """Run full / no-calibration / source-only at each imbalance factor."""
     if not if_values or any(v < 1 for v in if_values):
         raise ConfigError(f"imbalance factors must all be >= 1, got {if_values}")
-    out_dir = claim_output_dir(cfg.output_dir, force)
-    table: dict[str, dict[str, float]] = {}
-    for if_value in if_values:
-        row: dict[str, float] = {}
-        for method, enabled in SWEEP_METHODS.items():
-            sub = dataclasses.replace(
-                cfg,
-                name=f"{method}_if{if_value:g}",
-                data=dataclasses.replace(cfg.data, imbalance_factor=float(if_value)),
-                ablation=AblationMask.from_names(enabled),
-                output_dir=os.path.join(out_dir, f"if{if_value:g}", method),
-            )
-            reports = run_experiment(sub, force=force)
-            row[method] = aggregate_reports(sub.name, reports)["mean_accuracy"]
-        table[f"{if_value:g}"] = row
+    specs = [dataclasses.replace(cfg.data, imbalance_factor=float(v)) for v in if_values]
+    cells = [
+        (os.path.join(f"if{v:g}", method), f"{method}_if{v:g}", rung, data)
+        for v, data in zip(if_values, specs)
+        for method, rung in SWEEP_METHODS.items()
+    ]
+    out_dir, aggregates = _run_grid(cfg, cells, force)
     methods = list(SWEEP_METHODS)
+    accs = iter(agg["mean_accuracy"] for agg in aggregates)
+    table = {f"{v:g}": {m: next(accs) for m in methods} for v in if_values}
     _write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["imbalance_factor"] + methods,

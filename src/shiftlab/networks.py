@@ -8,7 +8,7 @@ reversal and emits a probability-of-target via a logistic output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -105,6 +105,16 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _mlp(layers: list[tuple[Tensor, Tensor]], h: Tensor, tape: Tape | None) -> Tensor:
+    """Affine layers with a relu between each pair; the last output stays linear."""
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
+        h = linear(tape, h, w, b)
+        if i != last:
+            h = relu(tape, h)
+    return h
+
+
 def features(state: ModelState, x, tape: Tape | None = None) -> Tensor:
     """Extractor forward: affine+relu stacks, final affine to the bottleneck."""
     h = _as_tensor(x)
@@ -112,12 +122,7 @@ def features(state: ModelState, x, tape: Tape | None = None) -> Tensor:
         raise ShapeError(
             f"input has {h.shape[1]} columns, model expects {state.config.input_dim}"
         )
-    last = len(state.extractor) - 1
-    for i, (w, b) in enumerate(state.extractor):
-        h = linear(tape, h, w, b)
-        if i != last:
-            h = relu(tape, h)
-    return h
+    return _mlp(state.extractor, h, tape)
 
 
 def classify(state: ModelState, feats: Tensor, tape: Tape | None = None) -> Tensor:
@@ -131,12 +136,7 @@ def discriminate(
 ) -> Tensor:
     """Probability-of-target per sample, with reversed gradients into feats."""
     h = grad_reverse(tape, feats, grl_coeff)
-    last = len(state.discriminator) - 1
-    for i, (w, b) in enumerate(state.discriminator):
-        h = linear(tape, h, w, b)
-        if i != last:
-            h = relu(tape, h)
-    return sigmoid(tape, h)
+    return sigmoid(tape, _mlp(state.discriminator, h, tape))
 
 
 def save_checkpoint(state: ModelState, path) -> None:
@@ -150,13 +150,7 @@ def save_checkpoint(state: ModelState, path) -> None:
         return [{"weight": w.values.tolist(), "bias": b.values.tolist()} for w, b in layers]
 
     doc = {
-        "config": {
-            "input_dim": state.config.input_dim,
-            "num_classes": state.config.num_classes,
-            "hidden_dims": state.config.hidden_dims,
-            "bottleneck_dim": state.config.bottleneck_dim,
-            "discriminator_hidden_dims": state.config.discriminator_hidden_dims,
-        },
+        "config": asdict(state.config),
         "init_seed": state.init_seed,
         "extractor": dump_layers(state.extractor),
         "classifier": dump_layers([state.classifier]),

@@ -38,32 +38,14 @@ from shiftlab import (
     weighting_matrix,
 )
 from shiftlab.autodiff import add_n, affine
-from shiftlab.experiments import effective_train_config, run_single
+from shiftlab.experiments import LADDER, SWEEP_METHODS, effective_train_config, run_single
 
 from conftest import relative_error
 
 SEEDS3 = [100, 101, 102]
 SEEDS5 = [100, 101, 102, 103, 104]
 
-LADDER = [
-    ("source_only", ()),
-    ("adversarial", ("domain_adversarial",)),
-    ("adversarial_centroid", ("domain_adversarial", "centroid_alignment")),
-    (
-        "adversarial_centroid_pairwise",
-        ("domain_adversarial", "centroid_alignment", "discriminative_alignment"),
-    ),
-    (
-        "full",
-        (
-            "domain_adversarial",
-            "centroid_alignment",
-            "discriminative_alignment",
-            "label_shift_calibration",
-        ),
-    ),
-]
-
+pytestmark = pytest.mark.acceptance
 
 _CAPTURE = None
 
@@ -117,11 +99,11 @@ def bench_train(seed: int) -> TrainConfig:
     return TrainConfig(seed=seed, grl_schedule=True)
 
 
-def run_method(datasets, enabled: tuple[str, ...], seed: int):
+def run_method(datasets, rung: str, seed: int):
     src, tgt = datasets
-    cfg = effective_train_config(bench_train(seed), AblationMask.from_names(enabled))
+    cfg = effective_train_config(bench_train(seed), AblationMask.rung(rung))
     cfg = dataclasses.replace(cfg, seed=seed)
-    return run_single(src, tgt, cfg, BENCH_MODEL, name="+".join(enabled) or "source_only")
+    return run_single(src, tgt, cfg, BENCH_MODEL, name=rung)
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +115,7 @@ def bench_data():
 def full_runs(bench_data):
     """Full method at IF=10, five seeds; the first three serve 3-seed criteria."""
     started = time.perf_counter()
-    reports = [run_method(bench_data[10], LADDER[-1][1], s) for s in SEEDS5]
+    reports = [run_method(bench_data[10], "full", s) for s in SEEDS5]
     return {"reports": reports, "elapsed": time.perf_counter() - started}
 
 
@@ -142,8 +124,8 @@ def ladder_runs(bench_data, full_runs):
     """Component ladder at IF=10, three seeds per rung."""
     started = time.perf_counter()
     table: dict[str, list] = {}
-    for name, enabled in LADDER[:-1]:
-        table[name] = [run_method(bench_data[10], enabled, s) for s in SEEDS3]
+    for rung in LADDER[:-1]:
+        table[rung] = [run_method(bench_data[10], rung, s) for s in SEEDS3]
     table["full"] = full_runs["reports"][: len(SEEDS3)]
     elapsed = time.perf_counter() - started + full_runs["elapsed"]
     return {"table": table, "elapsed": elapsed}
@@ -152,25 +134,15 @@ def ladder_runs(bench_data, full_runs):
 @pytest.fixture(scope="module")
 def sweep_runs(bench_data, ladder_runs):
     """full / no-calibration / source-only mean accuracies at IF 1, 5, 10, 20."""
-    methods = {
-        "full": LADDER[-1][1],
-        "no_calibration": LADDER[3][1],
-        "source_only": (),
-    }
-    ladder_alias = {
-        "full": "full",
-        "no_calibration": "adversarial_centroid_pairwise",
-        "source_only": "source_only",
-    }
     table: dict[int, dict[str, float]] = {}
     for if_value in (1, 5, 10, 20):
         row = {}
-        for method, enabled in methods.items():
+        for method, rung in SWEEP_METHODS.items():
             if if_value == 10:
-                reports = ladder_runs["table"][ladder_alias[method]]
+                reports = ladder_runs["table"][rung]
             else:
-                reports = [run_method(bench_data[if_value], enabled, s) for s in SEEDS3]
-            row[method] = float(np.mean([r.final_per_class_mean_acc for r in reports]))
+                reports = [run_method(bench_data[if_value], rung, s) for s in SEEDS3]
+            row[method] = mean_acc(reports)
         table[if_value] = row
     return table
 
@@ -458,7 +430,7 @@ def test_criterion_5_full_method_gain(ladder_runs):
 
 def test_criterion_6_ablation_ladder(ladder_runs):
     table = ladder_runs["table"]
-    order = [name for name, _ in LADDER]
+    order = LADDER
     accs = [100 * mean_acc(table[name]) for name in order]
     inversions = [
         (order[i], order[i + 1], accs[i] - accs[i + 1])

@@ -122,6 +122,12 @@ class TestTrain:
     def test_missing_config_file_exit_1(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_repeated_seeds_exit_1(self, config_file, tmp_path):
+        out = tmp_path / "run"
+        args = ["train", "--config", config_file, "--out", str(out), "--set", "seeds=[100,100]"]
+        assert main(args) == 1
+        assert not out.exists()
+
 
 class TestEval:
     def test_missing_checkpoint_exit_1(self, config_file, tmp_path):
@@ -163,6 +169,15 @@ class TestSweepAndAblate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("if_values", ["5,5", "1.0000001,1.0000002"])
+    def test_if_values_sharing_a_directory_exit_1(self, config_file, tmp_path, if_values):
+        # both values of the second pair format as "if1"
+        out = tmp_path / "sweep"
+        for force in ([], ["--force"]):
+            args = ["sweep-if", "--config", config_file, "--out", str(out), "--if-values", if_values]
+            assert main(args + force) == 1
+            assert not out.exists()
+
     def test_ablate_cli(self, config_file, tmp_path, capsys):
         out = tmp_path / "ladder"
         code = main(["ablate", "--config", config_file, "--out", str(out)])
@@ -175,6 +190,39 @@ class TestSweepAndAblate:
             "adversarial_centroid_pairwise",
             "full",
         ]
+
+
+class TestFailurePath:
+    """A diverging seed is marked in its manifest and stops the driver."""
+
+    DIVERGE = ["--set", "train.lr0=1e9"]
+
+    def test_train_marks_the_failed_seed(self, config_file, tmp_path):
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", config_file, "--out", str(out), *self.DIVERGE])
+        assert code == 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["completed"] == []
+        assert [entry["seed"] for entry in manifest["failed"]] == [100]
+        assert manifest["failed"][0]["error"]
+        assert not (out / "summary.csv").exists()
+
+    def test_ablate_stops_at_the_first_failing_rung(self, config_file, tmp_path):
+        # without a centroid loss the micro run stays finite even at this rate;
+        # the centroid loss is the first to reach NaN
+        out = tmp_path / "ladder"
+        with np.errstate(all="ignore"):
+            code = main(["ablate", "--config", config_file, "--out", str(out), *self.DIVERGE])
+        assert code == 2
+        # no later rung directory, and no top-level summary.csv or aggregate.json
+        assert sorted(os.listdir(out)) == ["adversarial", "adversarial_centroid", "source_only"]
+        for rung in ("source_only", "adversarial"):
+            assert json.loads((out / rung / "manifest.json").read_text())["completed"] == [100]
+        manifest = json.loads((out / "adversarial_centroid" / "manifest.json").read_text())
+        assert manifest["completed"] == []
+        assert [entry["seed"] for entry in manifest["failed"]] == [100]
+        assert not (out / "adversarial_centroid" / "summary.csv").exists()
 
 
 class TestParserBasics:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -25,6 +26,8 @@ from shiftlab import (
     sweep_if,
 )
 from shiftlab.experiments import (
+    LADDER,
+    SWEEP_METHODS,
     _fmt,
     apply_overrides,
     claim_output_dir,
@@ -163,11 +166,23 @@ class TestEffectiveTrainConfig:
         assert out.lsc_enabled is True
         assert "cannot influence training" in caplog.text
 
-    def test_from_names(self):
-        mask = AblationMask.from_names(("domain_adversarial", "centroid_alignment"))
+    def test_rung(self):
+        mask = AblationMask.rung("adversarial_centroid")
         assert mask.domain_adversarial and mask.centroid_alignment
         assert not mask.discriminative_alignment
         assert not mask.label_shift_calibration
+        assert AblationMask.rung("full") == AblationMask()
+        # each rung enables one more component than the last
+        counts = [sum(dataclasses.astuple(AblationMask.rung(r))) for r in LADDER]
+        assert counts == list(range(len(LADDER)))
+
+    def test_sweep_methods_are_rungs(self):
+        no_cal = AblationMask.rung(SWEEP_METHODS["no_calibration"])
+        assert no_cal == AblationMask(label_shift_calibration=False)
+
+    def test_unknown_rung_rejected(self):
+        with pytest.raises(ConfigError, match="unknown ladder rung"):
+            AblationMask.rung("no_calibration")
 
 
 class TestOutputDirs:
