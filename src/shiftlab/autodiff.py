@@ -15,6 +15,15 @@ gradient does nothing. ``Tensor.grad`` reads as zeros until then.
 Only the operations the training method needs are provided, and all
 tensors are 2-D. There is no broadcasting beyond what the individual
 operations document.
+
+A chain of ops that the training step builds many times is also offered
+as one fused op, which records one node: ``linear``, ``nll``,
+``ema_matmul``, ``ratio``, ``binary_cross_entropy`` and
+``weighted_sum``. Each names the chain it replaces and applies the same
+scalar operations in the same order, so values and gradients match the
+chain bit for bit; the chain's ops stay available. The floors in
+``relu``, ``clamp_min`` and the fused ops use ``np.maximum``, so a NaN
+input gives a NaN output rather than the floor value.
 """
 from __future__ import annotations
 
@@ -28,11 +37,13 @@ __all__ = [
     "matmul",
     "add_bias",
     "linear",
+    "ema_matmul",
     "add",
     "sub",
     "mul",
     "div",
     "add_n",
+    "weighted_sum",
     "affine",
     "scale_by",
     "relu",
@@ -42,8 +53,10 @@ __all__ = [
     "softmax",
     "sum_all",
     "mean_all",
+    "ratio",
     "gather_rows",
     "nll",
+    "binary_cross_entropy",
     "euclidean_distance",
     "pairwise_distances",
     "grad_reverse",
@@ -235,6 +248,36 @@ def linear(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def ema_matmul(
+    tape: Tape | None, coeff: np.ndarray, x: Tensor, mix: np.ndarray, base: np.ndarray
+) -> Tensor:
+    """mix[:, None] * (coeff @ x) + base in one node; coeff, mix and base are constants.
+
+    Same values, and the same gradient into x, bit for bit, as
+    ``add(scale_by(matmul(Tensor(coeff), x), mix[:, None] broadcast), Tensor(base))``,
+    without copying the constants or computing coeff's gradient.
+    """
+    coeff = np.asarray(coeff, dtype=np.float64)
+    if coeff.ndim != 2 or coeff.shape[1] != x.shape[0]:
+        raise ShapeError(f"ema_matmul: coeff {coeff.shape} does not fit rows of {x.shape}")
+    col = np.asarray(mix, dtype=np.float64).reshape(-1, 1)
+    if col.shape[0] != coeff.shape[0] or np.shape(base) != (coeff.shape[0], x.shape[1]):
+        raise ShapeError(
+            f"ema_matmul: mix {np.shape(mix)} and base {np.shape(base)} "
+            f"do not fit a {coeff.shape[0]} x {x.shape[1]} result"
+        )
+    h = coeff @ x.values
+    h *= col
+    h += base
+    out = _wrap(h)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, coeff.T @ (g * col))
+
+    _record(tape, out, backward)
+    return out
+
+
 def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes differ, {a.shape} vs {b.shape}")
@@ -307,6 +350,28 @@ def add_n(tape: Tape | None, tensors: list[Tensor]) -> Tensor:
     return out
 
 
+def weighted_sum(tape: Tape | None, tensors: list[Tensor], weights: list[float]) -> Tensor:
+    """Sum of weights[i] * tensors[i] over a non-empty list of same-shape tensors.
+
+    Same values and gradients as ``add_n`` over ``affine(t, w)`` of each
+    pair, in one node.
+    """
+    if not tensors:
+        raise ShapeError("weighted_sum: empty tensor list")
+    if len(weights) != len(tensors):
+        raise ShapeError(f"weighted_sum: {len(tensors)} tensors but {len(weights)} weights")
+    for t in tensors[1:]:
+        _require_same_shape("weighted_sum", tensors[0], t)
+    out = _wrap(sum(w * t.values for t, w in zip(tensors, weights)))
+
+    def backward(g: np.ndarray) -> None:
+        for t, w in zip(tensors, weights):
+            _accumulate(t, w * g)
+
+    _record(tape, out, backward)
+    return out
+
+
 def affine(tape: Tape | None, x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     """scale * x + shift with scalar constants."""
     out = _wrap(scale * x.values + shift)
@@ -333,9 +398,12 @@ def scale_by(tape: Tape | None, x: Tensor, factor: np.ndarray) -> Tensor:
 
 
 def relu(tape: Tape | None, x: Tensor) -> Tensor:
-    # Subgradient at exactly 0 is taken as 0.
+    """max(x, 0) elementwise; a NaN entry stays NaN.
+
+    The subgradient at exactly 0 is taken as 0.
+    """
     mask = x.values > 0.0
-    out = _wrap(np.where(mask, x.values, 0.0))
+    out = _wrap(np.maximum(x.values, 0.0))
 
     def backward(g: np.ndarray) -> None:
         _accumulate(x, g * mask)
@@ -379,9 +447,12 @@ def log(tape: Tape | None, x: Tensor) -> Tensor:
 
 
 def clamp_min(tape: Tape | None, x: Tensor, floor: float) -> Tensor:
-    """max(x, floor) elementwise; gradient is zero where the clamp binds."""
+    """max(x, floor) elementwise; gradient is zero where the clamp binds.
+
+    A NaN entry stays NaN.
+    """
     mask = x.values > floor
-    out = _wrap(np.where(mask, x.values, floor))
+    out = _wrap(np.maximum(x.values, floor))
 
     def backward(g: np.ndarray) -> None:
         _accumulate(x, g * mask)
@@ -427,6 +498,33 @@ def mean_all(tape: Tape | None, x: Tensor) -> Tensor:
     return out
 
 
+def ratio(
+    tape: Tape | None, x: Tensor, w_num: np.ndarray, w_den: np.ndarray, eps: float
+) -> Tensor:
+    """sum(x * w_num) / (sum(x * w_den) + eps) with constant weight arrays.
+
+    One node with the same scalar operations, in the same order, as
+    ``div(sum_all(scale_by(x, w_num)), affine(sum_all(scale_by(x, w_den)), 1.0, eps))``;
+    no gradient flows into the weights.
+    """
+    w_num = np.asarray(w_num, dtype=np.float64)
+    w_den = np.asarray(w_den, dtype=np.float64)
+    if w_num.shape != x.values.shape or w_den.shape != x.values.shape:
+        raise ShapeError(f"ratio: weights {w_num.shape}, {w_den.shape} vs tensor {x.shape}")
+    den = (x.values * w_den).sum() + eps
+    q = (x.values * w_num).sum() / den
+    out = _wrap(np.array([[q]]))
+
+    def backward(g: np.ndarray) -> None:
+        c = g[0, 0]
+        grad = -(c * q / den) * w_den
+        grad += (c / den) * w_num
+        _accumulate(x, grad)
+
+    _record(tape, out, backward)
+    return out
+
+
 def _row_indices(op: str, x: Tensor, indices) -> np.ndarray:
     """One in-range column index per row of ``x``."""
     idx = np.asarray(indices)
@@ -455,13 +553,14 @@ def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> T
 
     One node with the same scalar operations, in the same order, as
     ``affine(mean_all(log(clamp_min(gather_rows(probs, labels), floor))), -1.0)``;
-    no gradient flows where the floor binds.
+    no gradient flows where the floor binds, and a NaN probability gives a
+    NaN loss.
     """
     idx = _row_indices("nll", probs, labels)
     rows = np.arange(probs.shape[0])
     picked = probs.values[rows, idx].reshape(-1, 1)
     mask = picked > floor
-    clamped = np.where(mask, picked, floor)
+    clamped = np.maximum(picked, floor)
     if np.any(clamped <= 0.0):
         raise ValueError("nll: floored probabilities must be positive")
     n = clamped.size
@@ -470,6 +569,35 @@ def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> T
     def backward(g: np.ndarray) -> None:
         per_row = (-1.0 * g)[0, 0] / n / clamped * mask
         probs.grad[rows, idx] += per_row[:, 0]
+
+    _record(tape, out, backward)
+    return out
+
+
+def binary_cross_entropy(
+    tape: Tape | None, p_neg: Tensor, p_pos: Tensor, floor: float
+) -> Tensor:
+    """-(mean log(1 - p_neg) + mean log(p_pos)), each probability floored at ``floor``.
+
+    One node with the same scalar operations, in the same order, as
+    ``affine(add(mean_all(log(clamp_min(affine(p_neg, -1.0, 1.0), floor))),
+    mean_all(log(clamp_min(p_pos, floor)))), -1.0)``; no gradient flows
+    where the floor binds, and a NaN probability gives a NaN loss.
+    """
+    neg = -1.0 * p_neg.values + 1.0
+    neg_mask = neg > floor
+    neg = np.maximum(neg, floor)
+    pos_mask = p_pos.values > floor
+    pos = np.maximum(p_pos.values, floor)
+    if np.any(neg <= 0.0) or np.any(pos <= 0.0):
+        raise ValueError("binary_cross_entropy: floored probabilities must be positive")
+    terms = np.array([[np.log(neg).mean()]]) + np.array([[np.log(pos).mean()]])
+    out = _wrap(-1.0 * terms + 0.0)
+
+    def backward(g: np.ndarray) -> None:
+        c = (-1.0 * g)[0, 0]
+        _accumulate(p_pos, c / pos.size / pos * pos_mask)
+        _accumulate(p_neg, -1.0 * (c / neg.size / neg * neg_mask))
 
     _record(tape, out, backward)
     return out

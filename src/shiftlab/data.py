@@ -152,12 +152,12 @@ class ShiftSpec:
             raise ParameterError(
                 f"max_class_size {self.max_class_size} < num_classes {self.num_classes}"
             )
-        if self.imbalance_factor < 1.0:
+        if not (math.isfinite(self.imbalance_factor) and self.imbalance_factor >= 1.0):
             raise ParameterError(
-                f"imbalance_factor must be >= 1, got {self.imbalance_factor}"
+                f"imbalance_factor must be finite and >= 1, got {self.imbalance_factor}"
             )
-        if self.noise_sigma <= 0.0:
-            raise ParameterError(f"noise_sigma must be > 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0.0):
+            raise ParameterError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
         self.source_order = self._check_order(self.source_order, "source_order")

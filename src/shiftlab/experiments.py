@@ -463,8 +463,8 @@ def ablate(cfg: ExperimentConfig, force: bool = False) -> dict[str, dict]:
 
 def sweep_if(cfg: ExperimentConfig, if_values: list[float], force: bool = False) -> dict:
     """Run full / no-calibration / source-only at each imbalance factor."""
-    if not if_values or any(v < 1 for v in if_values):
-        raise ConfigError(f"imbalance factors must all be >= 1, got {if_values}")
+    if not if_values or not all(math.isfinite(v) and v >= 1 for v in if_values):
+        raise ConfigError(f"imbalance factors must all be finite and >= 1, got {if_values}")
     specs = [dataclasses.replace(cfg.data, imbalance_factor=float(v)) for v in if_values]
     cells = [
         (os.path.join(f"if{v:g}", method), f"{method}_if{v:g}", rung, data)

@@ -22,15 +22,11 @@ from .autodiff import (
     ShapeError,
     Tape,
     Tensor,
-    add,
-    affine,
-    clamp_min,
-    div,
-    log as log_op,
-    matmul,
-    mean_all,
+    binary_cross_entropy,
+    ema_matmul,
     nll,
     pairwise_distances,
+    ratio,
     scale_by,
     sum_all,
 )
@@ -101,11 +97,7 @@ def domain_adversarial_loss(tape: Tape | None, d_src: Tensor, d_tgt: Tensor) -> 
             raise ShapeError(f"{name} must be n x 1, got {t.shape}")
         if np.any(t.values <= 0.0) or np.any(t.values >= 1.0):
             raise ValueError(f"{name}: discriminator outputs must lie strictly in (0, 1)")
-    src_term = mean_all(
-        tape, log_op(tape, clamp_min(tape, affine(tape, d_src, -1.0, 1.0), PROB_FLOOR))
-    )
-    tgt_term = mean_all(tape, log_op(tape, clamp_min(tape, d_tgt, PROB_FLOOR)))
-    return affine(tape, add(tape, src_term, tgt_term), -1.0)
+    return binary_cross_entropy(tape, d_src, d_tgt, PROB_FLOOR)
 
 
 _DOMAINS = ("source", "target")
@@ -177,17 +169,14 @@ def update_centroids(
     totals = weights.sum(axis=1)
     present = totals > 0.0
     coeff = weights / np.where(present, totals, 1.0)[:, None]
-    contrib = matmul(tape, Tensor(coeff), batch.features)  # C x d batch centroids
     seen = bank.seen[domain]
-    old = bank._values.get(domain, np.zeros(contrib.shape))
+    old = bank._values.get(domain)
+    if old is None:
+        old = np.zeros((bank.num_classes, batch.features.shape[1]))
     # seen and present: (1 - theta) new + theta old; new: adopt; absent: keep
     mix = np.where(seen, 1.0 - theta, 1.0) * present
     keep = np.where(present, theta * seen, 1.0)
-    expr = add(
-        tape,
-        scale_by(tape, contrib, np.broadcast_to(mix[:, None], contrib.shape)),
-        Tensor(keep[:, None] * old),
-    )
+    expr = ema_matmul(tape, coeff, batch.features, mix, keep[:, None] * old)
     bank._values[domain] = expr.values
     bank._exprs[domain] = (tape, expr)
     bank.seen[domain] = seen | present
@@ -211,12 +200,10 @@ def centroid_alignment_loss(tape: Tape | None, bank: CentroidBank) -> Tensor:
     pairs = eligible[:, None] & eligible[None, :]
     same = pairs & np.eye(bank.num_classes, dtype=bool)
     dists = pairwise_distances(tape, bank._term(tape, "source"), bank._term(tape, "target"))
-    numerator = sum_all(tape, scale_by(tape, dists, same / n_eligible))
     if n_eligible < 2:
-        return numerator
+        return sum_all(tape, scale_by(tape, dists, same / n_eligible))
     cross = pairs & ~same
-    denominator = sum_all(tape, scale_by(tape, dists, cross / int(cross.sum())))
-    return div(tape, numerator, affine(tape, denominator, 1.0, RATIO_EPS))
+    return ratio(tape, dists, same / n_eligible, cross / int(cross.sum()), RATIO_EPS)
 
 
 def discriminative_alignment_loss(
@@ -244,6 +231,4 @@ def discriminative_alignment_loss(
         return Tensor([[0.0]])
     pair_w = np.sqrt(np.outer(batch_src.weights, batch_tgt.weights))
     dists = pairwise_distances(tape, batch_src.features, batch_tgt.features)
-    numerator = sum_all(tape, scale_by(tape, dists, pair_w * same / n_same))
-    denominator = sum_all(tape, scale_by(tape, dists, pair_w * ~same / n_diff))
-    return div(tape, numerator, affine(tape, denominator, 1.0, RATIO_EPS))
+    return ratio(tape, dists, pair_w * same / n_same, pair_w * ~same / n_diff, RATIO_EPS)

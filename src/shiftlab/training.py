@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._jsonio import write_json, write_text
-from .autodiff import Tape, add_n, affine, sgd_step
+from .autodiff import Tape, sgd_step, weighted_sum
 from .calibration import LabelShiftState, PseudoLabels, calibrate
 from .data import BalancedSampler, DomainDataset
 from .losses import (
@@ -184,7 +184,7 @@ def train_step(
     f_src = features(state, src_features, tape)
     p_src = classify(state, f_src, tape)
     loss_class = cross_entropy(tape, p_src, src_labels)
-    terms = [loss_class]
+    terms, weights = [loss_class], [1.0]
     out = {
         "loss_class": loss_class.item(),
         "loss_adversarial": 0.0,
@@ -209,19 +209,22 @@ def train_step(
         update_centroids(tape, bank, tgt_wb, "target")
         loss_centroid = centroid_alignment_loss(tape, bank)
         out["loss_centroid"] = loss_centroid.item()
-        terms.append(affine(tape, loss_centroid, lam))
+        terms.append(loss_centroid)
+        weights.append(lam)
     if mu > 0.0:
         loss_pair = discriminative_alignment_loss(tape, src_wb, tgt_wb, diagnostics)
         out["loss_pairwise"] = loss_pair.item()
-        terms.append(affine(tape, loss_pair, mu))
+        terms.append(loss_pair)
+        weights.append(mu)
     if gam > 0.0:
         d_src = discriminate(state, f_src, grl_coeff, tape)
         d_tgt = discriminate(state, f_tgt, grl_coeff, tape)
         loss_adv = domain_adversarial_loss(tape, d_src, d_tgt)
         out["loss_adversarial"] = loss_adv.item()
-        terms.append(affine(tape, loss_adv, gam))
+        terms.append(loss_adv)
+        weights.append(gam)
 
-    total = add_n(tape, terms) if len(terms) > 1 else terms[0]
+    total = weighted_sum(tape, terms, weights) if len(terms) > 1 else terms[0]
     if not np.isfinite(total.values[0, 0]):
         raise NumericError(
             f"non-finite total loss {total.values[0, 0]} (components {out}); "

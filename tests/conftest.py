@@ -6,6 +6,18 @@ import numpy as np
 import pytest
 
 from shiftlab import DomainDataset, ModelConfig, ShiftSpec, generate
+from shiftlab.autodiff import (
+    Tensor,
+    add,
+    affine,
+    clamp_min,
+    div,
+    log,
+    matmul,
+    mean_all,
+    scale_by,
+    sum_all,
+)
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -36,6 +48,28 @@ def away_from_kinks(rng: np.random.Generator, shape, margin: float = 1e-2) -> np
     x = rng.uniform(margin, 1.0, size=shape)
     sign = rng.choice([-1.0, 1.0], size=shape)
     return x * sign
+
+
+# The op chains each fused node replaced, kept as oracles: the fused node
+# must give the same values and gradients, bit for bit.
+
+
+def unfused_ratio(tape, x, w_num, w_den, eps):
+    numerator = sum_all(tape, scale_by(tape, x, w_num))
+    denominator = sum_all(tape, scale_by(tape, x, w_den))
+    return div(tape, numerator, affine(tape, denominator, 1.0, eps))
+
+
+def unfused_binary_cross_entropy(tape, p_neg, p_pos, floor):
+    neg = mean_all(tape, log(tape, clamp_min(tape, affine(tape, p_neg, -1.0, 1.0), floor)))
+    pos = mean_all(tape, log(tape, clamp_min(tape, p_pos, floor)))
+    return affine(tape, add(tape, neg, pos), -1.0)
+
+
+def unfused_ema_matmul(tape, coeff, x, mix, base):
+    contrib = matmul(tape, Tensor(coeff), x)
+    scaled = scale_by(tape, contrib, np.broadcast_to(mix[:, None], contrib.shape))
+    return add(tape, scaled, Tensor(base))
 
 
 @pytest.fixture(scope="session")

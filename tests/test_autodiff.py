@@ -14,8 +14,10 @@ from shiftlab.autodiff import (
     add_bias,
     add_n,
     affine,
+    binary_cross_entropy,
     clamp_min,
     div,
+    ema_matmul,
     euclidean_distance,
     gather_rows,
     grad_reverse,
@@ -27,6 +29,7 @@ from shiftlab.autodiff import (
     mul,
     nll,
     pairwise_distances,
+    ratio,
     relu,
     scale_by,
     sgd_step,
@@ -34,8 +37,16 @@ from shiftlab.autodiff import (
     softmax,
     sub,
     sum_all,
+    weighted_sum,
 )
-from conftest import away_from_kinks, central_difference, relative_error
+from conftest import (
+    away_from_kinks,
+    central_difference,
+    relative_error,
+    unfused_binary_cross_entropy,
+    unfused_ema_matmul,
+    unfused_ratio,
+)
 
 # Frozen oracle: softmax([1,2,3]) evaluated at 40-digit precision.
 SOFTMAX_123 = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
@@ -506,6 +517,201 @@ class TestNll:
     def test_nonpositive_floor_rejected_on_zero_probability(self):
         with pytest.raises(ValueError):
             nll(None, Tensor([[0.0, 1.0]]), np.array([0]), 0.0)
+
+
+def _assert_bit_identical(results):
+    """``results`` holds the fused and the unfused tuple of arrays."""
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert (got == want).all()
+
+
+class TestRatio:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [5, 50, 400])
+    def test_bit_identical_to_the_unfused_chain(self, n, seed):
+        # an n x n distance table weighted as discriminative_alignment_loss does;
+        # a reordered rounding step shows in about half the draws, so take four
+        rng = np.random.default_rng([1200 + n, seed])
+        av, bv = rng.standard_normal((n, 8)), rng.standard_normal((n, 8))
+        same = rng.integers(0, 5, n)[:, None] == rng.integers(0, 5, n)[None, :]
+        pair_w = np.sqrt(np.outer(rng.uniform(size=n), rng.uniform(size=n)))
+        w_num, w_den = pair_w * same / same.sum(), pair_w * ~same / (~same).sum()
+        results = []
+        for op in (ratio, unfused_ratio):
+            a, b = Tensor(av), Tensor(bv)
+            tape = Tape()
+            loss = op(tape, pairwise_distances(tape, a, b), w_num, w_den, 1e-8)
+            tape.backward(affine(tape, loss, 0.6))
+            results.append((loss.values, a.grad, b.grad))
+        _assert_bit_identical(results)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gradients_match_finite_differences(self, seed):
+        rng = np.random.default_rng(1300 + seed)
+        x = Tensor(rng.uniform(0.5, 2.0, (3, 4)))
+        w_num, w_den = rng.uniform(size=(3, 4)), rng.uniform(size=(3, 4))
+
+        def build():
+            tape = Tape()
+            return tape, ratio(tape, x, w_num, w_den, 1e-8)
+
+        _fd_check(build, [x])
+
+    def test_value(self):
+        out = ratio(None, Tensor([[1.0, 2.0], [3.0, 4.0]]), np.eye(2), 1.0 - np.eye(2), 0.0)
+        assert out.item() == (1.0 + 4.0) / (2.0 + 3.0)
+
+    def test_weight_shapes_must_match(self):
+        with pytest.raises(ShapeError):
+            ratio(None, Tensor(np.ones((2, 3))), np.ones((2, 3)), np.ones((3, 2)), 1e-8)
+
+
+class TestBinaryCrossEntropy:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_the_unfused_chain(self, seed):
+        rng = np.random.default_rng(1400 + seed)
+        src_v, tgt_v = rng.standard_normal((50, 1)) * 3.0, rng.standard_normal((50, 1)) * 3.0
+        results = []
+        for op in (binary_cross_entropy, unfused_binary_cross_entropy):
+            src, tgt = Tensor(src_v), Tensor(tgt_v)
+            tape = Tape()
+            d_src, d_tgt = sigmoid(tape, src), sigmoid(tape, tgt)
+            d_src.values[0, 0] = 1.0  # the floor binds once on each side
+            d_tgt.values[0, 0] = 0.0
+            loss = op(tape, d_src, d_tgt, 1e-12)
+            tape.backward(affine(tape, loss, 0.7))
+            results.append((loss.values, d_src.grad, d_tgt.grad, src.grad, tgt.grad))
+        _assert_bit_identical(results)
+        assert results[0][1][0, 0] == 0.0 and results[0][2][0, 0] == 0.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gradients_match_finite_differences(self, seed):
+        rng = np.random.default_rng(1500 + seed)
+        p_neg = Tensor(rng.uniform(0.1, 0.9, (4, 1)))
+        p_pos = Tensor(rng.uniform(0.1, 0.9, (3, 1)))
+
+        def build():
+            tape = Tape()
+            return tape, binary_cross_entropy(tape, p_neg, p_pos, 1e-12)
+
+        _fd_check(build, [p_neg, p_pos])
+
+    def test_value(self):
+        loss = binary_cross_entropy(None, Tensor([[0.3]]), Tensor([[0.8]]), 1e-12)
+        assert loss.item() == pytest.approx(-(np.log(0.7) + np.log(0.8)), rel=1e-15)
+
+    def test_floored_probabilities_must_be_positive(self):
+        with pytest.raises(ValueError):
+            binary_cross_entropy(None, Tensor([[0.5]]), Tensor([[0.0]]), 0.0)
+        with pytest.raises(ValueError):
+            binary_cross_entropy(None, Tensor([[1.0]]), Tensor([[0.5]]), 0.0)
+
+
+def _ema_operands(rng, classes, n, d):
+    """Class-normalised sample weights, a mix of EMA/adopt/keep rows, old centroids."""
+    labels = np.arange(n) % classes
+    weights = (labels == np.arange(classes)[:, None]) * rng.uniform(size=n)
+    coeff = weights / weights.sum(axis=1, keepdims=True)
+    mix = rng.choice([0.0, 0.3, 1.0], size=classes)
+    return coeff, mix, rng.standard_normal((classes, d))
+
+
+class TestEmaMatmul:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_the_unfused_chain(self, seed):
+        rng = np.random.default_rng(1600 + seed)
+        coeff, mix, base = _ema_operands(rng, 5, 50, 8)
+        xv, r = rng.standard_normal((50, 8)), rng.standard_normal((5, 8))
+        results = []
+        for op in (ema_matmul, unfused_ema_matmul):
+            x = Tensor(xv)
+            tape = Tape()
+            out = op(tape, coeff, x, mix, base)
+            tape.backward(sum_all(tape, scale_by(tape, out, r)))
+            results.append((out.values, x.grad))
+        _assert_bit_identical(results)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gradients_match_finite_differences(self, seed):
+        rng = np.random.default_rng(1700 + seed)
+        coeff, mix, base = _ema_operands(rng, 3, 6, 2)
+        x = Tensor(rng.standard_normal((6, 2)))
+        r = rng.standard_normal((3, 2))
+
+        def build():
+            tape = Tape()
+            return tape, sum_all(tape, scale_by(tape, ema_matmul(tape, coeff, x, mix, base), r))
+
+        _fd_check(build, [x])
+
+    def test_shapes_must_fit(self):
+        x = Tensor(np.ones((4, 2)))
+        with pytest.raises(ShapeError):
+            ema_matmul(None, np.ones((3, 5)), x, np.ones(3), np.ones((3, 2)))
+        with pytest.raises(ShapeError):
+            ema_matmul(None, np.ones((3, 4)), x, np.ones(2), np.ones((3, 2)))
+        with pytest.raises(ShapeError):
+            ema_matmul(None, np.ones((3, 4)), x, np.ones(3), np.ones((3, 3)))
+
+
+class TestWeightedSum:
+    def test_bit_identical_to_add_n_of_affine(self):
+        rng = np.random.default_rng(1800)
+        values, weights = rng.standard_normal((4, 2, 3)), [1.0, 3.0, 0.6, 1.0]
+        results = []
+        for fused in (True, False):
+            leaves = [Tensor(v) for v in values]
+            tape = Tape()
+            if fused:
+                out = weighted_sum(tape, leaves, weights)
+            else:
+                out = add_n(tape, [affine(tape, t, w) for t, w in zip(leaves, weights)])
+            tape.backward(sum_all(tape, out))
+            results.append((out.values, *(t.grad for t in leaves)))
+        _assert_bit_identical(results)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(1900)
+        leaves = [Tensor(rng.standard_normal((2, 3))) for _ in range(3)]
+        r = rng.standard_normal((2, 3))
+
+        def build():
+            tape = Tape()
+            return tape, sum_all(tape, scale_by(tape, weighted_sum(tape, leaves, [1.0, 3.0, 0.6]), r))
+
+        _fd_check(build, leaves)
+
+    def test_bad_operands(self):
+        a, b = Tensor(np.ones((1, 1))), Tensor(np.ones((1, 2)))
+        with pytest.raises(ShapeError):
+            weighted_sum(None, [], [])
+        with pytest.raises(ShapeError):
+            weighted_sum(None, [a, a], [1.0])
+        with pytest.raises(ShapeError):
+            weighted_sum(None, [a, b], [1.0, 1.0])
+
+
+class TestNanPropagates:
+    """The floors keep a NaN, so it reaches the trainer's non-finite-loss check."""
+
+    def test_relu(self):
+        out = relu(None, Tensor([[np.nan, -1.0, 2.0]]))
+        assert np.isnan(out.values[0, 0])
+        assert out.values[0, 1:].tolist() == [0.0, 2.0]
+
+    def test_clamp_min(self):
+        out = clamp_min(None, Tensor([[np.nan, 0.0, 2.0]]), 0.5)
+        assert np.isnan(out.values[0, 0])
+        assert out.values[0, 1:].tolist() == [0.5, 2.0]
+
+    def test_nll(self):
+        assert np.isnan(nll(None, Tensor([[np.nan, 0.5], [0.5, 0.5]]), np.array([0, 1]), 1e-12).item())
+
+    def test_binary_cross_entropy(self):
+        nan, half = Tensor([[np.nan]]), Tensor([[0.5]])
+        assert np.isnan(binary_cross_entropy(None, nan, half, 1e-12).item())
+        assert np.isnan(binary_cross_entropy(None, half, nan, 1e-12).item())
 
 
 def _explicit_pairwise(av, bv, g):

@@ -122,6 +122,14 @@ class TestTrain:
     def test_missing_config_file_exit_1(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_imbalance_factor_exit_1(self, config_file, tmp_path, value):
+        out = tmp_path / "run"
+        args = ["train", "--config", config_file, "--out", str(out),
+                "--set", f"data.imbalance_factor={value}"]
+        assert main(args) == 1
+        assert not out.exists()
+
     def test_repeated_seeds_exit_1(self, config_file, tmp_path):
         out = tmp_path / "run"
         args = ["train", "--config", config_file, "--out", str(out), "--set", "seeds=[100,100]"]
@@ -169,6 +177,13 @@ class TestSweepAndAblate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("if_values", ["nan", "inf", "5,nan"])
+    def test_non_finite_if_values_exit_1(self, config_file, tmp_path, if_values):
+        out = tmp_path / "sweep"
+        args = ["sweep-if", "--config", config_file, "--out", str(out), "--if-values", if_values]
+        assert main(args) == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("if_values", ["5,5", "1.0000001,1.0000002"])
     def test_if_values_sharing_a_directory_exit_1(self, config_file, tmp_path, if_values):
         # both values of the second pair format as "if1"
@@ -209,20 +224,20 @@ class TestFailurePath:
         assert not (out / "summary.csv").exists()
 
     def test_ablate_stops_at_the_first_failing_rung(self, config_file, tmp_path):
-        # without a centroid loss the micro run stays finite even at this rate;
-        # the centroid loss is the first to reach NaN
+        # the source-only micro run stays finite even at this rate; the
+        # discriminator's outputs go NaN, and the floors pass the NaN on to
+        # the loss, so the adversarial rung is the first to fail
         out = tmp_path / "ladder"
         with np.errstate(all="ignore"):
             code = main(["ablate", "--config", config_file, "--out", str(out), *self.DIVERGE])
         assert code == 2
         # no later rung directory, and no top-level summary.csv or aggregate.json
-        assert sorted(os.listdir(out)) == ["adversarial", "adversarial_centroid", "source_only"]
-        for rung in ("source_only", "adversarial"):
-            assert json.loads((out / rung / "manifest.json").read_text())["completed"] == [100]
-        manifest = json.loads((out / "adversarial_centroid" / "manifest.json").read_text())
+        assert sorted(os.listdir(out)) == ["adversarial", "source_only"]
+        assert json.loads((out / "source_only" / "manifest.json").read_text())["completed"] == [100]
+        manifest = json.loads((out / "adversarial" / "manifest.json").read_text())
         assert manifest["completed"] == []
         assert [entry["seed"] for entry in manifest["failed"]] == [100]
-        assert not (out / "adversarial_centroid" / "summary.csv").exists()
+        assert not (out / "adversarial" / "summary.csv").exists()
 
 
 class TestParserBasics:

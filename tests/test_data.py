@@ -55,6 +55,16 @@ class TestShiftSpecValidation:
         with pytest.raises(ParameterError):
             ShiftSpec(num_classes=3, feature_dim=4, imbalance_factor=0.5)
 
+    @pytest.mark.parametrize("field,value", [
+        ("imbalance_factor", float("nan")),
+        ("imbalance_factor", float("inf")),
+        ("noise_sigma", float("nan")),
+        ("noise_sigma", float("inf")),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ParameterError):
+            ShiftSpec(num_classes=3, feature_dim=4, **{field: value})
+
     def test_rejects_bad_order(self):
         with pytest.raises(ParameterError):
             ShiftSpec(num_classes=3, feature_dim=4, target_order=[0, 1, 1])

@@ -9,6 +9,7 @@ import pytest
 
 from shiftlab import (
     CentroidBank,
+    losses,
     ShapeError,
     Tape,
     Tensor,
@@ -19,9 +20,15 @@ from shiftlab import (
     domain_adversarial_loss,
     update_centroids,
 )
-from shiftlab.autodiff import matmul, softmax
+from shiftlab.autodiff import matmul, sigmoid, softmax, weighted_sum
 
-from conftest import central_difference, relative_error
+from conftest import (
+    central_difference,
+    relative_error,
+    unfused_binary_cross_entropy,
+    unfused_ema_matmul,
+    unfused_ratio,
+)
 
 LN10 = 2.302585092994046
 LN2 = 0.6931471805599453
@@ -313,6 +320,17 @@ class TestCentroidAlignment:
         fresh.backward(centroid_alignment_loss(fresh, bank))
         assert np.all(feats.grad == 0.0)
 
+    def test_expression_belongs_to_its_tape(self):
+        bank = CentroidBank(num_classes=2)
+        tape = Tape()
+        update_centroids(tape, bank, batch([[1.0, 0.0], [0.0, 1.0]], [0, 1]), "source")
+        assert len(tape) == 1
+        expr = bank._term(tape, "source")
+        assert bank._term(tape, "source") is expr
+        stale = bank._term(Tape(), "source")
+        assert stale is not expr
+        assert (stale.values == expr.values).all()
+
     def test_matches_per_class_loop(self):
         # reference: one weighted mean and EMA per (domain, class), one
         # distance per class pair; the bank sums in another order
@@ -436,3 +454,41 @@ class TestDiscriminativeAlignment:
             )
         )
         assert relative_error(leaf.grad, central_difference(f_s, s)) < 1e-3
+
+
+def _alignment_step(n: int) -> tuple:
+    """One step's three alignment losses at the benchmark's shapes, C=5, d=8:
+    the loss values and the gradients into the feature leaves."""
+    rng = np.random.default_rng(2000 + n)
+    bank = CentroidBank(num_classes=5)
+    warm = [rng.standard_normal((n, 8)) for _ in range(2)]
+    labels = [np.arange(n) % 5, rng.integers(0, 5, n)]
+    weights = [rng.uniform(size=n) for _ in range(2)]
+    for domain, f, y, w in zip(("source", "target"), warm, labels, weights):
+        update_centroids(None, bank, batch(f, y, w), domain)  # a seen history
+    src, tgt = Tensor(rng.standard_normal((n, 8))), Tensor(rng.standard_normal((n, 8)))
+    src_logits, tgt_logits = Tensor(rng.standard_normal((n, 1))), Tensor(rng.standard_normal((n, 1)))
+    tape = Tape()
+    src_wb = WeightedBatch(src, labels[0], weights[0])
+    tgt_wb = WeightedBatch(tgt, labels[1], weights[1])
+    update_centroids(tape, bank, src_wb, "source")
+    update_centroids(tape, bank, tgt_wb, "target")
+    parts = [
+        centroid_alignment_loss(tape, bank),
+        discriminative_alignment_loss(tape, src_wb, tgt_wb),
+        domain_adversarial_loss(tape, sigmoid(tape, src_logits), sigmoid(tape, tgt_logits)),
+    ]
+    tape.backward(weighted_sum(tape, parts, [3.0, 0.6, 1.0]))
+    return tuple(p.values for p in parts) + (src.grad, tgt.grad, src_logits.grad, tgt_logits.grad)
+
+
+@pytest.mark.parametrize("n", [50, 400])
+def test_losses_bit_identical_to_the_unfused_chains(n, monkeypatch):
+    fused = _alignment_step(n)
+    monkeypatch.setattr(losses, "ratio", unfused_ratio)
+    monkeypatch.setattr(losses, "binary_cross_entropy", unfused_binary_cross_entropy)
+    monkeypatch.setattr(losses, "ema_matmul", unfused_ema_matmul)
+    unfused = _alignment_step(n)
+    for got, want in zip(fused, unfused):
+        assert got.shape == want.shape
+        assert (got == want).all()

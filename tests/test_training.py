@@ -11,6 +11,7 @@ import pytest
 
 from shiftlab import (
     BalancedSampler,
+    CentroidBank,
     DomainDataset,
     ModelConfig,
     PseudoLabels,
@@ -26,6 +27,7 @@ from shiftlab import (
     run,
 )
 from shiftlab.autodiff import sgd_step
+from shiftlab import training
 from shiftlab.training import (
     ConfigError,
     EpochRecord,
@@ -36,6 +38,7 @@ from shiftlab.training import (
     _seed_streams,
     _write_outputs,
     lr_schedule,
+    train_step,
 )
 
 
@@ -172,6 +175,39 @@ def quick_cfg(**kwargs) -> TrainConfig:
     base = dict(epochs=4, pretrain_epochs=2, batch_size=16, seed=100)
     base.update(kwargs)
     return TrainConfig(**base)
+
+
+class TestTrainStep:
+    @pytest.mark.parametrize(
+        "loss_weights,nodes",
+        [((3.0, 0.6, 1.0), 33), ((0.0, 0.0, 0.0), 8)],
+        ids=["full", "source_only"],
+    )
+    def test_tape_nodes_per_step(self, tiny_pair, monkeypatch, loss_weights, nodes):
+        # the default ModelConfig has the standard benchmark's depth: two
+        # hidden extractor layers and one hidden discriminator layer
+        tapes = []
+
+        class RecordedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        monkeypatch.setattr(training, "Tape", RecordedTape)
+        src, tgt = tiny_pair
+        state = init_model(ModelConfig(input_dim=4, num_classes=3), 0)
+        bank = CentroidBank(3)
+        lam, mu, gam = loss_weights
+        cfg = quick_cfg(centroid_loss_weight=lam, pairwise_loss_weight=mu,
+                        adversarial_loss_weight=gam)
+        idx = np.arange(0, len(src), 5)
+        diagnostics = {}
+        train_step(state, bank, np.ones(3), cfg, src.features[idx], src.labels[idx],
+                   tgt.features[:30], 0.01, 1.0, diagnostics)
+        # every loss took its full path: a centroid ratio, no skipped pairwise batch
+        assert len(bank.eligible_classes()) == (3 if lam else 0)
+        assert diagnostics == {}
+        assert [len(t) for t in tapes] == [nodes]
 
 
 class TestRun:
