@@ -62,8 +62,8 @@ class LabelAccess:
 class DomainDataset:
     """Feature matrix plus integer labels for one domain.
 
-    When ``hidden`` is set (the target domain), the ``labels`` property
-    raises and labels are only reachable via ``labels_for_eval``.
+    The target domain's labels are hidden: its ``labels`` property raises
+    and they are only reachable via ``labels_for_eval``.
     """
 
     def __init__(
@@ -72,7 +72,6 @@ class DomainDataset:
         features: np.ndarray,
         labels: np.ndarray,
         num_classes: int,
-        hidden: bool = False,
     ) -> None:
         if domain_tag not in ("source", "target"):
             raise ParameterError(f"domain_tag must be source|target, got {domain_tag!r}")
@@ -95,7 +94,7 @@ class DomainDataset:
         self.domain_tag = domain_tag
         self.features = feats
         self.num_classes = int(num_classes)
-        self.hidden = bool(hidden)
+        self.hidden = domain_tag == "target"
         self._labels = labs
 
     def __len__(self) -> int:
@@ -245,8 +244,8 @@ def generate(spec: ShiftSpec) -> tuple[DomainDataset, DomainDataset]:
     rng = np.random.default_rng(spec.seed)
     src_x, src_y = _draw_domain(rng, means, src_sizes, spec.noise_sigma)
     tgt_x, tgt_y = _draw_domain(rng, _target_means(spec, means), tgt_sizes, spec.noise_sigma)
-    source = DomainDataset("source", src_x, src_y, spec.num_classes, hidden=False)
-    target = DomainDataset("target", tgt_x, tgt_y, spec.num_classes, hidden=True)
+    source = DomainDataset("source", src_x, src_y, spec.num_classes)
+    target = DomainDataset("target", tgt_x, tgt_y, spec.num_classes)
     return source, target
 
 
@@ -312,13 +311,7 @@ def load_dataset(path, expected_classes: int | None = None) -> DomainDataset:
     num_classes = int(labs.max()) + 1 if expected_classes is None else expected_classes
     if num_classes < 2:
         num_classes = 2
-    return DomainDataset(
-        tag,
-        np.asarray(rows, dtype=np.float64),
-        labs,
-        num_classes,
-        hidden=(tag == "target"),
-    )
+    return DomainDataset(tag, np.asarray(rows, dtype=np.float64), labs, num_classes)
 
 
 class BalancedSampler:

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -100,9 +101,17 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             self.seeds = [self.train.seed]
+        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0
+                   for s in self.seeds):
+            raise ConfigError(f"seeds must be non-negative integers, got {self.seeds!r}")
         self.seeds = [int(s) for s in self.seeds]
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must not repeat, got {self.seeds}")
+        if self.model is not None:
+            for dim, data_dim in (("input_dim", "feature_dim"), ("num_classes", "num_classes")):
+                got, want = getattr(self.model, dim), getattr(self.data, data_dim)
+                if got != want:
+                    raise ConfigError(f"model.{dim} is {got} but data.{data_dim} is {want}")
 
 
 def _field_names(cls) -> set[str]:
@@ -134,7 +143,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     train = _build(TrainConfig, doc.get("train", {}), "train")
     ablation = _build(AblationMask, doc.get("ablation", {}), "ablation")
     seeds = doc.get("seeds", [])
-    if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list):
         raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
     return ExperimentConfig(
         name=str(doc.get("name", "experiment")),
@@ -389,6 +398,10 @@ def _summarize(out_dir: str, name: str, reports: list[RunReport]) -> dict:
     return aggregate
 
 
+def _run_dir(out_dir: str, seed: int) -> str:
+    return os.path.join(out_dir, "runs", f"seed{seed}")
+
+
 def run_experiment(cfg: ExperimentConfig, force: bool = False) -> list[RunReport]:
     """Run every seed of one experiment and write all artifacts.
 
@@ -407,7 +420,7 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False) -> list[RunReport
     reports: list[RunReport] = []
     for seed in cfg.seeds:
         seeded = dataclasses.replace(train_cfg, seed=seed)
-        run_dir = os.path.join(out_dir, "runs", f"seed{seed}")
+        run_dir = _run_dir(out_dir, seed)
         os.makedirs(run_dir, exist_ok=True)
         try:
             reports.append(run_single(source, target, seeded, cfg.model, cfg.name, run_dir))
@@ -494,17 +507,22 @@ def sweep_if(cfg: ExperimentConfig, if_values: list[float], force: bool = False)
 
 
 def regenerate_reports(out_dir: str) -> dict:
-    """Rebuild aggregate, summary, and plot data from persisted run reports."""
+    """Rebuild aggregate, summary, and plot data from persisted run reports.
+
+    Reports are read in the order of the manifest's ``completed`` list,
+    which is the order the seeds ran in.
+    """
     out_dir = resolve_output_dir(out_dir)
-    runs_dir = os.path.join(out_dir, "runs")
-    if not os.path.isdir(runs_dir):
-        raise ConfigError(f"{out_dir} has no runs/ directory to aggregate")
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if not os.path.isfile(manifest_path):
+        raise ConfigError(f"{out_dir} has no manifest.json naming runs to aggregate")
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        completed = json.load(fh)["completed"]
+    if not completed:
+        raise ConfigError(f"{manifest_path} lists no completed runs")
     reports = []
-    for entry in sorted(os.listdir(runs_dir)):
-        path = os.path.join(runs_dir, entry, "report.json")
-        if os.path.isfile(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                reports.append(RunReport.from_dict(json.load(fh)))
-    if not reports:
-        raise ConfigError(f"no run reports found under {runs_dir}")
+    for seed in completed:
+        path = os.path.join(_run_dir(out_dir, seed), "report.json")
+        with open(path, "r", encoding="utf-8") as fh:
+            reports.append(RunReport.from_dict(json.load(fh)))
     return _summarize(out_dir, reports[0].name, reports)

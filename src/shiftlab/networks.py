@@ -52,23 +52,22 @@ class ModelConfig:
 
 @dataclass
 class ModelState:
-    """All trainable parameters plus optimizer velocity slots."""
+    """All trainable parameters plus optimizer velocity slots.
+
+    ``layers`` maps each network, in ``_layer_dims`` order, to its
+    (weight, bias) pairs; the classifier is a one-layer list.
+    """
 
     config: ModelConfig
-    extractor: list[tuple[Tensor, Tensor]]      # (weight, bias) per layer
-    classifier: tuple[Tensor, Tensor]
-    discriminator: list[tuple[Tensor, Tensor]]
-    velocity: list[np.ndarray]
+    layers: dict[str, list[tuple[Tensor, Tensor]]]
     init_seed: int
+    velocity: list[np.ndarray] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.velocity = init_velocity(self.parameters())
 
     def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for w, b in self.extractor:
-            params += [w, b]
-        params += list(self.classifier)
-        for w, b in self.discriminator:
-            params += [w, b]
-        return params
+        return [t for net in self.layers.values() for pair in net for t in pair]
 
 
 def _init_layer(rng: np.random.Generator, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
@@ -92,13 +91,11 @@ def _layer_dims(cfg: ModelConfig) -> dict[str, list[tuple[int, int]]]:
 def init_model(cfg: ModelConfig, seed: int) -> ModelState:
     """Uniform fan-scaled weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
     rng = np.random.default_rng(seed)
-    dims = _layer_dims(cfg)
-    extractor = [_init_layer(rng, a, b) for a, b in dims["extractor"]]
-    classifier = _init_layer(rng, *dims["classifier"][0])
-    discriminator = [_init_layer(rng, a, b) for a, b in dims["discriminator"]]
-    state = ModelState(cfg, extractor, classifier, discriminator, [], seed)
-    state.velocity = init_velocity(state.parameters())
-    return state
+    layers = {
+        net: [_init_layer(rng, a, b) for a, b in dims]
+        for net, dims in _layer_dims(cfg).items()
+    }
+    return ModelState(cfg, layers, seed)
 
 
 def _as_tensor(x) -> Tensor:
@@ -122,13 +119,12 @@ def features(state: ModelState, x, tape: Tape | None = None) -> Tensor:
         raise ShapeError(
             f"input has {h.shape[1]} columns, model expects {state.config.input_dim}"
         )
-    return _mlp(state.extractor, h, tape)
+    return _mlp(state.layers["extractor"], h, tape)
 
 
 def classify(state: ModelState, feats: Tensor, tape: Tape | None = None) -> Tensor:
     """Linear layer then row-wise softmax; rows sum to 1."""
-    w, b = state.classifier
-    return softmax(tape, linear(tape, feats, w, b))
+    return softmax(tape, _mlp(state.layers["classifier"], feats, tape))
 
 
 def discriminate(
@@ -136,7 +132,7 @@ def discriminate(
 ) -> Tensor:
     """Probability-of-target per sample, with reversed gradients into feats."""
     h = grad_reverse(tape, feats, grl_coeff)
-    return sigmoid(tape, _mlp(state.discriminator, h, tape))
+    return sigmoid(tape, _mlp(state.layers["discriminator"], h, tape))
 
 
 def save_checkpoint(state: ModelState, path) -> None:
@@ -145,17 +141,9 @@ def save_checkpoint(state: ModelState, path) -> None:
     The file is ``json.dumps`` of the document, written one weight row at a
     time and moved into place only when complete.
     """
-
-    def dump_layers(layers):
-        return [{"weight": w.values.tolist(), "bias": b.values.tolist()} for w, b in layers]
-
-    doc = {
-        "config": asdict(state.config),
-        "init_seed": state.init_seed,
-        "extractor": dump_layers(state.extractor),
-        "classifier": dump_layers([state.classifier]),
-        "discriminator": dump_layers(state.discriminator),
-    }
+    doc = {"config": asdict(state.config), "init_seed": state.init_seed}
+    for net, pairs in state.layers.items():
+        doc[net] = [{"weight": w.values.tolist(), "bias": b.values.tolist()} for w, b in pairs]
     write_text(path, compact_json(doc))
 
 
@@ -183,13 +171,4 @@ def load_checkpoint(path) -> ModelState:
                     )
             layers[net].append((w, b))
 
-    state = ModelState(
-        cfg,
-        layers["extractor"],
-        layers["classifier"][0],
-        layers["discriminator"],
-        [],
-        int(doc["init_seed"]),
-    )
-    state.velocity = init_velocity(state.parameters())
-    return state
+    return ModelState(cfg, layers, int(doc["init_seed"]))

@@ -158,13 +158,14 @@ def _min_preactivation(state, x: np.ndarray) -> float:
     """Smallest |relu input| across extractor and discriminator layers."""
     smallest = np.inf
     h = x
-    for w, b in state.extractor[:-1]:
+    extractor = state.layers["extractor"]
+    for w, b in extractor[:-1]:
         z = h @ w.values + b.values
         smallest = min(smallest, float(np.abs(z).min()))
         h = np.maximum(z, 0.0)
-    w, b = state.extractor[-1]
+    w, b = extractor[-1]
     h = h @ w.values + b.values  # linear bottleneck, no kink
-    for w, b in state.discriminator[:-1]:
+    for w, b in state.layers["discriminator"][:-1]:
         z = h @ w.values + b.values
         smallest = min(smallest, float(np.abs(z).min()))
         h = np.maximum(z, 0.0)
@@ -288,7 +289,7 @@ def test_criterion_1_gradient_correctness():
     worst: dict[str, float] = {k: 0.0 for k in LOSS_KEYS + ("composite",)}
     for _ in range(20):
         state, x_src, y_src, x_tgt, frozen = _draw_instance(rng)
-        disc_ids = {id(t) for w, b in state.discriminator for t in (w, b)}
+        disc_ids = {id(t) for w, b in state.layers["discriminator"] for t in (w, b)}
         analytic = _analytic_grads(state, x_src, y_src, x_tgt, frozen, lam, mu, gam)
         fd = _fd_grads(state, x_src, y_src, x_tgt, frozen)
         params = state.parameters()

@@ -136,6 +136,20 @@ class TestTrain:
         assert main(args) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("seeds", ["[-1]", "[true,2]", "[100,false]"])
+    def test_bad_seeds_exit_1(self, config_file, tmp_path, seeds):
+        out = tmp_path / "run"
+        args = ["train", "--config", config_file, "--out", str(out), "--set", f"seeds={seeds}"]
+        assert main(args) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["model.input_dim=5", "model.num_classes=4"])
+    def test_model_disagreeing_with_data_exit_1(self, config_file, tmp_path, setting):
+        out = tmp_path / "run"
+        args = ["train", "--config", config_file, "--out", str(out), "--set", setting]
+        assert main(args) == 1
+        assert not out.exists()
+
 
 class TestEval:
     def test_missing_checkpoint_exit_1(self, config_file, tmp_path):
@@ -156,6 +170,20 @@ class TestReport:
         printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert printed == original
         assert json.loads((out / "aggregate.json").read_text()) == original
+
+    def test_rebuild_keeps_the_seed_order(self, config_file, tmp_path, capsys):
+        # "seed10" sorts before "seed5" as a name; the rebuild keeps the run order
+        out = tmp_path / "run"
+        assert main(["train", "--config", config_file, "--out", str(out),
+                     "--set", "seeds=[5,10]"]) == 0
+        names = ["aggregate.json", "summary.csv"]
+        names += [os.path.join("plotdata", name) for name in os.listdir(out / "plotdata")]
+        assert len(names) == 5
+        original = {name: (out / name).read_bytes() for name in names}
+        assert json.loads(original["aggregate.json"])["seeds"] == [5, 10]
+        assert main(["report", "--dir", str(out)]) == 0
+        for name in names:
+            assert (out / name).read_bytes() == original[name], name
 
     def test_empty_dir_exit_1(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path)]) == 1

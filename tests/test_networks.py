@@ -7,8 +7,10 @@ import pytest
 
 from shiftlab import (
     ModelConfig,
+    ModelState,
     ShapeError,
     Tape,
+    Tensor,
     classify,
     discriminate,
     features,
@@ -66,9 +68,26 @@ class TestInitModel:
         assert len(state.parameters()) == 12
         assert len(state.velocity) == 12
 
+    def test_hand_built_state_gets_zero_velocity_in_parameter_order(self):
+        def pair(fan_in, fan_out):
+            return Tensor(np.ones((fan_in, fan_out))), Tensor(np.ones((1, fan_out)))
+
+        layers = {
+            "extractor": [pair(4, 8), pair(8, 5)],
+            "classifier": [pair(5, 3)],
+            "discriminator": [pair(5, 1)],
+        }
+        state = ModelState(small_cfg(), layers, init_seed=7)
+        shapes = [(4, 8), (1, 8), (8, 5), (1, 5), (5, 3), (1, 3), (5, 1), (1, 1)]
+        assert [v.shape for v in state.velocity] == shapes
+        assert all(np.all(v == 0.0) for v in state.velocity)
+        expected = [t for net in ("extractor", "classifier", "discriminator")
+                    for w, b in layers[net] for t in (w, b)]
+        assert [id(p) for p in state.parameters()] == [id(t) for t in expected]
+
     def test_biases_start_zero(self):
         state = init_model(small_cfg(), seed=0)
-        _, b0 = state.extractor[0]
+        _, b0 = state.layers["extractor"][0]
         assert np.all(b0.values == 0.0)
 
 
@@ -110,7 +129,7 @@ class TestForward:
             feats = features(state, x, tape)
             d = discriminate(state, feats, coeff, tape)
             tape.backward(sum_all(tape, d))
-            grads.append(state.extractor[0][0].grad.copy())
+            grads.append(state.layers["extractor"][0][0].grad.copy())
         assert np.all(grads[0] == 0.0)  # coeff 0 blocks the path entirely
         assert np.any(grads[1] != 0.0)
 
@@ -207,9 +226,9 @@ class TestCheckpoint:
                 "discriminator_hidden_dims": cfg.discriminator_hidden_dims,
             },
             "init_seed": state.init_seed,
-            "extractor": layers(state.extractor),
-            "classifier": layers([state.classifier]),
-            "discriminator": layers(state.discriminator),
+            "extractor": layers(state.layers["extractor"]),
+            "classifier": layers(state.layers["classifier"]),
+            "discriminator": layers(state.layers["discriminator"]),
         }
         streamed = io.StringIO()
         json.dump(doc, streamed)
