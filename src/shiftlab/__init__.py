@@ -56,6 +56,7 @@ from .metrics import (
     per_class_accuracies,
     per_class_mean_accuracy,
     pseudo_label_audit,
+    score_target,
     true_distribution,
 )
 from .networks import (

@@ -28,8 +28,8 @@ from .experiments import (
     sweep_if,
     ablate,
 )
-from .metrics import EVALUATOR_ACCESS, per_class_accuracies, per_class_mean_accuracy
-from .networks import load_checkpoint, classify, features
+from .metrics import score_target
+from .networks import load_checkpoint
 from .training import ConfigError
 
 __all__ = ["main"]
@@ -43,7 +43,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+# Flags for the subcommands that train or write; each takes only those it uses.
+_FLAGS = {
+    "--seed": dict(type=int, help="replace the seed list with this single seed"),
+    "--out": dict(help="override the config's output directory"),
+    "--force": dict(action="store_true", help="write into a non-empty output dir"),
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
     sub.add_argument("--config", help="JSON experiment config file")
     sub.add_argument(
         "--set",
@@ -53,31 +61,31 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         metavar="KEY=VALUE",
         help="override a config field by dotted path (repeatable)",
     )
-    sub.add_argument("--seed", type=int, help="replace the seed list with this single seed")
-    sub.add_argument("--out", help="override the config's output directory")
-    sub.add_argument("--force", action="store_true", help="write into a non-empty output dir")
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="shiftlab", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(commands.add_parser("gen-data", help="generate and save a dataset pair"))
-    _add_common(commands.add_parser("train", help="train every configured seed"))
+    _add_common(commands.add_parser("gen-data", help="generate and save a dataset pair"),
+                "--out", "--force")
+    _add_common(commands.add_parser("train", help="train every configured seed"), *_FLAGS)
 
     ev = commands.add_parser("eval", help="evaluate a checkpoint on the configured target data")
     _add_common(ev)
     ev.add_argument("--checkpoint", required=True, help="checkpoint JSON written by train")
 
     sw = commands.add_parser("sweep-if", help="sweep the imbalance factor")
-    _add_common(sw)
+    _add_common(sw, *_FLAGS)
     sw.add_argument(
         "--if-values",
         default="1,5,10,20",
         help="comma-separated imbalance factors (default 1,5,10,20)",
     )
 
-    _add_common(commands.add_parser("ablate", help="run the component ablation ladder"))
+    _add_common(commands.add_parser("ablate", help="run the component ablation ladder"), *_FLAGS)
 
     rp = commands.add_parser("report", help="rebuild aggregate outputs from run reports")
     rp.add_argument("--dir", required=True, help="experiment output directory")
@@ -93,10 +101,10 @@ def _load_config(args) -> "ExperimentConfig":
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
     apply_overrides(doc, args.overrides)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         doc["seeds"] = [args.seed]
         doc.setdefault("train", {})["seed"] = args.seed
-    if args.out:
+    if getattr(args, "out", None):
         doc["output_dir"] = args.out
     return parse_config(doc)
 
@@ -116,16 +124,8 @@ def _cmd_train(args) -> int:
     cfg = _load_config(args)
     reports = run_experiment(cfg, force=args.force)
     accs = [r.final_per_class_mean_acc for r in reports]
-    print(
-        json.dumps(
-            {
-                "name": cfg.name,
-                "seeds": cfg.seeds,
-                "per_seed_accuracy": accs,
-                "mean_accuracy": float(np.mean(accs)),
-            }
-        )
-    )
+    print(json.dumps({"name": cfg.name, "seeds": cfg.seeds, "per_seed_accuracy": accs,
+                      "mean_accuracy": float(np.mean(accs))}))
     return 0
 
 
@@ -133,17 +133,10 @@ def _cmd_eval(args) -> int:
     cfg = _load_config(args)
     state = load_checkpoint(args.checkpoint)
     _, target = generate(cfg.data)
-    preds = np.argmax(classify(state, features(state, target.features)).values, axis=1)
-    truth = target.labels_for_eval(EVALUATOR_ACCESS)
-    print(
-        json.dumps(
-            {
-                "per_class_mean_accuracy": per_class_mean_accuracy(preds, truth, target.num_classes),
-                "per_class_accuracy": per_class_accuracies(preds, truth, target.num_classes),
-                "samples": len(target),
-            }
-        )
-    )
+    scores = score_target(state, target)
+    print(json.dumps({"per_class_mean_accuracy": scores["final_per_class_mean_acc"],
+                      "per_class_accuracy": scores["final_per_class_acc"],
+                      "samples": len(target)}))
     return 0
 
 
@@ -153,8 +146,7 @@ def _cmd_sweep_if(args) -> int:
         values = [float(v) for v in args.if_values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"--if-values: {exc}") from exc
-    table = sweep_if(cfg, values, force=args.force)
-    print(json.dumps(table))
+    print(json.dumps(sweep_if(cfg, values, force=args.force)))
     return 0
 
 
@@ -166,8 +158,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    aggregate = regenerate_reports(args.dir)
-    print(json.dumps(aggregate))
+    print(json.dumps(regenerate_reports(args.dir)))
     return 0
 
 

@@ -16,20 +16,15 @@ import math
 import numbers
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._jsonio import write_json, write_text
 from .data import DomainDataset, ShiftSpec, generate
-from .metrics import (
-    EVALUATOR_ACCESS,
-    make_audit_fn,
-    per_class_accuracies,
-    per_class_mean_accuracy,
-    true_distribution,
-)
-from .networks import ModelConfig, classify, features
+from .metrics import make_audit_fn, score_target
+from .networks import ModelConfig, save_checkpoint
 from .training import ConfigError, TrainConfig, run
 
 __all__ = [
@@ -114,18 +109,33 @@ class ExperimentConfig:
                     raise ConfigError(f"model.{dim} is {got} but data.{data_dim} is {want}")
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclasses.fields(cls)}
-
-
 def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
 
 
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits a declared type; bools are no numbers, floats no ints."""
+    if kind is bool:
+        return isinstance(value, bool)
+    if kind in (int, float):
+        return isinstance(value, (int, kind)) and not isinstance(value, bool)
+    if kind is type(None):
+        return value is None
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    return not args or any(_fits(value, arg) for arg in args)
+
+
 def _build(cls, doc: dict, where: str):
-    _check_keys(doc, _field_names(cls), where)
+    declared = {f.name: f.type for f in dataclasses.fields(cls)}
+    _check_keys(doc, set(declared), where)
+    hints = typing.get_type_hints(cls)
+    for key, value in doc.items():
+        if not _fits(value, hints[key]):
+            raise ConfigError(f"{where}.{key} must be {declared[key]}, got {value!r}")
     try:
         return cls(**doc)
     except (TypeError, ValueError) as exc:
@@ -243,6 +253,16 @@ class RunReport:
         return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls)})
 
 
+def _write_outputs(out_dir, state, records, shift_state) -> None:
+    """Write a run's epoch records, checkpoint and, if estimated, label shift."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_text(os.path.join(out_dir, "epoch_records.jsonl"),
+               (rec.to_json() + "\n" for rec in records))
+    save_checkpoint(state, os.path.join(out_dir, "checkpoint.json"))
+    if shift_state is not None:
+        write_json(os.path.join(out_dir, "label_shift.json"), shift_state.to_dict())
+
+
 def run_single(
     source: DomainDataset,
     target: DomainDataset,
@@ -251,54 +271,34 @@ def run_single(
     name: str,
     out_dir: str | None = None,
 ) -> RunReport:
-    """One trainer run plus evaluation, reported and optionally persisted."""
+    """One trainer run plus evaluation, reported and, into ``out_dir``, persisted.
+
+    ``wall_clock_sec`` times the training alone. A run directory holds the
+    three files of ``_write_outputs`` and then ``report.json``.
+    """
     started = time.perf_counter()
     state, records, shift_state = run(
-        source, target, train_cfg, model_cfg, audit_fn=make_audit_fn(target), out_dir=out_dir
+        source, target, train_cfg, model_cfg, audit_fn=make_audit_fn(target)
     )
-    elapsed = time.perf_counter() - started
-
-    probs = classify(state, features(state, target.features)).values
-    preds = np.argmax(probs, axis=1)
-    truth = target.labels_for_eval(EVALUATOR_ACCESS)
-    final_acc = per_class_mean_accuracy(preds, truth, target.num_classes)
-    true_dist = true_distribution(target)
-
-    dist_l1 = est_head = None
-    if shift_state is not None:
-        est = np.asarray(shift_state.target_dist_est)
-        dist_l1 = float(np.abs(est - true_dist).sum())
-        est_head = int(np.argmax(est))
-
     report = RunReport(
         name=name,
         seed=train_cfg.seed,
-        wall_clock_sec=elapsed,
+        wall_clock_sec=time.perf_counter() - started,
         records=[r.to_dict() for r in records],
-        final_per_class_acc=per_class_accuracies(preds, truth, target.num_classes),
-        final_per_class_mean_acc=final_acc,
         label_shift=None if shift_state is None else shift_state.to_dict(),
-        true_target_dist=true_dist.tolist(),
-        dist_l1_error=dist_l1,
-        est_head_class=est_head,
-        true_head_class=int(np.argmax(true_dist)),
+        **score_target(state, target, shift_state),
     )
     if out_dir is not None:
+        _write_outputs(out_dir, state, records, shift_state)
         write_json(os.path.join(out_dir, "report.json"), report.to_dict())
     return report
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    doc = {
-        "name": cfg.name,
-        "data": dataclasses.asdict(cfg.data),
-        "train": dataclasses.asdict(cfg.train),
-        "ablation": dataclasses.asdict(cfg.ablation),
-        "seeds": cfg.seeds,
-        "output_dir": cfg.output_dir,
-    }
-    if cfg.model is not None:
-        doc["model"] = dataclasses.asdict(cfg.model)
+    doc = dataclasses.asdict(cfg)
+    model = doc.pop("model")
+    if model is not None:
+        doc["model"] = model  # last, where config.json has always had it
     return doc
 
 

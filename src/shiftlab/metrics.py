@@ -1,15 +1,17 @@
-"""Evaluation metrics and the pseudo-label audit.
+"""Evaluation metrics, the pseudo-label audit, and final target scoring.
 
 This module owns the only ``LabelAccess`` token in the package, so hidden
 target labels can be read here and nowhere else. The trainer receives an
-audit callback built by ``make_audit_fn`` and stays label-blind.
+audit callback built by ``make_audit_fn`` and stays label-blind; run
+reports and ``shiftlab eval`` score a trained model with ``score_target``.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .calibration import PseudoLabels
+from .calibration import LabelShiftState, PseudoLabels
 from .data import DomainDataset, LabelAccess
+from .networks import ModelState, classify, features
 
 __all__ = [
     "EVALUATOR_ACCESS",
@@ -18,6 +20,7 @@ __all__ = [
     "pseudo_label_audit",
     "make_audit_fn",
     "true_distribution",
+    "score_target",
 ]
 
 EVALUATOR_ACCESS = LabelAccess()
@@ -97,3 +100,25 @@ def make_audit_fn(target: DomainDataset):
         }
 
     return audit
+
+
+def score_target(state: ModelState, target: DomainDataset,
+                 shift_state: LabelShiftState | None = None) -> dict:
+    """Score a trained model's argmax predictions on the hidden target labels.
+
+    Returns the target fields of ``RunReport``, keyed by their names. The
+    estimate's ``dist_l1_error`` and ``est_head_class`` are None without
+    a label-shift estimate.
+    """
+    preds = np.argmax(classify(state, features(state, target.features)).values, axis=1)
+    truth = target.labels_for_eval(EVALUATOR_ACCESS)
+    true_dist = true_distribution(target)
+    est = None if shift_state is None else np.asarray(shift_state.target_dist_est)
+    return {
+        "final_per_class_acc": per_class_accuracies(preds, truth, target.num_classes),
+        "final_per_class_mean_acc": per_class_mean_accuracy(preds, truth, target.num_classes),
+        "true_target_dist": true_dist.tolist(),
+        "dist_l1_error": None if est is None else float(np.abs(est - true_dist).sum()),
+        "est_head_class": None if est is None else int(np.argmax(est)),
+        "true_head_class": int(np.argmax(true_dist)),
+    }

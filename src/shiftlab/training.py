@@ -17,12 +17,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._jsonio import write_json, write_text
 from .autodiff import Tape, sgd_step, weighted_sum
 from .calibration import LabelShiftState, PseudoLabels, calibrate
 from .data import BalancedSampler, DomainDataset
@@ -35,19 +33,23 @@ from .losses import (
     domain_adversarial_loss,
     update_centroids,
 )
-from .networks import ModelConfig, ModelState, classify, discriminate, features, init_model, save_checkpoint
+from .networks import ModelConfig, ModelState, classify, discriminate, features, init_model
 
 __all__ = [
     "ConfigError",
     "NumericError",
     "TrainConfig",
     "EpochRecord",
+    "LOSS_FIELDS",
     "lr_schedule",
     "train_step",
     "run",
 ]
 
 log = logging.getLogger(__name__)
+
+# The per-step losses of ``train_step``, averaged per epoch into ``EpochRecord``.
+LOSS_FIELDS = ("loss_class", "loss_adversarial", "loss_centroid", "loss_pairwise")
 
 
 class ConfigError(ValueError):
@@ -185,12 +187,8 @@ def train_step(
     p_src = classify(state, f_src, tape)
     loss_class = cross_entropy(tape, p_src, src_labels)
     terms, weights = [loss_class], [1.0]
-    out = {
-        "loss_class": loss_class.item(),
-        "loss_adversarial": 0.0,
-        "loss_centroid": 0.0,
-        "loss_pairwise": 0.0,
-    }
+    out = dict.fromkeys(LOSS_FIELDS, 0.0)
+    out["loss_class"] = loss_class.item()
 
     f_tgt = None
     if lam > 0.0 or mu > 0.0 or gam > 0.0:
@@ -199,8 +197,8 @@ def train_step(
     src_wb = tgt_wb = None
     if lam > 0.0 or mu > 0.0:
         src_conf = p_src.values.max(axis=1)
-        p_tgt = classify(state, f_tgt, tape)
-        pseudo = calibrate(p_tgt.values, class_weights)
+        # the pseudo-labels are targets, not a gradient path: no tape
+        pseudo = calibrate(classify(state, f_tgt).values, class_weights)
         src_wb = WeightedBatch(f_src, src_labels, src_conf)
         tgt_wb = WeightedBatch(f_tgt, pseudo.calibrated_label, pseudo.calibrated_confidence)
 
@@ -239,22 +237,10 @@ def _epoch_record(epoch, lr, sums, steps, pseudo: PseudoLabels, audit_fn) -> Epo
     return EpochRecord(
         epoch=epoch,
         lr=lr,
-        loss_class=sums["loss_class"] / steps,
-        loss_adversarial=sums["loss_adversarial"] / steps,
-        loss_centroid=sums["loss_centroid"] / steps,
-        loss_pairwise=sums["loss_pairwise"] / steps,
+        **{key: sums[key] / steps for key in LOSS_FIELDS},
         calibrated_fraction=float(pseudo.calibrated.mean()),
         **(audit_fn(pseudo) if audit_fn is not None else {}),
     )
-
-
-def _write_outputs(out_dir, state, records, shift_state) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    write_text(os.path.join(out_dir, "epoch_records.jsonl"),
-               (rec.to_json() + "\n" for rec in records))
-    save_checkpoint(state, os.path.join(out_dir, "checkpoint.json"))
-    if shift_state is not None:
-        write_json(os.path.join(out_dir, "label_shift.json"), shift_state.to_dict())
 
 
 def _check_datasets(source: DomainDataset, target: DomainDataset) -> None:
@@ -279,14 +265,14 @@ def run(
     cfg: TrainConfig,
     model_cfg: ModelConfig | None = None,
     audit_fn=None,
-    out_dir=None,
 ) -> tuple[ModelState, list[EpochRecord], LabelShiftState | None]:
     """Train the full (or ablated) method; see the module docstring.
 
     ``audit_fn``, when given, is called once per epoch with the target
     ``PseudoLabels`` and returns the accuracy fields of the EpochRecord;
     it is the only place target labels are consulted, and it is supplied
-    by the evaluation layer, never constructed here.
+    by the evaluation layer, never constructed here. Nothing is written;
+    ``experiments.run_single`` persists a run.
     """
     _check_datasets(source, target)
     if model_cfg is None:
@@ -314,8 +300,7 @@ def run(
                 "but a label-shift estimate already exists"
             )
         perm = shuffle_rng.permutation(n_tgt)
-        sums = {"loss_class": 0.0, "loss_adversarial": 0.0,
-                "loss_centroid": 0.0, "loss_pairwise": 0.0}
+        sums = dict.fromkeys(LOSS_FIELDS, 0.0)
         epoch_lr = None
         for start in range(0, n_tgt, cfg.batch_size):
             tgt_idx = perm[start:start + cfg.batch_size]
@@ -347,6 +332,4 @@ def run(
 
     if diagnostics:
         log.info("alignment loss diagnostics: %s", diagnostics)
-    if out_dir is not None:
-        _write_outputs(out_dir, state, records, shift_state)
     return state, records, shift_state

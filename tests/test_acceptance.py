@@ -33,7 +33,6 @@ from shiftlab import (
     features,
     generate,
     init_model,
-    run,
     update_centroids,
     weighting_matrix,
 )
@@ -510,7 +509,7 @@ def test_criterion_9_byte_identical_records(tmp_path):
     blobs = []
     for name in ("first", "second"):
         out = tmp_path / name
-        run(src, tgt, cfg, model_cfg, out_dir=out)
+        run_single(src, tgt, cfg, model_cfg, name, str(out))
         blobs.append((out / "epoch_records.jsonl").read_bytes())
     ok = blobs[0] == blobs[1]
     assert verdict(

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from shiftlab import ModelConfig, init_model, save_checkpoint
 from shiftlab.cli import main
 
 MICRO = {
@@ -55,6 +56,12 @@ class TestGenData:
         assert main(["gen-data", "--config", config_file, "--out", str(out)]) == 0
         assert main(["gen-data", "--config", config_file, "--out", str(out)]) == 3
         assert main(["gen-data", "--config", config_file, "--out", str(out), "--force"]) == 0
+
+    def test_seed_flag_exit_1(self, config_file, tmp_path):
+        # --seed picks training seeds, which gen-data does not use
+        out = tmp_path / "data"
+        assert main(["gen-data", "--config", config_file, "--out", str(out), "--seed", "3"]) == 1
+        assert not out.exists()
 
 
 class TestTrain:
@@ -150,6 +157,27 @@ class TestTrain:
         assert main(args) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "ablation.label_shift_calibration=False",
+            "train.grl_schedule=False",
+            "data.target_order=[2.9,1,0.2]",
+            "train.epochs=2.5",
+            "model.bottleneck_dim=6.5",
+            "data.max_class_size=40.5",
+            "train.lr0=true",
+            "data.rotation_angle=abc",
+        ],
+    )
+    def test_mistyped_value_exit_1(self, config_file, tmp_path, setting):
+        # a bool field takes only true/false, an int field only integers,
+        # a float field only numbers
+        out = tmp_path / "run"
+        args = ["train", "--config", config_file, "--out", str(out), "--set", setting]
+        assert main(args) == 1
+        assert not out.exists()
+
 
 class TestEval:
     def test_missing_checkpoint_exit_1(self, config_file, tmp_path):
@@ -157,6 +185,15 @@ class TestEval:
             ["eval", "--config", config_file, "--checkpoint", str(tmp_path / "none.json")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("flag", [["--out", "o"], ["--force"], ["--seed", "3"]])
+    def test_output_flags_exit_1(self, config_file, tmp_path, flag):
+        # eval writes nothing and scores one checkpoint, so these would do nothing
+        ckpt = str(tmp_path / "checkpoint.json")
+        save_checkpoint(init_model(ModelConfig(**MICRO["model"]), 0), ckpt)
+        args = ["eval", "--config", config_file, "--checkpoint", ckpt]
+        assert main(args) == 0
+        assert main(args + flag) == 1
 
 
 class TestReport:

@@ -20,6 +20,7 @@ from shiftlab import (
     ShiftSpec,
     TrainConfig,
     ablate,
+    init_model,
     parse_config,
     run_experiment,
     run_single,
@@ -29,6 +30,7 @@ from shiftlab.experiments import (
     LADDER,
     SWEEP_METHODS,
     _fmt,
+    _write_outputs,
     apply_overrides,
     claim_output_dir,
     effective_train_config,
@@ -36,7 +38,7 @@ from shiftlab.experiments import (
     resolve_output_dir,
     OUTPUT_ROOT_ENV,
 )
-from shiftlab.training import ConfigError
+from shiftlab.training import ConfigError, EpochRecord
 
 
 def micro_doc(out_dir: str, seeds=None) -> dict:
@@ -328,6 +330,25 @@ class TestRunSingle:
         assert report.dist_l1_error is None
         assert report.est_head_class is None
         assert os.path.isfile(tmp_path / "r" / "report.json")
+
+
+class TestWriteOutputs:
+    def test_failed_rewrite_keeps_old_records(self, tiny_model_cfg, tmp_path):
+        class Unwritable:
+            def to_json(self):
+                raise RuntimeError("cannot encode")
+
+        state = init_model(tiny_model_cfg, seed=5)
+        records = [EpochRecord(epoch, 0.01, 1.0, 0.0, 0.0, 0.0, 0.0) for epoch in (1, 2)]
+        _write_outputs(tmp_path, state, records, None)
+        path = tmp_path / "epoch_records.jsonl"
+        before = path.read_bytes()
+        assert before.count(b"\n") == 2
+        # the first record is already in the temporary file when the second fails
+        with pytest.raises(RuntimeError, match="cannot encode"):
+            _write_outputs(tmp_path, state, [records[0], Unwritable()], None)
+        assert path.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["checkpoint.json", "epoch_records.jsonl"]
 
 
 class TestCsvFormatting:

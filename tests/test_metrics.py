@@ -2,18 +2,30 @@
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import shiftlab
 from shiftlab import (
     EVALUATOR_ACCESS,
+    LabelShiftState,
     PseudoLabels,
+    RunReport,
     ShiftSpec,
+    calibrate,
+    classify,
+    features,
     generate,
+    init_model,
     make_audit_fn,
     per_class_accuracies,
     per_class_mean_accuracy,
     pseudo_label_audit,
+    score_target,
     true_distribution,
 )
 
@@ -123,3 +135,40 @@ class TestEvaluatorAccess:
         assert out["target_per_class_acc"] == pytest.approx(
             per_class_mean_accuracy(raw, truth, 3)
         )
+
+
+class TestScoreTarget:
+    def test_matches_direct_computation(self, tiny_pair, tiny_model_cfg):
+        src, tgt = tiny_pair
+        state = init_model(tiny_model_cfg, seed=5)
+        probs = classify(state, features(state, tgt.features)).values
+        preds = np.argmax(probs, axis=1)
+        truth = tgt.labels_for_eval(EVALUATOR_ACCESS)
+        shift = LabelShiftState.estimate(src.labels, calibrate(probs, np.ones(3)), 0.5, 3, 1.5)
+        true_dist = np.bincount(truth, minlength=3) / truth.size
+
+        scores = score_target(state, tgt, shift)
+        assert set(scores) < {f.name for f in dataclasses.fields(RunReport)}
+        assert scores["final_per_class_acc"] == per_class_accuracies(preds, truth, 3)
+        assert scores["final_per_class_mean_acc"] == per_class_mean_accuracy(preds, truth, 3)
+        assert scores["true_target_dist"] == true_dist.tolist()
+        assert scores["true_head_class"] == 2
+        assert scores["dist_l1_error"] == float(np.abs(shift.target_dist_est - true_dist).sum())
+        assert scores["est_head_class"] == int(np.argmax(shift.target_dist_est))
+
+    def test_no_estimate_leaves_its_fields_none(self, tiny_pair, tiny_model_cfg):
+        _, tgt = tiny_pair
+        scores = score_target(init_model(tiny_model_cfg, seed=5), tgt)
+        assert scores["dist_l1_error"] is None
+        assert scores["est_head_class"] is None
+
+
+def test_only_metrics_reads_hidden_labels():
+    # data.py defines labels_for_eval and __init__.py re-exports the token
+    exempt = {"metrics.py", "data.py", "__init__.py"}
+    reads = re.compile(r"\bEVALUATOR_ACCESS\b|\.labels_for_eval\(")
+    readers = sorted(
+        path.name for path in Path(shiftlab.__file__).parent.glob("*.py")
+        if path.name not in exempt and reads.search(path.read_text(encoding="utf-8"))
+    )
+    assert readers == []

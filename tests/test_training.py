@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from shiftlab import (
     load_checkpoint,
     make_audit_fn,
     run,
+    run_single,
 )
 from shiftlab.autodiff import sgd_step
 from shiftlab import training
@@ -36,7 +36,6 @@ from shiftlab.training import (
     _epoch_record,
     _grl_coeff,
     _seed_streams,
-    _write_outputs,
     lr_schedule,
     train_step,
 )
@@ -180,7 +179,7 @@ def quick_cfg(**kwargs) -> TrainConfig:
 class TestTrainStep:
     @pytest.mark.parametrize(
         "loss_weights,nodes",
-        [((3.0, 0.6, 1.0), 33), ((0.0, 0.0, 0.0), 8)],
+        [((3.0, 0.6, 1.0), 31), ((0.0, 0.0, 0.0), 8)],
         ids=["full", "source_only"],
     )
     def test_tape_nodes_per_step(self, tiny_pair, monkeypatch, loss_weights, nodes):
@@ -274,9 +273,10 @@ class TestRun:
         assert all(r.pseudo_acc_raw is None for r in records)
 
     def test_output_files(self, tiny_pair, tiny_model_cfg, tmp_path):
+        # run writes nothing; run_single persists what it returns
         src, tgt = tiny_pair
         out = tmp_path / "run"
-        run(src, tgt, quick_cfg(), tiny_model_cfg, out_dir=out)
+        run_single(src, tgt, quick_cfg(), tiny_model_cfg, "t", str(out))
         lines = (out / "epoch_records.jsonl").read_text().splitlines()
         assert len(lines) == 4
         assert json.loads(lines[0])["epoch"] == 1
@@ -290,7 +290,7 @@ class TestRun:
         blobs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            run(src, tgt, quick_cfg(), tiny_model_cfg, out_dir=out)
+            run_single(src, tgt, quick_cfg(), tiny_model_cfg, name, str(out))
             blobs.append((out / "epoch_records.jsonl").read_bytes())
         assert blobs[0] == blobs[1]
 
@@ -372,25 +372,6 @@ class TestEpochRecord:
         with pytest.raises(TypeError):
             _epoch_record(1, 0.01, self.SUMS, 2, self.flips_two_of_six(),
                           lambda p: {"pseudo_acc_rwa": 0.5})
-
-
-class TestWriteOutputs:
-    def test_failed_rewrite_keeps_old_records(self, tiny_model_cfg, tmp_path):
-        class Unwritable:
-            def to_json(self):
-                raise RuntimeError("cannot encode")
-
-        state = init_model(tiny_model_cfg, seed=5)
-        records = [EpochRecord(epoch, 0.01, 1.0, 0.0, 0.0, 0.0, 0.0) for epoch in (1, 2)]
-        _write_outputs(tmp_path, state, records, None)
-        path = tmp_path / "epoch_records.jsonl"
-        before = path.read_bytes()
-        assert before.count(b"\n") == 2
-        # the first record is already in the temporary file when the second fails
-        with pytest.raises(RuntimeError, match="cannot encode"):
-            _write_outputs(tmp_path, state, [records[0], Unwritable()], None)
-        assert path.read_bytes() == before
-        assert sorted(os.listdir(tmp_path)) == ["checkpoint.json", "epoch_records.jsonl"]
 
 
 class TestRunSourceOnly:
