@@ -21,7 +21,10 @@ as one fused op, which records one node: ``linear``, ``nll``,
 ``ema_matmul``, ``ratio``, ``binary_cross_entropy`` and
 ``weighted_sum``. Each names the chain it replaces and applies the same
 scalar operations in the same order, so values and gradients match the
-chain bit for bit; the chain's ops stay available. The floors in
+chain bit for bit; the chain's ops stay available. ``label_ratio`` is
+``ratio`` with label-pair weight grids, computed from per-class sums
+instead: its sums are reordered, so it matches ``ratio`` to rounding
+rather than bit for bit. The floors in
 ``relu``, ``clamp_min`` and the fused ops use ``np.maximum``, so a NaN
 input gives a NaN output rather than the floor value.
 """
@@ -54,6 +57,7 @@ __all__ = [
     "sum_all",
     "mean_all",
     "ratio",
+    "label_ratio",
     "gather_rows",
     "nll",
     "binary_cross_entropy",
@@ -520,6 +524,74 @@ def ratio(
         grad = -(c * q / den) * w_den
         grad += (c / den) * w_num
         _accumulate(x, grad)
+
+    _record(tape, out, backward)
+    return out
+
+
+def label_ratio(
+    tape: Tape | None,
+    dists: Tensor,
+    src_labels: np.ndarray,
+    tgt_labels: np.ndarray,
+    src_scale: np.ndarray,
+    tgt_scale: np.ndarray,
+    eps: float,
+) -> Tensor:
+    """Mean scaled entry over same-label pairs over that over different-label pairs.
+
+    With D = ``dists`` (n x m), labels y and z and scales s and t of its
+    rows and columns, the value is
+
+        [sum_ij D_ij s_i t_j [y_i = z_j] / n_same]
+        / ([sum_ij D_ij s_i t_j [y_i != z_j] / n_diff] + eps),
+
+    n_same and n_diff counting the pairs of each kind. That is ``ratio``
+    with the weight grids s t^T [same] / n_same and s t^T [diff] / n_diff,
+    but no n x m array is made apart from the gradient. The forward takes
+    one product D @ B, B the m x C one-hot of z scaled by t: row i's
+    own-label column is its same-label sum and its other columns add up to
+    its cross-label sum, so neither is a difference. The gradient grid
+    s_i t_j (alpha [y_i = z_j] - beta [y_i != z_j]) is the rank-C product
+    (s one-hot(y)) @ R^T with R_jc = t_j (alpha if z_j = c else -beta), where
+    alpha = g / (den n_same), beta = g q / (den n_diff), g is the upstream
+    gradient, q the value and den its denominator. Each entry has one
+    nonzero term, so no digits cancel even when beta >> alpha, as they
+    would in the rank-(C+1) form (alpha + beta) [y_i = z_j] - beta.
+    Both kinds of pair must occur.
+    """
+    y = np.asarray(src_labels)
+    z = np.asarray(tgt_labels)
+    s = np.asarray(src_scale, dtype=np.float64)
+    t = np.asarray(tgt_scale, dtype=np.float64)
+    n, m = dists.shape
+    if y.shape != (n,) or s.shape != (n,) or z.shape != (m,) or t.shape != (m,):
+        raise ShapeError(
+            f"label_ratio: table {dists.shape} with source labels {y.shape}, scales "
+            f"{s.shape} and target labels {z.shape}, scales {t.shape}"
+        )
+    classes = np.arange(max(y.max(initial=0), z.max(initial=0)) + 1)
+    # bincount rejects negative labels
+    n_same = int(np.bincount(y, minlength=classes.size) @ np.bincount(z, minlength=classes.size))
+    n_diff = n * m - n_same
+    if n_same == 0 or n_diff == 0:
+        raise ValueError(
+            f"label_ratio: needs same- and different-label pairs, got {n_same} and {n_diff}"
+        )
+    src_weight = (y[:, None] == classes) * s[:, None]  # n x C: s_i in column y_i
+    by_class = dists.values @ ((z[:, None] == classes) * t[:, None])  # n x C
+    same_sum = np.vdot(src_weight, by_class)
+    # s_i - s_i is exactly 0: these weights pick row i's other columns
+    cross_sum = np.vdot(s[:, None] - src_weight, by_class)
+    den = cross_sum / n_diff + eps
+    q = same_sum / n_same / den
+    out = _wrap(np.array([[q]]))
+
+    def backward(g: np.ndarray) -> None:
+        c = g[0, 0]
+        per_class = np.where(classes[:, None] == z, c / (den * n_same), -(c * q / (den * n_diff)))
+        per_class *= t  # C x m: R^T
+        _accumulate(dists, src_weight @ per_class)
 
     _record(tape, out, backward)
     return out

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,6 +174,8 @@ class ShiftSpec:
     def _check_order(self, order: list[int] | None, name: str) -> list[int]:
         if order is None:
             return list(range(self.num_classes))
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in order):
+            raise ParameterError(f"{name} entries must be integers, got {list(order)}")
         order = [int(c) for c in order]
         if sorted(order) != list(range(self.num_classes)):
             raise ParameterError(

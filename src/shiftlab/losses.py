@@ -24,11 +24,10 @@ from .autodiff import (
     Tensor,
     binary_cross_entropy,
     ema_matmul,
+    label_ratio,
     nll,
     pairwise_distances,
     ratio,
-    scale_by,
-    sum_all,
 )
 
 __all__ = [
@@ -201,7 +200,7 @@ def centroid_alignment_loss(tape: Tape | None, bank: CentroidBank) -> Tensor:
     same = pairs & np.eye(bank.num_classes, dtype=bool)
     dists = pairwise_distances(tape, bank._term(tape, "source"), bank._term(tape, "target"))
     if n_eligible < 2:
-        return sum_all(tape, scale_by(tape, dists, same / n_eligible))
+        return ratio(tape, dists, same / n_eligible, np.zeros(same.shape), 1.0)
     cross = pairs & ~same
     return ratio(tape, dists, same / n_eligible, cross / int(cross.sum()), RATIO_EPS)
 
@@ -216,19 +215,24 @@ def discriminative_alignment_loss(
 
     Every source-target pair contributes sqrt(w_s * w_t) times the feature
     distance; pairs with matching labels form the numerator mean, the rest
-    the denominator mean. If either side is empty the batch contributes
-    nothing (returned loss 0, counted in ``diagnostics``).
+    the denominator mean. ``label_ratio`` forms both from per-class sums,
+    so no pair weight grid is built. If either kind of pair is missing the
+    batch contributes nothing (returned loss 0, counted in ``diagnostics``).
     """
     if batch_src.labels.size == 0 or batch_tgt.labels.size == 0:
         raise ValueError("discriminative alignment needs non-empty batches")
-    same = batch_src.labels[:, None] == batch_tgt.labels[None, :]
-    n_same = int(same.sum())
-    n_diff = same.size - n_same
-    if n_same == 0 or n_diff == 0:
+    src_labels, tgt_labels = batch_src.labels, batch_tgt.labels
+    classes = max(src_labels.max(), tgt_labels.max()) + 1
+    n_same = int(
+        np.bincount(src_labels, minlength=classes) @ np.bincount(tgt_labels, minlength=classes)
+    )
+    if n_same == 0 or n_same == src_labels.size * tgt_labels.size:
         if diagnostics is not None:
             key = "no_same_label_pairs" if n_same == 0 else "no_diff_label_pairs"
             diagnostics[key] = diagnostics.get(key, 0) + 1
         return Tensor([[0.0]])
-    pair_w = np.sqrt(np.outer(batch_src.weights, batch_tgt.weights))
     dists = pairwise_distances(tape, batch_src.features, batch_tgt.features)
-    return ratio(tape, dists, pair_w * same / n_same, pair_w * ~same / n_diff, RATIO_EPS)
+    return label_ratio(
+        tape, dists, src_labels, tgt_labels,
+        np.sqrt(batch_src.weights), np.sqrt(batch_tgt.weights), RATIO_EPS,
+    )

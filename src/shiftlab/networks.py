@@ -8,6 +8,7 @@ reversal and emits a probability-of-target via a logistic output.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -38,8 +39,11 @@ class ModelConfig:
     discriminator_hidden_dims: list[int] = field(default_factory=lambda: [32])
 
     def __post_init__(self) -> None:
-        self.hidden_dims = [int(h) for h in self.hidden_dims]
-        self.discriminator_hidden_dims = [int(h) for h in self.discriminator_hidden_dims]
+        for name in ("hidden_dims", "discriminator_hidden_dims"):
+            widths = getattr(self, name)
+            if not all(isinstance(h, numbers.Integral) and not isinstance(h, bool) for h in widths):
+                raise ValueError(f"{name} entries must be integers, got {list(widths)}")
+            setattr(self, name, [int(h) for h in widths])
         dims = [self.input_dim, self.num_classes, self.bottleneck_dim]
         dims += self.hidden_dims + self.discriminator_hidden_dims
         if any(d <= 0 for d in dims):

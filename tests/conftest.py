@@ -15,6 +15,7 @@ from shiftlab.autodiff import (
     log,
     matmul,
     mean_all,
+    ratio,
     scale_by,
     sum_all,
 )
@@ -70,6 +71,16 @@ def unfused_ema_matmul(tape, coeff, x, mix, base):
     contrib = matmul(tape, Tensor(coeff), x)
     scaled = scale_by(tape, contrib, np.broadcast_to(mix[:, None], contrib.shape))
     return add(tape, scaled, Tensor(base))
+
+
+def grid_label_ratio(tape, dists, src_labels, tgt_labels, src_weights, tgt_weights, eps):
+    """``label_ratio`` as the pairwise loss built it before, with pair weights
+    sqrt(w_s w_t): ``ratio`` with two n x m weight grids."""
+    same = src_labels[:, None] == tgt_labels[None, :]
+    n_same = int(same.sum())
+    n_diff = same.size - n_same
+    pair_w = np.sqrt(np.outer(src_weights, tgt_weights))
+    return ratio(tape, dists, pair_w * same / n_same, pair_w * ~same / n_diff, eps)
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ from shiftlab.autodiff import (
     gather_rows,
     grad_reverse,
     init_velocity,
+    label_ratio,
     linear,
     log,
     matmul,
@@ -42,6 +43,7 @@ from shiftlab.autodiff import (
 from conftest import (
     away_from_kinks,
     central_difference,
+    grid_label_ratio,
     relative_error,
     unfused_binary_cross_entropy,
     unfused_ema_matmul,
@@ -565,6 +567,170 @@ class TestRatio:
     def test_weight_shapes_must_match(self):
         with pytest.raises(ShapeError):
             ratio(None, Tensor(np.ones((2, 3))), np.ones((2, 3)), np.ones((3, 2)), 1e-8)
+
+
+def _label_ratio_and_oracle(av, bv, ys, yt, ws, wt):
+    """Value and both feature gradients of ``label_ratio`` over
+    ``pairwise_distances``, then of the weight-grid oracle."""
+    results = []
+    for fused in (True, False):
+        a, b = Tensor(av), Tensor(bv)
+        tape = Tape()
+        dists = pairwise_distances(tape, a, b)
+        if fused:
+            loss = label_ratio(tape, dists, ys, yt, np.sqrt(ws), np.sqrt(wt), 1e-8)
+        else:
+            loss = grid_label_ratio(tape, dists, ys, yt, ws, wt, 1e-8)
+        tape.backward(affine(tape, loss, 0.6))
+        results.append((loss.values, a.grad, b.grad))
+    return results
+
+
+def _assert_close_to_oracle(results, rtol=1e-12):
+    """Each array within ``rtol`` of the oracle's, relative to its largest entry."""
+    for got, want in zip(*results):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestLabelRatio:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_matches_the_weight_grid_oracle(self, n, seed):
+        rng = np.random.default_rng([1500 + n, seed])
+        results = _label_ratio_and_oracle(
+            rng.standard_normal((n, 8)), rng.standard_normal((n, 8)),
+            rng.integers(0, 5, n), rng.integers(0, 5, n),
+            rng.uniform(size=n), rng.uniform(size=n),
+        )
+        _assert_close_to_oracle(results)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gradients_match_finite_differences(self, seed):
+        rng = np.random.default_rng(1600 + seed)
+        x = Tensor(rng.uniform(0.5, 2.0, (4, 5)))
+        ys, yt = np.array([0, 1, 2, 0]), np.array([2, 0, 1, 1, 3])
+        s, t = rng.uniform(size=4), rng.uniform(size=5)
+
+        def build():
+            tape = Tape()
+            return tape, label_ratio(tape, x, ys, yt, s, t, 1e-8)
+
+        _fd_check(build, [x])
+
+    def test_value(self):
+        x = Tensor([[1.0, 2.0, 4.0], [3.0, 5.0, 7.0]])
+        out = label_ratio(None, x, np.array([0, 1]), np.array([0, 1, 1]),
+                          np.array([1.0, 0.5]), np.array([1.0, 2.0, 1.0]), 0.0)
+        same = (1.0 + 0.5 * 2.0 * 5.0 + 0.5 * 7.0) / 3
+        cross = (2.0 * 2.0 + 4.0 + 0.5 * 3.0) / 3
+        assert out.item() == pytest.approx(same / cross, rel=1e-15)
+
+    def test_zero_weights(self):
+        rng = np.random.default_rng(1700)
+        ws, wt = rng.uniform(size=30), rng.uniform(size=40)
+        ws[::3] = 0.0
+        wt[:10] = 0.0
+        av, bv = rng.standard_normal((30, 8)), rng.standard_normal((40, 8))
+        ys, yt = rng.integers(0, 4, 30), rng.integers(0, 4, 40)
+        results = _label_ratio_and_oracle(av, bv, ys, yt, ws, wt)
+        _assert_close_to_oracle(results)
+        grad_a, grad_b = results[0][1], results[0][2]
+        assert np.all(grad_a[::3] == 0.0)
+        assert np.all(grad_b[:10] == 0.0)
+        # all weight zero on one side: value 0 and no gradient
+        value, grad_a, grad_b = _label_ratio_and_oracle(av, bv, ys, yt, ws, 0.0 * wt)[0]
+        assert value[0, 0] == 0.0
+        assert np.all(grad_a == 0.0) and np.all(grad_b == 0.0)
+
+    def test_class_present_on_one_side_only(self):
+        rng = np.random.default_rng(1800)
+        ys = np.array([0, 1, 4, 4, 2, 0, 1, 4])  # 4 only in the source
+        yt = np.array([3, 0, 1, 3, 2, 2, 0])  # 3 only in the target
+        results = _label_ratio_and_oracle(
+            rng.standard_normal((8, 8)), rng.standard_normal((7, 8)), ys, yt,
+            rng.uniform(size=8), rng.uniform(size=7),
+        )
+        _assert_close_to_oracle(results)
+
+    @pytest.mark.parametrize("n, m", [(400, 400), (2, 1)])
+    def test_fewest_different_label_pairs(self, n, m):
+        # one target row (one source row at 2x1) carries the odd label: 400
+        # different-label pairs of 160000, the fewest a 400x400 table can
+        # hold, and exactly one pair at 2x1; beta / alpha is then largest
+        rng = np.random.default_rng(1900 + n)
+        ys, yt = np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        (yt if m > 1 else ys)[-1] = 1
+        av, bv = rng.standard_normal((n, 8)), rng.standard_normal((m, 8))
+        ws, wt = rng.uniform(size=n), rng.uniform(size=m)
+        _assert_close_to_oracle(_label_ratio_and_oracle(av, bv, ys, yt, ws, wt))
+        # every entry of the gradient grid within a few roundings of the oracle's
+        grids = []
+        for fused in (True, False):
+            x = Tensor(pairwise_distances(None, Tensor(av), Tensor(bv)).values)
+            tape = Tape()
+            if fused:
+                loss = label_ratio(tape, x, ys, yt, np.sqrt(ws), np.sqrt(wt), 1e-8)
+            else:
+                loss = grid_label_ratio(tape, x, ys, yt, ws, wt, 1e-8)
+            tape.backward(loss)
+            grids.append(x.grad)
+        np.testing.assert_allclose(grids[0], grids[1], rtol=1e-14, atol=0.0)
+
+    def test_needs_both_kinds_of_pair(self):
+        x = Tensor(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="same- and different-label"):
+            label_ratio(None, x, np.array([0, 0]), np.array([0, 0]), np.ones(2), np.ones(2), 1e-8)
+        with pytest.raises(ValueError, match="same- and different-label"):
+            label_ratio(None, x, np.array([0, 0]), np.array([1, 1]), np.ones(2), np.ones(2), 1e-8)
+
+    def test_rejects_negative_labels(self):
+        with pytest.raises(ValueError, match="negative"):
+            label_ratio(None, Tensor(np.ones((2, 2))), np.array([0, -1]), np.array([0, 1]),
+                        np.ones(2), np.ones(2), 1e-8)
+
+    @pytest.mark.parametrize("ys, yt, s, t", [
+        ([0, 1, 0], [0, 1], [1.0, 1.0], [1.0, 1.0]),  # one label too many
+        ([0, 1], [0, 1], [1.0, 1.0, 1.0], [1.0, 1.0]),  # one scale too many
+        ([0, 1], [0], [1.0, 1.0], [1.0, 1.0]),  # a target label missing
+    ])
+    def test_shapes_must_fit(self, ys, yt, s, t):
+        with pytest.raises(ShapeError):
+            label_ratio(None, Tensor(np.ones((2, 2))), np.array(ys), np.array(yt),
+                        np.array(s), np.array(t), 1e-8)
+
+
+def test_label_ratio_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        n=st.integers(1, 30),
+        m=st.integers(1, 30),
+        classes=st.integers(1, 6),
+        zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(n, m, classes, zero_fraction, seed):
+        rng = np.random.default_rng(seed)
+        ys, yt = rng.integers(0, classes, n), rng.integers(0, classes, m)
+        ws, wt = rng.uniform(size=n), rng.uniform(size=m)
+        ws[rng.uniform(size=n) < zero_fraction] = 0.0
+        av, bv = rng.standard_normal((n, 4)), rng.standard_normal((m, 4))
+        same = ys[:, None] == yt
+        if same.all() or not same.any():
+            with pytest.raises(ValueError):
+                label_ratio(None, Tensor(np.ones((n, m))), ys, yt, ws, wt, 1e-8)
+            return
+        results = _label_ratio_and_oracle(av, bv, ys, yt, ws, wt)
+        if np.any(ws > 0.0):
+            _assert_close_to_oracle(results)
+        else:
+            for got in results[0]:
+                assert np.all(got == 0.0)
+
+    check()
 
 
 class TestBinaryCrossEntropy:

@@ -69,6 +69,19 @@ class TestShiftSpecValidation:
         with pytest.raises(ParameterError):
             ShiftSpec(num_classes=3, feature_dim=4, target_order=[0, 1, 1])
 
+    @pytest.mark.parametrize("field, order", [
+        ("target_order", [2.9, 1, 0.2]),  # used to draw as [2, 1, 0]
+        ("source_order", [0, True, 2]),  # used to draw as [0, 1, 2]
+    ])
+    def test_rejects_non_integer_order(self, field, order):
+        with pytest.raises(ParameterError, match="must be integers"):
+            ShiftSpec(num_classes=3, feature_dim=4, max_class_size=40, **{field: order})
+
+    def test_accepts_numpy_integer_order(self):
+        spec = ShiftSpec(num_classes=3, feature_dim=4, target_order=list(np.array([2, 1, 0])))
+        assert spec.target_order == [2, 1, 0]
+        assert all(type(c) is int for c in spec.target_order)
+
     def test_rejects_feature_dim_below_two(self):
         # class means live in the first two coordinates
         with pytest.raises(ParameterError):

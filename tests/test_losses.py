@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -454,6 +455,23 @@ class TestDiscriminativeAlignment:
             )
         )
         assert relative_error(leaf.grad, central_difference(f_s, s)) < 1e-3
+
+    def test_forward_holds_one_distance_grid(self):
+        # the tape keeps the n x m distance table for backward, and no weight grid
+        n = 400
+        rng = np.random.default_rng(22)
+        src = batch(rng.standard_normal((n, 8)), rng.integers(0, 5, n), rng.uniform(size=n))
+        tgt = batch(rng.standard_normal((n, 8)), rng.integers(0, 5, n), rng.uniform(size=n))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tape = Tape()
+            loss = discriminative_alignment_loss(tape, src, tgt)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 2 and loss.shape == (1, 1)
+        assert held <= 1.5 * 8 * n * n
 
 
 def _alignment_step(n: int) -> tuple:

@@ -16,6 +16,7 @@ from shiftlab import (
     PseudoLabels,
     RunReport,
     ShiftSpec,
+    TrainConfig,
     calibrate,
     classify,
     features,
@@ -25,6 +26,7 @@ from shiftlab import (
     per_class_accuracies,
     per_class_mean_accuracy,
     pseudo_label_audit,
+    run,
     score_target,
     true_distribution,
 )
@@ -172,3 +174,39 @@ def test_only_metrics_reads_hidden_labels():
         if path.name not in exempt and reads.search(path.read_text(encoding="utf-8"))
     )
     assert readers == []
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("training touched the target's hidden labels")
+
+
+class _Untouchable:
+    """Stands in for hidden labels: reading an attribute raises, and so does
+    every protocol (length, iteration, indexing, arithmetic, comparison,
+    array conversion) that bypasses attribute lookup."""
+
+    __getattribute__ = _refuse
+
+
+for _name in ("__len__", "__iter__", "__getitem__", "__contains__", "__array__", "__bool__",
+              "__index__", "__int__", "__float__", "__hash__", "__eq__", "__ne__", "__lt__",
+              "__le__", "__gt__", "__ge__", "__add__", "__radd__", "__sub__", "__rsub__",
+              "__mul__", "__rmul__", "__truediv__", "__matmul__", "__rmatmul__"):
+    setattr(_Untouchable, _name, _refuse)
+
+
+def test_training_never_reads_hidden_labels():
+    spec = ShiftSpec(num_classes=3, feature_dim=4, max_class_size=40, imbalance_factor=5.0,
+                     target_order=[2, 1, 0], rotation_angle=np.pi / 6, seed=7)
+    source, target = generate(spec)
+    target._labels = _Untouchable()
+    target.labels_for_eval = _refuse
+    with pytest.raises(AssertionError):
+        len(target._labels)
+    _, records, _ = run(source, target, TrainConfig(epochs=4, pretrain_epochs=1, seed=3),
+                        audit_fn=None)
+    assert len(records) == 4
+    for record in records:
+        for name in ("pseudo_acc_raw", "pseudo_acc_calibrated", "subset_acc_raw",
+                     "subset_acc_calibrated", "target_per_class_acc"):
+            assert getattr(record, name) is None

@@ -49,6 +49,20 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(input_dim=4, num_classes=1)
 
+    @pytest.mark.parametrize("hidden, disc", [
+        ([16.7], [8]),  # used to train as [16]
+        ([True, 16], [8]),  # used to train as [1, 16]
+        ([16], [8.9]),  # used to train as [8]
+    ])
+    def test_rejects_non_integer_widths(self, hidden, disc):
+        with pytest.raises(ValueError, match="must be integers"):
+            ModelConfig(4, 3, hidden, 6, disc)
+
+    def test_accepts_numpy_integer_widths(self):
+        cfg = ModelConfig(4, 3, list(np.array([16, 8])), 6, [np.int32(8)])
+        assert cfg.hidden_dims == [16, 8] and cfg.discriminator_hidden_dims == [8]
+        assert all(type(h) is int for h in cfg.hidden_dims + cfg.discriminator_hidden_dims)
+
 
 class TestInitModel:
     def test_deterministic(self):
