@@ -26,6 +26,7 @@ from .data import (
     ParameterError,
     ShiftSpec,
     class_sizes,
+    features_digest,
     generate,
     load_dataset,
     save_dataset,
@@ -60,6 +61,7 @@ from .metrics import (
     true_distribution,
 )
 from .networks import (
+    CheckpointError,
     ModelConfig,
     ModelState,
     classify,

@@ -14,7 +14,9 @@ gradient does nothing. ``Tensor.grad`` reads as zeros until then.
 
 Only the operations the training method needs are provided, and all
 tensors are 2-D. There is no broadcasting beyond what the individual
-operations document.
+operations document. ``linear`` also takes a plain array as a constant
+input, and ``split_rows`` cuts one tensor into two row blocks, so one
+pass over stacked batches can feed per-batch losses.
 
 A chain of ops that the training step builds many times is also offered
 as one fused op, which records one node: ``linear``, ``nll``,
@@ -37,6 +39,7 @@ __all__ = [
     "TapeError",
     "Tensor",
     "Tape",
+    "as_matrix",
     "matmul",
     "add_bias",
     "linear",
@@ -59,6 +62,7 @@ __all__ = [
     "ratio",
     "label_ratio",
     "gather_rows",
+    "split_rows",
     "nll",
     "binary_cross_entropy",
     "euclidean_distance",
@@ -77,10 +81,25 @@ class TapeError(RuntimeError):
     """Backward was requested on a tape that recorded nothing."""
 
 
+def as_matrix(values) -> np.ndarray:
+    """``values`` as a 2-D float64 array, copied only if it is not one already.
+
+    A scalar becomes 1 x 1 and a 1-D array a single row.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim == 0:
+        return arr.reshape(1, 1)
+    if arr.ndim == 1:
+        return arr.reshape(1, -1)
+    if arr.ndim != 2:
+        raise ShapeError(f"tensors are 2-D, got array of shape {arr.shape}")
+    return arr
+
+
 class Tensor:
     """A 2-D float64 array paired with a lazily allocated gradient.
 
-    1-D input is promoted to a single row. The public constructor copies
+    Input is converted by ``as_matrix``. The public constructor copies
     its input, so a tensor never aliases caller-owned memory. Op outputs
     skip the constructor: each owns the array its op just computed.
 
@@ -94,14 +113,7 @@ class Tensor:
     __slots__ = ("values", "_grad")
 
     def __init__(self, values) -> None:
-        arr = np.array(values, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.ndim != 2:
-            raise ShapeError(f"tensors are 2-D, got array of shape {arr.shape}")
-        self.values = arr
+        self.values = as_matrix(np.array(values, dtype=np.float64))
         self._grad = None
 
     @property
@@ -229,24 +241,29 @@ def add_bias(tape: Tape | None, x: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def linear(tape: Tape | None, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def linear(tape: Tape | None, x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     """Dense layer x @ w + b in one node; b is a 1 x m bias row.
 
     Same values and gradients, bit for bit, as
-    ``add_bias(matmul(x, w), b)``.
+    ``add_bias(matmul(x, w), b)``. ``x`` may also be a plain 2-D float64
+    array: a constant, such as an input batch, for which no gradient is
+    computed. Backward reads it again, so it must not change meanwhile.
     """
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear: inner dimensions differ, {x.shape} @ {w.shape}")
+    constant = not isinstance(x, Tensor)
+    xv = x if constant else x.values
+    if xv.ndim != 2 or xv.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: inner dimensions differ, {xv.shape} @ {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ShapeError(f"linear: bias {b.shape} does not fit {w.shape[1]} outputs")
-    h = x.values @ w.values
+    h = xv @ w.values
     h += b.values
     out = _wrap(h)
 
     def backward(g: np.ndarray) -> None:
         _accumulate(b, g.sum(axis=0, keepdims=True))
-        _accumulate(x, g @ w.values.T)
-        _accumulate(w, x.values.T @ g)
+        if not constant:
+            _accumulate(x, g @ w.values.T)
+        _accumulate(w, xv.T @ g)
 
     _record(tape, out, backward)
     return out
@@ -618,6 +635,26 @@ def gather_rows(tape: Tape | None, x: Tensor, indices: np.ndarray) -> Tensor:
 
     _record(tape, out, backward)
     return out
+
+
+def split_rows(tape: Tape | None, x: Tensor, n: int) -> tuple[Tensor, Tensor]:
+    """Rows ``[:n]`` and rows ``[n:]`` of ``x`` as two tensors, in one node.
+
+    Both are views of ``x``'s values. Backward writes the two halves'
+    gradients into one array for ``x``, with zeros for a half that got
+    none; if neither got any, nothing is sent back.
+    """
+    if not 0 <= n <= x.shape[0]:
+        raise ShapeError(f"split_rows: cannot split {x.shape[0]} rows at row {n}")
+    top, bottom = _wrap(x.values[:n]), _wrap(x.values[n:])
+    if tape is not None:
+
+        def backward() -> None:
+            if top._grad is not None or bottom._grad is not None:
+                _accumulate(x, np.concatenate([top.grad, bottom.grad]))
+
+        tape.record(backward)
+    return top, bottom
 
 
 def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> Tensor:

@@ -17,7 +17,14 @@ import sys
 import numpy as np
 
 from ._jsonio import write_json
-from .data import DatasetFormatError, ParameterError, generate, save_dataset
+from .data import (
+    DatasetFormatError,
+    ParameterError,
+    ShiftSpec,
+    features_digest,
+    generate,
+    save_dataset,
+)
 from .experiments import (
     OutputExistsError,
     apply_overrides,
@@ -29,7 +36,7 @@ from .experiments import (
     ablate,
 )
 from .metrics import score_target
-from .networks import load_checkpoint
+from .networks import CheckpointError, load_checkpoint
 from .training import ConfigError
 
 __all__ = ["main"]
@@ -75,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = commands.add_parser("eval", help="evaluate a checkpoint on the configured target data")
     _add_common(ev)
-    ev.add_argument("--checkpoint", required=True, help="checkpoint JSON written by train")
+    ev.add_argument("--checkpoint", required=True, help="checkpoint.npz written by train")
 
     sw = commands.add_parser("sweep-if", help="sweep the imbalance factor")
     _add_common(sw, *_FLAGS)
@@ -129,10 +136,33 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_provenance(path: str, provenance: dict | None, data: ShiftSpec, digest: str) -> None:
+    """Refuse data other than the checkpoint's; warn if it does not say."""
+    recorded = (provenance or {}).get("features_sha256")
+    if recorded is None:
+        log.warning("%s does not record its training data; scoring it unchecked", path)
+    elif recorded != digest:
+        trained = provenance.get("data") or {}
+        given = json.loads(json.dumps(dataclasses.asdict(data)))
+        changed = [f"{k} {trained[k]!r} -> {v!r}" for k, v in given.items()
+                   if k in trained and trained[k] != v]
+        raise ConfigError(
+            f"{path} was trained on other data than this config generates"
+            + (f" (data.{', data.'.join(changed)})" if changed else "")
+        )
+
+
 def _cmd_eval(args) -> int:
     cfg = _load_config(args)
     state = load_checkpoint(args.checkpoint)
-    _, target = generate(cfg.data)
+    model, data = state.config, cfg.data
+    if (model.input_dim, model.num_classes) != (data.feature_dim, data.num_classes):
+        raise ConfigError(
+            f"{args.checkpoint} takes {model.input_dim} features and {model.num_classes} "
+            f"classes, but the config's data has {data.feature_dim} and {data.num_classes}"
+        )
+    source, target = generate(data)
+    _check_provenance(args.checkpoint, state.provenance, data, features_digest(source, target))
     scores = score_target(state, target)
     print(json.dumps({"per_class_mean_accuracy": scores["final_per_class_mean_acc"],
                       "per_class_accuracy": scores["final_per_class_acc"],
@@ -177,7 +207,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError, DatasetFormatError, FileNotFoundError) as exc:
+    except (ConfigError, ParameterError, DatasetFormatError, CheckpointError,
+            FileNotFoundError) as exc:
         log.error("%s", exc)
         return 1
     except OutputExistsError as exc:

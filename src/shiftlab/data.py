@@ -14,6 +14,7 @@ training code can only reach them through ``labels_for_eval`` with a
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ __all__ = [
     "ShiftSpec",
     "class_sizes",
     "generate",
+    "features_digest",
     "save_dataset",
     "load_dataset",
     "BalancedSampler",
@@ -250,6 +252,15 @@ def generate(spec: ShiftSpec) -> tuple[DomainDataset, DomainDataset]:
     source = DomainDataset("source", src_x, src_y, spec.num_classes)
     target = DomainDataset("target", tgt_x, tgt_y, spec.num_classes)
     return source, target
+
+
+def features_digest(source: DomainDataset, target: DomainDataset) -> str:
+    """sha256 hex digest of the source and then the target features, shapes included."""
+    digest = hashlib.sha256()
+    for ds in (source, target):
+        digest.update(repr(ds.features.shape).encode("ascii"))
+        digest.update(ds.features.tobytes())
+    return digest.hexdigest()
 
 
 def save_dataset(ds: DomainDataset, path) -> None:

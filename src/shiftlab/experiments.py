@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import write_json, write_text
-from .data import DomainDataset, ShiftSpec, generate
+from .data import DomainDataset, ShiftSpec, features_digest, generate
 from .metrics import make_audit_fn, score_target
 from .networks import ModelConfig, save_checkpoint
 from .training import ConfigError, TrainConfig, run
@@ -253,12 +253,12 @@ class RunReport:
         return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls)})
 
 
-def _write_outputs(out_dir, state, records, shift_state) -> None:
+def _write_outputs(out_dir, state, records, shift_state, provenance) -> None:
     """Write a run's epoch records, checkpoint and, if estimated, label shift."""
     os.makedirs(out_dir, exist_ok=True)
     write_text(os.path.join(out_dir, "epoch_records.jsonl"),
                (rec.to_json() + "\n" for rec in records))
-    save_checkpoint(state, os.path.join(out_dir, "checkpoint.json"))
+    save_checkpoint(state, os.path.join(out_dir, "checkpoint.npz"), provenance=provenance)
     if shift_state is not None:
         write_json(os.path.join(out_dir, "label_shift.json"), shift_state.to_dict())
 
@@ -270,11 +270,15 @@ def run_single(
     model_cfg: ModelConfig | None,
     name: str,
     out_dir: str | None = None,
+    spec: ShiftSpec | None = None,
 ) -> RunReport:
     """One trainer run plus evaluation, reported and, into ``out_dir``, persisted.
 
     ``wall_clock_sec`` times the training alone. A run directory holds the
-    three files of ``_write_outputs`` and then ``report.json``.
+    three files of ``_write_outputs`` and then ``report.json``. The
+    checkpoint's provenance records ``spec``, the ``ShiftSpec`` the data
+    was generated from (None if not given), and ``features_digest`` of the
+    data, so ``shiftlab eval`` can refuse other data.
     """
     started = time.perf_counter()
     state, records, shift_state = run(
@@ -289,7 +293,9 @@ def run_single(
         **score_target(state, target, shift_state),
     )
     if out_dir is not None:
-        _write_outputs(out_dir, state, records, shift_state)
+        provenance = {"data": None if spec is None else dataclasses.asdict(spec),
+                      "features_sha256": features_digest(source, target)}
+        _write_outputs(out_dir, state, records, shift_state, provenance)
         write_json(os.path.join(out_dir, "report.json"), report.to_dict())
     return report
 
@@ -423,7 +429,9 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False) -> list[RunReport
         run_dir = _run_dir(out_dir, seed)
         os.makedirs(run_dir, exist_ok=True)
         try:
-            reports.append(run_single(source, target, seeded, cfg.model, cfg.name, run_dir))
+            reports.append(
+                run_single(source, target, seeded, cfg.model, cfg.name, run_dir, cfg.data)
+            )
         except Exception as exc:
             manifest["failed"].append({"seed": seed, "error": str(exc)})
             write_json(manifest_path, manifest)

@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import json
 import numbers
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._jsonio import compact_json, write_text
+from ._jsonio import write_file
 from .autodiff import (
     ShapeError,
     Tape,
     Tensor,
+    as_matrix,
     grad_reverse,
     init_velocity,
     linear,
@@ -26,8 +28,12 @@ from .autodiff import (
     softmax,
 )
 
-__all__ = ["ModelConfig", "ModelState", "init_model", "features", "classify",
-           "discriminate", "save_checkpoint", "load_checkpoint"]
+__all__ = ["ModelConfig", "ModelState", "CheckpointError", "init_model", "features",
+           "classify", "discriminate", "save_checkpoint", "load_checkpoint"]
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file cannot be read, or its arrays do not fit its config."""
 
 
 @dataclass
@@ -60,11 +66,14 @@ class ModelState:
 
     ``layers`` maps each network, in ``_layer_dims`` order, to its
     (weight, bias) pairs; the classifier is a one-layer list.
+    ``provenance`` is what ``load_checkpoint`` found stored with the
+    weights about the data they were trained on, if anything.
     """
 
     config: ModelConfig
     layers: dict[str, list[tuple[Tensor, Tensor]]]
     init_seed: int
+    provenance: dict | None = None
     velocity: list[np.ndarray] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -102,11 +111,9 @@ def init_model(cfg: ModelConfig, seed: int) -> ModelState:
     return ModelState(cfg, layers, seed)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _mlp(layers: list[tuple[Tensor, Tensor]], h: Tensor, tape: Tape | None) -> Tensor:
+def _mlp(
+    layers: list[tuple[Tensor, Tensor]], h: Tensor | np.ndarray, tape: Tape | None
+) -> Tensor:
     """Affine layers with a relu between each pair; the last output stays linear."""
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
@@ -117,8 +124,12 @@ def _mlp(layers: list[tuple[Tensor, Tensor]], h: Tensor, tape: Tape | None) -> T
 
 
 def features(state: ModelState, x, tape: Tape | None = None) -> Tensor:
-    """Extractor forward: affine+relu stacks, final affine to the bottleneck."""
-    h = _as_tensor(x)
+    """Extractor forward: affine+relu stacks, final affine to the bottleneck.
+
+    A ``Tensor`` input receives its gradient. Any other input is converted
+    by ``as_matrix`` and is a constant: no gradient is computed for it.
+    """
+    h = x if isinstance(x, Tensor) else as_matrix(x)
     if h.shape[1] != state.config.input_dim:
         raise ShapeError(
             f"input has {h.shape[1]} columns, model expects {state.config.input_dim}"
@@ -139,40 +150,48 @@ def discriminate(
     return sigmoid(tape, _mlp(state.layers["discriminator"], h, tape))
 
 
-def save_checkpoint(state: ModelState, path) -> None:
-    """JSON checkpoint; float repr round-trips bit-exact.
+def save_checkpoint(state: ModelState, path, provenance: dict | None = None) -> None:
+    """Write an uncompressed ``.npz``, all or nothing; it round-trips bit-exact.
 
-    The file is ``json.dumps`` of the document, written one weight row at a
-    time and moved into place only when complete.
+    It holds one array per parameter, named like ``extractor.0.weight``, and
+    a 0-d string ``meta``: the JSON of the config, init seed and ``provenance``.
     """
-    doc = {"config": asdict(state.config), "init_seed": state.init_seed}
-    for net, pairs in state.layers.items():
-        doc[net] = [{"weight": w.values.tolist(), "bias": b.values.tolist()} for w, b in pairs]
-    write_text(path, compact_json(doc))
+    meta = {"config": asdict(state.config), "init_seed": state.init_seed, "provenance": provenance}
+    arrays = {f"{net}.{i}.{key}": t.values for net, pairs in state.layers.items()
+              for i, pair in enumerate(pairs) for key, t in zip(("weight", "bias"), pair)}
+    write_file(path, lambda fh: np.savez(fh, meta=np.array(json.dumps(meta)), **arrays))
 
 
 def load_checkpoint(path) -> ModelState:
-    """Restore a checkpoint; every layer's shapes must match its config."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    cfg = ModelConfig(**doc["config"])
+    """Restore a checkpoint; every layer's shapes must match its config.
+
+    Nothing is unpickled. A file that is not a checkpoint ``.npz``, such
+    as a JSON checkpoint of earlier versions, raises ``CheckpointError``.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        meta = json.loads(str(arrays.pop("meta")))
+        cfg, init_seed = ModelConfig(**meta["config"]), int(meta["init_seed"])
+    except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"{path} is not a readable checkpoint .npz ({exc!r}); JSON "
+                              "checkpoints of earlier versions no longer load") from exc
 
     layers = {}
     for net, dims in _layer_dims(cfg).items():
-        entries = doc[net]
-        if len(entries) != len(dims):
-            raise ValueError(
-                f"checkpoint {net} has {len(entries)} layers, config expects {len(dims)}"
-            )
+        n = len({name.split(".")[1] for name in arrays if name.startswith(net + ".")})
+        if n != len(dims):
+            raise CheckpointError(f"checkpoint {net} has {n} layers, config expects {len(dims)}")
         layers[net] = []
-        for i, (entry, (fan_in, fan_out)) in enumerate(zip(entries, dims)):
+        for i, (fan_in, fan_out) in enumerate(dims):
             name = net if len(dims) == 1 else f"{net} layer {i}"
-            w, b = Tensor(entry["weight"]), Tensor(entry["bias"])
-            for key, t, expected in (("weight", w, (fan_in, fan_out)), ("bias", b, (1, fan_out))):
-                if t.shape != expected:
-                    raise ValueError(
-                        f"checkpoint {name} {key} has shape {t.shape}, config expects {expected}"
+            pair = []
+            for key, expected in (("weight", (fan_in, fan_out)), ("bias", (1, fan_out))):
+                pair.append(arrays.get(f"{net}.{i}.{key}"))
+                shape = getattr(pair[-1], "shape", None)
+                if shape != expected:
+                    raise CheckpointError(
+                        f"checkpoint {name} {key} has shape {shape}, config expects {expected}"
                     )
-            layers[net].append((w, b))
-
-    return ModelState(cfg, layers, int(doc["init_seed"]))
+            layers[net].append((Tensor(pair[0]), Tensor(pair[1])))
+    return ModelState(cfg, layers, init_seed, meta.get("provenance"))

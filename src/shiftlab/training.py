@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tape, sgd_step, weighted_sum
+from .autodiff import Tape, sgd_step, split_rows, weighted_sum
 from .calibration import LabelShiftState, PseudoLabels, calibrate
 from .data import BalancedSampler, DomainDataset
 from .losses import (
@@ -176,23 +176,26 @@ def train_step(
     Target pseudo-labels are ``calibrate(probs, class_weights)``; all-ones
     weights give the raw argmax. Losses with zero weight are skipped
     entirely (reported as 0.0), so a run with all weights zero performs
-    exactly the source-only update.
+    exactly the source-only update. Otherwise the source and target
+    batches pass through the extractor, and the discriminator, stacked:
+    the networks treat rows independently, so that is one call each.
     """
     lam = cfg.centroid_loss_weight
     mu = cfg.pairwise_loss_weight
     gam = cfg.adversarial_loss_weight
+    n_src = src_features.shape[0]
 
     tape = Tape()
-    f_src = features(state, src_features, tape)
+    if lam > 0.0 or mu > 0.0 or gam > 0.0:
+        f_all = features(state, np.concatenate([src_features, tgt_features]), tape)
+        f_src, f_tgt = split_rows(tape, f_all, n_src)
+    else:
+        f_src = features(state, src_features, tape)
     p_src = classify(state, f_src, tape)
     loss_class = cross_entropy(tape, p_src, src_labels)
     terms, weights = [loss_class], [1.0]
     out = dict.fromkeys(LOSS_FIELDS, 0.0)
     out["loss_class"] = loss_class.item()
-
-    f_tgt = None
-    if lam > 0.0 or mu > 0.0 or gam > 0.0:
-        f_tgt = features(state, tgt_features, tape)
 
     src_wb = tgt_wb = None
     if lam > 0.0 or mu > 0.0:
@@ -215,8 +218,7 @@ def train_step(
         terms.append(loss_pair)
         weights.append(mu)
     if gam > 0.0:
-        d_src = discriminate(state, f_src, grl_coeff, tape)
-        d_tgt = discriminate(state, f_tgt, grl_coeff, tape)
+        d_src, d_tgt = split_rows(tape, discriminate(state, f_all, grl_coeff, tape), n_src)
         loss_adv = domain_adversarial_loss(tape, d_src, d_tgt)
         out["loss_adversarial"] = loss_adv.item()
         terms.append(loss_adv)
@@ -226,7 +228,7 @@ def train_step(
     if not np.isfinite(total.values[0, 0]):
         raise NumericError(
             f"non-finite total loss {total.values[0, 0]} (components {out}); "
-            f"batch sizes src={src_features.shape[0]}, tgt={tgt_features.shape[0]}"
+            f"batch sizes src={n_src}, tgt={tgt_features.shape[0]}"
         )
     tape.backward(total)
     sgd_step(state.parameters(), lr, cfg.momentum, state.velocity)

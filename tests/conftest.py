@@ -5,8 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from shiftlab import DomainDataset, ModelConfig, ShiftSpec, generate
+from shiftlab import (
+    DomainDataset,
+    ModelConfig,
+    ShiftSpec,
+    WeightedBatch,
+    calibrate,
+    centroid_alignment_loss,
+    classify,
+    cross_entropy,
+    discriminate,
+    discriminative_alignment_loss,
+    domain_adversarial_loss,
+    features,
+    generate,
+    update_centroids,
+)
 from shiftlab.autodiff import (
+    Tape,
     Tensor,
     add,
     affine,
@@ -17,7 +33,9 @@ from shiftlab.autodiff import (
     mean_all,
     ratio,
     scale_by,
+    sgd_step,
     sum_all,
+    weighted_sum,
 )
 
 
@@ -81,6 +99,63 @@ def grid_label_ratio(tape, dists, src_labels, tgt_labels, src_weights, tgt_weigh
     n_diff = same.size - n_same
     pair_w = np.sqrt(np.outer(src_weights, tgt_weights))
     return ratio(tape, dists, pair_w * same / n_same, pair_w * ~same / n_diff, eps)
+
+
+def two_pass_train_step(state, bank, class_weights, cfg, src_features, src_labels,
+                        tgt_features, lr, grl_coeff=1.0, diagnostics=None):
+    """``training.train_step`` as it was before the stacked pass, kept as an oracle.
+
+    The source and target batches each take their own extractor and
+    discriminator pass. The stacked step must match it to rounding: it
+    sums the weight gradients over both batches in one product.
+    """
+    lam = cfg.centroid_loss_weight
+    mu = cfg.pairwise_loss_weight
+    gam = cfg.adversarial_loss_weight
+
+    tape = Tape()
+    f_src = features(state, src_features, tape)
+    p_src = classify(state, f_src, tape)
+    loss_class = cross_entropy(tape, p_src, src_labels)
+    terms, weights = [loss_class], [1.0]
+    out = dict.fromkeys(("loss_class", "loss_adversarial", "loss_centroid", "loss_pairwise"), 0.0)
+    out["loss_class"] = loss_class.item()
+
+    f_tgt = None
+    if lam > 0.0 or mu > 0.0 or gam > 0.0:
+        f_tgt = features(state, tgt_features, tape)
+
+    src_wb = tgt_wb = None
+    if lam > 0.0 or mu > 0.0:
+        src_conf = p_src.values.max(axis=1)
+        pseudo = calibrate(classify(state, f_tgt).values, class_weights)
+        src_wb = WeightedBatch(f_src, src_labels, src_conf)
+        tgt_wb = WeightedBatch(f_tgt, pseudo.calibrated_label, pseudo.calibrated_confidence)
+
+    if lam > 0.0:
+        update_centroids(tape, bank, src_wb, "source")
+        update_centroids(tape, bank, tgt_wb, "target")
+        loss_centroid = centroid_alignment_loss(tape, bank)
+        out["loss_centroid"] = loss_centroid.item()
+        terms.append(loss_centroid)
+        weights.append(lam)
+    if mu > 0.0:
+        loss_pair = discriminative_alignment_loss(tape, src_wb, tgt_wb, diagnostics)
+        out["loss_pairwise"] = loss_pair.item()
+        terms.append(loss_pair)
+        weights.append(mu)
+    if gam > 0.0:
+        d_src = discriminate(state, f_src, grl_coeff, tape)
+        d_tgt = discriminate(state, f_tgt, grl_coeff, tape)
+        loss_adv = domain_adversarial_loss(tape, d_src, d_tgt)
+        out["loss_adversarial"] = loss_adv.item()
+        terms.append(loss_adv)
+        weights.append(gam)
+
+    total = weighted_sum(tape, terms, weights) if len(terms) > 1 else terms[0]
+    tape.backward(total)
+    sgd_step(state.parameters(), lr, cfg.momentum, state.velocity)
+    return out
 
 
 @pytest.fixture(scope="session")

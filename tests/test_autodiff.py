@@ -36,6 +36,7 @@ from shiftlab.autodiff import (
     sgd_step,
     sigmoid,
     softmax,
+    split_rows,
     sub,
     sum_all,
     weighted_sum,
@@ -450,6 +451,25 @@ class TestLinear:
 
         _fd_check(build, [x, w, b])
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_array_input_is_a_constant(self, seed):
+        xv, wv, bv, r = _linear_pair(np.random.default_rng(850 + seed))
+        before = xv.copy()
+        results = []
+        for x in (xv, Tensor(xv)):
+            w, b = Tensor(wv), Tensor(bv)
+            tape = Tape()
+            out = linear(tape, x, w, b)
+            tape.backward(sum_all(tape, scale_by(tape, relu(tape, out), r)))
+            results.append((out.values, w.grad, b.grad))
+        for got, want in zip(*results):
+            assert (got == want).all()
+        assert (xv == before).all()
+
+    def test_array_input_must_be_2d(self):
+        with pytest.raises(ShapeError):
+            linear(None, np.ones(3), Tensor(np.ones((3, 4))), Tensor(np.ones((1, 4))))
+
     def test_inner_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             linear(None, Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones((1, 4))))
@@ -457,6 +477,95 @@ class TestLinear:
     def test_bias_shape_mismatch(self):
         with pytest.raises(ShapeError):
             linear(None, Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones((1, 3))))
+
+
+class TestSplitRows:
+    def test_values_are_the_two_halves(self):
+        x = Tensor(np.arange(12.0).reshape(4, 3))
+        top, bottom = split_rows(None, x, 1)
+        assert (top.values == x.values[:1]).all() and (bottom.values == x.values[1:]).all()
+        assert np.shares_memory(top.values, x.values)
+        assert np.shares_memory(bottom.values, x.values)
+
+    def test_gradient_is_the_concatenation(self):
+        x = Tensor(np.ones((5, 2)))
+        rng = np.random.default_rng(0)
+        g_top, g_bottom = rng.standard_normal((2, 2)), rng.standard_normal((3, 2))
+        tape = Tape()
+        top, bottom = split_rows(tape, x, 2)
+        loss = add(tape, sum_all(tape, scale_by(tape, top, g_top)),
+                   sum_all(tape, scale_by(tape, bottom, g_bottom)))
+        tape.backward(loss)
+        assert (x.grad == np.concatenate([g_top, g_bottom])).all()
+
+    @pytest.mark.parametrize("used", ["top", "bottom"])
+    def test_a_half_without_gradient_sends_zeros(self, used):
+        x = Tensor(np.ones((5, 2)))
+        g = np.random.default_rng(1).standard_normal((5, 2))
+        tape = Tape()
+        halves = dict(zip(("top", "bottom"), split_rows(tape, x, 2)))
+        rows = slice(None, 2) if used == "top" else slice(2, None)
+        tape.backward(sum_all(tape, scale_by(tape, halves[used], g[rows])))
+        expected = np.zeros_like(g)
+        expected[rows] = g[rows]
+        assert (x.grad == expected).all()
+
+    def test_no_gradient_at_all_sends_nothing(self):
+        x, other = Tensor(np.ones((3, 2))), Tensor(np.ones((1, 1)))
+        tape = Tape()
+        split_rows(tape, x, 1)
+        tape.backward(sum_all(tape, other))
+        assert x._grad is None
+
+    def test_gradient_adds_to_other_uses(self):
+        x = Tensor(np.ones((3, 2)))
+        tape = Tape()
+        top, _ = split_rows(tape, x, 1)
+        tape.backward(add(tape, sum_all(tape, top), sum_all(tape, x)))
+        assert (x.grad == np.array([[2.0, 2.0], [1.0, 1.0], [1.0, 1.0]])).all()
+
+    def test_no_tape_records_nothing(self):
+        tape = Tape()
+        x = Tensor(np.ones((3, 2)))
+        split_rows(None, x, 1)
+        assert len(tape) == 0
+        assert x._grad is None
+
+    def test_records_one_node(self):
+        tape = Tape()
+        split_rows(tape, Tensor(np.ones((3, 2))), 1)
+        assert len(tape) == 1
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_empty_half(self, n):
+        x = Tensor(np.arange(8.0).reshape(4, 2))
+        tape = Tape()
+        top, bottom = split_rows(tape, x, n)
+        assert top.shape == (n, 2) and bottom.shape == (4 - n, 2)
+        full = top if n else bottom
+        tape.backward(sum_all(tape, scale_by(tape, full, x.values)))
+        assert (x.grad == x.values).all()
+
+    @pytest.mark.parametrize("n", [-1, 5])
+    def test_split_point_out_of_range(self, n):
+        with pytest.raises(ShapeError):
+            split_rows(None, Tensor(np.ones((4, 2))), n)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradients_match_finite_differences(self, seed):
+        rng = np.random.default_rng(1100 + seed)
+        x = Tensor(rng.standard_normal((5, 3)))
+        n = int(rng.integers(0, 6))
+        r_top, r_bottom = rng.standard_normal((n, 3)), rng.standard_normal((5 - n, 3))
+
+        def build():
+            tape = Tape()
+            top, bottom = split_rows(tape, x, n)
+            # a nonlinear function of each half, so the check sees both
+            return tape, add(tape, sum_all(tape, scale_by(tape, sigmoid(tape, top), r_top)),
+                             sum_all(tape, scale_by(tape, relu(tape, bottom), r_bottom)))
+
+        _fd_check(build, [x])
 
 
 def _unfused_nll(tape, probs, labels, floor):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ class TestTrain:
         assert summary["seeds"] == [100]
         assert 0.0 <= summary["mean_accuracy"] <= 1.0
 
-        ckpt = out / "runs" / "seed100" / "checkpoint.json"
+        ckpt = out / "runs" / "seed100" / "checkpoint.npz"
         code = main(["eval", "--config", config_file, "--checkpoint", str(ckpt)])
         assert code == 0
         scored = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -179,17 +180,75 @@ class TestTrain:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """The config file of a MICRO run and the checkpoint ``train`` wrote for it."""
+    root = tmp_path_factory.mktemp("trained")
+    config = root / "config.json"
+    config.write_text(json.dumps(MICRO))
+    assert main(["train", "--config", str(config), "--out", str(root / "run")]) == 0
+    return str(config), str(root / "run" / "runs" / "seed100" / "checkpoint.npz")
+
+
 class TestEval:
     def test_missing_checkpoint_exit_1(self, config_file, tmp_path):
         code = main(
-            ["eval", "--config", config_file, "--checkpoint", str(tmp_path / "none.json")]
+            ["eval", "--config", config_file, "--checkpoint", str(tmp_path / "none.npz")]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("data", [
+        {"feature_dim": 10},
+        {"num_classes": 4, "target_order": [3, 2, 1, 0]},
+    ], ids=["features", "classes"])
+    def test_checkpoint_for_other_dimensions_exit_1(self, tmp_path, caplog, data):
+        # without a model section the config accepts any data dimensions
+        doc = {key: value for key, value in MICRO.items() if key != "model"}
+        doc["data"] = dict(MICRO["data"], **data)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        ckpt = str(tmp_path / "checkpoint.npz")
+        save_checkpoint(init_model(ModelConfig(4, 3), 0), ckpt)
+        assert main(["eval", "--config", str(config), "--checkpoint", ckpt]) == 1
+        assert "takes 4 features and 3 classes" in caplog.text
+
+    @pytest.mark.parametrize("content", ["old_json", "truncated", "not_a_file_format"])
+    def test_unreadable_checkpoint_exit_1(self, trained_checkpoint, tmp_path, caplog, content):
+        config, trained = trained_checkpoint
+        ckpt = tmp_path / "checkpoint.npz"
+        blob = pathlib.Path(trained).read_bytes()
+        ckpt.write_bytes({
+            "old_json": b'{"config": {"input_dim": 4, "num_classes": 3}, "init_seed": 1}',
+            "truncated": blob[: len(blob) // 2],
+            "not_a_file_format": b"\x00\x01 garbage",
+        }[content])
+        assert main(["eval", "--config", config, "--checkpoint", str(ckpt)]) == 1
+        assert "JSON checkpoints of earlier versions no longer load" in caplog.text
+
+    def test_same_data_exit_0(self, trained_checkpoint, caplog):
+        config, ckpt = trained_checkpoint
+        assert main(["eval", "--config", config, "--checkpoint", ckpt]) == 0
+        assert "WARNING" not in caplog.text
+
+    def test_other_data_exit_1(self, trained_checkpoint, caplog, capsys):
+        config, ckpt = trained_checkpoint
+        assert main(["eval", "--config", config, "--checkpoint", ckpt,
+                     "--set", "data.seed=8"]) == 1
+        assert "trained on other data than this config generates (data.seed 7 -> 8)" in caplog.text
+        assert capsys.readouterr().out == ""
+
+    def test_hand_saved_checkpoint_is_scored_with_a_warning(self, config_file, tmp_path, caplog,
+                                                           capsys):
+        ckpt = str(tmp_path / "checkpoint.npz")
+        save_checkpoint(init_model(ModelConfig(**MICRO["model"]), 0), ckpt)
+        assert main(["eval", "--config", config_file, "--checkpoint", ckpt]) == 0
+        assert "does not record its training data" in caplog.text
+        assert "per_class_mean_accuracy" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", [["--out", "o"], ["--force"], ["--seed", "3"]])
     def test_output_flags_exit_1(self, config_file, tmp_path, flag):
         # eval writes nothing and scores one checkpoint, so these would do nothing
-        ckpt = str(tmp_path / "checkpoint.json")
+        ckpt = str(tmp_path / "checkpoint.npz")
         save_checkpoint(init_model(ModelConfig(**MICRO["model"]), 0), ckpt)
         args = ["eval", "--config", config_file, "--checkpoint", ckpt]
         assert main(args) == 0

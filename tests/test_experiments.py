@@ -20,7 +20,10 @@ from shiftlab import (
     ShiftSpec,
     TrainConfig,
     ablate,
+    features_digest,
+    generate,
     init_model,
+    load_checkpoint,
     parse_config,
     run_experiment,
     run_single,
@@ -240,7 +243,7 @@ class TestRunExperiment:
             assert r.wall_clock_sec > 0.0
 
     def test_manifest_and_artifacts(self, micro_experiment):
-        _, _, out = micro_experiment
+        cfg, _, out = micro_experiment
         manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
         assert manifest["completed"] == [100, 101]
         assert manifest["failed"] == []
@@ -248,8 +251,12 @@ class TestRunExperiment:
         assert config_echo["train"]["epochs"] == 4
         for seed in (100, 101):
             run_dir = os.path.join(out, "runs", f"seed{seed}")
-            for name in ("report.json", "checkpoint.json", "epoch_records.jsonl", "label_shift.json"):
+            for name in ("report.json", "checkpoint.npz", "epoch_records.jsonl", "label_shift.json"):
                 assert os.path.isfile(os.path.join(run_dir, name)), name
+            # the checkpoint names the data it was trained on
+            provenance = load_checkpoint(os.path.join(run_dir, "checkpoint.npz")).provenance
+            assert provenance == {"data": json.loads(json.dumps(dataclasses.asdict(cfg.data))),
+                                  "features_sha256": features_digest(*generate(cfg.data))}
 
     def test_aggregate_and_csv(self, micro_experiment):
         _, reports, out = micro_experiment
@@ -340,15 +347,15 @@ class TestWriteOutputs:
 
         state = init_model(tiny_model_cfg, seed=5)
         records = [EpochRecord(epoch, 0.01, 1.0, 0.0, 0.0, 0.0, 0.0) for epoch in (1, 2)]
-        _write_outputs(tmp_path, state, records, None)
+        _write_outputs(tmp_path, state, records, None, None)
         path = tmp_path / "epoch_records.jsonl"
         before = path.read_bytes()
         assert before.count(b"\n") == 2
         # the first record is already in the temporary file when the second fails
         with pytest.raises(RuntimeError, match="cannot encode"):
-            _write_outputs(tmp_path, state, [records[0], Unwritable()], None)
+            _write_outputs(tmp_path, state, [records[0], Unwritable()], None, None)
         assert path.read_bytes() == before
-        assert sorted(os.listdir(tmp_path)) == ["checkpoint.json", "epoch_records.jsonl"]
+        assert sorted(os.listdir(tmp_path)) == ["checkpoint.npz", "epoch_records.jsonl"]
 
 
 class TestCsvFormatting:

@@ -1,4 +1,4 @@
-"""All-or-nothing JSON artifact writes."""
+"""All-or-nothing artifact writes."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from shiftlab._jsonio import compact_json, write_json, write_text
+from shiftlab._jsonio import write_file, write_json, write_text
 
 
 class Unserialisable:
@@ -28,23 +28,26 @@ def test_replaces_existing_file(tmp_path):
     assert path.read_text(encoding="utf-8") == "[1]"
 
 
-@pytest.mark.parametrize("value", [
-    {"config": {"dims": [128, 128], "name": "x"}, "seed": 3, "layers": [
-        {"weight": [[0.1, -2.5e-300], [1.0 / 3.0, 7.0]], "bias": [[0.0, -0.0]]}]},
-    [[1, [2, 3]], [], {}], [[]], [{}], [], {}, "s", 1.5, None, [1, [2]],
-])
-def test_compact_json_joins_to_json_dumps(value):
-    assert "".join(compact_json(value)) == json.dumps(value)
-
-
 def test_serialisation_failure_keeps_old_file(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text('{"old": true}', encoding="utf-8")
-    # "first" is in the temporary file before the encoder meets the bad value
+
+    def pieces():
+        # the first piece is in the temporary file before the encoder meets the bad value
+        yield json.dumps({"first": [[1.0] * 100] * 3})
+        yield json.dumps({"bad": [[Unserialisable()]]})
+
     with pytest.raises(TypeError):
-        write_text(path, compact_json({"first": [[1.0] * 100] * 3, "bad": [[Unserialisable()]]}))
+        write_text(path, pieces())
     assert path.read_text(encoding="utf-8") == '{"old": true}'
     assert os.listdir(tmp_path) == ["doc.json"]
+
+
+def test_binary_write(tmp_path):
+    path = tmp_path / "blob.bin"
+    write_file(path, lambda fh: fh.write(b"\x00\r\n\xff"))
+    assert path.read_bytes() == b"\x00\r\n\xff"
+    assert os.listdir(tmp_path) == ["blob.bin"]
 
 
 def test_failed_replace_removes_temporary_file(tmp_path, monkeypatch):

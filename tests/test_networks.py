@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import os
+
 import numpy as np
 import pytest
 
 from shiftlab import (
+    CheckpointError,
     ModelConfig,
     ModelState,
     ShapeError,
@@ -116,6 +121,32 @@ class TestForward:
         with pytest.raises(ShapeError):
             features(state, np.zeros((7, 3)))
 
+    def test_array_input_is_converted_like_a_tensor(self):
+        state = init_model(small_cfg(), seed=1)
+        row = [0.5, -1, 2, 3]
+        expected = features(state, Tensor(row)).values
+        for x in (row, np.array(row, dtype=np.float32), np.array([row])):
+            np.testing.assert_array_equal(features(state, x).values, expected)
+        with pytest.raises(ShapeError):
+            features(state, np.zeros((2, 1, 4)))
+
+    def test_array_and_tensor_inputs_give_the_same_parameter_gradients(self):
+        from shiftlab import cross_entropy
+
+        x = np.random.default_rng(3).standard_normal((6, 4))
+        labels = np.array([0, 1, 2, 0, 1, 2])
+        grads, inputs = [], [x, Tensor(x)]
+        for inp in inputs:
+            state = init_model(small_cfg(), seed=1)
+            tape = Tape()
+            probs = classify(state, features(state, inp, tape), tape)
+            tape.backward(cross_entropy(tape, probs, labels))
+            grads.append([p.grad for p in state.parameters()])
+        for ga, gb in zip(*grads):
+            np.testing.assert_array_equal(ga, gb)
+        # the Tensor input still receives its gradient
+        assert inputs[1]._grad is not None and np.any(inputs[1].grad != 0.0)
+
     def test_classify_rows_normalized(self):
         state = init_model(small_cfg(), seed=1)
         rng = np.random.default_rng(0)
@@ -148,39 +179,80 @@ class TestForward:
         assert np.any(grads[1] != 0.0)
 
 
+def _rewrite(path, edit) -> None:
+    """Apply ``edit`` to the checkpoint's arrays, as a dict, and save them back."""
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    edit(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+UNPICKLED = []
+
+
+def _unpickle_marker():
+    UNPICKLED.append(True)
+    return 0.0
+
+
+class Unpicklable:
+    def __reduce__(self):
+        return _unpickle_marker, ()
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         state = init_model(small_cfg(), seed=42)
         # take a few arbitrary updates so weights are not fresh-init
         for p in state.parameters():
-            p.values += 0.125
-        path = tmp_path / "ckpt.json"
+            p.values += 1.0 / 3.0
+        path = tmp_path / "ckpt.npz"
         save_checkpoint(state, path)
         back = load_checkpoint(path)
         assert back.config == state.config
+        assert back.init_seed == 42 and back.provenance is None
         for pa, pb in zip(state.parameters(), back.parameters()):
             np.testing.assert_array_equal(pa.values, pb.values)
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+
+    def test_layout_is_named_arrays_and_a_meta_string(self, tmp_path):
+        state = init_model(small_cfg(), seed=42)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(state, path, provenance={"features_sha256": "ab"})
+        with np.load(path, allow_pickle=False) as npz:
+            names = set(npz.files)
+            meta = npz["meta"]
+            weight = npz["discriminator.1.weight"]
+        nets = {"extractor": 3, "classifier": 1, "discriminator": 2}
+        assert names == {"meta"} | {
+            f"{net}.{i}.{key}" for net, n in nets.items() for i in range(n)
+            for key in ("weight", "bias")
+        }
+        assert meta.shape == () and meta.dtype.kind == "U"
+        assert json.loads(str(meta)) == {
+            "config": dataclasses.asdict(state.config), "init_seed": 42,
+            "provenance": {"features_sha256": "ab"},
+        }
+        np.testing.assert_array_equal(weight, state.layers["discriminator"][1][0].values)
+        assert load_checkpoint(path).provenance == {"features_sha256": "ab"}
 
     def test_velocity_resets_to_zero(self, tmp_path):
         # optimizer state is not part of the checkpoint; reloads start cold
         state = init_model(small_cfg(), seed=42)
         state.velocity[0] += 3.0
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         save_checkpoint(state, path)
         back = load_checkpoint(path)
         assert np.all(back.velocity[0] == 0.0)
         assert len(back.velocity) == len(state.velocity)
 
     def test_corrupt_shapes_rejected(self, tmp_path):
-        import json
-
         state = init_model(small_cfg(), seed=42)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         save_checkpoint(state, path)
-        blob = json.loads(path.read_text())
-        blob["extractor"][0]["weight"] = [[1.0, 2.0]]
-        path.write_text(json.dumps(blob))
-        with pytest.raises(ValueError):
+        _rewrite(path, lambda a: a.update({"extractor.0.weight": np.array([[1.0, 2.0]])}))
+        with pytest.raises(CheckpointError, match="extractor layer 0 weight has shape"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -193,61 +265,79 @@ class TestCheckpoint:
         ],
     )
     def test_tampered_head_rejected_at_load(self, tmp_path, net, index, key, value, named):
-        import json
-
         state = init_model(small_cfg(), seed=42)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         save_checkpoint(state, path)
-        blob = json.loads(path.read_text())
-        blob[net][index][key] = value
-        path.write_text(json.dumps(blob))
+        _rewrite(path, lambda a: a.update({f"{net}.{index}.{key}": np.array(value)}))
         with pytest.raises(ValueError, match=named):
             load_checkpoint(path)
 
     def test_missing_layer_rejected(self, tmp_path):
-        import json
-
         state = init_model(small_cfg(), seed=42)
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         save_checkpoint(state, path)
-        blob = json.loads(path.read_text())
-        del blob["discriminator"][1]
-        path.write_text(json.dumps(blob))
+
+        def drop(arrays):
+            del arrays["discriminator.1.weight"], arrays["discriminator.1.bias"]
+
+        _rewrite(path, drop)
         with pytest.raises(ValueError, match="discriminator has 1 layers"):
             load_checkpoint(path)
 
-    def test_bytes_match_streamed_json_dump(self, tmp_path):
-        # the file is json.dumps of the document: the same bytes json.dump streams
-        import io
-        import json
-
+    def test_missing_bias_rejected(self, tmp_path):
         state = init_model(small_cfg(), seed=42)
-        for p in state.parameters():
-            p.values += 1.0 / 3.0
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         save_checkpoint(state, path)
+        _rewrite(path, lambda a: a.pop("classifier.0.bias"))
+        with pytest.raises(CheckpointError, match="classifier bias has shape None"):
+            load_checkpoint(path)
 
-        def layers(pairs):
-            return [{"weight": w.values.tolist(), "bias": b.values.tolist()} for w, b in pairs]
+    def test_object_array_refused_without_unpickling(self, tmp_path):
+        state = init_model(small_cfg(), seed=42)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(state, path)
+        bomb = np.empty((1, 3), dtype=object)
+        bomb[0, 0] = Unpicklable()
+        _rewrite(path, lambda a: a.update({"classifier.0.bias": bomb}))
+        UNPICKLED.clear()
+        with pytest.raises(CheckpointError, match="not a readable checkpoint .npz"):
+            load_checkpoint(path)
+        assert UNPICKLED == []
 
-        cfg = state.config
-        doc = {
-            "config": {
-                "input_dim": cfg.input_dim,
-                "num_classes": cfg.num_classes,
-                "hidden_dims": cfg.hidden_dims,
-                "bottleneck_dim": cfg.bottleneck_dim,
-                "discriminator_hidden_dims": cfg.discriminator_hidden_dims,
-            },
-            "init_seed": state.init_seed,
-            "extractor": layers(state.layers["extractor"]),
-            "classifier": layers(state.layers["classifier"]),
-            "discriminator": layers(state.layers["discriminator"]),
-        }
-        streamed = io.StringIO()
-        json.dump(doc, streamed)
-        assert path.read_bytes() == json.dumps(doc).encode("utf-8")
-        assert path.read_text(encoding="utf-8") == streamed.getvalue()
-        back = load_checkpoint(path)
-        for pa, pb in zip(state.parameters(), back.parameters()):
+    @pytest.mark.parametrize("content", [
+        b'{"config": {"input_dim": 4}, "init_seed": 42}',
+        b"not a checkpoint",
+        b"",
+    ], ids=["json", "text", "empty"])
+    def test_non_npz_file_refused(self, tmp_path, content):
+        path = tmp_path / "checkpoint.json"
+        path.write_bytes(content)
+        with pytest.raises(CheckpointError, match="JSON checkpoints of earlier versions"):
+            load_checkpoint(path)
+
+    def test_truncated_file_refused(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(init_model(small_cfg(), seed=42), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(CheckpointError, match="not a readable checkpoint .npz"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        old = init_model(small_cfg(), seed=42)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(old, path)
+        before = path.read_bytes()
+
+        def dies_part_way(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", dies_part_way)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(init_model(small_cfg(), seed=43), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+        for pa, pb in zip(old.parameters(), load_checkpoint(path).parameters()):
             np.testing.assert_array_equal(pa.values, pb.values)

@@ -20,15 +20,17 @@ from shiftlab import (
     classify,
     cross_entropy,
     features,
+    features_digest,
     init_model,
     load_checkpoint,
     make_audit_fn,
     run,
     run_single,
 )
-from shiftlab.autodiff import sgd_step
+from shiftlab.autodiff import Tensor, sgd_step
 from shiftlab import training
 from shiftlab.training import (
+    LOSS_FIELDS,
     ConfigError,
     EpochRecord,
     NumericError,
@@ -39,6 +41,7 @@ from shiftlab.training import (
     lr_schedule,
     train_step,
 )
+from conftest import relative_error, two_pass_train_step
 
 
 def run_source_only(
@@ -179,7 +182,7 @@ def quick_cfg(**kwargs) -> TrainConfig:
 class TestTrainStep:
     @pytest.mark.parametrize(
         "loss_weights,nodes",
-        [((3.0, 0.6, 1.0), 31), ((0.0, 0.0, 0.0), 8)],
+        [((3.0, 0.6, 1.0), 23), ((0.0, 0.0, 0.0), 8)],
         ids=["full", "source_only"],
     )
     def test_tape_nodes_per_step(self, tiny_pair, monkeypatch, loss_weights, nodes):
@@ -207,6 +210,37 @@ class TestTrainStep:
         assert len(bank.eligible_classes()) == (3 if lam else 0)
         assert diagnostics == {}
         assert [len(t) for t in tapes] == [nodes]
+
+    @pytest.mark.parametrize("loss_weights", [
+        (3.0, 0.6, 1.0), (0.0, 0.0, 1.0), (3.0, 0.6, 0.0), (0.0, 0.6, 0.0), (1.0, 0.0, 2.0),
+    ])
+    def test_matches_the_two_pass_oracle(self, tiny_pair, tiny_model_cfg, loss_weights):
+        # stacking reorders the weight-gradient sums, so agreement is to rounding
+        src, tgt = tiny_pair
+        lam, mu, gam = loss_weights
+        cfg = quick_cfg(centroid_loss_weight=lam, pairwise_loss_weight=mu,
+                        adversarial_loss_weight=gam)
+        rng = np.random.default_rng(int(10 * lam + 100 * mu + 1000 * gam))
+        states = [init_model(tiny_model_cfg, 3) for _ in range(2)]
+        banks = [CentroidBank(3) for _ in range(2)]
+        class_weights = rng.uniform(0.5, 1.5, size=3)
+        for draw in range(4):
+            # unequal batch sizes, so a mixed-up split would show
+            src_idx = rng.integers(0, len(src), size=12)
+            tgt_idx = rng.integers(0, len(tgt), size=int(rng.integers(5, 20)))
+            args = (class_weights, cfg, src.features[src_idx], src.labels[src_idx],
+                    tgt.features[tgt_idx], 0.02, 0.7)
+            got = train_step(states[0], banks[0], *args)
+            want = two_pass_train_step(states[1], banks[1], *args)
+            for key in LOSS_FIELDS:
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), (draw, key)
+            for a, b in zip(states[0].parameters() + states[0].velocity,
+                            states[1].parameters() + states[1].velocity):
+                a = a.values if isinstance(a, Tensor) else a
+                b = b.values if isinstance(b, Tensor) else b
+                assert relative_error(a, b) <= 1e-12, draw
+        # the velocity holds this step's gradient: a network the losses skip has none
+        assert np.any(states[0].velocity[-1] != 0.0) == (gam > 0.0)
 
 
 class TestRun:
@@ -280,8 +314,10 @@ class TestRun:
         lines = (out / "epoch_records.jsonl").read_text().splitlines()
         assert len(lines) == 4
         assert json.loads(lines[0])["epoch"] == 1
-        ckpt = load_checkpoint(out / "checkpoint.json")
+        ckpt = load_checkpoint(out / "checkpoint.npz")
         assert ckpt.config == tiny_model_cfg
+        # no ShiftSpec was given, so only the data digest is recorded
+        assert ckpt.provenance == {"data": None, "features_sha256": features_digest(src, tgt)}
         shift = json.loads((out / "label_shift.json").read_text())
         assert len(shift["class_weights"]) == 3
 
