@@ -7,7 +7,7 @@ benchmark trends end to end.
 """
 from __future__ import annotations
 
-from .autodiff import Tape, TapeError, Tensor, ShapeError
+from .autodiff import Pool, Tape, TapeError, Tensor, ShapeError
 from .calibration import (
     LabelShiftState,
     PseudoLabels,
@@ -69,6 +69,7 @@ from .networks import (
     features,
     init_model,
     load_checkpoint,
+    predict,
     save_checkpoint,
 )
 from .training import (

@@ -29,8 +29,19 @@ instead: its sums are reordered, so it matches ``ratio`` to rounding
 rather than bit for bit. The floors in
 ``relu``, ``clamp_min`` and the fused ops use ``np.maximum``, so a NaN
 input gives a NaN output rather than the floor value.
+
+Inside ``with pool:`` for a ``Pool``, the ops whose arrays scale with the
+batch (``linear`` and ``relu`` forward and backward, ``split_rows``'
+backward, and the n x m grids of ``pairwise_distances`` and
+``label_ratio``) write into the pool's arrays instead of allocating; the
+arithmetic and its bits are the same. Those arrays are handed out again
+once the outermost ``with`` block ends, so nothing made inside one may be
+kept past it. Outside any, every op allocates.
 """
 from __future__ import annotations
+
+import contextvars
+import math
 
 import numpy as np
 
@@ -39,6 +50,7 @@ __all__ = [
     "TapeError",
     "Tensor",
     "Tape",
+    "Pool",
     "as_matrix",
     "matmul",
     "add_bias",
@@ -68,6 +80,7 @@ __all__ = [
     "euclidean_distance",
     "pairwise_distances",
     "grad_reverse",
+    "Velocity",
     "init_velocity",
     "sgd_step",
 ]
@@ -143,6 +156,72 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
+
+
+_FLOAT = np.dtype(np.float64)
+_BOOL = np.dtype(bool)
+
+
+class Pool:
+    """Scratch arrays that one step after another writes into.
+
+    ``with pool:`` makes the pool the active one for the ops (see the
+    module docstring). The i-th array taken inside the block reuses the
+    i-th buffer, grown when too small, so a loop whose steps take the same
+    sequence of shapes, or smaller ones, allocates only in its first step.
+    A taken array's contents are garbage until the op writes it, and it is
+    handed out again once the outermost ``with pool:`` block ends: a value
+    that outlives the block must not be a pool array. ``len(pool)`` counts
+    the buffers held and iterating yields them.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: list[np.ndarray] = []  # flat bytes, one per position
+        self._views: list[np.ndarray] = []  # the array last handed out at each position
+        self._taken = 0
+        self._tokens: list[contextvars.Token] = []
+
+    def __enter__(self) -> Pool:
+        self._tokens.append(_ACTIVE.set(self))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _ACTIVE.reset(self._tokens.pop())
+        if not self._tokens:
+            self._taken = 0
+
+    def __len__(self) -> int:
+        return len(self._buffers)
+
+    def __iter__(self):
+        return iter(self._buffers)
+
+    def take(self, shape: tuple[int, ...], dtype: np.dtype = _FLOAT) -> np.ndarray:
+        """An uninitialised array nothing else has taken since the block began."""
+        i = self._taken
+        self._taken = i + 1
+        if i < len(self._views):
+            view = self._views[i]
+            if view.shape == shape and view.dtype is dtype:
+                return view
+        nbytes = math.prod(shape) * dtype.itemsize
+        if i == len(self._buffers):
+            self._buffers.append(np.empty(nbytes, np.uint8))
+            self._views.append(None)
+        elif self._buffers[i].size < nbytes:
+            self._buffers[i] = np.empty(nbytes, np.uint8)
+        view = self._buffers[i][:nbytes].view(dtype).reshape(shape)
+        self._views[i] = view
+        return view
+
+
+_ACTIVE: contextvars.ContextVar[Pool | None] = contextvars.ContextVar("pool", default=None)
+
+
+def _empty(shape: tuple[int, ...], dtype: np.dtype = _FLOAT) -> np.ndarray:
+    """An uninitialised array: from the active pool, else newly allocated."""
+    pool = _ACTIVE.get()
+    return np.empty(shape, dtype) if pool is None else pool.take(shape, dtype)
 
 
 def _wrap(values: np.ndarray) -> Tensor:
@@ -255,15 +334,15 @@ def linear(tape: Tape | None, x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> T
         raise ShapeError(f"linear: inner dimensions differ, {xv.shape} @ {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ShapeError(f"linear: bias {b.shape} does not fit {w.shape[1]} outputs")
-    h = xv @ w.values
+    h = np.matmul(xv, w.values, out=_empty((xv.shape[0], w.shape[1])))
     h += b.values
     out = _wrap(h)
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(b, g.sum(axis=0, keepdims=True))
+        _accumulate(b, np.add.reduce(g, axis=0, keepdims=True))
         if not constant:
-            _accumulate(x, g @ w.values.T)
-        _accumulate(w, xv.T @ g)
+            _accumulate(x, np.matmul(g, w.values.T, out=_empty(xv.shape)))
+        _accumulate(w, np.matmul(xv.T, g, out=_empty(w.shape)))
 
     _record(tape, out, backward)
     return out
@@ -418,16 +497,21 @@ def scale_by(tape: Tape | None, x: Tensor, factor: np.ndarray) -> Tensor:
     return out
 
 
-def relu(tape: Tape | None, x: Tensor) -> Tensor:
+def relu(tape: Tape | None, x: Tensor, in_place: bool = False) -> Tensor:
     """max(x, 0) elementwise; a NaN entry stays NaN.
 
-    The subgradient at exactly 0 is taken as 0.
+    The subgradient at exactly 0 is taken as 0. ``in_place=True``
+    overwrites ``x``'s values with the result, for an input nothing reads
+    again; ``x`` still gets its gradient, which needs only the sign mask.
+    Off the tape no mask is kept.
     """
-    mask = x.values > 0.0
-    out = _wrap(np.maximum(x.values, 0.0))
+    if tape is None:
+        return _wrap(np.maximum(x.values, 0.0, out=x.values if in_place else _empty(x.shape)))
+    mask = np.greater(x.values, 0.0, out=_empty(x.shape, _BOOL))
+    out = _wrap(np.maximum(x.values, 0.0, out=x.values if in_place else _empty(x.shape)))
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * mask)
+        _accumulate(x, np.multiply(g, mask, out=_empty(g.shape)))
 
     _record(tape, out, backward)
     return out
@@ -486,13 +570,17 @@ def softmax(tape: Tape | None, logits: Tensor) -> Tensor:
     """Row-wise softmax with max subtraction for overflow safety."""
     if logits.shape[1] < 2:
         raise ShapeError(f"softmax: need at least 2 columns, got {logits.shape}")
-    z = logits.values - logits.values.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out = _wrap(e / e.sum(axis=1, keepdims=True))
+    v = logits.values
+    e = np.subtract(v, np.maximum.reduce(v, axis=1, keepdims=True))
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    out = _wrap(e)
 
     def backward(g: np.ndarray) -> None:
-        p = out.values
-        _accumulate(logits, p * (g - (g * p).sum(axis=1, keepdims=True)))
+        grad = g * e
+        np.subtract(g, np.add.reduce(grad, axis=1, keepdims=True), out=grad)
+        grad *= e
+        _accumulate(logits, grad)
 
     _record(tape, out, backward)
     return out
@@ -608,7 +696,7 @@ def label_ratio(
         c = g[0, 0]
         per_class = np.where(classes[:, None] == z, c / (den * n_same), -(c * q / (den * n_diff)))
         per_class *= t  # C x m: R^T
-        _accumulate(dists, src_weight @ per_class)
+        _accumulate(dists, np.matmul(src_weight, per_class, out=_empty((n, m))))
 
     _record(tape, out, backward)
     return out
@@ -651,7 +739,7 @@ def split_rows(tape: Tape | None, x: Tensor, n: int) -> tuple[Tensor, Tensor]:
 
         def backward() -> None:
             if top._grad is not None or bottom._grad is not None:
-                _accumulate(x, np.concatenate([top.grad, bottom.grad]))
+                _accumulate(x, np.concatenate([top.grad, bottom.grad], out=_empty(x.shape)))
 
         tape.record(backward)
     return top, bottom
@@ -670,13 +758,16 @@ def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> T
     picked = probs.values[rows, idx].reshape(-1, 1)
     mask = picked > floor
     clamped = np.maximum(picked, floor)
-    if np.any(clamped <= 0.0):
+    # a positive floor leaves nothing to test: NaN fails any comparison
+    if floor <= 0.0 and np.any(clamped <= 0.0):
         raise ValueError("nll: floored probabilities must be positive")
     n = clamped.size
-    out = _wrap(-1.0 * np.array([[np.log(clamped).mean()]]) + 0.0)
+    mean = np.add.reduce(np.log(clamped), axis=None) / n
+    out = _wrap(np.array([[-1.0 * mean + 0.0]]))
 
     def backward(g: np.ndarray) -> None:
-        per_row = (-1.0 * g)[0, 0] / n / clamped * mask
+        per_row = -1.0 * g[0, 0] / n / clamped
+        per_row *= mask
         probs.grad[rows, idx] += per_row[:, 0]
 
     _record(tape, out, backward)
@@ -698,7 +789,7 @@ def binary_cross_entropy(
     neg = np.maximum(neg, floor)
     pos_mask = p_pos.values > floor
     pos = np.maximum(p_pos.values, floor)
-    if np.any(neg <= 0.0) or np.any(pos <= 0.0):
+    if floor <= 0.0 and (np.any(neg <= 0.0) or np.any(pos <= 0.0)):
         raise ValueError("binary_cross_entropy: floored probabilities must be positive")
     terms = np.array([[np.log(neg).mean()]]) + np.array([[np.log(pos).mean()]])
     out = _wrap(-1.0 * terms + 0.0)
@@ -765,7 +856,7 @@ def pairwise_distances(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     bc = b.values - shift
     a2 = (ac * ac).sum(axis=1)
     b2 = (bc * bc).sum(axis=1)
-    dist = ac @ (-2.0 * bc).T
+    dist = np.matmul(ac, (-2.0 * bc).T, out=_empty((a.shape[0], b.shape[0])))
     dist += a2[:, None]
     dist += b2
     # No pair can pass the cut unless the smallest squared distance passes
@@ -782,10 +873,12 @@ def pairwise_distances(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     out = _wrap(dist)
 
     def backward(g: np.ndarray) -> None:
+        w = _empty(dist.shape)
         if exact is None:
-            w = g / dist
+            np.divide(g, dist, out=w)
         else:
-            w = np.divide(g, dist, out=np.zeros_like(dist), where=dist > 0.0)
+            w.fill(0.0)
+            np.divide(g, dist, out=w, where=dist > 0.0)
             w[rows, cols] = 0.0
         grad_a = ac * w.sum(axis=1)[:, None]
         grad_a -= w @ bc
@@ -816,29 +909,54 @@ def grad_reverse(tape: Tape | None, x: Tensor, coeff: float) -> Tensor:
     return out
 
 
-def init_velocity(params: list[Tensor]) -> list[np.ndarray]:
-    return [np.zeros_like(p.values) for p in params]
+class Velocity(list):
+    """SGD momentum slots, one zero array shaped like each parameter.
+
+    The slots are in-order views of one flat array, and ``sgd_step`` forms
+    lr * v in another, so it decays every slot, and scales every slot by
+    the learning rate, with one NumPy call each. Change a slot in place
+    only: a slot put in its place would no longer be part of ``flat``.
+    """
+
+    def __init__(self, params: list[Tensor]) -> None:
+        shapes = [p.values.shape for p in params]
+        bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes]).tolist()
+        self.flat = np.zeros(bounds[-1])
+        self.scaled = np.empty_like(self.flat)
+        cuts = list(zip(bounds, bounds[1:], shapes))
+        super().__init__(self.flat[a:b].reshape(shape) for a, b, shape in cuts)
+        self.scaled_slots = [self.scaled[a:b].reshape(shape) for a, b, shape in cuts]
+
+
+def init_velocity(params: list[Tensor]) -> Velocity:
+    return Velocity(params)
 
 
 def sgd_step(
     params: list[Tensor],
     lr: float,
     momentum: float,
-    velocity: list[np.ndarray],
+    velocity: Velocity,
 ) -> None:
     """One in-place SGD update with classical momentum.
 
     v <- momentum * v + grad; param <- param - lr * v. A parameter that
     received no gradient adds nothing to v. Gradients are cleared
-    afterwards so the next forward pass starts fresh.
+    afterwards so the next forward pass starts fresh. ``velocity`` is what
+    ``init_velocity`` returns: the decay and the lr * v products take one
+    whole-array call each, and lr * v lands in its preallocated array.
     """
     if len(params) != len(velocity):
         raise ValueError(
             f"sgd_step: {len(params)} params but {len(velocity)} velocity slots"
         )
+    if not isinstance(velocity, Velocity):
+        raise TypeError(f"sgd_step: velocity must come from init_velocity, got {type(velocity)}")
+    velocity.flat *= momentum
     for p, v in zip(params, velocity):
-        v *= momentum
         if p._grad is not None:
             v += p._grad
-        p.values -= lr * v
         p._grad = None
+    np.multiply(velocity.flat, lr, out=velocity.scaled)
+    for p, step in zip(params, velocity.scaled_slots):
+        p.values -= step

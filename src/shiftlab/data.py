@@ -17,7 +17,7 @@ import csv
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -146,6 +146,11 @@ class ShiftSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # NumPy scalars become Python numbers, so the spec can be written as JSON
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (np.integer, np.floating)):
+                setattr(self, f.name, value.item())
         if self.num_classes < 2:
             raise ParameterError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.feature_dim < 2:

@@ -14,6 +14,7 @@ denominator carries an epsilon of 1e-8.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,8 +111,9 @@ class CentroidBank:
     zero and never enter a loss. Stored centroids are constants for
     gradient purposes; only the current batch's contribution, recorded as
     a tensor expression during ``update_centroids``, is differentiated.
-    Expressions are tagged with the tape that built them so a stale
-    expression from an earlier step is never reused.
+    Expressions are tagged with a weak reference to the tape that built
+    them, so a stale expression from an earlier step is never reused and
+    the bank does not keep a finished step's graph alive.
     """
 
     def __init__(self, num_classes: int, ema_coeff: float = 0.7) -> None:
@@ -123,7 +125,7 @@ class CentroidBank:
         self.ema_coeff = ema_coeff
         self.seen = {d: np.zeros(num_classes, dtype=bool) for d in _DOMAINS}
         self._values: dict[str, np.ndarray] = {}
-        self._exprs: dict[str, tuple[Tape | None, Tensor]] = {}
+        self._exprs: dict[str, tuple[weakref.ref | None, Tensor]] = {}
 
     def initialized(self, domain: str, klass: int) -> bool:
         return bool(self.seen[domain][klass])
@@ -140,7 +142,7 @@ class CentroidBank:
     def _term(self, tape: Tape | None, domain: str) -> Tensor:
         """Centroids as a graph node: this step's expression, else a constant."""
         entry = self._exprs.get(domain)
-        if entry is not None and entry[0] is tape:
+        if entry is not None and (entry[0] is None if tape is None else entry[0]() is tape):
             return entry[1]
         return Tensor(self._values[domain])
 
@@ -177,7 +179,7 @@ def update_centroids(
     keep = np.where(present, theta * seen, 1.0)
     expr = ema_matmul(tape, coeff, batch.features, mix, keep[:, None] * old)
     bank._values[domain] = expr.values
-    bank._exprs[domain] = (tape, expr)
+    bank._exprs[domain] = (None if tape is None else weakref.ref(tape), expr)
     bank.seen[domain] = seen | present
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .calibration import LabelShiftState, PseudoLabels
 from .data import DomainDataset, LabelAccess
-from .networks import ModelState, classify, features
+from .networks import ModelState, predict
 
 __all__ = [
     "EVALUATOR_ACCESS",
@@ -110,7 +110,7 @@ def score_target(state: ModelState, target: DomainDataset,
     estimate's ``dist_l1_error`` and ``est_head_class`` are None without
     a label-shift estimate.
     """
-    preds = np.argmax(classify(state, features(state, target.features)).values, axis=1)
+    preds = np.argmax(predict(state, target.features), axis=1)
     truth = target.labels_for_eval(EVALUATOR_ACCESS)
     true_dist = true_distribution(target)
     est = None if shift_state is None else np.asarray(shift_state.target_dist_est)

@@ -4,6 +4,7 @@ The extractor is an MLP ending in a linear bottleneck (no final relu, so
 features can occupy all orthants). The classifier is a single linear
 layer plus softmax. The discriminator sees features through a gradient
 reversal and emits a probability-of-target via a logistic output.
+``predict`` runs the extractor and classifier over many rows in blocks.
 """
 from __future__ import annotations
 
@@ -16,9 +17,11 @@ import numpy as np
 
 from ._jsonio import write_file
 from .autodiff import (
+    Pool,
     ShapeError,
     Tape,
     Tensor,
+    Velocity,
     as_matrix,
     grad_reverse,
     init_velocity,
@@ -29,7 +32,10 @@ from .autodiff import (
 )
 
 __all__ = ["ModelConfig", "ModelState", "CheckpointError", "init_model", "features",
-           "classify", "discriminate", "save_checkpoint", "load_checkpoint"]
+           "classify", "discriminate", "predict", "save_checkpoint", "load_checkpoint"]
+
+# Rows per block of ``predict``.
+PREDICT_ROWS = 128
 
 
 class CheckpointError(ValueError):
@@ -74,7 +80,7 @@ class ModelState:
     layers: dict[str, list[tuple[Tensor, Tensor]]]
     init_seed: int
     provenance: dict | None = None
-    velocity: list[np.ndarray] = field(init=False)
+    velocity: Velocity = field(init=False)
 
     def __post_init__(self) -> None:
         self.velocity = init_velocity(self.parameters())
@@ -114,12 +120,15 @@ def init_model(cfg: ModelConfig, seed: int) -> ModelState:
 def _mlp(
     layers: list[tuple[Tensor, Tensor]], h: Tensor | np.ndarray, tape: Tape | None
 ) -> Tensor:
-    """Affine layers with a relu between each pair; the last output stays linear."""
+    """Affine layers with a relu between each pair; the last output stays linear.
+
+    Each relu overwrites the affine output it reads, which nothing else reads.
+    """
     last = len(layers) - 1
     for i, (w, b) in enumerate(layers):
         h = linear(tape, h, w, b)
         if i != last:
-            h = relu(tape, h)
+            h = relu(tape, h, in_place=True)
     return h
 
 
@@ -148,6 +157,31 @@ def discriminate(
     """Probability-of-target per sample, with reversed gradients into feats."""
     h = grad_reverse(tape, feats, grl_coeff)
     return sigmoid(tape, _mlp(state.layers["discriminator"], h, tape))
+
+
+def predict(state: ModelState, x, pool: Pool | None = None) -> np.ndarray:
+    """Class probabilities of every row of ``x``: ``classify(features(x)).values``.
+
+    The rows go through in blocks of ``PREDICT_ROWS``, each inside
+    ``with pool:`` (a new ``Pool`` if none is given), so the layers'
+    arrays are reused from block to block and, with the caller's pool,
+    from call to call. The returned array is new. The same bits come out
+    as from one pass: a block's products give each row the same sums,
+    and a lone last row goes with the row before it, because NumPy takes
+    a one-row product through a matrix-vector kernel that rounds
+    differently.
+    """
+    x = as_matrix(x)
+    n = x.shape[0]
+    probs = np.empty((n, state.config.num_classes))
+    if pool is None:
+        pool = Pool()
+    for start in range(0, n, PREDICT_ROWS):
+        lo = start - 1 if start and n - start == 1 else start
+        rows = slice(lo, start + PREDICT_ROWS)
+        with pool:
+            probs[rows] = classify(state, features(state, x[rows])).values
+    return probs
 
 
 def save_checkpoint(state: ModelState, path, provenance: dict | None = None) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,26 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     # floor keeps all-zero gradients from dividing rounding dust by itself
     denom = max(np.max(np.abs(analytic)), np.max(np.abs(numeric)), 1e-6)
     return float(np.max(np.abs(analytic - numeric)) / denom)
+
+
+def allocation_peak(fn, *args, **kwargs) -> int:
+    """Bytes by which tracemalloc's peak rises above its level when ``fn`` starts.
+
+    NumPy reports its array buffers to tracemalloc, so the figure counts the
+    arrays a call allocates as well as its Python objects, and it does not
+    depend on timing or on how the allocator hands memory back.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def away_from_kinks(rng: np.random.Generator, shape, margin: float = 1e-2) -> np.ndarray:

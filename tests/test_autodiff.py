@@ -21,6 +21,7 @@ from shiftlab.autodiff import (
     euclidean_distance,
     gather_rows,
     grad_reverse,
+    Velocity,
     init_velocity,
     label_ratio,
     linear,
@@ -1094,7 +1095,8 @@ class TestSgdStep:
         # v <- 0.9 v + 0; p <- p - lr v, exactly as with an explicit zero gradient
         p = Tensor([[1.0, -2.0]])
         v0 = np.array([[0.3, -0.7]])
-        vel = [v0.copy()]
+        vel = init_velocity([p])
+        vel[0][...] = v0
         sgd_step([p], 0.05, 0.9, vel)
         v_old = v0 * 0.9
         v_old += np.zeros((1, 2))
@@ -1121,6 +1123,32 @@ class TestSgdStep:
         p.grad += 2.0
         sgd_step([p], 0.01, 0.9, vel)
         assert np.all(p.grad == 0.0)
+
+    def test_velocity_slots_update_like_separate_arrays(self):
+        # the slots share one flat array; each must follow its own parameter's update
+        rng = np.random.default_rng(3)
+        shapes = [(3, 4), (1, 4), (4, 2), (1, 2)]
+        params = [Tensor(rng.standard_normal(shape)) for shape in shapes]
+        vel = init_velocity(params)
+        assert isinstance(vel, Velocity) and [v.shape for v in vel] == shapes
+        want_p = [p.values.copy() for p in params]
+        want_v = [np.zeros(shape) for shape in shapes]
+        for k in range(3):
+            for i, p in enumerate(params):
+                if (i + k) % 3:  # some parameters get no gradient on some steps
+                    p.grad = rng.standard_normal(p.shape)
+                    want_v[i] = want_v[i] * 0.9 + p.grad
+                else:
+                    want_v[i] = want_v[i] * 0.9
+                want_p[i] = want_p[i] - 0.03 * want_v[i]
+            sgd_step(params, 0.03, 0.9, vel)
+        for p, v, wp, wv in zip(params, vel, want_p, want_v):
+            assert np.array_equal(v, wv) and np.array_equal(p.values, wp)
+
+    def test_plain_list_velocity_rejected(self):
+        p = Tensor(1.0)
+        with pytest.raises(TypeError):
+            sgd_step([p], 0.1, 0.9, [np.zeros((1, 1))])
 
     def test_velocity_length_mismatch(self):
         p = Tensor(1.0)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,24 @@ class TestShiftSpecValidation:
         spec = ShiftSpec(num_classes=3, feature_dim=4, target_order=list(np.array([2, 1, 0])))
         assert spec.target_order == [2, 1, 0]
         assert all(type(c) is int for c in spec.target_order)
+
+    def test_numpy_scalars_become_python_numbers(self):
+        spec = ShiftSpec(num_classes=3, feature_dim=4, max_class_size=np.int64(40),
+                         imbalance_factor=np.float64(5.0), seed=np.int64(7))
+        assert (spec.max_class_size, spec.imbalance_factor, spec.seed) == (40, 5.0, 7)
+        assert [type(v) for v in (spec.max_class_size, spec.imbalance_factor, spec.seed)] == [
+            int, float, int]
+        assert json.loads(json.dumps(asdict(spec)))["max_class_size"] == 40
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_class_size", np.int64(2)), ("seed", np.int64(-1)),
+        ("imbalance_factor", np.float64(0.5)), ("imbalance_factor", np.float64("nan")),
+    ])
+    def test_numpy_scalars_are_still_validated(self, field, value):
+        kwargs = dict(num_classes=3, feature_dim=4, max_class_size=40)
+        kwargs[field] = value
+        with pytest.raises(ParameterError):
+            ShiftSpec(**kwargs)
 
     def test_rejects_feature_dim_below_two(self):
         # class means live in the first two coordinates

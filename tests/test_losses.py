@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -331,6 +332,19 @@ class TestCentroidAlignment:
         stale = bank._term(Tape(), "source")
         assert stale is not expr
         assert (stale.values == expr.values).all()
+
+    def test_expression_of_a_finished_tape_is_stale(self):
+        # the bank must neither keep the tape alive nor mistake a later tape for it
+        bank = CentroidBank(num_classes=2)
+        tape = Tape()
+        update_centroids(tape, bank, batch([[1.0, 0.0], [0.0, 1.0]], [0, 1]), "source")
+        expr = bank._exprs["source"][1]
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None
+        for later in (Tape(), None):
+            term = bank._term(later, "source")
+            assert term is not expr and (term.values == expr.values).all()
 
     def test_matches_per_class_loop(self):
         # reference: one weighted mean and EMA per (domain, class), one
