@@ -142,8 +142,10 @@ class CentroidBank:
     def _term(self, tape: Tape | None, domain: str) -> Tensor:
         """Centroids as a graph node: this step's expression, else a constant."""
         entry = self._exprs.get(domain)
-        if entry is not None and (entry[0] is None if tape is None else entry[0]() is tape):
-            return entry[1]
+        if entry is not None:
+            ref, expr = entry
+            if ref is None if tape is None else ref is not None and ref() is tape:
+                return expr
         return Tensor(self._values[domain])
 
 

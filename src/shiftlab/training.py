@@ -14,7 +14,6 @@ accuracy fields are filled by an evaluator-supplied audit callback.
 """
 from __future__ import annotations
 
-import contextlib
 import json
 import logging
 import math
@@ -179,7 +178,6 @@ def train_step(
     lr: float,
     grl_coeff: float = 1.0,
     diagnostics: dict | None = None,
-    pool: Pool | None = None,
 ) -> dict[str, float]:
     """One joint SGD step; returns the step's individual loss values.
 
@@ -189,63 +187,62 @@ def train_step(
     exactly the source-only update. Otherwise the source and target
     batches pass through the extractor, and the discriminator, stacked:
     the networks treat rows independently, so that is one call each.
-    With a ``pool``, the step, SGD included, runs inside ``with pool:``
-    and so reuses its arrays; the bits are the same without one.
+    Called inside ``with pool:``, the step, SGD included, reuses the
+    pool's arrays; the bits are the same without one.
     """
-    with pool if pool is not None else contextlib.nullcontext():
-        lam = cfg.centroid_loss_weight
-        mu = cfg.pairwise_loss_weight
-        gam = cfg.adversarial_loss_weight
-        n_src = src_features.shape[0]
+    lam = cfg.centroid_loss_weight
+    mu = cfg.pairwise_loss_weight
+    gam = cfg.adversarial_loss_weight
+    n_src = src_features.shape[0]
 
-        tape = Tape()
-        if lam > 0.0 or mu > 0.0 or gam > 0.0:
-            f_all = features(state, np.concatenate([src_features, tgt_features]), tape)
-            f_src, f_tgt = split_rows(tape, f_all, n_src)
-        else:
-            f_src = features(state, src_features, tape)
-        p_src = classify(state, f_src, tape)
-        loss_class = cross_entropy(tape, p_src, src_labels)
-        terms, weights = [loss_class], [1.0]
-        out = dict.fromkeys(LOSS_FIELDS, 0.0)
-        out["loss_class"] = loss_class.item()
+    tape = Tape()
+    if lam > 0.0 or mu > 0.0 or gam > 0.0:
+        f_all = features(state, np.concatenate([src_features, tgt_features]), tape)
+        f_src, f_tgt = split_rows(tape, f_all, n_src)
+    else:
+        f_src = features(state, src_features, tape)
+    p_src = classify(state, f_src, tape)
+    loss_class = cross_entropy(tape, p_src, src_labels)
+    terms, weights = [loss_class], [1.0]
+    out = dict.fromkeys(LOSS_FIELDS, 0.0)
+    out["loss_class"] = loss_class.item()
 
-        src_wb = tgt_wb = None
-        if lam > 0.0 or mu > 0.0:
-            src_conf = p_src.values.max(axis=1)
-            # the pseudo-labels are targets, not a gradient path: no tape
-            pseudo = calibrate(classify(state, f_tgt).values, class_weights)
-            src_wb = WeightedBatch(f_src, src_labels, src_conf)
-            tgt_wb = WeightedBatch(f_tgt, pseudo.calibrated_label, pseudo.calibrated_confidence)
+    src_wb = tgt_wb = None
+    if lam > 0.0 or mu > 0.0:
+        src_conf = p_src.values.max(axis=1)
+        # the pseudo-labels are targets, not a gradient path: no tape
+        pseudo = calibrate(classify(state, f_tgt).values, class_weights)
+        src_wb = WeightedBatch(f_src, src_labels, src_conf)
+        tgt_wb = WeightedBatch(f_tgt, pseudo.calibrated_label, pseudo.calibrated_confidence)
 
-        if lam > 0.0:
-            update_centroids(tape, bank, src_wb, "source")
-            update_centroids(tape, bank, tgt_wb, "target")
-            loss_centroid = centroid_alignment_loss(tape, bank)
-            out["loss_centroid"] = loss_centroid.item()
-            terms.append(loss_centroid)
-            weights.append(lam)
-        if mu > 0.0:
-            loss_pair = discriminative_alignment_loss(tape, src_wb, tgt_wb, diagnostics)
-            out["loss_pairwise"] = loss_pair.item()
-            terms.append(loss_pair)
-            weights.append(mu)
-        if gam > 0.0:
-            d_src, d_tgt = split_rows(tape, discriminate(state, f_all, grl_coeff, tape), n_src)
-            loss_adv = domain_adversarial_loss(tape, d_src, d_tgt)
-            out["loss_adversarial"] = loss_adv.item()
-            terms.append(loss_adv)
-            weights.append(gam)
+    if lam > 0.0:
+        update_centroids(tape, bank, src_wb, "source")
+        update_centroids(tape, bank, tgt_wb, "target")
+        loss_centroid = centroid_alignment_loss(tape, bank)
+        out["loss_centroid"] = loss_centroid.item()
+        terms.append(loss_centroid)
+        weights.append(lam)
+    if mu > 0.0:
+        loss_pair = discriminative_alignment_loss(tape, src_wb, tgt_wb, diagnostics)
+        out["loss_pairwise"] = loss_pair.item()
+        terms.append(loss_pair)
+        weights.append(mu)
+    if gam > 0.0:
+        d_src, d_tgt = split_rows(tape, discriminate(state, f_all, grl_coeff, tape), n_src)
+        loss_adv = domain_adversarial_loss(tape, d_src, d_tgt)
+        out["loss_adversarial"] = loss_adv.item()
+        terms.append(loss_adv)
+        weights.append(gam)
 
-        total = weighted_sum(tape, terms, weights) if len(terms) > 1 else terms[0]
-        if not np.isfinite(total.values[0, 0]):
-            raise NumericError(
-                f"non-finite total loss {total.values[0, 0]} (components {out}); "
-                f"batch sizes src={n_src}, tgt={tgt_features.shape[0]}"
-            )
-        tape.backward(total)
-        sgd_step(state.parameters(), lr, cfg.momentum, state.velocity)
-        return out
+    total = weighted_sum(tape, terms, weights) if len(terms) > 1 else terms[0]
+    if not np.isfinite(total.values[0, 0]):
+        raise NumericError(
+            f"non-finite total loss {total.values[0, 0]} (components {out}); "
+            f"batch sizes src={n_src}, tgt={tgt_features.shape[0]}"
+        )
+    tape.backward(total)
+    sgd_step(state.parameters(), lr, cfg.momentum, state.velocity)
+    return out
 
 
 def _epoch_record(epoch, lr, sums, steps, pseudo: PseudoLabels, audit_fn) -> EpochRecord:
@@ -325,12 +322,13 @@ def run(
             lr = lr_schedule(cfg.lr0, progress, cfg.lr_alpha, cfg.lr_beta)
             if epoch_lr is None:
                 epoch_lr = lr
-            step = train_step(
-                state, bank, class_weights, cfg,
-                source.features[src_idx], src_labels_all[src_idx],
-                target.features[tgt_idx],
-                lr, _grl_coeff(cfg, progress), diagnostics, pool,
-            )
+            with pool:
+                step = train_step(
+                    state, bank, class_weights, cfg,
+                    source.features[src_idx], src_labels_all[src_idx],
+                    target.features[tgt_idx],
+                    lr, _grl_coeff(cfg, progress), diagnostics,
+                )
             for key, val in step.items():
                 sums[key] += val
             completed += 1

@@ -346,6 +346,20 @@ class TestCentroidAlignment:
             term = bank._term(later, "source")
             assert term is not expr and (term.values == expr.values).all()
 
+    def test_centroids_built_off_the_tape_are_constants_on_a_tape(self):
+        bank = CentroidBank(num_classes=2)
+        for domain, shift in (("source", 0.0), ("target", 0.5)):
+            x = [[1.0 + shift, 0.0], [0.0, 1.0 - shift]]
+            update_centroids(None, bank, batch(x, [0, 1]), domain)
+        off_tape = centroid_alignment_loss(None, bank)
+        tape = Tape()
+        on_tape = centroid_alignment_loss(tape, bank)
+        assert on_tape.values == off_tape.values
+        for domain in ("source", "target"):
+            term = bank._term(tape, domain)
+            assert term is not bank._exprs[domain][1]
+            assert (term.values == bank._values[domain]).all()
+
     def test_matches_per_class_loop(self):
         # reference: one weighted mean and EMA per (domain, class), one
         # distance per class pair; the bank sums in another order

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import weakref
 
 import numpy as np
@@ -53,8 +54,9 @@ def epoch_batches(rng, src, tgt, batch=50):
 
 
 def step(state, bank, cfg, src, tgt, src_idx, tgt_idx, pool=None, lr=0.004):
-    return train_step(state, bank, np.ones(5), cfg, src.features[src_idx], src.labels[src_idx],
-                      tgt.features[tgt_idx], lr, 0.5, {}, pool)
+    with pool if pool is not None else contextlib.nullcontext():
+        return train_step(state, bank, np.ones(5), cfg, src.features[src_idx],
+                          src.labels[src_idx], tgt.features[tgt_idx], lr, 0.5, {})
 
 
 def pooled(pool: Pool, arr: np.ndarray) -> bool:
