@@ -30,6 +30,7 @@ from .experiments import (
     apply_overrides,
     claim_output_dir,
     parse_config,
+    read_json,
     regenerate_reports,
     run_experiment,
     sweep_if,
@@ -100,13 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> "ExperimentConfig":
-    doc: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: invalid JSON: {exc}") from exc
+    doc = read_json(args.config) if args.config else {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{args.config}: the config root must be an object, "
+                          f"got {type(doc).__name__}")
     apply_overrides(doc, args.overrides)
     if getattr(args, "seed", None) is not None:
         doc["seeds"] = [args.seed]
@@ -207,8 +205,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ConfigError, ParameterError, DatasetFormatError, CheckpointError,
-            FileNotFoundError) as exc:
+    except (ConfigError, ParameterError, DatasetFormatError, CheckpointError) as exc:
         log.error("%s", exc)
         return 1
     except OutputExistsError as exc:

@@ -25,7 +25,7 @@ from ._jsonio import write_json, write_text
 from .data import DomainDataset, ShiftSpec, features_digest, generate
 from .metrics import make_audit_fn, score_target
 from .networks import ModelConfig, save_checkpoint
-from .training import ConfigError, TrainConfig, run
+from .training import ConfigError, EpochRecord, TrainConfig, run
 
 __all__ = [
     "OutputExistsError",
@@ -109,29 +109,26 @@ class ExperimentConfig:
                     raise ConfigError(f"model.{dim} is {got} but data.{data_dim} is {want}")
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
-
-
 def _fits(value, kind) -> bool:
     """Whether a JSON value fits a declared type; bools are no numbers, floats no ints."""
     if kind is bool:
         return isinstance(value, bool)
     if kind in (int, float):
         return isinstance(value, (int, kind)) and not isinstance(value, bool)
-    if kind is type(None):
-        return value is None
     args = typing.get_args(kind)
     if typing.get_origin(kind) is list:
         return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    return not args or any(_fits(value, arg) for arg in args)
+    return any(_fits(value, arg) for arg in args) if args else isinstance(value, kind)
 
 
-def _build(cls, doc: dict, where: str):
+def _build(cls, doc, where: str):
+    """``cls(**doc)`` for a JSON object whose keys and values fit ``cls``'s fields."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
     declared = {f.name: f.type for f in dataclasses.fields(cls)}
-    _check_keys(doc, set(declared), where)
+    unknown = set(doc) - set(declared)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     hints = typing.get_type_hints(cls)
     for key, value in doc.items():
         if not _fits(value, hints[key]):
@@ -139,31 +136,22 @@ def _build(cls, doc: dict, where: str):
     try:
         return cls(**doc)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {where} config: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+_SECTIONS = {"data": ShiftSpec, "model": ModelConfig, "train": TrainConfig,
+             "ablation": AblationMask}
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON document; unknown keys rejected."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
-    allowed = {"name", "data", "model", "train", "ablation", "seeds", "output_dir"}
-    _check_keys(doc, allowed, "config root")
-    data = _build(ShiftSpec, doc.get("data", {}), "data")
-    model = _build(ModelConfig, doc["model"], "model") if "model" in doc else None
-    train = _build(TrainConfig, doc.get("train", {}), "train")
-    ablation = _build(AblationMask, doc.get("ablation", {}), "ablation")
-    seeds = doc.get("seeds", [])
-    if not isinstance(seeds, list):
-        raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
-    return ExperimentConfig(
-        name=str(doc.get("name", "experiment")),
-        data=data,
-        model=model,
-        train=train,
-        ablation=ablation,
-        seeds=seeds,
-        output_dir=str(doc.get("output_dir", "out")),
-    )
+    """Build an ExperimentConfig from a JSON document; unknown keys rejected.
+
+    A null ``model``, like a missing one, sizes the model from the data.
+    """
+    if isinstance(doc, dict):
+        doc = {key: value if key not in _SECTIONS or value is None
+               else _build(_SECTIONS[key], value, key) for key, value in doc.items()}
+    return _build(ExperimentConfig, doc, "config root")
 
 
 def apply_overrides(doc: dict, settings: list[str]) -> dict:
@@ -229,6 +217,18 @@ def claim_output_dir(path: str, force: bool) -> str:
     return path
 
 
+def read_json(path, lines: bool = False):
+    """The JSON document in ``path``, or with ``lines`` the list of its lines' documents.
+
+    A file that cannot be read or parsed raises ``ConfigError`` naming it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [json.loads(line) for line in fh] if lines else json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 @dataclass
 class RunReport:
     """Everything measured about one training run."""
@@ -246,21 +246,28 @@ class RunReport:
     true_head_class: int
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """``report.json``: every field but ``records``, which ``epoch_records.jsonl`` holds."""
+        return {k: v for k, v in vars(self).items() if k != "records"}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunReport":
-        return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls)})
+    def load(cls, run_dir: str) -> "RunReport":
+        """The report that ``run_single`` returned for ``run_dir``; unknown keys are ignored."""
+        path = os.path.join(run_dir, "report.json")
+        doc = read_json(path)
+        if isinstance(doc, dict):
+            doc = {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc}
+            records_path = os.path.join(run_dir, "epoch_records.jsonl")
+            doc["records"] = [_build(EpochRecord, rec, f"{records_path} line {i}").to_dict()
+                              for i, rec in enumerate(read_json(records_path, lines=True), 1)]
+        return _build(cls, doc, path)
 
 
-def _write_outputs(out_dir, state, records, shift_state, provenance) -> None:
-    """Write a run's epoch records, checkpoint and, if estimated, label shift."""
+def _write_outputs(out_dir, state, records, provenance) -> None:
+    """Write a run's epoch records and checkpoint."""
     os.makedirs(out_dir, exist_ok=True)
     write_text(os.path.join(out_dir, "epoch_records.jsonl"),
                (rec.to_json() + "\n" for rec in records))
     save_checkpoint(state, os.path.join(out_dir, "checkpoint.npz"), provenance=provenance)
-    if shift_state is not None:
-        write_json(os.path.join(out_dir, "label_shift.json"), shift_state.to_dict())
 
 
 def run_single(
@@ -275,7 +282,7 @@ def run_single(
     """One trainer run plus evaluation, reported and, into ``out_dir``, persisted.
 
     ``wall_clock_sec`` times the training alone. A run directory holds the
-    three files of ``_write_outputs`` and then ``report.json``. The
+    two files of ``_write_outputs`` and then ``report.json``. The
     checkpoint's provenance records ``spec``, the ``ShiftSpec`` the data
     was generated from (None if not given), and ``features_digest`` of the
     data, so ``shiftlab eval`` can refuse other data.
@@ -295,7 +302,7 @@ def run_single(
     if out_dir is not None:
         provenance = {"data": None if spec is None else dataclasses.asdict(spec),
                       "features_sha256": features_digest(source, target)}
-        _write_outputs(out_dir, state, records, shift_state, provenance)
+        _write_outputs(out_dir, state, records, provenance)
         write_json(os.path.join(out_dir, "report.json"), report.to_dict())
     return report
 
@@ -522,15 +529,9 @@ def regenerate_reports(out_dir: str) -> dict:
     """
     out_dir = resolve_output_dir(out_dir)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    if not os.path.isfile(manifest_path):
-        raise ConfigError(f"{out_dir} has no manifest.json naming runs to aggregate")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        completed = json.load(fh)["completed"]
-    if not completed:
+    manifest = read_json(manifest_path)
+    completed = manifest.get("completed") if isinstance(manifest, dict) else None
+    if not isinstance(completed, list) or not completed:
         raise ConfigError(f"{manifest_path} lists no completed runs")
-    reports = []
-    for seed in completed:
-        path = os.path.join(_run_dir(out_dir, seed), "report.json")
-        with open(path, "r", encoding="utf-8") as fh:
-            reports.append(RunReport.from_dict(json.load(fh)))
+    reports = [RunReport.load(_run_dir(out_dir, seed)) for seed in completed]
     return _summarize(out_dir, reports[0].name, reports)

@@ -199,7 +199,7 @@ def save_checkpoint(state: ModelState, path, provenance: dict | None = None) -> 
 def load_checkpoint(path) -> ModelState:
     """Restore a checkpoint; every layer's shapes must match its config.
 
-    Nothing is unpickled. A file that is not a checkpoint ``.npz``, such
+    Nothing is unpickled. A path that is no readable checkpoint ``.npz``, such
     as a JSON checkpoint of earlier versions, raises ``CheckpointError``.
     """
     try:
@@ -207,6 +207,8 @@ def load_checkpoint(path) -> ModelState:
             arrays = {name: npz[name] for name in npz.files}
         meta = json.loads(str(arrays.pop("meta")))
         cfg, init_seed = ModelConfig(**meta["config"]), int(meta["init_seed"])
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {path}: {exc}") from exc
     except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path} is not a readable checkpoint .npz ({exc!r}); JSON "
                               "checkpoints of earlier versions no longer load") from exc

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -130,6 +131,19 @@ class TestTrain:
     def test_missing_config_file_exit_1(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("flag", [[], ["--seed", "3"], ["--set", "name=x"]])
+    @pytest.mark.parametrize("content", ["[1, 2]", "directory"])
+    def test_unreadable_config_exit_1(self, tmp_path, caplog, content, flag):
+        config = tmp_path / "config.json"
+        if content == "directory":
+            config.mkdir()
+        else:
+            config.write_text(content)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out", str(out)] + flag) == 1
+        assert str(config) in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_imbalance_factor_exit_1(self, config_file, tmp_path, value):
         out = tmp_path / "run"
@@ -169,6 +183,8 @@ class TestTrain:
             "data.max_class_size=40.5",
             "train.lr0=true",
             "data.rotation_angle=abc",
+            "data=5",
+            "name=[1]",
         ],
     )
     def test_mistyped_value_exit_1(self, config_file, tmp_path, setting):
@@ -212,18 +228,24 @@ class TestEval:
         assert main(["eval", "--config", str(config), "--checkpoint", ckpt]) == 1
         assert "takes 4 features and 3 classes" in caplog.text
 
-    @pytest.mark.parametrize("content", ["old_json", "truncated", "not_a_file_format"])
+    @pytest.mark.parametrize(
+        "content", ["old_json", "truncated", "not_a_file_format", "directory"])
     def test_unreadable_checkpoint_exit_1(self, trained_checkpoint, tmp_path, caplog, content):
         config, trained = trained_checkpoint
         ckpt = tmp_path / "checkpoint.npz"
         blob = pathlib.Path(trained).read_bytes()
-        ckpt.write_bytes({
-            "old_json": b'{"config": {"input_dim": 4, "num_classes": 3}, "init_seed": 1}',
-            "truncated": blob[: len(blob) // 2],
-            "not_a_file_format": b"\x00\x01 garbage",
-        }[content])
+        if content == "directory":
+            ckpt.mkdir()
+        else:
+            ckpt.write_bytes({
+                "old_json": b'{"config": {"input_dim": 4, "num_classes": 3}, "init_seed": 1}',
+                "truncated": blob[: len(blob) // 2],
+                "not_a_file_format": b"\x00\x01 garbage",
+            }[content])
         assert main(["eval", "--config", config, "--checkpoint", str(ckpt)]) == 1
-        assert "JSON checkpoints of earlier versions no longer load" in caplog.text
+        assert str(ckpt) in caplog.text
+        hint = "JSON checkpoints of earlier versions no longer load"
+        assert (hint in caplog.text) == (content != "directory")
 
     def test_same_data_exit_0(self, trained_checkpoint, caplog):
         config, ckpt = trained_checkpoint
@@ -283,6 +305,45 @@ class TestReport:
 
     def test_empty_dir_exit_1(self, tmp_path):
         assert main(["report", "--dir", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("fault, named", [
+        ("corrupt_manifest", ["manifest.json"]),
+        ("manifest_list", ["manifest.json"]),
+        ("report_lacks_seed", ["report.json", "'seed'"]),
+        ("report_mistyped_field", ["report.json", "final_per_class_mean_acc"]),
+        ("corrupt_report", ["report.json"]),
+        ("no_epoch_records", ["epoch_records.jsonl"]),
+        ("record_lacks_field", ["epoch_records.jsonl line 2", "calibrated_fraction"]),
+    ])
+    def test_unreadable_run_files_exit_1(self, trained_checkpoint, tmp_path, caplog, fault,
+                                         named):
+        out = tmp_path / "run"
+        shutil.copytree(pathlib.Path(trained_checkpoint[1]).parents[2], out)
+        os.remove(out / "aggregate.json")
+        run_dir = out / "runs" / "seed100"
+        if fault == "corrupt_manifest":
+            (out / "manifest.json").write_text('{"completed": [100')
+        elif fault == "manifest_list":
+            (out / "manifest.json").write_text("[100]")
+        elif fault.startswith("report_"):
+            doc = json.loads((run_dir / "report.json").read_text())
+            if fault == "report_lacks_seed":
+                del doc["seed"]
+            else:
+                doc["final_per_class_mean_acc"] = "high"
+            (run_dir / "report.json").write_text(json.dumps(doc))
+        elif fault == "corrupt_report":
+            (run_dir / "report.json").write_bytes(b"\xff\xfe")
+        elif fault == "no_epoch_records":
+            os.remove(run_dir / "epoch_records.jsonl")
+        else:
+            path = run_dir / "epoch_records.jsonl"
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            del records[1]["calibrated_fraction"]
+            path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert main(["report", "--dir", str(out)]) == 1
+        assert all(name in caplog.text for name in named)
+        assert not (out / "aggregate.json").exists()
 
 
 class TestSweepAndAblate:

@@ -106,6 +106,23 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config([1, 2])
 
+    @pytest.mark.parametrize("doc", [
+        {"data": 5},
+        {"train": None},
+        {"ablation": [1]},
+        {"model": "small"},
+        {"name": ["x"]},
+        {"name": 3},
+        {"output_dir": None},
+        {"seeds": None},
+    ], ids=repr)
+    def test_every_section_and_root_value_is_type_checked(self, doc):
+        with pytest.raises(ConfigError, match=next(iter(doc))):
+            parse_config(doc)
+
+    def test_null_model_sizes_the_model_from_the_data(self):
+        assert parse_config({"model": None}).model is None
+
 
 class TestApplyOverrides:
     def test_dotted_paths_and_json_values(self):
@@ -251,7 +268,7 @@ class TestRunExperiment:
         assert config_echo["train"]["epochs"] == 4
         for seed in (100, 101):
             run_dir = os.path.join(out, "runs", f"seed{seed}")
-            for name in ("report.json", "checkpoint.npz", "epoch_records.jsonl", "label_shift.json"):
+            for name in ("report.json", "checkpoint.npz", "epoch_records.jsonl"):
                 assert os.path.isfile(os.path.join(run_dir, name)), name
             # the checkpoint names the data it was trained on
             provenance = load_checkpoint(os.path.join(run_dir, "checkpoint.npz")).provenance
@@ -285,9 +302,29 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_report_round_trip(self, micro_experiment):
+        _, reports, out = micro_experiment
+        for report in reports:
+            assert RunReport.load(os.path.join(out, "runs", f"seed{report.seed}")) == report
+
+    def test_run_directory_stores_each_fact_once(self, micro_experiment):
+        _, reports, out = micro_experiment
+        fields = [f.name for f in dataclasses.fields(RunReport)]
+        for report in reports:
+            run_dir = os.path.join(out, "runs", f"seed{report.seed}")
+            assert sorted(os.listdir(run_dir)) == [
+                "checkpoint.npz", "epoch_records.jsonl", "report.json"]
+            doc = json.loads(open(os.path.join(run_dir, "report.json")).read())
+            assert list(doc) == [name for name in fields if name != "records"]
+            assert report.label_shift is not None
+            assert doc["label_shift"] == report.label_shift
+            lines = open(os.path.join(run_dir, "epoch_records.jsonl")).read().splitlines()
+            assert [json.loads(line) for line in lines] == report.records
+
+    def test_last_audit_scores_the_final_model(self, micro_experiment):
+        # the trainer's per-epoch audit and score_target agree on the last epoch
         _, reports, _ = micro_experiment
-        blob = json.loads(json.dumps(reports[0].to_dict()))
-        assert RunReport.from_dict(blob).to_dict() == reports[0].to_dict()
+        for report in reports:
+            assert report.records[-1]["target_per_class_acc"] == report.final_per_class_mean_acc
 
     def test_regenerate_matches_original(self, micro_experiment, tmp_path):
         _, _, out = micro_experiment
@@ -303,7 +340,8 @@ class TestRunExperiment:
         for seed in (100, 101):
             path = copy / "runs" / f"seed{seed}" / "report.json"
             doc = json.loads(path.read_text())
-            records = doc["records"]
+            records = [json.loads(line) for line in
+                       (path.parent / "epoch_records.jsonl").read_text().splitlines()]
             doc["false_pseudo_rate"] = [1.0 - r["pseudo_acc_raw"] for r in records]
             for key in ("calibrated_fraction", "subset_acc_raw", "subset_acc_calibrated"):
                 doc[key] = [r[key] for r in records]
@@ -314,6 +352,25 @@ class TestRunExperiment:
         for name in os.listdir(os.path.join(out, "plotdata")):
             with open(os.path.join(out, "plotdata", name), "rb") as fh:
                 assert (copy / "plotdata" / name).read_bytes() == fh.read(), name
+
+    def test_regenerate_reads_the_earlier_layout(self, micro_experiment, tmp_path):
+        # report.json once also held the records, and label_shift.json the estimate
+        _, reports, out = micro_experiment
+        copy = tmp_path / "old"
+        shutil.copytree(out, copy)
+        for report in reports:
+            run_dir = copy / "runs" / f"seed{report.seed}"
+            doc = dataclasses.asdict(report)
+            (run_dir / "report.json").write_text(json.dumps(doc, indent=2))
+            (run_dir / "label_shift.json").write_text(json.dumps(report.label_shift, indent=2))
+        os.remove(copy / "aggregate.json")
+        shutil.rmtree(copy / "plotdata")
+        regenerate_reports(str(copy))
+        names = ["aggregate.json"] + [os.path.join("plotdata", name)
+                                      for name in os.listdir(os.path.join(out, "plotdata"))]
+        for name in names:
+            with open(os.path.join(out, name), "rb") as fh:
+                assert (copy / name).read_bytes() == fh.read(), name
 
     def test_regenerate_needs_runs(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -347,13 +404,13 @@ class TestWriteOutputs:
 
         state = init_model(tiny_model_cfg, seed=5)
         records = [EpochRecord(epoch, 0.01, 1.0, 0.0, 0.0, 0.0, 0.0) for epoch in (1, 2)]
-        _write_outputs(tmp_path, state, records, None, None)
+        _write_outputs(tmp_path, state, records, None)
         path = tmp_path / "epoch_records.jsonl"
         before = path.read_bytes()
         assert before.count(b"\n") == 2
         # the first record is already in the temporary file when the second fails
         with pytest.raises(RuntimeError, match="cannot encode"):
-            _write_outputs(tmp_path, state, [records[0], Unwritable()], None, None)
+            _write_outputs(tmp_path, state, [records[0], Unwritable()], None)
         assert path.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["checkpoint.npz", "epoch_records.jsonl"]
 

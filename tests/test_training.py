@@ -318,7 +318,7 @@ class TestRun:
         assert ckpt.config == tiny_model_cfg
         # no ShiftSpec was given, so only the data digest is recorded
         assert ckpt.provenance == {"data": None, "features_sha256": features_digest(src, tgt)}
-        shift = json.loads((out / "label_shift.json").read_text())
+        shift = json.loads((out / "report.json").read_text())["label_shift"]
         assert len(shift["class_weights"]) == 3
 
     def test_epoch_records_byte_identical(self, tiny_pair, tiny_model_cfg, tmp_path):
