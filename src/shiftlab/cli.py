@@ -96,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(commands.add_parser("ablate", help="run the component ablation ladder"), *_FLAGS)
 
     rp = commands.add_parser("report", help="rebuild aggregate outputs from run reports")
-    rp.add_argument("--dir", required=True, help="experiment output directory")
+    rp.add_argument("--dir", required=True,
+                    help="output directory of train, ablate or sweep-if, or one grid cell")
     return parser
 
 

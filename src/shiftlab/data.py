@@ -167,6 +167,8 @@ class ShiftSpec:
             raise ParameterError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        if not math.isfinite(self.rotation_angle):
+            raise ParameterError(f"rotation_angle must be finite, got {self.rotation_angle}")
         self.source_order = self._check_order(self.source_order, "source_order")
         self.target_order = self._check_order(self.target_order, "target_order")
         if isinstance(self.translation, (int, float)):
@@ -177,6 +179,8 @@ class ShiftSpec:
             raise ParameterError(
                 f"translation length {len(self.translation)} != feature_dim {self.feature_dim}"
             )
+        if not all(math.isfinite(t) for t in self.translation):
+            raise ParameterError(f"translation entries must be finite, got {self.translation}")
 
     def _check_order(self, order: list[int] | None, name: str) -> list[int]:
         if order is None:

@@ -415,29 +415,34 @@ def _run_dir(out_dir: str, seed: int) -> str:
     return os.path.join(out_dir, "runs", f"seed{seed}")
 
 
-def run_experiment(cfg: ExperimentConfig, force: bool = False) -> list[RunReport]:
-    """Run every seed of one experiment and write all artifacts.
+def _run_cell(cell: ExperimentConfig, force: bool,
+              datasets: dict) -> tuple[list[RunReport], dict]:
+    """Run every seed of one experiment into its ``output_dir``; return reports and aggregate.
 
-    A manifest marks which seeds completed, so a failed run leaves the
-    finished ones usable. Failures still propagate after the manifest is
-    updated.
+    ``datasets`` holds the data of each ``ShiftSpec`` drawn so far, keyed by
+    the spec's JSON. A manifest marks which seeds completed, so a failed run
+    leaves the finished ones usable. Failures still propagate after the
+    manifest is updated.
     """
-    out_dir = claim_output_dir(cfg.output_dir, force)
-    write_json(os.path.join(out_dir, "config.json"), _config_echo(cfg))
-    manifest = {"name": cfg.name, "seeds": cfg.seeds, "completed": [], "failed": []}
+    out_dir = claim_output_dir(cell.output_dir, force)
+    write_json(os.path.join(out_dir, "config.json"), _config_echo(cell))
+    manifest = {"name": cell.name, "seeds": cell.seeds, "completed": [], "failed": []}
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_json(manifest_path, manifest)
 
-    source, target = generate(cfg.data)
-    train_cfg = effective_train_config(cfg.train, cfg.ablation)
+    key = json.dumps(dataclasses.asdict(cell.data))
+    if key not in datasets:
+        datasets[key] = generate(cell.data)
+    source, target = datasets[key]
+    train_cfg = effective_train_config(cell.train, cell.ablation)
     reports: list[RunReport] = []
-    for seed in cfg.seeds:
+    for seed in cell.seeds:
         seeded = dataclasses.replace(train_cfg, seed=seed)
         run_dir = _run_dir(out_dir, seed)
         os.makedirs(run_dir, exist_ok=True)
         try:
             reports.append(
-                run_single(source, target, seeded, cfg.model, cfg.name, run_dir, cfg.data)
+                run_single(source, target, seeded, cell.model, cell.name, run_dir, cell.data)
             )
         except Exception as exc:
             manifest["failed"].append({"seed": seed, "error": str(exc)})
@@ -445,62 +450,74 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False) -> list[RunReport
             raise
         manifest["completed"].append(seed)
         write_json(manifest_path, manifest)
+    return reports, _summarize(out_dir, cell.name, reports)
 
-    _summarize(out_dir, cfg.name, reports)
+
+def _set_state(grid: tuple[str, dict] | None, index: int, state: str) -> None:
+    if grid is not None:
+        path, manifest = grid
+        manifest["cells"][index]["state"] = state
+        write_json(path, manifest)
+
+
+def _run_cells(cells: list[ExperimentConfig], force: bool,
+               grid: tuple[str, dict] | None = None) -> list[tuple[list[RunReport], dict]]:
+    """Run each cell in order through ``_run_cell``, drawing each distinct dataset once.
+
+    ``grid`` is the path and document of a grid root's manifest, whose i-th
+    cell's ``state`` follows cell i. The first failing cell stops the rest.
+    """
+    datasets: dict[str, tuple[DomainDataset, DomainDataset]] = {}
+    results = []
+    for i, cell in enumerate(cells):
+        _set_state(grid, i, "running")
+        try:
+            results.append(_run_cell(cell, force, datasets))
+        except Exception:
+            _set_state(grid, i, "failed")
+            raise
+        _set_state(grid, i, "completed")
+    return results
+
+
+def run_experiment(cfg: ExperimentConfig, force: bool = False) -> list[RunReport]:
+    """Run every seed of one experiment and write all artifacts into its output root."""
+    [(reports, _)] = _run_cells([cfg], force)
     return reports
 
 
-def _run_grid(
-    cfg: ExperimentConfig, cells: list[tuple[str, str, str, ShiftSpec]], force: bool
-) -> tuple[str, list[dict]]:
-    """Run the sub-experiment of each ``(subdir, name, rung, data)`` cell, in order.
+@dataclass
+class GridCell:
+    """One sub-experiment of a grid, as its root's manifest lists it.
 
-    Refuses repeated sub-directories before creating anything; the first
-    failing cell stops the grid. Returns the output directory and aggregates.
+    ``state`` goes from ``not_run`` to ``running`` and then to
+    ``completed`` or ``failed``.
     """
-    subdirs = [subdir for subdir, _, _, _ in cells]
-    repeated = sorted({s for s in subdirs if subdirs.count(s) > 1})
-    if repeated:
-        raise ConfigError(f"sub-experiments would share directories: {repeated}")
-    out_dir = claim_output_dir(cfg.output_dir, force)
-    aggregates = []
-    for subdir, name, rung, data in cells:
-        sub = dataclasses.replace(
-            cfg,
-            name=name,
-            data=data,
-            ablation=AblationMask.rung(rung),
-            output_dir=os.path.join(out_dir, subdir),
-        )
-        aggregates.append(aggregate_reports(name, run_experiment(sub, force=force)))
-    return out_dir, aggregates
+
+    subdir: str
+    name: str
+    rung: str
+    state: str = "not_run"
 
 
-def ablate(cfg: ExperimentConfig, force: bool = False) -> dict[str, dict]:
-    """Run the cumulative component ladder and tabulate mean accuracies."""
-    out_dir, aggregates = _run_grid(cfg, [(r, r, r, cfg.data) for r in LADDER], force)
-    results = dict(zip(LADDER, aggregates))
+def _write_ladder(out_dir: str, manifest: dict, aggregates: list[dict]) -> dict[str, dict]:
+    """The ladder's ``summary.csv`` and ``aggregate.json``: each rung's aggregate."""
     _write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["component_set", "mean_accuracy", "stddev_accuracy"],
         [[agg["name"], agg["mean_accuracy"], agg["stddev_accuracy"]] for agg in aggregates],
     )
+    results = {cell["rung"]: agg for cell, agg in zip(manifest["cells"], aggregates)}
     write_json(os.path.join(out_dir, "aggregate.json"), results)
     return results
 
 
-def sweep_if(cfg: ExperimentConfig, if_values: list[float], force: bool = False) -> dict:
-    """Run full / no-calibration / source-only at each imbalance factor."""
-    if not if_values or not all(math.isfinite(v) and v >= 1 for v in if_values):
-        raise ConfigError(f"imbalance factors must all be finite and >= 1, got {if_values}")
-    specs = [dataclasses.replace(cfg.data, imbalance_factor=float(v)) for v in if_values]
-    cells = [
-        (os.path.join(f"if{v:g}", method), f"{method}_if{v:g}", rung, data)
-        for v, data in zip(if_values, specs)
-        for method, rung in SWEEP_METHODS.items()
-    ]
-    out_dir, aggregates = _run_grid(cfg, cells, force)
-    methods = list(SWEEP_METHODS)
+def _write_sweep(out_dir: str, manifest: dict, aggregates: list[dict]) -> dict:
+    """The sweep's ``summary.csv``, ``plotdata/if_sweep.json`` and ``aggregate.json``.
+
+    Each holds the mean accuracy of every method at every imbalance factor.
+    """
+    if_values, methods = manifest["if_values"], list(SWEEP_METHODS)
     accs = iter(agg["mean_accuracy"] for agg in aggregates)
     table = {f"{v:g}": {m: next(accs) for m in methods} for v in if_values}
     _write_csv(
@@ -513,7 +530,7 @@ def sweep_if(cfg: ExperimentConfig, if_values: list[float], force: bool = False)
     write_json(
         os.path.join(plot_dir, "if_sweep.json"),
         {
-            "if_values": [float(v) for v in if_values],
+            "if_values": if_values,
             "methods": {m: [table[f"{v:g}"][m] for v in if_values] for m in methods},
         },
     )
@@ -521,13 +538,76 @@ def sweep_if(cfg: ExperimentConfig, if_values: list[float], force: bool = False)
     return table
 
 
+_GRID_WRITERS = {"ablate": _write_ladder, "sweep-if": _write_sweep}
+
+
+def _run_grid(cfg: ExperimentConfig, command: str, cells: list[tuple[str, str, str, ShiftSpec]],
+              force: bool, **extra) -> dict:
+    """Run the sub-experiment of each ``(subdir, name, rung, data)`` cell, in order.
+
+    Refuses repeated sub-directories before creating anything. The root's
+    manifest lists the command, the cells with their states, and ``extra``;
+    the first failing cell stops the grid. Then the command's writer builds
+    the root's files from the cells' aggregates, and its result is returned.
+    """
+    subdirs = [subdir for subdir, _, _, _ in cells]
+    repeated = sorted({s for s in subdirs if subdirs.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"sub-experiments would share directories: {repeated}")
+    out_dir = claim_output_dir(cfg.output_dir, force)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    manifest = {"command": command,
+                "cells": [dataclasses.asdict(GridCell(s, n, r)) for s, n, r, _ in cells],
+                **extra}
+    write_json(manifest_path, manifest)
+    subs = [
+        dataclasses.replace(cfg, name=name, data=data, ablation=AblationMask.rung(rung),
+                            output_dir=os.path.join(out_dir, subdir))
+        for subdir, name, rung, data in cells
+    ]
+    results = _run_cells(subs, force, (manifest_path, manifest))
+    return _GRID_WRITERS[command](out_dir, manifest, [agg for _, agg in results])
+
+
+def ablate(cfg: ExperimentConfig, force: bool = False) -> dict[str, dict]:
+    """Run the cumulative component ladder and tabulate mean accuracies."""
+    return _run_grid(cfg, "ablate", [(r, r, r, cfg.data) for r in LADDER], force)
+
+
+def sweep_if(cfg: ExperimentConfig, if_values: list[float], force: bool = False) -> dict:
+    """Run full / no-calibration / source-only at each imbalance factor."""
+    if not if_values or not all(math.isfinite(v) and v >= 1 for v in if_values):
+        raise ConfigError(f"imbalance factors must all be finite and >= 1, got {if_values}")
+    if_values = [float(v) for v in if_values]
+    cells = [
+        (os.path.join(f"if{v:g}", method), f"{method}_if{v:g}", rung,
+         dataclasses.replace(cfg.data, imbalance_factor=v))
+        for v in if_values
+        for method, rung in SWEEP_METHODS.items()
+    ]
+    return _run_grid(cfg, "sweep-if", cells, force, if_values=if_values)
+
+
 def regenerate_reports(out_dir: str) -> dict:
     """Rebuild aggregate, summary, and plot data from persisted run reports.
 
-    Reports are read in the order of the manifest's ``completed`` list,
-    which is the order the seeds ran in.
+    An experiment's reports are read in the order of its manifest's
+    ``completed`` list, which is the order the seeds ran in. A grid's
+    manifest names its cells: each is rebuilt so, and then the grid's own
+    files by the writer its driver uses. Returns the root's aggregate.
     """
     out_dir = resolve_output_dir(out_dir)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    manifest = read_json(manifest_path)
+    if not (isinstance(manifest, dict) and "cells" in manifest):
+        return _resummarize(out_dir)
+    subdirs = _finished_cells(manifest_path, manifest)
+    aggregates = [_resummarize(os.path.join(out_dir, subdir)) for subdir in subdirs]
+    return _GRID_WRITERS[manifest["command"]](out_dir, manifest, aggregates)
+
+
+def _resummarize(out_dir: str) -> dict:
+    """Rebuild one experiment's aggregate, summary and plot data from its run reports."""
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest = read_json(manifest_path)
     completed = manifest.get("completed") if isinstance(manifest, dict) else None
@@ -535,3 +615,21 @@ def regenerate_reports(out_dir: str) -> dict:
         raise ConfigError(f"{manifest_path} lists no completed runs")
     reports = [RunReport.load(_run_dir(out_dir, seed)) for seed in completed]
     return _summarize(out_dir, reports[0].name, reports)
+
+
+def _finished_cells(path: str, manifest: dict) -> list[str]:
+    """The sub-directories of a grid manifest's cells, if it is well formed and all completed."""
+    command, cells = manifest.get("command"), manifest["cells"]
+    if command not in _GRID_WRITERS or not isinstance(cells, list) or not cells:
+        raise ConfigError(f"{path} names no known grid command and cells")
+    cells = [_build(GridCell, cell, f"{path} cell {i}") for i, cell in enumerate(cells, 1)]
+    if command == "sweep-if":
+        if_values = manifest.get("if_values")
+        if not (_fits(if_values, list[float])
+                and len(cells) == len(if_values) * len(SWEEP_METHODS)):
+            raise ConfigError(f"{path}: if_values {if_values!r} do not match its "
+                              f"{len(cells)} cells")
+    unfinished = [cell.subdir for cell in cells if cell.state != "completed"]
+    if unfinished:
+        raise ConfigError(f"{path}: cells {unfinished} did not complete")
+    return [cell.subdir for cell in cells]

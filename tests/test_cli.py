@@ -10,7 +10,7 @@ import shutil
 import numpy as np
 import pytest
 
-from shiftlab import ModelConfig, init_model, save_checkpoint
+from shiftlab import ModelConfig, experiments, generate, init_model, save_checkpoint
 from shiftlab.cli import main
 
 MICRO = {
@@ -145,10 +145,11 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
-    def test_non_finite_imbalance_factor_exit_1(self, config_file, tmp_path, value):
+    @pytest.mark.parametrize("field", ["imbalance_factor", "rotation_angle", "translation"])
+    def test_non_finite_data_parameter_exit_1(self, config_file, tmp_path, field, value):
         out = tmp_path / "run"
         args = ["train", "--config", config_file, "--out", str(out),
-                "--set", f"data.imbalance_factor={value}"]
+                "--set", f"data.{field}={value}"]
         assert main(args) == 1
         assert not out.exists()
 
@@ -392,6 +393,66 @@ class TestSweepAndAblate:
         ]
 
 
+class TestGridReport:
+    """report --dir rebuilds a whole grid: every cell, then the root."""
+
+    @pytest.mark.parametrize("command, cells, draws", [
+        (["ablate"], 5, 1),
+        (["sweep-if", "--if-values", "1,5"], 6, 2),
+    ], ids=["ablate", "sweep-if"])
+    def test_rebuilds_every_summary(self, config_file, tmp_path, monkeypatch, capsys, command,
+                                    cells, draws):
+        specs = []
+
+        def counted_generate(spec):
+            specs.append(spec)
+            return generate(spec)
+
+        monkeypatch.setattr(experiments, "generate", counted_generate)
+        out = tmp_path / "grid"
+        assert main([*command, "--config", config_file, "--out", str(out)]) == 0
+        assert len(specs) == draws  # the data of each distinct ShiftSpec is drawn once
+        capsys.readouterr()
+
+        built = sorted(path for path in out.rglob("*") if path.is_file() and (
+            path.name in ("summary.csv", "aggregate.json") or path.parent.name == "plotdata"))
+        names = [path.name for path in built]
+        assert names.count("summary.csv") == names.count("aggregate.json") == cells + 1
+        assert names.count("calibrated_fraction.json") == cells
+        original = {path: path.read_bytes() for path in built}
+        for path in built:
+            path.unlink()
+        for plot_dir in list(out.rglob("plotdata")):
+            plot_dir.rmdir()
+        assert main(["report", "--dir", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert printed == json.loads(original[out / "aggregate.json"])
+        for path, data in original.items():
+            assert path.read_bytes() == data, path
+        assert len(specs) == draws  # rebuilding trains and draws nothing
+
+    @pytest.mark.parametrize("manifest, named", [
+        ({"command": "train", "cells": []}, "no known grid command"),
+        ({"command": "ablate", "cells": [{"subdir": "full"}]}, "'name'"),
+        ({"command": "ablate", "cells": [{"subdir": 1, "name": "full", "rung": "full"}]},
+         "subdir"),
+        ({"command": "ablate",
+          "cells": [{"subdir": ".", "name": "a", "rung": "full", "state": "completed"}]},
+         "lists no completed runs"),
+        ({"command": "sweep-if", "if_values": ["1"],
+          "cells": [{"subdir": "a", "name": "a", "rung": "full", "state": "completed"}]},
+         "if_values"),
+        ({"command": "ablate",
+          "cells": [{"subdir": "a", "name": "a", "rung": "full", "state": "running"}]},
+         "did not complete"),
+    ])
+    def test_malformed_grid_manifest_exit_1(self, tmp_path, caplog, manifest, named):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["report", "--dir", str(tmp_path)]) == 1
+        assert "manifest.json" in caplog.text and named in caplog.text
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json"]
+
+
 class TestFailurePath:
     """A diverging seed is marked in its manifest and stops the driver."""
 
@@ -417,12 +478,24 @@ class TestFailurePath:
             code = main(["ablate", "--config", config_file, "--out", str(out), *self.DIVERGE])
         assert code == 2
         # no later rung directory, and no top-level summary.csv or aggregate.json
-        assert sorted(os.listdir(out)) == ["adversarial", "source_only"]
+        assert sorted(os.listdir(out)) == ["adversarial", "manifest.json", "source_only"]
         assert json.loads((out / "source_only" / "manifest.json").read_text())["completed"] == [100]
         manifest = json.loads((out / "adversarial" / "manifest.json").read_text())
         assert manifest["completed"] == []
         assert [entry["seed"] for entry in manifest["failed"]] == [100]
         assert not (out / "adversarial" / "summary.csv").exists()
+        root = json.loads((out / "manifest.json").read_text())
+        assert root["command"] == "ablate"
+        assert [(cell["subdir"], cell["state"]) for cell in root["cells"]] == [
+            ("source_only", "completed"),
+            ("adversarial", "failed"),
+            ("adversarial_centroid", "not_run"),
+            ("adversarial_centroid_pairwise", "not_run"),
+            ("full", "not_run"),
+        ]
+        # an unfinished grid has no top-level results to rebuild
+        assert main(["report", "--dir", str(out)]) == 1
+        assert not (out / "summary.csv").exists()
 
 
 class TestParserBasics:

@@ -63,6 +63,10 @@ class TestShiftSpecValidation:
         ("imbalance_factor", float("inf")),
         ("noise_sigma", float("nan")),
         ("noise_sigma", float("inf")),
+        ("rotation_angle", float("nan")),
+        ("rotation_angle", float("inf")),
+        ("translation", float("nan")),
+        ("translation", [0.0, float("inf"), 0.0, 0.0]),
     ])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ParameterError):
