@@ -28,7 +28,6 @@ from .data import (
     class_sizes,
     features_digest,
     generate,
-    load_dataset,
     save_dataset,
 )
 from .experiments import (

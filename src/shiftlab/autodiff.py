@@ -244,14 +244,6 @@ def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
         t._grad += g
 
 
-def _deduct(t: Tensor, g: np.ndarray) -> None:
-    """Subtract ``g`` from ``t``'s gradient; ``g`` is never adopted."""
-    if t._grad is None:
-        t._grad = np.negative(g)
-    else:
-        t._grad -= g
-
-
 class Tape:
     """Ordered record of backward closures for one forward pass."""
 
@@ -401,7 +393,7 @@ def sub(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g, shared=True)
-        _deduct(b, g)
+        _accumulate(b, np.negative(g))
 
     _record(tape, out, backward)
     return out
@@ -427,7 +419,7 @@ def div(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         _accumulate(a, g / b.values)
-        _deduct(b, g * out.values / b.values)
+        _accumulate(b, -(g * out.values / b.values))
 
     _record(tape, out, backward)
     return out
@@ -818,7 +810,7 @@ def euclidean_distance(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
         if dist > 0.0:
             step = g[0, 0] * (diff / dist)
             _accumulate(a, step)
-            _deduct(b, step)
+            _accumulate(b, -step)
 
     _record(tape, out, backward)
     return out
@@ -903,7 +895,7 @@ def grad_reverse(tape: Tape | None, x: Tensor, coeff: float) -> Tensor:
     out = _wrap(x.values.copy())
 
     def backward(g: np.ndarray) -> None:
-        _deduct(x, coeff * g)
+        _accumulate(x, -coeff * g)
 
     _record(tape, out, backward)
     return out

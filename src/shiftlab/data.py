@@ -13,7 +13,6 @@ training code can only reach them through ``labels_for_eval`` with a
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import numbers
@@ -34,7 +33,6 @@ __all__ = [
     "generate",
     "features_digest",
     "save_dataset",
-    "load_dataset",
     "BalancedSampler",
 ]
 
@@ -44,7 +42,7 @@ class ParameterError(ValueError):
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file violates the documented CSV layout."""
+    """A dataset has no samples or a label outside ``[0, num_classes)``."""
 
 
 class HiddenLabelError(RuntimeError):
@@ -273,68 +271,13 @@ def features_digest(source: DomainDataset, target: DomainDataset) -> str:
 
 
 def save_dataset(ds: DomainDataset, path) -> None:
-    """Write one dataset as CSV with 17-significant-digit reals.
-
-    Labels are written even when hidden; hiding is re-imposed on load.
-    """
+    """Write one dataset as CSV with 17-significant-digit reals, target labels included."""
     def lines():
         yield ",".join(["domain", "label"] + [f"f{j}" for j in range(ds.feature_dim)]) + "\n"
         for label, x in zip(ds._labels, ds.features):
             yield ",".join([ds.domain_tag, str(int(label))] + [format(v, ".17g") for v in x]) + "\n"
 
     write_text(path, lines())
-
-
-def load_dataset(path, expected_classes: int | None = None) -> DomainDataset:
-    """Read a dataset CSV; the inverse of save_dataset, bit-exact.
-
-    Class count is inferred from the labels unless ``expected_classes``
-    pins it. Target rows come back with hidden labels.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty file, expected a header") from None
-        if len(header) < 3 or header[0] != "domain" or header[1] != "label":
-            raise DatasetFormatError(
-                f"{path}: line 1: header must be domain,label,f0,..., got {header[:3]}"
-            )
-        dim = len(header) - 2
-        if header[2:] != [f"f{j}" for j in range(dim)]:
-            raise DatasetFormatError(f"{path}: line 1: feature columns must be f0..f{dim - 1}")
-
-        domains: list[str] = []
-        labels: list[int] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 2:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected {dim + 2} fields, got {len(row)}"
-                )
-            try:
-                labels.append(int(row[1]))
-                rows.append([float(v) for v in row[2:]])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path}: line {lineno}: {exc}") from None
-            domains.append(row[0])
-
-    if not rows:
-        raise DatasetFormatError(f"{path}: no sample rows after the header")
-    tags = set(domains)
-    if len(tags) != 1 or tags - {"source", "target"}:
-        raise DatasetFormatError(f"{path}: domain column must be a single source|target tag")
-    tag = domains[0]
-    labs = np.asarray(labels, dtype=np.int64)
-    if labs.min() < 0:
-        raise DatasetFormatError(f"{path}: negative label")
-    num_classes = int(labs.max()) + 1 if expected_classes is None else expected_classes
-    if num_classes < 2:
-        num_classes = 2
-    return DomainDataset(tag, np.asarray(rows, dtype=np.float64), labs, num_classes)
 
 
 class BalancedSampler:

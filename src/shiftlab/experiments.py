@@ -276,10 +276,10 @@ def run_single(
     train_cfg: TrainConfig,
     model_cfg: ModelConfig | None,
     name: str,
-    out_dir: str | None = None,
+    out_dir: str,
     spec: ShiftSpec | None = None,
 ) -> RunReport:
-    """One trainer run plus evaluation, reported and, into ``out_dir``, persisted.
+    """One trainer run plus evaluation, reported and persisted into ``out_dir``.
 
     ``wall_clock_sec`` times the training alone. A run directory holds the
     two files of ``_write_outputs`` and then ``report.json``. The
@@ -299,11 +299,10 @@ def run_single(
         label_shift=None if shift_state is None else shift_state.to_dict(),
         **score_target(state, target, shift_state),
     )
-    if out_dir is not None:
-        provenance = {"data": None if spec is None else dataclasses.asdict(spec),
-                      "features_sha256": features_digest(source, target)}
-        _write_outputs(out_dir, state, records, provenance)
-        write_json(os.path.join(out_dir, "report.json"), report.to_dict())
+    provenance = {"data": None if spec is None else dataclasses.asdict(spec),
+                  "features_sha256": features_digest(source, target)}
+    _write_outputs(out_dir, state, records, provenance)
+    write_json(os.path.join(out_dir, "report.json"), report.to_dict())
     return report
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from shiftlab import (
     DomainDataset,
+    ExperimentConfig,
     ModelConfig,
     ShiftSpec,
     WeightedBatch,
@@ -21,6 +24,7 @@ from shiftlab import (
     domain_adversarial_loss,
     features,
     generate,
+    parse_config,
     update_centroids,
 )
 from shiftlab.autodiff import (
@@ -39,6 +43,14 @@ from shiftlab.autodiff import (
     sum_all,
     weighted_sum,
 )
+
+
+# README's quickstart config: the standard benchmark.
+STANDARD_JSON = pathlib.Path(__file__).parent / "data" / "standard.json"
+
+
+def standard_config() -> ExperimentConfig:
+    return parse_config(json.loads(STANDARD_JSON.read_text(encoding="utf-8")))
 
 
 def central_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 from shiftlab import (
-    AblationMask,
     CentroidBank,
     ModelConfig,
-    ShiftSpec,
+    RunReport,
     Tape,
     TrainConfig,
     WeightedBatch,
+    ablate,
     calibrate,
     centroid_alignment_loss,
     classify,
@@ -31,18 +31,16 @@ from shiftlab import (
     discriminative_alignment_loss,
     domain_adversarial_loss,
     features,
-    generate,
     init_model,
+    run_experiment,
+    sweep_if,
     update_centroids,
     weighting_matrix,
 )
 from shiftlab.autodiff import add_n, affine
-from shiftlab.experiments import LADDER, SWEEP_METHODS, effective_train_config, run_single
+from shiftlab.experiments import LADDER, SWEEP_METHODS, run_single
 
-from conftest import relative_error
-
-SEEDS3 = [100, 101, 102]
-SEEDS5 = [100, 101, 102, 103, 104]
+from conftest import relative_error, standard_config
 
 pytestmark = pytest.mark.acceptance
 
@@ -69,85 +67,53 @@ def verdict(num: int, ok: bool, detail: str) -> bool:
     return ok
 
 
-# --- shared benchmark machinery -------------------------------------------
+# --- shared benchmark runs ------------------------------------------------
+# The gate's 44 runs come from ``ablate``, ``run_experiment`` and ``sweep_if``
+# on README's standard config: the ablation ladder at IF=10 (15 runs), two
+# more full-method seeds (2) and the IF sweep at 1, 5 and 20 (27); the
+# sweep's IF=10 column is the ladder's.
 
 
-def bench_spec(if_value: float) -> ShiftSpec:
-    return ShiftSpec(
-        num_classes=5,
-        feature_dim=10,
-        max_class_size=300,
-        imbalance_factor=if_value,
-        target_order=[4, 3, 2, 1, 0],
-        rotation_angle=np.pi / 6,
-        seed=9,
-    )
-
-
-BENCH_MODEL = ModelConfig(
-    input_dim=10,
-    num_classes=5,
-    hidden_dims=[128, 128],
-    bottleneck_dim=8,
-    discriminator_hidden_dims=[32],
-)
-
-
-def bench_train(seed: int) -> TrainConfig:
-    # adversarial ramp-up follows the same annealing protocol as the lr decay
-    return TrainConfig(seed=seed, grl_schedule=True)
-
-
-def run_method(datasets, rung: str, seed: int):
-    src, tgt = datasets
-    cfg = effective_train_config(bench_train(seed), AblationMask.rung(rung))
-    cfg = dataclasses.replace(cfg, seed=seed)
-    return run_single(src, tgt, cfg, BENCH_MODEL, name=rung)
+def load_runs(out_dir, seeds) -> list[RunReport]:
+    return [RunReport.load(out_dir / "runs" / f"seed{s}") for s in seeds]
 
 
 @pytest.fixture(scope="module")
-def bench_data():
-    return {v: generate(bench_spec(v)) for v in (1, 5, 10, 20)}
+def gate_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("gate")
 
 
 @pytest.fixture(scope="module")
-def full_runs(bench_data):
-    """Full method at IF=10, five seeds; the first three serve 3-seed criteria."""
+def ladder_runs(gate_root):
+    """``ablate``: each rung at IF=10 on seeds 100-102; its aggregates and reports."""
+    cfg = dataclasses.replace(standard_config(), output_dir=str(gate_root / "ladder"))
     started = time.perf_counter()
-    reports = [run_method(bench_data[10], "full", s) for s in SEEDS5]
-    return {"reports": reports, "elapsed": time.perf_counter() - started}
+    aggregates = ablate(cfg)
+    elapsed = time.perf_counter() - started
+    reports = {rung: load_runs(gate_root / "ladder" / rung, cfg.seeds) for rung in LADDER}
+    return {"aggregates": aggregates, "reports": reports, "elapsed": elapsed}
 
 
 @pytest.fixture(scope="module")
-def ladder_runs(bench_data, full_runs):
-    """Component ladder at IF=10, three seeds per rung."""
-    started = time.perf_counter()
-    table: dict[str, list] = {}
-    for rung in LADDER[:-1]:
-        table[rung] = [run_method(bench_data[10], rung, s) for s in SEEDS3]
-    table["full"] = full_runs["reports"][: len(SEEDS3)]
-    elapsed = time.perf_counter() - started + full_runs["elapsed"]
-    return {"table": table, "elapsed": elapsed}
+def full_runs(gate_root, ladder_runs):
+    """Full method at IF=10 on five seeds: the ladder's three, then 103 and 104."""
+    cfg = dataclasses.replace(standard_config(), seeds=[103, 104],
+                              output_dir=str(gate_root / "full"))
+    run_experiment(cfg)
+    return ladder_runs["reports"]["full"] + load_runs(gate_root / "full", cfg.seeds)
 
 
 @pytest.fixture(scope="module")
-def sweep_runs(bench_data, ladder_runs):
+def sweep_runs(gate_root, ladder_runs, full_runs):
     """full / no-calibration / source-only mean accuracies at IF 1, 5, 10, 20."""
-    table: dict[int, dict[str, float]] = {}
-    for if_value in (1, 5, 10, 20):
-        row = {}
-        for method, rung in SWEEP_METHODS.items():
-            if if_value == 10:
-                reports = ladder_runs["table"][rung]
-            else:
-                reports = [run_method(bench_data[if_value], rung, s) for s in SEEDS3]
-            row[method] = mean_acc(reports)
-        table[if_value] = row
+    cfg = dataclasses.replace(standard_config(), output_dir=str(gate_root / "sweep"))
+    table = {int(v): row for v, row in sweep_if(cfg, [1, 5, 20]).items()}
+    # the last of the three calls: the root now holds every run of the gate
+    assert len(list(gate_root.glob("**/runs/seed*"))) == 44
+    aggregates = ladder_runs["aggregates"]
+    table[10] = {method: aggregates[rung]["mean_accuracy"]
+                 for method, rung in SWEEP_METHODS.items()}
     return table
-
-
-def mean_acc(reports) -> float:
-    return float(np.mean([r.final_per_class_mean_acc for r in reports]))
 
 
 # --- criterion 1: gradient correctness -------------------------------------
@@ -414,11 +380,11 @@ def test_criterion_4_worked_example_bit_exact():
 
 
 def test_criterion_5_full_method_gain(ladder_runs):
-    table = ladder_runs["table"]
-    full = 100 * mean_acc(table["full"])
-    base = 100 * mean_acc(table["source_only"])
+    aggregates, reports = ladder_runs["aggregates"], ladder_runs["reports"]
+    full = 100 * aggregates["full"]["mean_accuracy"]
+    base = 100 * aggregates["source_only"]["mean_accuracy"]
     gap = full - base
-    elapsed = sum(r.wall_clock_sec for r in table["full"] + table["source_only"])
+    elapsed = sum(r.wall_clock_sec for r in reports["full"] + reports["source_only"])
     ok = gap >= 10.0 and elapsed < 300.0
     assert verdict(
         5,
@@ -429,9 +395,8 @@ def test_criterion_5_full_method_gain(ladder_runs):
 
 
 def test_criterion_6_ablation_ladder(ladder_runs):
-    table = ladder_runs["table"]
     order = LADDER
-    accs = [100 * mean_acc(table[name]) for name in order]
+    accs = [100 * ladder_runs["aggregates"][name]["mean_accuracy"] for name in order]
     inversions = [
         (order[i], order[i + 1], accs[i] - accs[i + 1])
         for i in range(len(accs) - 1)
@@ -455,10 +420,9 @@ def stage2_records(report) -> list[dict]:
 
 
 def test_criterion_7_calibrated_subset_advantage(full_runs):
-    reports = full_runs["reports"]
     seeds_all_epochs_ok = 0
     advantages = []
-    for rep in reports:
+    for rep in full_runs:
         epoch_ok = True
         for rec in stage2_records(rep):
             raw, cal = rec["subset_acc_raw"], rec["subset_acc_calibrated"]
@@ -481,7 +445,7 @@ def test_criterion_7_calibrated_subset_advantage(full_runs):
 
 
 def test_criterion_8_distribution_estimation(full_runs):
-    reports = full_runs["reports"][: len(SEEDS3)]
+    reports = full_runs[:3]
     l1s = [r.dist_l1_error for r in reports]
     heads_ok = all(r.est_head_class == r.true_head_class for r in reports)
     ok = all(l1 is not None and l1 <= 0.4 for l1 in l1s) and heads_ok
@@ -493,23 +457,13 @@ def test_criterion_8_distribution_estimation(full_runs):
     )
 
 
-def test_criterion_9_byte_identical_records(tmp_path):
-    spec = ShiftSpec(
-        num_classes=3,
-        feature_dim=4,
-        max_class_size=40,
-        imbalance_factor=5,
-        target_order=[2, 1, 0],
-        rotation_angle=np.pi / 6,
-        seed=7,
-    )
-    src, tgt = generate(spec)
-    model_cfg = ModelConfig(4, 3, [16], 6, [8])
+def test_criterion_9_byte_identical_records(tmp_path, tiny_pair, tiny_model_cfg):
+    src, tgt = tiny_pair
     cfg = TrainConfig(epochs=5, pretrain_epochs=2, batch_size=16, seed=100)
     blobs = []
     for name in ("first", "second"):
         out = tmp_path / name
-        run_single(src, tgt, cfg, model_cfg, name, str(out))
+        run_single(src, tgt, cfg, tiny_model_cfg, name, str(out))
         blobs.append((out / "epoch_records.jsonl").read_bytes())
     ok = blobs[0] == blobs[1]
     assert verdict(

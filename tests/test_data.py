@@ -1,7 +1,8 @@
-"""Synthetic data generation, CSV persistence, label hiding, balanced sampling."""
+"""Synthetic data generation, CSV writing, label hiding, balanced sampling."""
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import asdict
 
@@ -18,7 +19,6 @@ from shiftlab import (
     ShiftSpec,
     class_sizes,
     generate,
-    load_dataset,
     save_dataset,
 )
 from shiftlab.metrics import EVALUATOR_ACCESS
@@ -181,28 +181,18 @@ class TestGenerate:
 
 
 class TestCsvRoundTrip:
-    def test_source_round_trip_exact(self, tmp_path):
-        src, _ = generate(ShiftSpec(num_classes=3, feature_dim=5, max_class_size=15,
-                                    seed=11))
-        path = tmp_path / "source.csv"
-        save_dataset(src, path)
-        back = load_dataset(path)
-        assert back.domain_tag == "source"
-        np.testing.assert_array_equal(back.features, src.features)
-        np.testing.assert_array_equal(back.labels, src.labels)
-
-    def test_target_reloads_hidden(self, tmp_path):
-        _, tgt = generate(ShiftSpec(num_classes=3, feature_dim=4, max_class_size=15,
-                                    seed=11))
-        path = tmp_path / "target.csv"
-        save_dataset(tgt, path)
-        back = load_dataset(path)
-        with pytest.raises(HiddenLabelError):
-            _ = back.labels
-        np.testing.assert_array_equal(
-            back.labels_for_eval(EVALUATOR_ACCESS),
-            tgt.labels_for_eval(EVALUATOR_ACCESS),
-        )
+    def test_features_and_labels_parse_back_exact(self, tmp_path):
+        src, tgt = generate(ShiftSpec(num_classes=3, feature_dim=5, max_class_size=15,
+                                      seed=11))
+        for ds, labels in ((src, src.labels), (tgt, tgt.labels_for_eval(EVALUATOR_ACCESS))):
+            path = tmp_path / f"{ds.domain_tag}.csv"
+            save_dataset(ds, path)
+            with open(path, encoding="utf-8", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert {row[0] for row in rows} == {ds.domain_tag}
+            np.testing.assert_array_equal([int(row[1]) for row in rows], labels)
+            back = np.array([[float(v) for v in row[2:]] for row in rows])
+            assert back.tobytes() == ds.features.tobytes()
 
     def test_header_schema(self, tmp_path):
         src, _ = generate(ShiftSpec(num_classes=2, feature_dim=3, max_class_size=4))
@@ -210,36 +200,6 @@ class TestCsvRoundTrip:
         save_dataset(src, path)
         first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first == "domain,label,f0,f1,f2"
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("domain,label,x0\nsource,0,1.0\n", encoding="utf-8")
-        with pytest.raises(DatasetFormatError):
-            load_dataset(path)
-
-    def test_bad_value_reports_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "domain,label,f0\nsource,0,1.0\nsource,zero,2.0\n", encoding="utf-8"
-        )
-        with pytest.raises(DatasetFormatError, match="line 3"):
-            load_dataset(path)
-
-    def test_mixed_domains_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "domain,label,f0\nsource,0,1.0\ntarget,1,2.0\n", encoding="utf-8"
-        )
-        with pytest.raises(DatasetFormatError):
-            load_dataset(path)
-
-    def test_expected_classes_widens_range(self, tmp_path):
-        path = tmp_path / "s.csv"
-        path.write_text(
-            "domain,label,f0\nsource,0,1.0\nsource,1,2.0\n", encoding="utf-8"
-        )
-        ds = load_dataset(path, expected_classes=5)
-        assert ds.num_classes == 5
 
 
 class TestBalancedSampler:

@@ -1,49 +1,44 @@
 """Golden trace: the standard benchmark's epoch records stay as committed.
 
 ``data/golden_epoch_records.jsonl`` is ``epoch_records.jsonl`` of the
-README standard config with ``grl_schedule`` on, data seed 9 and training
-seed 100. Rerunning that config must reproduce it: every field exactly,
-except the four loss means, which may differ from the golden values by a
-relative ``LOSS_RTOL``. A refactor that reorders a floating-point sum
+README standard config, ``data/standard.json``, at training seed 100.
+Rerunning that config must reproduce it: every field exactly, except the
+four loss means, which may differ from the golden values by a relative
+``LOSS_RTOL``. A refactor that reorders a floating-point sum
 (a matrix product in place of a loop of vector products, say) moves their
 last bits and nothing else.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 import pathlib
+import re
 
 import numpy as np
 
-from shiftlab import ModelConfig, ShiftSpec, TrainConfig, generate, make_audit_fn, run
+from shiftlab import generate, make_audit_fn, run
 
-GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_epoch_records.jsonl"
+from conftest import STANDARD_JSON, standard_config
+
+HERE = pathlib.Path(__file__).parent
+GOLDEN = HERE / "data" / "golden_epoch_records.jsonl"
 LOSS_FIELDS = ("loss_class", "loss_adversarial", "loss_centroid", "loss_pairwise")
 LOSS_RTOL = 1e-9
 
 
+def test_standard_config_is_the_readme_quickstart():
+    readme = (HERE.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"cat > benchmark\.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S).group(1)
+    assert json.loads(block) == json.loads(STANDARD_JSON.read_text(encoding="utf-8"))
+
+
 def test_standard_benchmark_matches_golden_trace():
-    spec = ShiftSpec(
-        num_classes=5,
-        feature_dim=10,
-        max_class_size=300,
-        imbalance_factor=10,
-        target_order=[4, 3, 2, 1, 0],
-        rotation_angle=math.pi / 6,
-        seed=9,
-    )
-    model_cfg = ModelConfig(
-        input_dim=10,
-        num_classes=5,
-        hidden_dims=[128, 128],
-        bottleneck_dim=8,
-        discriminator_hidden_dims=[32],
-    )
-    src, tgt = generate(spec)
+    cfg = standard_config()
+    src, tgt = generate(cfg.data)
     _, records, _ = run(
-        src, tgt, TrainConfig(seed=100, grl_schedule=True), model_cfg,
+        src, tgt, dataclasses.replace(cfg.train, seed=100), cfg.model,
         audit_fn=make_audit_fn(tgt),
     )
     golden = [json.loads(line) for line in GOLDEN.read_text(encoding="utf-8").splitlines()]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import weakref
 
 import numpy as np
@@ -10,9 +11,7 @@ import pytest
 
 from shiftlab import (
     CentroidBank,
-    ModelConfig,
     Pool,
-    ShiftSpec,
     Tape,
     TrainConfig,
     classify,
@@ -25,24 +24,22 @@ from shiftlab import (
 from shiftlab import networks, training
 from shiftlab.autodiff import Tensor, linear, mul, relu, sum_all
 
-from conftest import allocation_peak
+from conftest import allocation_peak, standard_config
 
 KIB = 1024
 # the README standard benchmark: its data, model and (full-method) step
-STD_SPEC = ShiftSpec(num_classes=5, feature_dim=10, max_class_size=300, imbalance_factor=10,
-                     target_order=[4, 3, 2, 1, 0], rotation_angle=np.pi / 6, seed=9)
-STD_MODEL = ModelConfig(10, 5, hidden_dims=[128, 128], bottleneck_dim=8)
+STD = standard_config()
 LOSS_WEIGHTS = [(3.0, 0.6, 1.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (3.0, 0.6, 0.0), (0.0, 0.6, 0.0)]
 
 
 @pytest.fixture(scope="module")
 def std_pair():
-    return generate(STD_SPEC)
+    return generate(STD.data)
 
 
 def std_cfg(lam=3.0, mu=0.6, gam=1.0) -> TrainConfig:
-    return TrainConfig(centroid_loss_weight=lam, pairwise_loss_weight=mu,
-                       adversarial_loss_weight=gam, grl_schedule=True)
+    return dataclasses.replace(STD.train, centroid_loss_weight=lam, pairwise_loss_weight=mu,
+                               adversarial_loss_weight=gam)
 
 
 def epoch_batches(rng, src, tgt, batch=50):
@@ -119,7 +116,7 @@ class TestPredict:
                                       networks.PREDICT_ROWS + 1, 647, 3235])
     def test_bit_identical_to_one_pass(self, rows):
         rng = np.random.default_rng(rows)
-        state = init_model(STD_MODEL, 4)
+        state = init_model(STD.model, 4)
         x = rng.standard_normal((rows, 10)) * 2.0
         want = classify(state, features(state, x)).values
         got = predict(state, x)
@@ -129,19 +126,19 @@ class TestPredict:
         assert np.array_equal(predict(state, x, pool), want)
 
     def test_result_is_not_a_pool_array(self):
-        state = init_model(STD_MODEL, 4)
+        state = init_model(STD.model, 4)
         pool = Pool()
         probs = predict(state, np.ones((300, 10)), pool)
         assert len(pool) > 0 and not pooled(pool, probs)
 
     def test_wrong_width_rejected(self):
-        state = init_model(STD_MODEL, 4)
+        state = init_model(STD.model, 4)
         with pytest.raises(ValueError):
             predict(state, np.ones((3, 9)))
 
     def test_allocation_budget(self, std_pair):
         # one pass over 647 rows allocated about 1,376 KiB before it went in blocks
-        state = init_model(STD_MODEL, 4)
+        state = init_model(STD.model, 4)
         x = std_pair[1].features
         assert x.shape == (647, 10)
         predict(state, x)
@@ -153,7 +150,7 @@ class TestPooledStep:
     def test_bit_identical_to_an_unpooled_step(self, std_pair, loss_weights):
         src, tgt = std_pair
         cfg = std_cfg(*loss_weights)
-        states = [init_model(STD_MODEL, 5) for _ in range(2)]
+        states = [init_model(STD.model, 5) for _ in range(2)]
         banks = [CentroidBank(5) for _ in range(2)]
         pool = Pool()
         rng = np.random.default_rng(6)
@@ -172,7 +169,7 @@ class TestPooledStep:
 
     def test_pool_size_is_constant_once_warm(self, std_pair):
         src, tgt = std_pair
-        state, bank, pool = init_model(STD_MODEL, 5), CentroidBank(5), Pool()
+        state, bank, pool = init_model(STD.model, 5), CentroidBank(5), Pool()
         rng = np.random.default_rng(7)
         sizes = []
         for epoch in range(3):
@@ -187,7 +184,7 @@ class TestPooledStep:
 
     def test_nothing_that_outlives_the_step_is_a_pool_array(self, std_pair):
         src, tgt = std_pair
-        state, bank, pool = init_model(STD_MODEL, 5), CentroidBank(5), Pool()
+        state, bank, pool = init_model(STD.model, 5), CentroidBank(5), Pool()
         rng = np.random.default_rng(8)
         for src_idx, tgt_idx in list(epoch_batches(rng, src, tgt))[:3]:
             losses = step(state, bank, std_cfg(), src, tgt, src_idx, tgt_idx, pool)
@@ -212,7 +209,7 @@ class TestPooledStep:
                 tapes.append(weakref.ref(self))
 
         monkeypatch.setattr(training, "Tape", RecordedTape)
-        state, bank = init_model(STD_MODEL, 5), CentroidBank(5)
+        state, bank = init_model(STD.model, 5), CentroidBank(5)
         src_idx, tgt_idx = next(epoch_batches(np.random.default_rng(9), src, tgt))
         step(state, bank, std_cfg(), src, tgt, src_idx, tgt_idx, Pool())
         assert len(tapes) == 1 and tapes[0]() is None
@@ -221,7 +218,7 @@ class TestPooledStep:
     def test_allocation_budget(self, std_pair):
         # a full-method step at the standard shapes allocated about 1,340 KiB unpooled
         src, tgt = std_pair
-        state, bank, pool = init_model(STD_MODEL, 5), CentroidBank(5), Pool()
+        state, bank, pool = init_model(STD.model, 5), CentroidBank(5), Pool()
         batches = list(epoch_batches(np.random.default_rng(10), src, tgt))
         for src_idx, tgt_idx in batches[:5]:
             step(state, bank, std_cfg(), src, tgt, src_idx, tgt_idx, pool)
