@@ -181,18 +181,37 @@ class TestGenerate:
 
 
 class TestCsvRoundTrip:
-    def test_features_and_labels_parse_back_exact(self, tmp_path):
-        src, tgt = generate(ShiftSpec(num_classes=3, feature_dim=5, max_class_size=15,
-                                      seed=11))
-        for ds, labels in ((src, src.labels), (tgt, tgt.labels_for_eval(EVALUATOR_ACCESS))):
-            path = tmp_path / f"{ds.domain_tag}.csv"
-            save_dataset(ds, path)
-            with open(path, encoding="utf-8", newline="") as fh:
-                rows = list(csv.reader(fh))[1:]
-            assert {row[0] for row in rows} == {ds.domain_tag}
-            np.testing.assert_array_equal([int(row[1]) for row in rows], labels)
-            back = np.array([[float(v) for v in row[2:]] for row in rows])
-            assert back.tobytes() == ds.features.tobytes()
+    @staticmethod
+    def _parse(path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        tags = {row[0] for row in rows}
+        labels = np.array([int(row[1]) for row in rows])
+        features = np.array([[float(v) for v in row[2:]] for row in rows])
+        return tags, labels, features
+
+    def test_source_round_trip_exact(self, tmp_path):
+        src, _ = generate(ShiftSpec(num_classes=3, feature_dim=5, max_class_size=15,
+                                    seed=11))
+        path = tmp_path / "source.csv"
+        save_dataset(src, path)
+        tags, labels, features = self._parse(path)
+        assert tags == {"source"}
+        np.testing.assert_array_equal(labels, src.labels)
+        assert features.tobytes() == src.features.tobytes()
+
+    def test_target_reloads_hidden(self, tmp_path):
+        # the file keeps the evaluator's labels; the domain column marks them hidden
+        _, tgt = generate(ShiftSpec(num_classes=3, feature_dim=4, max_class_size=15,
+                                    seed=11))
+        path = tmp_path / "target.csv"
+        save_dataset(tgt, path)
+        tags, labels, features = self._parse(path)
+        assert tags == {"target"}
+        with pytest.raises(HiddenLabelError):
+            _ = tgt.labels
+        np.testing.assert_array_equal(labels, tgt.labels_for_eval(EVALUATOR_ACCESS))
+        assert features.tobytes() == tgt.features.tobytes()
 
     def test_header_schema(self, tmp_path):
         src, _ = generate(ShiftSpec(num_classes=2, feature_dim=3, max_class_size=4))
