@@ -36,6 +36,10 @@ __all__ = [
     "BalancedSampler",
 ]
 
+# The largest count or dimension a config may give, so that no size
+# overflows an int64 cast or a NumPy shape.
+MAX_SIZE = 2**31 - 1
+
 
 class ParameterError(ValueError):
     """A dataset or sampler parameter is out of its valid range."""
@@ -149,6 +153,10 @@ class ShiftSpec:
             value = getattr(self, f.name)
             if isinstance(value, (np.integer, np.floating)):
                 setattr(self, f.name, value.item())
+        for name in ("num_classes", "feature_dim", "max_class_size"):
+            value = getattr(self, name)
+            if value > MAX_SIZE:
+                raise ParameterError(f"{name} must be at most {MAX_SIZE}, got {value}")
         if self.num_classes < 2:
             raise ParameterError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.feature_dim < 2:

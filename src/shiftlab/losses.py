@@ -14,7 +14,6 @@ denominator carries an epsilon of 1e-8.
 from __future__ import annotations
 
 import logging
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,14 +105,12 @@ _DOMAINS = ("source", "target")
 class CentroidBank:
     """Per-domain, per-class weighted moving-average feature centroids.
 
-    Each domain holds one C x d array of centroids and a boolean ``seen``
-    mask of the classes it has been given; rows of unseen classes are
-    zero and never enter a loss. Stored centroids are constants for
-    gradient purposes; only the current batch's contribution, recorded as
-    a tensor expression during ``update_centroids``, is differentiated.
-    Expressions are tagged with a weak reference to the tape that built
-    them, so a stale expression from an earlier step is never reused and
-    the bank does not keep a finished step's graph alive.
+    ``centroids[domain]`` is the C x d tensor the last ``update_centroids``
+    made for the domain, and ``seen[domain]`` the boolean mask of the
+    classes it has been given; rows of unseen classes are zero and never
+    enter a loss. Only the batch folded in on the current tape is
+    differentiated: on any other tape, or none, the tensor has no backward
+    rule, so the stored history is a constant for gradient purposes.
     """
 
     def __init__(self, num_classes: int, ema_coeff: float = 0.7) -> None:
@@ -124,8 +121,7 @@ class CentroidBank:
         self.num_classes = num_classes
         self.ema_coeff = ema_coeff
         self.seen = {d: np.zeros(num_classes, dtype=bool) for d in _DOMAINS}
-        self._values: dict[str, np.ndarray] = {}
-        self._exprs: dict[str, tuple[weakref.ref | None, Tensor]] = {}
+        self.centroids: dict[str, Tensor] = {}
 
     def initialized(self, domain: str, klass: int) -> bool:
         return bool(self.seen[domain][klass])
@@ -133,20 +129,11 @@ class CentroidBank:
     def value(self, domain: str, klass: int) -> np.ndarray:
         if not self.initialized(domain, klass):
             raise KeyError((domain, klass))
-        return self._values[domain][klass]
+        return self.centroids[domain].values[klass]
 
     def eligible_classes(self) -> list[int]:
         """Classes with both source and target centroids initialized."""
         return np.flatnonzero(self.seen["source"] & self.seen["target"]).tolist()
-
-    def _term(self, tape: Tape | None, domain: str) -> Tensor:
-        """Centroids as a graph node: this step's expression, else a constant."""
-        entry = self._exprs.get(domain)
-        if entry is not None:
-            ref, expr = entry
-            if ref is None if tape is None else ref is not None and ref() is tape:
-                return expr
-        return Tensor(self._values[domain])
 
 
 def update_centroids(
@@ -173,15 +160,12 @@ def update_centroids(
     present = totals > 0.0
     coeff = weights / np.where(present, totals, 1.0)[:, None]
     seen = bank.seen[domain]
-    old = bank._values.get(domain)
-    if old is None:
-        old = np.zeros((bank.num_classes, batch.features.shape[1]))
+    old = bank.centroids.get(domain)
+    old = np.zeros((bank.num_classes, batch.features.shape[1])) if old is None else old.values
     # seen and present: (1 - theta) new + theta old; new: adopt; absent: keep
     mix = np.where(seen, 1.0 - theta, 1.0) * present
     keep = np.where(present, theta * seen, 1.0)
-    expr = ema_matmul(tape, coeff, batch.features, mix, keep[:, None] * old)
-    bank._values[domain] = expr.values
-    bank._exprs[domain] = (None if tape is None else weakref.ref(tape), expr)
+    bank.centroids[domain] = ema_matmul(tape, coeff, batch.features, mix, keep[:, None] * old)
     bank.seen[domain] = seen | present
 
 
@@ -202,7 +186,7 @@ def centroid_alignment_loss(tape: Tape | None, bank: CentroidBank) -> Tensor:
         return Tensor([[0.0]])
     pairs = eligible[:, None] & eligible[None, :]
     same = pairs & np.eye(bank.num_classes, dtype=bool)
-    dists = pairwise_distances(tape, bank._term(tape, "source"), bank._term(tape, "target"))
+    dists = pairwise_distances(tape, bank.centroids["source"], bank.centroids["target"])
     if n_eligible < 2:
         return ratio(tape, dists, same / n_eligible, np.zeros(same.shape), 1.0)
     cross = pairs & ~same

@@ -30,6 +30,7 @@ from .autodiff import (
     sigmoid,
     softmax,
 )
+from .data import MAX_SIZE
 
 __all__ = ["ModelConfig", "ModelState", "CheckpointError", "init_model", "features",
            "classify", "discriminate", "predict", "save_checkpoint", "load_checkpoint"]
@@ -56,6 +57,11 @@ class ModelConfig:
             if not all(isinstance(h, numbers.Integral) and not isinstance(h, bool) for h in widths):
                 raise ValueError(f"{name} entries must be integers, got {list(widths)}")
             setattr(self, name, [int(h) for h in widths])
+        for name in ("input_dim", "num_classes", "bottleneck_dim", "hidden_dims",
+                     "discriminator_hidden_dims"):
+            value = getattr(self, name)
+            if any(d > MAX_SIZE for d in (value if isinstance(value, list) else [value])):
+                raise ValueError(f"{name} must be at most {MAX_SIZE}, got {value}")
         dims = [self.input_dim, self.num_classes, self.bottleneck_dim]
         dims += self.hidden_dims + self.discriminator_hidden_dims
         if any(d <= 0 for d in dims):

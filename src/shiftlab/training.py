@@ -305,13 +305,10 @@ def run(
     diagnostics: dict = {}
     records: list[EpochRecord] = []
     completed = 0
+    # read once: an audit_fn that edits cfg cannot move the stage boundary
+    pretrain_epochs = cfg.pretrain_epochs
 
     for epoch in range(1, cfg.epochs + 1):
-        if epoch <= cfg.pretrain_epochs and shift_state is not None:
-            raise RuntimeError(
-                f"epoch {epoch} is in pre-training (pretrain_epochs={cfg.pretrain_epochs}) "
-                "but a label-shift estimate already exists"
-            )
         perm = shuffle_rng.permutation(n_tgt)
         sums = dict.fromkeys(LOSS_FIELDS, 0.0)
         epoch_lr = None
@@ -336,7 +333,7 @@ def run(
         pseudo = calibrate(predict(state, target.features, pool), class_weights)
         records.append(_epoch_record(epoch, epoch_lr, sums, steps_per_epoch, pseudo, audit_fn))
 
-        if cfg.lsc_enabled and epoch == cfg.pretrain_epochs:
+        if cfg.lsc_enabled and epoch == pretrain_epochs:
             shift_state = LabelShiftState.estimate(
                 src_labels_all, pseudo, cfg.confidence_threshold,
                 source.num_classes, cfg.calibration_offset,

@@ -9,6 +9,7 @@ FAIL line marks a real property of the method at this scale.
 from __future__ import annotations
 
 import dataclasses
+import math
 import sys
 import time
 
@@ -286,10 +287,14 @@ def test_criterion_1_gradient_correctness():
     elapsed = time.perf_counter() - started
     worst_overall = max(worst.values())
     ok = worst_overall < 1e-3 and elapsed < 30.0
+    # the error is mostly the rounding noise of the loss evaluations, which
+    # moves its leading digits, so the line shows the next power of ten above it
+    shown = (f"< {10.0 ** (math.floor(math.log10(worst_overall)) + 1):.0e}"
+             if worst_overall > 0.0 else f"{worst_overall:.0e}")
     assert verdict(
         1,
         ok,
-        f"worst relative gradient error {worst_overall:.2e} over 20 instances x 5 "
+        f"worst relative gradient error {shown} over 20 instances x 5 "
         f"objectives (bound 1e-3), {elapsed:.1f}s (bound 30s)",
     )
 

@@ -13,6 +13,8 @@ import pytest
 from shiftlab import ModelConfig, experiments, generate, init_model, save_checkpoint
 from shiftlab.cli import main
 
+from conftest import allocation_peak
+
 MICRO = {
     "name": "cli",
     "data": {
@@ -195,6 +197,26 @@ class TestTrain:
         args = ["train", "--config", config_file, "--out", str(out), "--set", setting]
         assert main(args) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            f"data.max_class_size={10**30}",
+            f"data.max_class_size={2**31}",
+            f"data.feature_dim={10**30}",
+            f"model.hidden_dims=[{10**30}]",
+            f"model.bottleneck_dim={10**30}",
+        ],
+    )
+    def test_oversized_value_exit_1(self, config_file, tmp_path, caplog, setting):
+        # a size above 2**31 - 1 is rejected, naming its field, before any array exists
+        out = tmp_path / "run"
+        args = ["train", "--config", config_file, "--out", str(out), "--set", setting]
+        codes = []
+        assert allocation_peak(lambda: codes.append(main(args))) < 256 * 1024
+        assert codes == [1] and not out.exists()
+        field = setting.split("=")[0].split(".")[1]
+        assert f"{field} must be at most 2147483647" in caplog.text
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,7 @@ from shiftlab import (
     generate,
     save_dataset,
 )
+from shiftlab.data import MAX_SIZE
 from shiftlab.metrics import EVALUATOR_ACCESS
 
 
@@ -71,6 +72,14 @@ class TestShiftSpecValidation:
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ParameterError):
             ShiftSpec(num_classes=3, feature_dim=4, **{field: value})
+
+    @pytest.mark.parametrize("field", ["num_classes", "feature_dim", "max_class_size"])
+    def test_rejects_oversized(self, field):
+        with pytest.raises(ParameterError, match=f"{field} must be at most {MAX_SIZE}"):
+            ShiftSpec(**{field: MAX_SIZE + 1})
+
+    def test_accepts_the_largest_class_size(self):
+        assert ShiftSpec(max_class_size=MAX_SIZE).max_class_size == MAX_SIZE
 
     def test_rejects_bad_order(self):
         with pytest.raises(ParameterError):

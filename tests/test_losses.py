@@ -323,42 +323,63 @@ class TestCentroidAlignment:
         assert np.all(feats.grad == 0.0)
 
     def test_expression_belongs_to_its_tape(self):
+        # the stored tensor is the update's node: its own tape sends gradient
+        # to the batch, a later tape does not
         bank = CentroidBank(num_classes=2)
         tape = Tape()
-        update_centroids(tape, bank, batch([[1.0, 0.0], [0.0, 1.0]], [0, 1]), "source")
+        src = batch([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+        update_centroids(tape, bank, src, "source")
         assert len(tape) == 1
-        expr = bank._term(tape, "source")
-        assert bank._term(tape, "source") is expr
-        stale = bank._term(Tape(), "source")
-        assert stale is not expr
-        assert (stale.values == expr.values).all()
+        update_centroids(tape, bank, batch([[0.5, 0.0], [0.0, 2.0]], [0, 1]), "target")
+        stored = dict(bank.centroids)
+        on_tape = centroid_alignment_loss(tape, bank)
+        tape.backward(on_tape)
+        assert np.any(src.features.grad != 0.0)
+        src.features.zero_grad()
+        later = Tape()
+        again = centroid_alignment_loss(later, bank)
+        later.backward(again)
+        assert again.values == on_tape.values
+        assert bank.centroids == stored
+        assert src.features._grad is None
 
     def test_expression_of_a_finished_tape_is_stale(self):
-        # the bank must neither keep the tape alive nor mistake a later tape for it
+        # the bank must neither keep the tape alive nor send a later tape's gradient into it
         bank = CentroidBank(num_classes=2)
         tape = Tape()
-        update_centroids(tape, bank, batch([[1.0, 0.0], [0.0, 1.0]], [0, 1]), "source")
-        expr = bank._exprs["source"][1]
+        src = batch([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+        update_centroids(tape, bank, src, "source")
+        update_centroids(tape, bank, batch([[0.5, 0.0], [0.0, 2.0]], [0, 1]), "target")
+        values = {d: t.values.copy() for d, t in bank.centroids.items()}
+        on_tape = centroid_alignment_loss(tape, bank).values
         ref = weakref.ref(tape)
         del tape
         assert ref() is None
         for later in (Tape(), None):
-            term = bank._term(later, "source")
-            assert term is not expr and (term.values == expr.values).all()
+            loss = centroid_alignment_loss(later, bank)
+            assert loss.values == on_tape
+            if later is not None:
+                later.backward(loss)
+            for domain, tensor in bank.centroids.items():
+                assert (tensor.values == values[domain]).all()
+        assert src.features._grad is None
 
     def test_centroids_built_off_the_tape_are_constants_on_a_tape(self):
         bank = CentroidBank(num_classes=2)
+        batches = []
         for domain, shift in (("source", 0.0), ("target", 0.5)):
             x = [[1.0 + shift, 0.0], [0.0, 1.0 - shift]]
-            update_centroids(None, bank, batch(x, [0, 1]), domain)
+            batches.append(batch(x, [0, 1]))
+            update_centroids(None, bank, batches[-1], domain)
+        values = {d: t.values.copy() for d, t in bank.centroids.items()}
         off_tape = centroid_alignment_loss(None, bank)
         tape = Tape()
         on_tape = centroid_alignment_loss(tape, bank)
         assert on_tape.values == off_tape.values
-        for domain in ("source", "target"):
-            term = bank._term(tape, domain)
-            assert term is not bank._exprs[domain][1]
-            assert (term.values == bank._values[domain]).all()
+        tape.backward(on_tape)
+        for domain, tensor in bank.centroids.items():
+            assert (tensor.values == values[domain]).all()
+        assert all(b.features._grad is None for b in batches)
 
     def test_matches_per_class_loop(self):
         # reference: one weighted mean and EMA per (domain, class), one

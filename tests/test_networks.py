@@ -23,6 +23,7 @@ from shiftlab import (
     load_checkpoint,
     save_checkpoint,
 )
+from shiftlab.data import MAX_SIZE
 
 
 def small_cfg() -> ModelConfig:
@@ -62,6 +63,17 @@ class TestModelConfig:
     def test_rejects_non_integer_widths(self, hidden, disc):
         with pytest.raises(ValueError, match="must be integers"):
             ModelConfig(4, 3, hidden, 6, disc)
+
+    @pytest.mark.parametrize("field", ["input_dim", "num_classes", "hidden_dims",
+                                       "bottleneck_dim", "discriminator_hidden_dims"])
+    def test_rejects_oversized_dimension(self, field):
+        kwargs = dict(input_dim=4, num_classes=3, hidden_dims=[8], bottleneck_dim=6,
+                      discriminator_hidden_dims=[8])
+        kwargs[field] = [MAX_SIZE + 1] if field.endswith("dims") else MAX_SIZE + 1
+        with pytest.raises(ValueError, match=f"{field} must be at most {MAX_SIZE}"):
+            ModelConfig(**kwargs)
+        kwargs[field] = [MAX_SIZE] if field.endswith("dims") else MAX_SIZE
+        ModelConfig(**kwargs)
 
     def test_accepts_numpy_integer_widths(self):
         cfg = ModelConfig(4, 3, list(np.array([16, 8])), 6, [np.int32(8)])

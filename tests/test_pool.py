@@ -165,7 +165,8 @@ class TestPooledStep:
         for domain in ("source", "target"):
             assert np.array_equal(banks[0].seen[domain], banks[1].seen[domain])
             if loss_weights[0]:
-                assert np.array_equal(banks[0]._values[domain], banks[1]._values[domain])
+                assert np.array_equal(banks[0].centroids[domain].values,
+                                      banks[1].centroids[domain].values)
 
     def test_pool_size_is_constant_once_warm(self, std_pair):
         src, tgt = std_pair
@@ -191,9 +192,8 @@ class TestPooledStep:
         assert all(type(v) is float for v in losses.values())
         kept = [p.values for p in state.parameters()] + list(state.velocity)
         for domain in ("source", "target"):
-            kept.append(bank._values[domain])
-            expr = bank._exprs[domain][1]
-            kept += [expr.values] + ([] if expr._grad is None else [expr._grad])
+            centroids = bank.centroids[domain]
+            kept += [centroids.values] + ([] if centroids._grad is None else [centroids._grad])
         assert len(pool) > 0
         assert not any(pooled(pool, arr) for arr in kept)
         assert all(p._grad is None for p in state.parameters())

@@ -346,10 +346,10 @@ class TestRun:
             with pytest.raises(NumericError):
                 run(src, tgt, quick_cfg(lr0=1e9), tiny_model_cfg)
 
-    def test_estimate_inside_pretraining_raises(self, tiny_pair, tiny_model_cfg):
-        # The estimate is made after epoch 1; the audit of epoch 2 then moves
-        # the stage boundary past epoch 3, so epoch 3 starts in pre-training
-        # with an estimate in hand. The check is an exception, kept under -O.
+    def test_stage_boundary_is_read_once(self, tiny_pair, tiny_model_cfg):
+        # The estimate is made after epoch 1. An audit that then moves cfg's
+        # stage boundary past epoch 3 neither returns the run to pre-training
+        # nor makes a second estimate at epoch 4.
         src, tgt = tiny_pair
         cfg = quick_cfg(epochs=5, pretrain_epochs=1)
 
@@ -360,9 +360,10 @@ class TestRun:
             return {}
 
         audited = []
-        with pytest.raises(RuntimeError, match="pre-training"):
-            run(src, tgt, cfg, tiny_model_cfg, audit_fn=move_boundary)
-        assert len(audited) == 2
+        _, moved, moved_shift = run(src, tgt, cfg, tiny_model_cfg, audit_fn=move_boundary)
+        _, fixed, fixed_shift = run(src, tgt, quick_cfg(epochs=5, pretrain_epochs=1), tiny_model_cfg)
+        assert len(audited) == 5 and moved == fixed
+        assert np.array_equal(moved_shift.class_weights, fixed_shift.class_weights)
 
     def test_single_step_descends(self, tiny_pair, tiny_model_cfg):
         # with all extras off, one small-lr step lowers the batch's own loss
