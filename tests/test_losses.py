@@ -344,7 +344,7 @@ class TestCentroidAlignment:
         assert src.features._grad is None
 
     def test_expression_of_a_finished_tape_is_stale(self):
-        # the bank must neither keep the tape alive nor send a later tape's gradient into it
+        # the bank must neither keep the tape alive nor pass a later tape's gradient to its batch
         bank = CentroidBank(num_classes=2)
         tape = Tape()
         src = batch([[1.0, 0.0], [0.0, 1.0]], [0, 1])
