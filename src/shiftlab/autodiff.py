@@ -6,6 +6,18 @@ to push gradients back to its inputs. Calling ``Tape.backward`` on a
 scalar output replays the closures in reverse order. Gradients accumulate
 so tensors reused in several places receive the sum of all contributions.
 
+The backward-rule contract: an op given a tape makes exactly one
+``Tape.record(rule)`` call, and ``rule`` takes no arguments. When run, it
+reads the gradient of its own output (``out._grad``), does nothing if that
+is still None, and otherwise adds each input's share into that input.
+``Tape.backward`` calls every rule once, newest first.
+
+At the training step's shapes the arithmetic is cheap and the cost is in
+Python-level calls, so the ops read shapes from ``.values.shape`` rather
+than ``Tensor.shape`` and reduce with ``np.add.reduce`` and its like
+rather than the array methods, whose Python wrappers cost more calls.
+``tests/test_pool.py`` bounds the calls of a full training step.
+
 Only the user boundary pays for a full ``Tensor``: the public constructor
 copies its input, while op outputs own the array their op just computed.
 Gradient buffers are allocated on the first accumulation, usually by
@@ -72,6 +84,7 @@ __all__ = [
     "sum_all",
     "mean_all",
     "ratio",
+    "LabelPairs",
     "label_ratio",
     "gather_rows",
     "split_rows",
@@ -114,7 +127,8 @@ class Tensor:
 
     Input is converted by ``as_matrix``. The public constructor copies
     its input, so a tensor never aliases caller-owned memory. Op outputs
-    skip the constructor: each owns the array its op just computed.
+    are built by a subclass whose constructor skips the copy: each owns
+    the array its op just computed.
 
     The gradient buffer is allocated on the first accumulation into it.
     Until then ``grad`` reads as zeros of the tensor's shape (and keeps
@@ -200,15 +214,16 @@ class Pool:
         """An uninitialised array nothing else has taken since the block began."""
         i = self._taken
         self._taken = i + 1
-        if i < len(self._views):
+        try:
             view = self._views[i]
+        except IndexError:  # a position no block has reached before
+            self._buffers.append(np.empty(0, np.uint8))
+            self._views.append(None)
+        else:
             if view.shape == shape and view.dtype is dtype:
                 return view
         nbytes = math.prod(shape) * dtype.itemsize
-        if i == len(self._buffers):
-            self._buffers.append(np.empty(nbytes, np.uint8))
-            self._views.append(None)
-        elif self._buffers[i].size < nbytes:
+        if self._buffers[i].size < nbytes:
             self._buffers[i] = np.empty(nbytes, np.uint8)
         view = self._buffers[i][:nbytes].view(dtype).reshape(shape)
         self._views[i] = view
@@ -224,12 +239,18 @@ def _empty(shape: tuple[int, ...], dtype: np.dtype = _FLOAT) -> np.ndarray:
     return np.empty(shape, dtype) if pool is None else pool.take(shape, dtype)
 
 
-def _wrap(values: np.ndarray) -> Tensor:
-    """An op output that owns ``values`` (2-D float64): no copy, no gradient yet."""
-    out = Tensor.__new__(Tensor)
-    out.values = values
-    out._grad = None
-    return out
+class _Output(Tensor):
+    """An op output that owns ``values`` (2-D float64): no copy, no gradient yet.
+
+    A ``Tensor`` in every respect but its constructor, which skips the
+    public one's copy.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = values
+        self._grad = None
 
 
 def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
@@ -245,12 +266,13 @@ def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
 
 
 class Tape:
-    """Ordered record of backward closures for one forward pass."""
+    """Ordered record of backward rules for one forward pass."""
 
     def __init__(self) -> None:
         self._rules: list = []
 
     def record(self, rule) -> None:
+        """Append ``rule``, a zero-argument callable (see the module docstring)."""
         self._rules.append(rule)
 
     def __len__(self) -> int:
@@ -262,53 +284,47 @@ class Tape:
             raise TapeError("backward on an empty tape: no operations were recorded")
         if output.values.shape != (1, 1):
             raise ShapeError(
-                f"backward seed must be a 1x1 scalar, got shape {output.shape}"
+                f"backward seed must be a 1x1 scalar, got shape {output.values.shape}"
             )
-        output.grad += 1.0
+        _accumulate(output, np.array([[1.0]]))
         for rule in reversed(self._rules):
             rule()
 
 
-def _record(tape: Tape | None, out: Tensor, rule) -> None:
-    """Record ``rule(g)``, run on backward with ``out``'s gradient ``g``.
-
-    An output that received no gradient sends none back, so the rule is
-    skipped.
-    """
-    if tape is None:
-        return
-
-    def backward() -> None:
-        if out._grad is not None:
-            rule(out._grad)
-
-    tape.record(backward)
-
-
 def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
-    out = _wrap(a.values @ b.values)
+    if a.values.shape[1] != b.values.shape[0]:
+        raise ShapeError(
+            f"matmul: inner dimensions differ, {a.values.shape} @ {b.values.shape}"
+        )
+    out = _Output(a.values @ b.values)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.values.T)
-        _accumulate(b, a.values.T @ g)
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(a, g @ b.values.T)
+                _accumulate(b, a.values.T @ g)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
 def add_bias(tape: Tape | None, x: Tensor, bias: Tensor) -> Tensor:
     """Add a 1 x m bias row to every row of an n x m tensor."""
-    if bias.shape != (1, x.shape[1]):
-        raise ShapeError(f"add_bias: bias {bias.shape} does not fit rows of {x.shape}")
-    out = _wrap(x.values + bias.values)
+    if bias.values.shape != (1, x.values.shape[1]):
+        raise ShapeError(
+            f"add_bias: bias {bias.values.shape} does not fit rows of {x.values.shape}"
+        )
+    out = _Output(x.values + bias.values)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g, shared=True)
-        _accumulate(bias, g.sum(axis=0, keepdims=True))
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(x, g, shared=True)
+                _accumulate(bias, np.add.reduce(g, axis=0, keepdims=True))
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -322,21 +338,25 @@ def linear(tape: Tape | None, x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> T
     """
     constant = not isinstance(x, Tensor)
     xv = x if constant else x.values
-    if xv.ndim != 2 or xv.shape[1] != w.shape[0]:
-        raise ShapeError(f"linear: inner dimensions differ, {xv.shape} @ {w.shape}")
-    if b.shape != (1, w.shape[1]):
-        raise ShapeError(f"linear: bias {b.shape} does not fit {w.shape[1]} outputs")
-    h = np.matmul(xv, w.values, out=_empty((xv.shape[0], w.shape[1])))
+    x_shape, w_shape = xv.shape, w.values.shape
+    if xv.ndim != 2 or x_shape[1] != w_shape[0]:
+        raise ShapeError(f"linear: inner dimensions differ, {x_shape} @ {w_shape}")
+    if b.values.shape != (1, w_shape[1]):
+        raise ShapeError(f"linear: bias {b.values.shape} does not fit {w_shape[1]} outputs")
+    h = np.matmul(xv, w.values, out=_empty((x_shape[0], w_shape[1])))
     h += b.values
-    out = _wrap(h)
+    out = _Output(h)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(b, np.add.reduce(g, axis=0, keepdims=True))
-        if not constant:
-            _accumulate(x, np.matmul(g, w.values.T, out=_empty(xv.shape)))
-        _accumulate(w, np.matmul(xv.T, g, out=_empty(w.shape)))
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(b, np.add.reduce(g, axis=0, keepdims=True))
+                if not constant:
+                    _accumulate(x, np.matmul(g, w.values.T, out=_empty(x_shape)))
+                _accumulate(w, np.matmul(xv.T, g, out=_empty(w_shape)))
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -350,78 +370,96 @@ def ema_matmul(
     without copying the constants or computing coeff's gradient.
     """
     coeff = np.asarray(coeff, dtype=np.float64)
-    if coeff.ndim != 2 or coeff.shape[1] != x.shape[0]:
-        raise ShapeError(f"ema_matmul: coeff {coeff.shape} does not fit rows of {x.shape}")
-    col = np.asarray(mix, dtype=np.float64).reshape(-1, 1)
-    if col.shape[0] != coeff.shape[0] or np.shape(base) != (coeff.shape[0], x.shape[1]):
+    x_shape = x.values.shape
+    if coeff.ndim != 2 or coeff.shape[1] != x_shape[0]:
+        raise ShapeError(f"ema_matmul: coeff {coeff.shape} does not fit rows of {x_shape}")
+    mix = np.asarray(mix, dtype=np.float64)
+    base = np.asarray(base, dtype=np.float64)
+    if mix.shape != (coeff.shape[0],) or base.shape != (coeff.shape[0], x_shape[1]):
         raise ShapeError(
-            f"ema_matmul: mix {np.shape(mix)} and base {np.shape(base)} "
-            f"do not fit a {coeff.shape[0]} x {x.shape[1]} result"
+            f"ema_matmul: mix {mix.shape} and base {base.shape} "
+            f"do not fit a {coeff.shape[0]} x {x_shape[1]} result"
         )
+    col = mix[:, None]
     h = coeff @ x.values
     h *= col
     h += base
-    out = _wrap(h)
+    out = _Output(h)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, coeff.T @ (g * col))
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(x, coeff.T @ (g * col))
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
 def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes differ, {a.shape} vs {b.shape}")
+    if a.values.shape != b.values.shape:
+        raise ShapeError(f"{op}: shapes differ, {a.values.shape} vs {b.values.shape}")
 
 
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("add", a, b)
-    out = _wrap(a.values + b.values)
+    out = _Output(a.values + b.values)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g, shared=True)
-        _accumulate(b, g, shared=True)
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(a, g, shared=True)
+                _accumulate(b, g, shared=True)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
 def sub(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("sub", a, b)
-    out = _wrap(a.values - b.values)
+    out = _Output(a.values - b.values)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g, shared=True)
-        _accumulate(b, np.negative(g))
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(a, g, shared=True)
+                _accumulate(b, np.negative(g))
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
 def mul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     _require_same_shape("mul", a, b)
-    out = _wrap(a.values * b.values)
+    out = _Output(a.values * b.values)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g * b.values)
-        _accumulate(b, g * a.values)
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(a, g * b.values)
+                _accumulate(b, g * a.values)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
 def div(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise quotient a / b of two same-shape tensors."""
     _require_same_shape("div", a, b)
-    out = _wrap(a.values / b.values)
+    out = _Output(a.values / b.values)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(a, g / b.values)
-        _accumulate(b, -(g * out.values / b.values))
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(a, g / b.values)
+                _accumulate(b, -(g * out.values / b.values))
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -432,13 +470,16 @@ def add_n(tape: Tape | None, tensors: list[Tensor]) -> Tensor:
     first = tensors[0]
     for t in tensors[1:]:
         _require_same_shape("add_n", first, t)
-    out = _wrap(sum(t.values for t in tensors))
+    out = _Output(sum(t.values for t in tensors))
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        for t in tensors:
-            _accumulate(t, g, shared=True)
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                for t in tensors:
+                    _accumulate(t, g, shared=True)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -452,26 +493,36 @@ def weighted_sum(tape: Tape | None, tensors: list[Tensor], weights: list[float])
         raise ShapeError("weighted_sum: empty tensor list")
     if len(weights) != len(tensors):
         raise ShapeError(f"weighted_sum: {len(tensors)} tensors but {len(weights)} weights")
-    for t in tensors[1:]:
-        _require_same_shape("weighted_sum", tensors[0], t)
-    out = _wrap(sum(w * t.values for t, w in zip(tensors, weights)))
+    shape = tensors[0].values.shape
+    total = 0  # the start value of ``sum``, which ``add_n`` uses
+    for t, w in zip(tensors, weights):
+        if t.values.shape != shape:
+            raise ShapeError(f"weighted_sum: shapes differ, {shape} vs {t.values.shape}")
+        total = total + w * t.values
+    out = _Output(total)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        for t, w in zip(tensors, weights):
-            _accumulate(t, w * g)
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                for t, w in zip(tensors, weights):
+                    _accumulate(t, w * g)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
 def affine(tape: Tape | None, x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     """scale * x + shift with scalar constants."""
-    out = _wrap(scale * x.values + shift)
+    out = _Output(scale * x.values + shift)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, scale * g)
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(x, scale * g)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -479,13 +530,16 @@ def scale_by(tape: Tape | None, x: Tensor, factor: np.ndarray) -> Tensor:
     """Elementwise multiply by a constant array; no gradient into factor."""
     fac = np.asarray(factor, dtype=np.float64)
     if fac.shape != x.values.shape:
-        raise ShapeError(f"scale_by: factor {fac.shape} vs tensor {x.shape}")
-    out = _wrap(x.values * fac)
+        raise ShapeError(f"scale_by: factor {fac.shape} vs tensor {x.values.shape}")
+    out = _Output(x.values * fac)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * fac)
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(x, g * fac)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -497,49 +551,64 @@ def relu(tape: Tape | None, x: Tensor, in_place: bool = False) -> Tensor:
     again; ``x`` still gets its gradient, which needs only the sign mask.
     Off the tape no mask is kept.
     """
+    v = x.values
     if tape is None:
-        return _wrap(np.maximum(x.values, 0.0, out=x.values if in_place else _empty(x.shape)))
-    mask = np.greater(x.values, 0.0, out=_empty(x.shape, _BOOL))
-    out = _wrap(np.maximum(x.values, 0.0, out=x.values if in_place else _empty(x.shape)))
+        return _Output(np.maximum(v, 0.0, out=v if in_place else _empty(v.shape)))
+    mask = np.greater(v, 0.0, out=_empty(v.shape, _BOOL))
+    out = _Output(np.maximum(v, 0.0, out=v if in_place else _empty(v.shape)))
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, np.multiply(g, mask, out=_empty(g.shape)))
+    def backward() -> None:
+        g = out._grad
+        if g is not None:
+            _accumulate(x, np.multiply(g, mask, out=_empty(g.shape)))
 
-    _record(tape, out, backward)
+    tape.record(backward)
     return out
+
+
+# The floor and ceiling that ``sigmoid`` clips its output to.
+_ABOVE_ZERO = np.nextafter(0.0, 1.0)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
     """Logistic function, computed without overflow for any finite input.
 
-    The output is nudged into the open interval (0, 1) so downstream
-    probability guards never see an exact 0 or 1 from float rounding.
+    With e = exp(-|x|), which never overflows, it is 1 / (1 + e) where
+    x >= 0 and e / (1 + e) below. The output is nudged into the open
+    interval (0, 1) so downstream probability guards never see an exact 0
+    or 1 from float rounding.
     """
     v = x.values
-    s = np.empty_like(v)
-    pos = v >= 0.0
-    s[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    s[~pos] = ev / (1.0 + ev)
-    np.clip(s, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=s)
-    out = _wrap(s)
+    e = np.exp(-np.abs(v))
+    # e <= 1, so the numerator is 1 where v >= 0 and e elsewhere; NaN stays NaN
+    s = np.maximum(e, v >= 0.0)
+    s /= 1.0 + e
+    np.minimum(np.maximum(s, _ABOVE_ZERO, out=s), _BELOW_ONE, out=s)
+    out = _Output(s)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * out.values * (1.0 - out.values))
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(x, g * out.values * (1.0 - out.values))
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
 def log(tape: Tape | None, x: Tensor) -> Tensor:
     if np.any(x.values <= 0.0):
         raise ValueError("log: all entries must be positive")
-    out = _wrap(np.log(x.values))
+    out = _Output(np.log(x.values))
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g / x.values)
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(x, g / x.values)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -549,53 +618,65 @@ def clamp_min(tape: Tape | None, x: Tensor, floor: float) -> Tensor:
     A NaN entry stays NaN.
     """
     mask = x.values > floor
-    out = _wrap(np.maximum(x.values, floor))
+    out = _Output(np.maximum(x.values, floor))
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * mask)
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(x, g * mask)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
 def softmax(tape: Tape | None, logits: Tensor) -> Tensor:
     """Row-wise softmax with max subtraction for overflow safety."""
-    if logits.shape[1] < 2:
-        raise ShapeError(f"softmax: need at least 2 columns, got {logits.shape}")
     v = logits.values
+    if v.shape[1] < 2:
+        raise ShapeError(f"softmax: need at least 2 columns, got {v.shape}")
     e = np.subtract(v, np.maximum.reduce(v, axis=1, keepdims=True))
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=1, keepdims=True)
-    out = _wrap(e)
+    out = _Output(e)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        grad = g * e
-        np.subtract(g, np.add.reduce(grad, axis=1, keepdims=True), out=grad)
-        grad *= e
-        _accumulate(logits, grad)
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                grad = g * e
+                np.subtract(g, np.add.reduce(grad, axis=1, keepdims=True), out=grad)
+                grad *= e
+                _accumulate(logits, grad)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
 def sum_all(tape: Tape | None, x: Tensor) -> Tensor:
-    out = _wrap(np.array([[x.values.sum()]]))
+    out = _Output(np.array([[np.add.reduce(x.values, axis=None)]]))
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, np.full(x.values.shape, g[0, 0]))
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(x, np.full(x.values.shape, g[0, 0]))
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
 def mean_all(tape: Tape | None, x: Tensor) -> Tensor:
     n = x.values.size
-    out = _wrap(np.array([[x.values.mean()]]))
+    out = _Output(np.array([[np.add.reduce(x.values, axis=None) / n]]))
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, np.full(x.values.shape, g[0, 0] / n))
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(x, np.full(x.values.shape, g[0, 0] / n))
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -610,35 +691,65 @@ def ratio(
     """
     w_num = np.asarray(w_num, dtype=np.float64)
     w_den = np.asarray(w_den, dtype=np.float64)
-    if w_num.shape != x.values.shape or w_den.shape != x.values.shape:
-        raise ShapeError(f"ratio: weights {w_num.shape}, {w_den.shape} vs tensor {x.shape}")
-    den = (x.values * w_den).sum() + eps
-    q = (x.values * w_num).sum() / den
-    out = _wrap(np.array([[q]]))
+    v = x.values
+    if w_num.shape != v.shape or w_den.shape != v.shape:
+        raise ShapeError(f"ratio: weights {w_num.shape}, {w_den.shape} vs tensor {v.shape}")
+    den = np.add.reduce(v * w_den, axis=None) + eps
+    q = np.add.reduce(v * w_num, axis=None) / den
+    out = _Output(np.array([[q]]))
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        c = g[0, 0]
-        grad = -(c * q / den) * w_den
-        grad += (c / den) * w_num
-        _accumulate(x, grad)
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                c = g[0, 0]
+                grad = -(c * q / den) * w_den
+                grad += (c / den) * w_num
+                _accumulate(x, grad)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
+
+
+class LabelPairs:
+    """Which entries of an n x m table pair equal labels, for ``label_ratio``.
+
+    Built from n source and m target labels, non-negative integers.
+    ``src`` and ``tgt`` are their n x C and m x C boolean one-hot tables,
+    C being the largest label plus one, and ``n_same`` and ``n_diff``
+    count the pairs (i, j) whose labels are equal and differ. The counts
+    come from per-class counts, so no n x m array is made.
+    """
+
+    __slots__ = ("src", "tgt", "n_same", "n_diff")
+
+    def __init__(self, src_labels, tgt_labels) -> None:
+        y = np.asarray(src_labels)
+        z = np.asarray(tgt_labels)
+        if y.ndim != 1 or z.ndim != 1:
+            raise ShapeError(f"LabelPairs: labels must be 1-D, got {y.shape} and {z.shape}")
+        # bincount rejects negative labels
+        src_counts = np.bincount(y)
+        tgt_counts = np.bincount(z, minlength=src_counts.size)
+        self.n_same = int(src_counts @ tgt_counts[:src_counts.size])
+        self.n_diff = y.size * z.size - self.n_same
+        classes = np.arange(tgt_counts.size)
+        self.src = y[:, None] == classes
+        self.tgt = z[:, None] == classes
 
 
 def label_ratio(
     tape: Tape | None,
     dists: Tensor,
-    src_labels: np.ndarray,
-    tgt_labels: np.ndarray,
+    pairs: LabelPairs,
     src_scale: np.ndarray,
     tgt_scale: np.ndarray,
     eps: float,
 ) -> Tensor:
     """Mean scaled entry over same-label pairs over that over different-label pairs.
 
-    With D = ``dists`` (n x m), labels y and z and scales s and t of its
-    rows and columns, the value is
+    With D = ``dists`` (n x m), labels y and z of its rows and columns
+    (given as ``pairs``) and scales s and t, the value is
 
         [sum_ij D_ij s_i t_j [y_i = z_j] / n_same]
         / ([sum_ij D_ij s_i t_j [y_i != z_j] / n_diff] + eps),
@@ -657,63 +768,66 @@ def label_ratio(
     would in the rank-(C+1) form (alpha + beta) [y_i = z_j] - beta.
     Both kinds of pair must occur.
     """
-    y = np.asarray(src_labels)
-    z = np.asarray(tgt_labels)
     s = np.asarray(src_scale, dtype=np.float64)
     t = np.asarray(tgt_scale, dtype=np.float64)
-    n, m = dists.shape
-    if y.shape != (n,) or s.shape != (n,) or z.shape != (m,) or t.shape != (m,):
+    n, m = dists.values.shape
+    if pairs.src.shape[0] != n or s.shape != (n,) or pairs.tgt.shape[0] != m or t.shape != (m,):
         raise ShapeError(
-            f"label_ratio: table {dists.shape} with source labels {y.shape}, scales "
-            f"{s.shape} and target labels {z.shape}, scales {t.shape}"
+            f"label_ratio: table {dists.values.shape} with {pairs.src.shape[0]} source "
+            f"labels, scales {s.shape} and {pairs.tgt.shape[0]} target labels, scales {t.shape}"
         )
-    classes = np.arange(max(y.max(initial=0), z.max(initial=0)) + 1)
-    # bincount rejects negative labels
-    n_same = int(np.bincount(y, minlength=classes.size) @ np.bincount(z, minlength=classes.size))
-    n_diff = n * m - n_same
+    n_same, n_diff = pairs.n_same, pairs.n_diff
     if n_same == 0 or n_diff == 0:
         raise ValueError(
             f"label_ratio: needs same- and different-label pairs, got {n_same} and {n_diff}"
         )
-    src_weight = (y[:, None] == classes) * s[:, None]  # n x C: s_i in column y_i
-    by_class = dists.values @ ((z[:, None] == classes) * t[:, None])  # n x C
+    src_weight = pairs.src * s[:, None]  # n x C: s_i in column y_i
+    by_class = dists.values @ (pairs.tgt * t[:, None])  # n x C
     same_sum = np.vdot(src_weight, by_class)
     # s_i - s_i is exactly 0: these weights pick row i's other columns
     cross_sum = np.vdot(s[:, None] - src_weight, by_class)
     den = cross_sum / n_diff + eps
     q = same_sum / n_same / den
-    out = _wrap(np.array([[q]]))
+    out = _Output(np.array([[q]]))
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        c = g[0, 0]
-        per_class = np.where(classes[:, None] == z, c / (den * n_same), -(c * q / (den * n_diff)))
-        per_class *= t  # C x m: R^T
-        _accumulate(dists, np.matmul(src_weight, per_class, out=_empty((n, m))))
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                c = g[0, 0]
+                per_class = np.where(pairs.tgt.T, c / (den * n_same), -(c * q / (den * n_diff)))
+                per_class *= t  # C x m: R^T
+                _accumulate(dists, np.matmul(src_weight, per_class, out=_empty((n, m))))
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
 def _row_indices(op: str, x: Tensor, indices) -> np.ndarray:
     """One in-range column index per row of ``x``."""
     idx = np.asarray(indices)
-    if idx.ndim != 1 or idx.shape[0] != x.shape[0]:
-        raise ShapeError(f"{op}: need one index per row of {x.shape}, got {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[1]):
-        raise IndexError(f"{op}: index out of range for {x.shape[1]} columns")
+    rows, cols = x.values.shape
+    if idx.ndim != 1 or idx.shape[0] != rows:
+        raise ShapeError(f"{op}: need one index per row of {x.values.shape}, got {idx.shape}")
+    # one reduction: some index is out of range exactly when min < 0 or max >= cols
+    if np.logical_or.reduce((idx < 0) | (idx >= cols)):
+        raise IndexError(f"{op}: index out of range for {cols} columns")
     return idx
 
 
 def gather_rows(tape: Tape | None, x: Tensor, indices: np.ndarray) -> Tensor:
     """Pick one column per row: out[i, 0] = x[i, indices[i]]."""
     idx = _row_indices("gather_rows", x, indices)
-    rows = np.arange(x.shape[0])
-    out = _wrap(x.values[rows, idx].reshape(-1, 1))
+    rows = np.arange(x.values.shape[0])
+    out = _Output(x.values[rows, idx].reshape(-1, 1))
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        np.add.at(x.grad, (rows, idx), g[:, 0])
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                np.add.at(x.grad, (rows, idx), g[:, 0])
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -724,14 +838,19 @@ def split_rows(tape: Tape | None, x: Tensor, n: int) -> tuple[Tensor, Tensor]:
     gradients into one array for ``x``, with zeros for a half that got
     none; if neither got any, nothing is sent back.
     """
-    if not 0 <= n <= x.shape[0]:
-        raise ShapeError(f"split_rows: cannot split {x.shape[0]} rows at row {n}")
-    top, bottom = _wrap(x.values[:n]), _wrap(x.values[n:])
+    shape = x.values.shape
+    if not 0 <= n <= shape[0]:
+        raise ShapeError(f"split_rows: cannot split {shape[0]} rows at row {n}")
+    top, bottom = _Output(x.values[:n]), _Output(x.values[n:])
     if tape is not None:
 
         def backward() -> None:
-            if top._grad is not None or bottom._grad is not None:
-                _accumulate(x, np.concatenate([top.grad, bottom.grad], out=_empty(x.shape)))
+            g_top, g_bottom = top._grad, bottom._grad
+            if g_top is not None or g_bottom is not None:
+                grad = _empty(shape)
+                grad[:n] = 0.0 if g_top is None else g_top
+                grad[n:] = 0.0 if g_bottom is None else g_bottom
+                _accumulate(x, grad)
 
         tape.record(backward)
     return top, bottom
@@ -746,8 +865,8 @@ def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> T
     NaN loss.
     """
     idx = _row_indices("nll", probs, labels)
-    rows = np.arange(probs.shape[0])
-    picked = probs.values[rows, idx].reshape(-1, 1)
+    rows = np.arange(idx.size)
+    picked = probs.values[rows, idx][:, None]
     mask = picked > floor
     clamped = np.maximum(picked, floor)
     # a positive floor leaves nothing to test: NaN fails any comparison
@@ -755,14 +874,19 @@ def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> T
         raise ValueError("nll: floored probabilities must be positive")
     n = clamped.size
     mean = np.add.reduce(np.log(clamped), axis=None) / n
-    out = _wrap(np.array([[-1.0 * mean + 0.0]]))
+    out = _Output(np.array([[-1.0 * mean + 0.0]]))
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        per_row = -1.0 * g[0, 0] / n / clamped
-        per_row *= mask
-        probs.grad[rows, idx] += per_row[:, 0]
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                per_row = -1.0 * g[0, 0] / n / clamped
+                per_row *= mask
+                if probs._grad is None:
+                    probs._grad = np.zeros(probs.values.shape)
+                probs._grad[rows, idx] += per_row[:, 0]
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -783,15 +907,19 @@ def binary_cross_entropy(
     pos = np.maximum(p_pos.values, floor)
     if floor <= 0.0 and (np.any(neg <= 0.0) or np.any(pos <= 0.0)):
         raise ValueError("binary_cross_entropy: floored probabilities must be positive")
-    terms = np.array([[np.log(neg).mean()]]) + np.array([[np.log(pos).mean()]])
-    out = _wrap(-1.0 * terms + 0.0)
+    terms = (np.add.reduce(np.log(neg), axis=None) / neg.size
+             + np.add.reduce(np.log(pos), axis=None) / pos.size)
+    out = _Output(np.array([[-1.0 * terms + 0.0]]))
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        c = (-1.0 * g)[0, 0]
-        _accumulate(p_pos, c / pos.size / pos * pos_mask)
-        _accumulate(p_neg, -1.0 * (c / neg.size / neg * neg_mask))
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                c = -1.0 * g[0, 0]
+                _accumulate(p_pos, c / pos.size / pos * pos_mask)
+                _accumulate(p_neg, -1.0 * (c / neg.size / neg * neg_mask))
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -803,16 +931,18 @@ def euclidean_distance(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """
     _require_same_shape("euclidean_distance", a, b)
     diff = a.values - b.values
-    dist = float(np.sqrt((diff * diff).sum()))
-    out = _wrap(np.array([[dist]]))
+    dist = float(np.sqrt(np.add.reduce(diff * diff, axis=None)))
+    out = _Output(np.array([[dist]]))
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        if dist > 0.0:
-            step = g[0, 0] * (diff / dist)
-            _accumulate(a, step)
-            _accumulate(b, -step)
+        def backward() -> None:
+            g = out._grad
+            if g is not None and dist > 0.0:
+                step = g[0, 0] * (diff / dist)
+                _accumulate(a, step)
+                _accumulate(b, -step)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -839,52 +969,59 @@ def pairwise_distances(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     has a relative error below about 2e-11 for d <= 16, and coincident rows
     give exactly 0. Zero-distance pairs get zero gradient.
     """
-    if a.shape[1] != b.shape[1]:
-        raise ShapeError(
-            f"pairwise_distances: feature dims differ, {a.shape} vs {b.shape}"
-        )
-    shift = b.values.sum(axis=0) / b.shape[0] if b.shape[0] else 0.0
-    ac = a.values - shift
-    bc = b.values - shift
-    a2 = (ac * ac).sum(axis=1)
-    b2 = (bc * bc).sum(axis=1)
-    dist = np.matmul(ac, (-2.0 * bc).T, out=_empty((a.shape[0], b.shape[0])))
+    av, bv = a.values, b.values
+    (n, d), (m, d_b) = av.shape, bv.shape
+    if d != d_b:
+        raise ShapeError(f"pairwise_distances: feature dims differ, {av.shape} vs {bv.shape}")
+    shift = np.add.reduce(bv, axis=0) / m if m else 0.0
+    ac = av - shift
+    bc = bv - shift
+    a2 = np.add.reduce(ac * ac, axis=1)
+    b2 = np.add.reduce(bc * bc, axis=1)
+    dist = np.matmul(ac, (-2.0 * bc).T, out=_empty((n, m)))
     dist += a2[:, None]
     dist += b2
     # No pair can pass the cut unless the smallest squared distance passes
     # it against the largest norms; that one test clears almost every call.
     exact = None
-    if dist.min(initial=np.inf) <= _GRAM_RTOL * (a2.max(initial=0.0) + b2.max(initial=0.0)):
+    if np.minimum.reduce(dist, axis=None, initial=np.inf) <= _GRAM_RTOL * (
+        np.maximum.reduce(a2, initial=0.0) + np.maximum.reduce(b2, initial=0.0)
+    ):
         rows, cols = np.nonzero(dist <= _GRAM_RTOL * (a2[:, None] + b2))
-        diff = a.values[rows] - b.values[cols]
-        exact = np.sqrt((diff * diff).sum(axis=1))
+        diff = av[rows] - bv[cols]
+        exact = np.sqrt(np.add.reduce(diff * diff, axis=1))
         dist[rows, cols] = 0.0
     np.sqrt(dist, out=dist)
     if exact is not None:
         dist[rows, cols] = exact
-    out = _wrap(dist)
+    out = _Output(dist)
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        w = _empty(dist.shape)
-        if exact is None:
-            np.divide(g, dist, out=w)
-        else:
-            w.fill(0.0)
-            np.divide(g, dist, out=w, where=dist > 0.0)
-            w[rows, cols] = 0.0
-        grad_a = ac * w.sum(axis=1)[:, None]
-        grad_a -= w @ bc
-        grad_b = bc * w.sum(axis=0)[:, None]
-        grad_b -= w.T @ ac
-        if exact is not None:
-            scaled = np.divide(g[rows, cols], exact, out=np.zeros_like(exact), where=exact > 0.0)
-            step = scaled[:, None] * diff
-            np.add.at(grad_a, rows, step)
-            np.subtract.at(grad_b, cols, step)
-        _accumulate(a, grad_a)
-        _accumulate(b, grad_b)
+        def backward() -> None:
+            g = out._grad
+            if g is None:
+                return
+            w = _empty((n, m))
+            if exact is None:
+                np.divide(g, dist, out=w)
+            else:
+                w.fill(0.0)
+                np.divide(g, dist, out=w, where=dist > 0.0)
+                w[rows, cols] = 0.0
+            grad_a = ac * np.add.reduce(w, axis=1)[:, None]
+            grad_a -= w @ bc
+            grad_b = bc * np.add.reduce(w, axis=0)[:, None]
+            grad_b -= w.T @ ac
+            if exact is not None:
+                scaled = np.divide(g[rows, cols], exact, out=np.zeros_like(exact),
+                                   where=exact > 0.0)
+                step = scaled[:, None] * diff
+                np.add.at(grad_a, rows, step)
+                np.subtract.at(grad_b, cols, step)
+            _accumulate(a, grad_a)
+            _accumulate(b, grad_b)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 
@@ -892,12 +1029,15 @@ def grad_reverse(tape: Tape | None, x: Tensor, coeff: float) -> Tensor:
     """Identity forward; backward multiplies the gradient by -coeff."""
     if coeff < 0.0:
         raise ValueError(f"grad_reverse: coeff must be >= 0, got {coeff}")
-    out = _wrap(x.values.copy())
+    out = _Output(x.values.copy())
+    if tape is not None:
 
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, -coeff * g)
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                _accumulate(x, -coeff * g)
 
-    _record(tape, out, backward)
+        tape.record(backward)
     return out
 
 

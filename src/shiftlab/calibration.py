@@ -136,8 +136,8 @@ def calibrate(probs: np.ndarray, class_weights: np.ndarray) -> PseudoLabels:
         raise ValueError(
             f"probs {probs.shape} incompatible with {class_weights.shape[0]} class weights"
         )
-    raw = np.argmax(probs, axis=1)
-    adjusted = np.argmax(probs * (class_weights / class_weights.max()), axis=1)
+    raw = probs.argmax(axis=1)
+    adjusted = (probs * (class_weights / np.maximum.reduce(class_weights))).argmax(axis=1)
     rows = np.arange(probs.shape[0])
     return PseudoLabels(raw, probs[rows, raw], adjusted, probs[rows, adjusted])
 

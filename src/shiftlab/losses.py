@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    LabelPairs,
     ShapeError,
     Tape,
     Tensor,
@@ -65,17 +66,19 @@ class WeightedBatch:
     def __post_init__(self) -> None:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        n = self.features.shape[0]
-        if self.labels.shape != (n,) or self.weights.shape != (n,):
+        n = self.features.values.shape[0]
+        w = self.weights
+        if self.labels.shape != (n,) or w.shape != (n,):
             raise ShapeError(
-                f"batch of {n} features with labels {self.labels.shape}, "
-                f"weights {self.weights.shape}"
+                f"batch of {n} features with labels {self.labels.shape}, weights {w.shape}"
             )
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("batch weights must be finite")
-        if self.weights.size and (self.weights.min() < 0.0 or self.weights.max() > 1.0):
-            raise ValueError("batch weights must lie in [0, 1]")
-        if self.labels.size and self.labels.min() < 0:
+        # NaN and +-inf fail 0 <= w <= 1 too, so one test covers finiteness and range
+        if not np.logical_and.reduce((0.0 <= w) & (w <= 1.0)):
+            finite = np.logical_and.reduce(np.isfinite(w))
+            raise ValueError(
+                "batch weights must lie in [0, 1]" if finite else "batch weights must be finite"
+            )
+        if np.logical_or.reduce(self.labels < 0):
             raise ValueError("batch labels must be non-negative")
 
 
@@ -92,9 +95,11 @@ def domain_adversarial_loss(tape: Tape | None, d_src: Tensor, d_tgt: Tensor) -> 
     direction realizes the adversarial game.
     """
     for name, t in (("d_src", d_src), ("d_tgt", d_tgt)):
-        if t.shape[1] != 1:
-            raise ShapeError(f"{name} must be n x 1, got {t.shape}")
-        if np.any(t.values <= 0.0) or np.any(t.values >= 1.0):
+        v = t.values
+        if v.shape[1] != 1:
+            raise ShapeError(f"{name} must be n x 1, got {v.shape}")
+        # a NaN fails both comparisons and passes, to reach the non-finite-loss check
+        if np.logical_or.reduce((v <= 0.0) | (v >= 1.0), axis=None):
             raise ValueError(f"{name}: discriminator outputs must lie strictly in (0, 1)")
     return binary_cross_entropy(tape, d_src, d_tgt, PROB_FLOOR)
 
@@ -111,6 +116,10 @@ class CentroidBank:
     enter a loss. Only the batch folded in on the current tape is
     differentiated: on any other tape, or none, the tensor has no backward
     rule, so the stored history is a constant for gradient purposes.
+
+    The bank also keeps the centroid loss's pair weights for the last set
+    of eligible classes it was given, so the loss builds them only when
+    that set changes.
     """
 
     def __init__(self, num_classes: int, ema_coeff: float = 0.7) -> None:
@@ -122,6 +131,8 @@ class CentroidBank:
         self.ema_coeff = ema_coeff
         self.seen = {d: np.zeros(num_classes, dtype=bool) for d in _DOMAINS}
         self.centroids: dict[str, Tensor] = {}
+        self._eligible_key: bytes | None = None  # eligible-class mask of ``_pair_weights``
+        self._pair_weights: tuple | None = None
 
     def initialized(self, domain: str, klass: int) -> bool:
         return bool(self.seen[domain][klass])
@@ -149,22 +160,27 @@ def update_centroids(
     """
     if domain not in _DOMAINS:
         raise ValueError(f"domain must be source|target, got {domain!r}")
-    if batch.labels.size and batch.labels.max() >= bank.num_classes:
+    labels, weights = batch.labels, batch.weights
+    if np.logical_or.reduce(labels >= bank.num_classes):
         raise ValueError(
-            f"label {int(batch.labels.max())} out of range for {bank.num_classes} classes"
+            f"label {int(np.max(labels))} out of range for {bank.num_classes} classes"
         )
     theta = bank.ema_coeff
-    # C x n: row k holds the weights of the batch's class-k samples, else 0
-    weights = (batch.labels == np.arange(bank.num_classes)[:, None]) * batch.weights
-    totals = weights.sum(axis=1)
+    # C x n: row k holds the weights of the batch's class-k samples and 0 * w
+    # elsewhere, the entries of (labels == k) * weights, without that one-hot
+    coeff = np.zeros((bank.num_classes, 1)) * weights
+    coeff[labels, np.arange(labels.size)] = weights
+    totals = np.add.reduce(coeff, axis=1)
     present = totals > 0.0
-    coeff = weights / np.where(present, totals, 1.0)[:, None]
+    # weights lie in [0, 1], so an absent class's total is 0: its row is divided by 1
+    coeff /= (totals + ~present)[:, None]
     seen = bank.seen[domain]
     old = bank.centroids.get(domain)
-    old = np.zeros((bank.num_classes, batch.features.shape[1])) if old is None else old.values
+    d = batch.features.values.shape[1]
+    old = np.zeros((bank.num_classes, d)) if old is None else old.values
     # seen and present: (1 - theta) new + theta old; new: adopt; absent: keep
-    mix = np.where(seen, 1.0 - theta, 1.0) * present
-    keep = np.where(present, theta * seen, 1.0)
+    mix = (1.0 - theta * seen) * present
+    keep = theta * (seen & present) + ~present
     bank.centroids[domain] = ema_matmul(tape, coeff, batch.features, mix, keep[:, None] * old)
     bank.seen[domain] = seen | present
 
@@ -180,17 +196,27 @@ def centroid_alignment_loss(tape: Tape | None, bank: CentroidBank) -> Tensor:
     returned; with none, the loss is 0 and carries no gradient.
     """
     eligible = bank.seen["source"] & bank.seen["target"]
-    n_eligible = int(eligible.sum())
-    if n_eligible == 0:
+    key = eligible.tobytes()
+    if key != bank._eligible_key:
+        bank._eligible_key, bank._pair_weights = key, _centroid_pair_weights(eligible)
+    if bank._pair_weights is None:
         log.warning("centroid alignment skipped: no class has centroids in both domains")
         return Tensor([[0.0]])
-    pairs = eligible[:, None] & eligible[None, :]
-    same = pairs & np.eye(bank.num_classes, dtype=bool)
     dists = pairwise_distances(tape, bank.centroids["source"], bank.centroids["target"])
+    return ratio(tape, dists, *bank._pair_weights)
+
+
+def _centroid_pair_weights(eligible: np.ndarray) -> tuple | None:
+    """``ratio``'s weight grids and epsilon for the centroid loss; None if no class is eligible."""
+    n_eligible = int(eligible.sum())
+    if n_eligible == 0:
+        return None
+    pairs = eligible[:, None] & eligible[None, :]
+    same = pairs & np.eye(eligible.size, dtype=bool)
     if n_eligible < 2:
-        return ratio(tape, dists, same / n_eligible, np.zeros(same.shape), 1.0)
+        return same / n_eligible, np.zeros(same.shape), 1.0
     cross = pairs & ~same
-    return ratio(tape, dists, same / n_eligible, cross / int(cross.sum()), RATIO_EPS)
+    return same / n_eligible, cross / int(cross.sum()), RATIO_EPS
 
 
 def discriminative_alignment_loss(
@@ -209,18 +235,13 @@ def discriminative_alignment_loss(
     """
     if batch_src.labels.size == 0 or batch_tgt.labels.size == 0:
         raise ValueError("discriminative alignment needs non-empty batches")
-    src_labels, tgt_labels = batch_src.labels, batch_tgt.labels
-    classes = max(src_labels.max(), tgt_labels.max()) + 1
-    n_same = int(
-        np.bincount(src_labels, minlength=classes) @ np.bincount(tgt_labels, minlength=classes)
-    )
-    if n_same == 0 or n_same == src_labels.size * tgt_labels.size:
+    pairs = LabelPairs(batch_src.labels, batch_tgt.labels)
+    if pairs.n_same == 0 or pairs.n_diff == 0:
         if diagnostics is not None:
-            key = "no_same_label_pairs" if n_same == 0 else "no_diff_label_pairs"
+            key = "no_same_label_pairs" if pairs.n_same == 0 else "no_diff_label_pairs"
             diagnostics[key] = diagnostics.get(key, 0) + 1
         return Tensor([[0.0]])
     dists = pairwise_distances(tape, batch_src.features, batch_tgt.features)
     return label_ratio(
-        tape, dists, src_labels, tgt_labels,
-        np.sqrt(batch_src.weights), np.sqrt(batch_tgt.weights), RATIO_EPS,
+        tape, dists, pairs, np.sqrt(batch_src.weights), np.sqrt(batch_tgt.weights), RATIO_EPS
     )

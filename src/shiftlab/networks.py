@@ -130,12 +130,10 @@ def _mlp(
 
     Each relu overwrites the affine output it reads, which nothing else reads.
     """
-    last = len(layers) - 1
-    for i, (w, b) in enumerate(layers):
-        h = linear(tape, h, w, b)
-        if i != last:
-            h = relu(tape, h, in_place=True)
-    return h
+    for w, b in layers[:-1]:
+        h = relu(tape, linear(tape, h, w, b), in_place=True)
+    w, b = layers[-1]
+    return linear(tape, h, w, b)
 
 
 def features(state: ModelState, x, tape: Tape | None = None) -> Tensor:

@@ -17,13 +17,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .autodiff import Pool, Tape, sgd_step, split_rows, weighted_sum
 from .calibration import LabelShiftState, PseudoLabels, calibrate
-from .data import BalancedSampler, DomainDataset
+from .data import MAX_SIZE, BalancedSampler, DomainDataset
 from .losses import (
     CentroidBank,
     WeightedBatch,
@@ -68,6 +68,14 @@ class NumericError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
+def _finite(value) -> bool:
+    """Whether a number is finite as a float; an int beyond the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters of the full method.
@@ -76,7 +84,9 @@ class TrainConfig:
     alignment, and domain adversarial terms on top of the classification
     loss. ``calibration_offset`` is the additive constant in the
     calibration weight formula; ``confidence_threshold`` filters the
-    pseudo-labels used for distribution estimation.
+    pseudo-labels used for distribution estimation. Every float field must
+    be finite, and ``epochs``, ``pretrain_epochs`` and ``batch_size`` at
+    most ``data.MAX_SIZE``.
     """
 
     centroid_loss_weight: float = 3.0
@@ -97,9 +107,17 @@ class TrainConfig:
     lsc_enabled: bool = True
 
     def __post_init__(self) -> None:
-        if min(self.centroid_loss_weight, self.pairwise_loss_weight,
-               self.adversarial_loss_weight) < 0.0:
-            raise ConfigError("loss weights must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not _finite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        for name in ("epochs", "pretrain_epochs", "batch_size"):
+            value = getattr(self, name)
+            if value > MAX_SIZE:
+                raise ConfigError(f"{name} must be at most {MAX_SIZE}, got {value}")
+        for name in ("centroid_loss_weight", "pairwise_loss_weight", "adversarial_loss_weight"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.calibration_offset <= 0.0:
             raise ConfigError(f"calibration_offset must be > 0, got {self.calibration_offset}")
         if not 0 < self.pretrain_epochs < self.epochs:
@@ -209,7 +227,7 @@ def train_step(
 
     src_wb = tgt_wb = None
     if lam > 0.0 or mu > 0.0:
-        src_conf = p_src.values.max(axis=1)
+        src_conf = np.maximum.reduce(p_src.values, axis=1)
         # the pseudo-labels are targets, not a gradient path: no tape
         pseudo = calibrate(classify(state, f_tgt).values, class_weights)
         src_wb = WeightedBatch(f_src, src_labels, src_conf)

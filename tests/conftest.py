@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,30 @@ def allocation_peak(fn, *args, **kwargs) -> int:
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def call_count(fn, *args, **kwargs) -> int:
+    """Python and C function calls made by ``fn(*args, **kwargs)``, ``fn``'s own included.
+
+    Counts the ``call`` and ``c_call`` events that ``sys.setprofile`` reports:
+    one per Python function or generator entered and one per builtin
+    function or method called. Operators and ufunc calls such as
+    ``np.add(a, b)`` run in C without such an event, so they add nothing.
+    """
+    count = 0
+
+    def profile(frame, event, arg) -> None:
+        nonlocal count
+        if event == "call" or event == "c_call":
+            count += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return count - 1  # the sys.setprofile call that ends the count
 
 
 def away_from_kinks(rng: np.random.Generator, shape, margin: float = 1e-2) -> np.ndarray:

@@ -23,6 +23,7 @@ from shiftlab.autodiff import (
     grad_reverse,
     Velocity,
     init_velocity,
+    LabelPairs,
     label_ratio,
     linear,
     log,
@@ -688,7 +689,7 @@ def _label_ratio_and_oracle(av, bv, ys, yt, ws, wt):
         tape = Tape()
         dists = pairwise_distances(tape, a, b)
         if fused:
-            loss = label_ratio(tape, dists, ys, yt, np.sqrt(ws), np.sqrt(wt), 1e-8)
+            loss = label_ratio(tape, dists, LabelPairs(ys, yt), np.sqrt(ws), np.sqrt(wt), 1e-8)
         else:
             loss = grid_label_ratio(tape, dists, ys, yt, ws, wt, 1e-8)
         tape.backward(affine(tape, loss, 0.6))
@@ -724,13 +725,13 @@ class TestLabelRatio:
 
         def build():
             tape = Tape()
-            return tape, label_ratio(tape, x, ys, yt, s, t, 1e-8)
+            return tape, label_ratio(tape, x, LabelPairs(ys, yt), s, t, 1e-8)
 
         _fd_check(build, [x])
 
     def test_value(self):
         x = Tensor([[1.0, 2.0, 4.0], [3.0, 5.0, 7.0]])
-        out = label_ratio(None, x, np.array([0, 1]), np.array([0, 1, 1]),
+        out = label_ratio(None, x, LabelPairs(np.array([0, 1]), np.array([0, 1, 1])),
                           np.array([1.0, 0.5]), np.array([1.0, 2.0, 1.0]), 0.0)
         same = (1.0 + 0.5 * 2.0 * 5.0 + 0.5 * 7.0) / 3
         cross = (2.0 * 2.0 + 4.0 + 0.5 * 3.0) / 3
@@ -780,24 +781,37 @@ class TestLabelRatio:
             x = Tensor(pairwise_distances(None, Tensor(av), Tensor(bv)).values)
             tape = Tape()
             if fused:
-                loss = label_ratio(tape, x, ys, yt, np.sqrt(ws), np.sqrt(wt), 1e-8)
+                loss = label_ratio(tape, x, LabelPairs(ys, yt), np.sqrt(ws), np.sqrt(wt), 1e-8)
             else:
                 loss = grid_label_ratio(tape, x, ys, yt, ws, wt, 1e-8)
             tape.backward(loss)
             grids.append(x.grad)
         np.testing.assert_allclose(grids[0], grids[1], rtol=1e-14, atol=0.0)
 
+    def test_label_pairs_count_the_pairs(self):
+        ys, yt = np.array([0, 2, 2, 1]), np.array([2, 0, 3])
+        pairs = LabelPairs(ys, yt)
+        same = ys[:, None] == yt
+        assert (pairs.n_same, pairs.n_diff) == (int(same.sum()), int((~same).sum()))
+        assert pairs.src.shape == (4, 4) and pairs.tgt.shape == (3, 4)
+        assert np.array_equal(pairs.src @ pairs.tgt.T, same)
+
+    def test_label_pairs_need_1d_labels(self):
+        with pytest.raises(ShapeError):
+            LabelPairs(np.zeros((2, 1), dtype=np.int64), np.zeros(2, dtype=np.int64))
+
     def test_needs_both_kinds_of_pair(self):
         x = Tensor(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="same- and different-label"):
-            label_ratio(None, x, np.array([0, 0]), np.array([0, 0]), np.ones(2), np.ones(2), 1e-8)
-        with pytest.raises(ValueError, match="same- and different-label"):
-            label_ratio(None, x, np.array([0, 0]), np.array([1, 1]), np.ones(2), np.ones(2), 1e-8)
+        for yt in ([0, 0], [1, 1]):
+            pairs = LabelPairs(np.array([0, 0]), np.array(yt))
+            with pytest.raises(ValueError, match="same- and different-label"):
+                label_ratio(None, x, pairs, np.ones(2), np.ones(2), 1e-8)
 
     def test_rejects_negative_labels(self):
         with pytest.raises(ValueError, match="negative"):
-            label_ratio(None, Tensor(np.ones((2, 2))), np.array([0, -1]), np.array([0, 1]),
-                        np.ones(2), np.ones(2), 1e-8)
+            label_ratio(None, Tensor(np.ones((2, 2))),
+                        LabelPairs(np.array([0, -1]), np.array([0, 1])), np.ones(2), np.ones(2),
+                        1e-8)
 
     @pytest.mark.parametrize("ys, yt, s, t", [
         ([0, 1, 0], [0, 1], [1.0, 1.0], [1.0, 1.0]),  # one label too many
@@ -806,7 +820,7 @@ class TestLabelRatio:
     ])
     def test_shapes_must_fit(self, ys, yt, s, t):
         with pytest.raises(ShapeError):
-            label_ratio(None, Tensor(np.ones((2, 2))), np.array(ys), np.array(yt),
+            label_ratio(None, Tensor(np.ones((2, 2))), LabelPairs(np.array(ys), np.array(yt)),
                         np.array(s), np.array(t), 1e-8)
 
 
@@ -831,7 +845,7 @@ def test_label_ratio_property():
         same = ys[:, None] == yt
         if same.all() or not same.any():
             with pytest.raises(ValueError):
-                label_ratio(None, Tensor(np.ones((n, m))), ys, yt, ws, wt, 1e-8)
+                label_ratio(None, Tensor(np.ones((n, m))), LabelPairs(ys, yt), ws, wt, 1e-8)
             return
         results = _label_ratio_and_oracle(av, bv, ys, yt, ws, wt)
         if np.any(ws > 0.0):

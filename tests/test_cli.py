@@ -206,6 +206,9 @@ class TestTrain:
             f"data.feature_dim={10**30}",
             f"model.hidden_dims=[{10**30}]",
             f"model.bottleneck_dim={10**30}",
+            f"train.epochs={10**30}",
+            f"train.pretrain_epochs={10**30}",
+            f"train.batch_size={10**30}",
         ],
     )
     def test_oversized_value_exit_1(self, config_file, tmp_path, caplog, setting):
@@ -217,6 +220,25 @@ class TestTrain:
         assert codes == [1] and not out.exists()
         field = setting.split("=")[0].split(".")[1]
         assert f"{field} must be at most 2147483647" in caplog.text
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "train.lr0=NaN",
+            "train.calibration_offset=Infinity",
+            "train.lr_beta=Infinity",
+            "train.momentum=-Infinity",
+            "train.centroid_loss_weight=NaN",
+            f"train.confidence_threshold={10**400}",
+        ],
+    )
+    def test_non_finite_value_exit_1(self, config_file, tmp_path, caplog, setting):
+        # JSON reads NaN and Infinity; a float field must be finite
+        out = tmp_path / "run"
+        args = ["train", "--config", config_file, "--out", str(out), "--set", setting]
+        assert main(args) == 1 and not out.exists()
+        field = setting.split("=")[0].split(".")[1]
+        assert f"{field} must be finite" in caplog.text
 
 
 @pytest.fixture(scope="module")

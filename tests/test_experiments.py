@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import os
 import shutil
 
@@ -122,6 +123,39 @@ class TestParseConfig:
 
     def test_null_model_sizes_the_model_from_the_data(self):
         assert parse_config({"model": None}).model is None
+
+    def test_every_train_field_builds_or_names_itself(self):
+        # one train field set to an edge value: the document builds into a config
+        # with finite floats and bounded sizes, or is refused naming that field
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        edges = [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**30, -(10**30), 10**400,
+                 2**31 - 1, 2**31, 0, 1, -1, 0.5, True, False, "1", "NaN", None, [1]]
+
+        def check(name, value):
+            try:
+                cfg = parse_config({"train": {name: value}})
+            except ConfigError as exc:
+                assert name in str(exc)
+                return
+            assert getattr(cfg.train, name) == value
+            for f in dataclasses.fields(TrainConfig):
+                if f.type == "float":
+                    assert math.isfinite(getattr(cfg.train, f.name))
+            assert max(cfg.train.epochs, cfg.train.batch_size) <= 2**31 - 1
+
+        for name in names:
+            for value in edges:
+                check(name, value)
+
+        @hypothesis.settings(max_examples=50, deadline=None)
+        @hypothesis.given(value=st.one_of(st.floats(), st.integers()))
+        def check_every_field(value):
+            for name in names:
+                check(name, value)
+
+        check_every_field()
 
 
 class TestApplyOverrides:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import inspect
+import sys
 import weakref
 
 import numpy as np
@@ -24,7 +26,7 @@ from shiftlab import (
 from shiftlab import networks, training
 from shiftlab.autodiff import Tensor, linear, mul, relu, sum_all
 
-from conftest import allocation_peak, standard_config
+from conftest import allocation_peak, call_count, standard_config
 
 KIB = 1024
 # the README standard benchmark: its data, model and (full-method) step
@@ -225,3 +227,60 @@ class TestPooledStep:
         src_idx, tgt_idx = batches[5]
         peak = allocation_peak(step, state, bank, std_cfg(), src, tgt, src_idx, tgt_idx, pool)
         assert peak <= 384 * KIB
+
+
+def warm_step_args(std_pair, cfg):
+    """``step``'s arguments for the 6th step of an epoch, the first 5 taken."""
+    src, tgt = std_pair
+    state, bank, pool = init_model(STD.model, 5), CentroidBank(5), Pool()
+    batches = list(epoch_batches(np.random.default_rng(10), src, tgt))
+    for src_idx, tgt_idx in batches[:5]:
+        step(state, bank, cfg, src, tgt, src_idx, tgt_idx, pool)
+    return (state, bank, cfg, src, tgt) + batches[5] + (pool,)
+
+
+class TestCallBudget:
+    def test_call_count_counts_python_and_c_calls(self):
+        def leaf():
+            return None
+
+        def three_calls(items):
+            leaf()  # a Python call
+            len(items)  # a C call
+            return items + items  # an operator: no call
+
+        previous = sys.getprofile()
+        assert call_count(three_calls, [1]) == 3  # three_calls' own call included
+        assert call_count(len, [1]) == 1
+        assert call_count(np.add, 1.0, 2.0) == 0  # a ufunc runs without a call event
+        assert sys.getprofile() is previous
+
+    def test_full_step_call_budget(self, std_pair):
+        # a warm full-method step made 787 Python and C calls, as counted here, before
+        # the ops read each shape once and dropped their wrapper closures and NumPy's
+        # Python-level reductions, and the losses stopped rebuilding what a step does
+        # not change; it makes 410 now
+        assert call_count(step, *warm_step_args(std_pair, std_cfg())) <= 450
+
+    def test_every_op_records_one_zero_argument_rule_run_once(self, std_pair, monkeypatch):
+        # benchmarks/tracer.py wraps Tape.record(self, rule) and calls rule()
+        rules, runs = [], []
+
+        class RecordingTape(Tape):
+            def record(self, rule):
+                assert inspect.signature(rule).parameters == {}
+                i = len(rules)
+                rules.append(rule)
+
+                def counted():
+                    runs.append(i)
+                    rule()
+
+                super().record(counted)
+
+        args = warm_step_args(std_pair, std_cfg())
+        monkeypatch.setattr(training, "Tape", RecordingTape)
+        step(*args)
+        assert len(rules) == 23
+        assert runs == list(range(22, -1, -1))
+
