@@ -39,6 +39,17 @@ __all__ = [
 # The largest count or dimension a config may give, so that no size
 # overflows an int64 cast or a NumPy shape.
 MAX_SIZE = 2**31 - 1
+# The largest feature_dim: a spec holds one translation entry per feature,
+# so this keeps building one from a config within half a MiB.
+MAX_FEATURE_DIM = 2**16
+
+
+def finite(value) -> bool:
+    """Whether a number is finite as a float; an int beyond the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class ParameterError(ValueError):
@@ -133,7 +144,9 @@ class ShiftSpec:
     entry r names the class holding size rank r (rank 0 = largest).
     ``rotation_angle`` is in radians and acts on the first two feature
     coordinates of the target class means; ``translation`` is added to
-    every target mean.
+    every target mean, and a scalar stands for that value in every
+    coordinate. Every float must be finite, each count and dimension at
+    most ``MAX_SIZE``, and ``feature_dim`` at most ``MAX_FEATURE_DIM``.
     """
 
     num_classes: int = 5
@@ -157,6 +170,10 @@ class ShiftSpec:
             value = getattr(self, name)
             if value > MAX_SIZE:
                 raise ParameterError(f"{name} must be at most {MAX_SIZE}, got {value}")
+        if self.feature_dim > MAX_FEATURE_DIM:
+            raise ParameterError(
+                f"feature_dim must be at most {MAX_FEATURE_DIM}, got {self.feature_dim}"
+            )
         if self.num_classes < 2:
             raise ParameterError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.feature_dim < 2:
@@ -165,28 +182,29 @@ class ShiftSpec:
             raise ParameterError(
                 f"max_class_size {self.max_class_size} < num_classes {self.num_classes}"
             )
-        if not (math.isfinite(self.imbalance_factor) and self.imbalance_factor >= 1.0):
+        if not (finite(self.imbalance_factor) and self.imbalance_factor >= 1.0):
             raise ParameterError(
                 f"imbalance_factor must be finite and >= 1, got {self.imbalance_factor}"
             )
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0.0):
+        if not (finite(self.noise_sigma) and self.noise_sigma > 0.0):
             raise ParameterError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
-        if not math.isfinite(self.rotation_angle):
+        if not finite(self.rotation_angle):
             raise ParameterError(f"rotation_angle must be finite, got {self.rotation_angle}")
         self.source_order = self._check_order(self.source_order, "source_order")
         self.target_order = self._check_order(self.target_order, "target_order")
-        if isinstance(self.translation, (int, float)):
-            self.translation = [float(self.translation)] * self.feature_dim
-        else:
-            self.translation = [float(t) for t in self.translation]
-        if len(self.translation) != self.feature_dim:
+        translation = self.translation
+        if isinstance(translation, (int, float)):
+            translation = [translation] * self.feature_dim
+        if len(translation) != self.feature_dim:
             raise ParameterError(
-                f"translation length {len(self.translation)} != feature_dim {self.feature_dim}"
+                f"translation length {len(translation)} != feature_dim {self.feature_dim}"
             )
-        if not all(math.isfinite(t) for t in self.translation):
-            raise ParameterError(f"translation entries must be finite, got {self.translation}")
+        bad = [t for t in translation if not finite(t)]
+        if bad:
+            raise ParameterError(f"translation entries must be finite, got {bad[0]!r}")
+        self.translation = [float(t) for t in translation]
 
     def _check_order(self, order: list[int] | None, name: str) -> list[int]:
         if order is None:

@@ -281,23 +281,31 @@ def run_single(
 ) -> RunReport:
     """One trainer run plus evaluation, reported and persisted into ``out_dir``.
 
-    ``wall_clock_sec`` times the training alone. A run directory holds the
-    two files of ``_write_outputs`` and then ``report.json``. The
-    checkpoint's provenance records ``spec``, the ``ShiftSpec`` the data
-    was generated from (None if not given), and ``features_digest`` of the
-    data, so ``shiftlab eval`` can refuse other data.
+    ``wall_clock_sec`` times the training alone. The final scores come
+    from the last epoch's target pass, which ``run`` makes after the last
+    step and hands to the audit callback, so no further pass is made. A
+    run directory holds the two files of ``_write_outputs`` and then
+    ``report.json``. The checkpoint's provenance records ``spec``, the
+    ``ShiftSpec`` the data was generated from (None if not given), and
+    ``features_digest`` of the data, so ``shiftlab eval`` can refuse
+    other data.
     """
+    audit = make_audit_fn(target)
+    last = []  # the pseudo-labels of the latest epoch
+
+    def audit_fn(pseudo):
+        last[:] = [pseudo]
+        return audit(pseudo)
+
     started = time.perf_counter()
-    state, records, shift_state = run(
-        source, target, train_cfg, model_cfg, audit_fn=make_audit_fn(target)
-    )
+    state, records, shift_state = run(source, target, train_cfg, model_cfg, audit_fn=audit_fn)
     report = RunReport(
         name=name,
         seed=train_cfg.seed,
         wall_clock_sec=time.perf_counter() - started,
         records=[r.to_dict() for r in records],
         label_shift=None if shift_state is None else shift_state.to_dict(),
-        **score_target(state, target, shift_state),
+        **score_target(state, target, shift_state, predictions=last[0].raw_label),
     )
     provenance = {"data": None if spec is None else dataclasses.asdict(spec),
                   "features_sha256": features_digest(source, target)}

@@ -103,14 +103,19 @@ def make_audit_fn(target: DomainDataset):
 
 
 def score_target(state: ModelState, target: DomainDataset,
-                 shift_state: LabelShiftState | None = None) -> dict:
+                 shift_state: LabelShiftState | None = None, predictions=None) -> dict:
     """Score a trained model's argmax predictions on the hidden target labels.
 
     Returns the target fields of ``RunReport``, keyed by their names. The
     estimate's ``dist_l1_error`` and ``est_head_class`` are None without
-    a label-shift estimate.
+    a label-shift estimate. ``predictions``, when given, must be those
+    argmax predictions, already computed from ``state`` on every target
+    row, such as the raw pseudo-labels of training's last epoch; then no
+    pass over the target is made.
     """
-    preds = np.argmax(predict(state, target.features), axis=1)
+    preds = predictions
+    if preds is None:
+        preds = np.argmax(predict(state, target.features), axis=1)
     truth = target.labels_for_eval(EVALUATOR_ACCESS)
     true_dist = true_distribution(target)
     est = None if shift_state is None else np.asarray(shift_state.target_dist_est)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autodiff import Pool, Tape, sgd_step, split_rows, weighted_sum
 from .calibration import LabelShiftState, PseudoLabels, calibrate
-from .data import MAX_SIZE, BalancedSampler, DomainDataset
+from .data import MAX_SIZE, BalancedSampler, DomainDataset, finite
 from .losses import (
     CentroidBank,
     WeightedBatch,
@@ -68,14 +68,6 @@ class NumericError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
-def _finite(value) -> bool:
-    """Whether a number is finite as a float; an int beyond the float range is not."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 @dataclass
 class TrainConfig:
     """Hyperparameters of the full method.
@@ -86,7 +78,8 @@ class TrainConfig:
     calibration weight formula; ``confidence_threshold`` filters the
     pseudo-labels used for distribution estimation. Every float field must
     be finite, and ``epochs``, ``pretrain_epochs`` and ``batch_size`` at
-    most ``data.MAX_SIZE``.
+    most ``data.MAX_SIZE``. ``lr_alpha`` and ``lr_beta`` must keep
+    ``lr_schedule``'s ``(1 + lr_alpha) ** lr_beta`` within the float range.
     """
 
     centroid_loss_weight: float = 3.0
@@ -109,7 +102,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not _finite(value):
+            if f.type == "float" and not finite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         for name in ("epochs", "pretrain_epochs", "batch_size"):
             value = getattr(self, name)
@@ -132,6 +125,13 @@ class TrainConfig:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.lr_alpha < 0.0 or self.lr_beta < 0.0:
             raise ConfigError("lr_alpha and lr_beta must be >= 0")
+        try:  # the schedule's largest denominator, reached at the last step
+            (1.0 + self.lr_alpha) ** self.lr_beta
+        except OverflowError:
+            raise ConfigError(
+                "the schedule's (1 + lr_alpha) ** lr_beta must be finite, got lr_alpha "
+                f"{self.lr_alpha} and lr_beta {self.lr_beta}"
+            ) from None
         if not 0.0 <= self.confidence_threshold < 1.0:
             raise ConfigError(
                 f"confidence_threshold must be in [0, 1), got {self.confidence_threshold}"

@@ -121,6 +121,18 @@ def call_count(fn, *args, **kwargs) -> int:
     return count - 1  # the sys.setprofile call that ends the count
 
 
+def retained_grad(tape, t) -> list:
+    """A list that receives a copy of ``t``'s gradient (or None) during ``tape.backward``.
+
+    Call it right after the op that made ``t``. Backward runs the rules
+    newest first, so the copy is taken after every op that read ``t`` has
+    added its share, and before ``t``'s own rule may consume the array.
+    """
+    kept = []
+    tape.record(lambda: kept.append(None if t._grad is None else t._grad.copy()))
+    return kept
+
+
 def away_from_kinks(rng: np.random.Generator, shape, margin: float = 1e-2) -> np.ndarray:
     """Draw values bounded away from zero so relu kinks cannot corrupt FD checks."""
     x = rng.uniform(margin, 1.0, size=shape)

@@ -48,6 +48,7 @@ from conftest import (
     central_difference,
     grid_label_ratio,
     relative_error,
+    retained_grad,
     unfused_binary_cross_entropy,
     unfused_ema_matmul,
     unfused_ratio,
@@ -103,6 +104,14 @@ class TestTensorBasics:
         t = Tensor(np.ones((2, 3)))
         with pytest.raises(ShapeError):
             t.grad = np.ones((3, 2))
+
+    def test_grad_setter_copies(self):
+        # a rule may overwrite its output's gradient, so it must not be the caller's array
+        given = np.ones((2, 3))
+        t = Tensor(np.ones((2, 3)))
+        t.grad = given
+        t.grad += 1.0
+        assert (given == 1.0).all() and (t.grad == 2.0).all()
 
     def test_op_outputs_own_fresh_arrays(self):
         x = Tensor([[1.0, -2.0]])
@@ -412,6 +421,76 @@ class TestGradientsDoNotAlias:
         np.testing.assert_array_equal(out.grad, np.full((2, 3), 2.0))
 
 
+# The ops whose rules consume their output's gradient, each applied to x
+# (and pairwise_distances also to ``other``).
+CONSUMERS = {
+    "relu": lambda tape, x, other: relu(tape, x),
+    "sigmoid": lambda tape, x, other: sigmoid(tape, x),
+    "softmax": lambda tape, x, other: softmax(tape, x),
+    "grad_reverse": lambda tape, x, other: grad_reverse(tape, x, 0.7),
+    "pairwise_distances": lambda tape, x, other: pairwise_distances(tape, x, other),
+}
+
+
+class TestConsumedGradients:
+    """Rules that overwrite their output's gradient and hand it on to their input."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("op", sorted(CONSUMERS))
+    def test_an_output_read_by_two_ops_passes_the_gradient_check(self, op, seed):
+        # both readers add into the output's gradient before the op's rule consumes it
+        rng = np.random.default_rng([2100, seed])
+        x = Tensor(away_from_kinks(rng, (4, 3)))
+        other = Tensor(rng.standard_normal((5, 3)))
+        weights = rng.standard_normal((4, 5))
+
+        def build():
+            tape = Tape()
+            out = CONSUMERS[op](tape, x, other)
+            first = sum_all(tape, scale_by(tape, out, weights[:, :out.values.shape[1]]))
+            second = sum_all(tape, mul(tape, out, out))
+            return tape, add(tape, first, second)
+
+        tape, loss = build()
+        tape.backward(loss)
+        # grad_reverse is the identity forward, so its true gradient is -coeff times FD's
+        for p, scale in [(x, -0.7 if op == "grad_reverse" else 1.0)] + (
+                [(other, 1.0)] if op == "pairwise_distances" else []):
+            numeric = central_difference(lambda: build()[1].item(), p.values)
+            assert relative_error(p.grad, scale * numeric) < 1e-4
+
+    def test_pairwise_distances_exact_path_read_by_two_ops(self):
+        # a coincident pair sends the gradient through the explicit-difference path
+        rng = np.random.default_rng(2200)
+        a = Tensor(rng.standard_normal((4, 3)))
+        b = Tensor(np.concatenate([a.values[:1] + 1e-3, rng.standard_normal((2, 3))]))
+        weights = rng.standard_normal((4, 3))
+
+        def build():
+            tape = Tape()
+            d = pairwise_distances(tape, a, b)
+            return tape, add(tape, sum_all(tape, scale_by(tape, d, weights)),
+                             sum_all(tape, mul(tape, d, d)))
+
+        _fd_check(build, [a, b], h=1e-7)
+
+    def test_op_outputs_hold_no_gradient_after_backward(self):
+        rng = np.random.default_rng(2300)
+        x = Tensor(rng.standard_normal((6, 4)))  # a leaf input
+        params = [Tensor(rng.standard_normal(shape)) for shape in ((4, 5), (1, 5), (5, 3), (1, 3))]
+        other = Tensor(rng.standard_normal((2, 3)))
+        tape = Tape()
+        hidden = relu(tape, linear(tape, x, *params[:2]))
+        feats = linear(tape, hidden, *params[2:])
+        reversed_ = grad_reverse(tape, feats, 0.5)
+        outputs = [hidden, reversed_, sigmoid(tape, reversed_), softmax(tape, feats),
+                   pairwise_distances(tape, feats, other)]
+        loss = add_n(tape, [sum_all(tape, t) for t in outputs[2:]])
+        tape.backward(loss)
+        assert all(t._grad is None for t in outputs)
+        assert all(t._grad is not None and t.grad.any() for t in params + [x, other])
+
+
 def _linear_pair(rng, n=50, d_in=10, d_out=128):
     """Leaves and a fixed downstream weighting at the benchmark's first layer."""
     x = rng.standard_normal((n, d_in))
@@ -586,10 +665,11 @@ class TestNll:
             logits = Tensor(logits_v)
             tape = Tape()
             probs = softmax(tape, logits)
+            probs_grad = retained_grad(tape, probs)  # softmax's rule consumes it
             probs.values[0, labels[0]] = 1e-20  # one row where the floor binds
             loss = op(tape, probs, labels, 1e-12)
             tape.backward(affine(tape, loss, 0.6))
-            results.append((loss.values, probs.grad, logits.grad))
+            results.append((loss.values, probs_grad[0], logits.grad))
         for got, want in zip(*results):
             assert got.shape == want.shape
             assert (got == want).all()
@@ -867,11 +947,13 @@ class TestBinaryCrossEntropy:
             src, tgt = Tensor(src_v), Tensor(tgt_v)
             tape = Tape()
             d_src, d_tgt = sigmoid(tape, src), sigmoid(tape, tgt)
+            # sigmoid's rule consumes its output's gradient
+            kept = retained_grad(tape, d_src), retained_grad(tape, d_tgt)
             d_src.values[0, 0] = 1.0  # the floor binds once on each side
             d_tgt.values[0, 0] = 0.0
             loss = op(tape, d_src, d_tgt, 1e-12)
             tape.backward(affine(tape, loss, 0.7))
-            results.append((loss.values, d_src.grad, d_tgt.grad, src.grad, tgt.grad))
+            results.append((loss.values, kept[0][0], kept[1][0], src.grad, tgt.grad))
         _assert_bit_identical(results)
         assert results[0][1][0, 0] == 0.0 and results[0][2][0, 0] == 0.0
 

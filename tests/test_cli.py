@@ -146,8 +146,10 @@ class TestTrain:
         assert str(config) in caplog.text
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
-    @pytest.mark.parametrize("field", ["imbalance_factor", "rotation_angle", "translation"])
+    # 10**400 is finite as an integer, but raised OverflowError (exit 2) as a float
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", pytest.param(f"{10**400}", id="1e400")])
+    @pytest.mark.parametrize("field", ["imbalance_factor", "rotation_angle", "translation",
+                                       "noise_sigma"])
     def test_non_finite_data_parameter_exit_1(self, config_file, tmp_path, field, value):
         out = tmp_path / "run"
         args = ["train", "--config", config_file, "--out", str(out),
@@ -230,15 +232,28 @@ class TestTrain:
             "train.momentum=-Infinity",
             "train.centroid_loss_weight=NaN",
             f"train.confidence_threshold={10**400}",
+            "train.lr_beta=400",
+            "train.lr_beta=1e308",
         ],
     )
     def test_non_finite_value_exit_1(self, config_file, tmp_path, caplog, setting):
-        # JSON reads NaN and Infinity; a float field must be finite
+        # JSON reads NaN and Infinity; a float field must be finite, and lr_beta
+        # must keep the schedule finite: 400 and 1e308 overflowed in lr_schedule
         out = tmp_path / "run"
         args = ["train", "--config", config_file, "--out", str(out), "--set", setting]
         assert main(args) == 1 and not out.exists()
         field = setting.split("=")[0].split(".")[1]
         assert f"{field} must be finite" in caplog.text
+
+    def test_largest_size_as_feature_dim_exit_1(self, config_file, tmp_path, caplog):
+        # a scalar translation was expanded to 2**31 - 1 entries (MemoryError, exit 2)
+        out = tmp_path / "run"
+        args = ["train", "--config", config_file, "--out", str(out),
+                "--set", f"data.feature_dim={2**31 - 1}"]
+        codes = []
+        assert allocation_peak(lambda: codes.append(main(args))) < 256 * 1024
+        assert codes == [1] and not out.exists()
+        assert "feature_dim must be at most 65536" in caplog.text
 
 
 @pytest.fixture(scope="module")

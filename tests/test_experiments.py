@@ -28,6 +28,7 @@ from shiftlab import (
     parse_config,
     run_experiment,
     run_single,
+    score_target,
     sweep_if,
 )
 from shiftlab.experiments import (
@@ -42,7 +43,44 @@ from shiftlab.experiments import (
     resolve_output_dir,
     OUTPUT_ROOT_ENV,
 )
-from shiftlab.training import ConfigError, EpochRecord
+from shiftlab.data import MAX_FEATURE_DIM, MAX_SIZE, class_sizes
+from shiftlab.training import ConfigError, EpochRecord, lr_schedule
+
+
+# The values each config field is set to in turn, before drawn numbers.
+EDGES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**30, -(10**30), 10**400,
+         2**31 - 1, 2**31, 0, 1, -1, 0.5, True, False, "1", "NaN", None, [1]]
+
+
+def each_field_builds_or_names_itself(cls, section: str, base: dict, holds) -> None:
+    """Set each field of ``cls``, one at a time in the ``section`` document
+    ``base``, to each of ``EDGES`` and then to 50 drawn floats and integers.
+    Each document must build, with ``holds(built_section, name, value)``
+    passing, or raise the ``ConfigError`` that names the field."""
+    hypothesis = pytest.importorskip("hypothesis")
+    names = [f.name for f in dataclasses.fields(cls)]
+
+    def check(name, value):
+        try:
+            cfg = parse_config({section: dict(base, **{name: value})})
+        except ConfigError as exc:
+            assert name in str(exc)
+            return
+        holds(getattr(cfg, section), name, value)
+
+    for name in names:
+        for value in EDGES:
+            check(name, value)
+
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=50, deadline=None)
+    @hypothesis.given(value=st.one_of(st.floats(), st.integers()))
+    def check_every_field(value):
+        for name in names:
+            check(name, value)
+
+    check_every_field()
 
 
 def micro_doc(out_dir: str, seeds=None) -> dict:
@@ -126,36 +164,43 @@ class TestParseConfig:
 
     def test_every_train_field_builds_or_names_itself(self):
         # one train field set to an edge value: the document builds into a config
-        # with finite floats and bounded sizes, or is refused naming that field
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-        names = [f.name for f in dataclasses.fields(TrainConfig)]
-        edges = [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**30, -(10**30), 10**400,
-                 2**31 - 1, 2**31, 0, 1, -1, 0.5, True, False, "1", "NaN", None, [1]]
-
-        def check(name, value):
-            try:
-                cfg = parse_config({"train": {name: value}})
-            except ConfigError as exc:
-                assert name in str(exc)
-                return
-            assert getattr(cfg.train, name) == value
+        # with finite floats, bounded sizes and a schedule that stays in the float
+        # range, or is refused naming that field
+        def holds(train, name, value):
+            assert getattr(train, name) == value
             for f in dataclasses.fields(TrainConfig):
                 if f.type == "float":
-                    assert math.isfinite(getattr(cfg.train, f.name))
-            assert max(cfg.train.epochs, cfg.train.batch_size) <= 2**31 - 1
+                    assert math.isfinite(getattr(train, f.name))
+            assert max(train.epochs, train.batch_size) <= 2**31 - 1
+            assert math.isfinite(lr_schedule(train.lr0, 1.0, train.lr_alpha, train.lr_beta))
 
-        for name in names:
-            for value in edges:
-                check(name, value)
+        each_field_builds_or_names_itself(TrainConfig, "train", {}, holds)
 
-        @hypothesis.settings(max_examples=50, deadline=None)
-        @hypothesis.given(value=st.one_of(st.floats(), st.integers()))
-        def check_every_field(value):
-            for name in names:
-                check(name, value)
+    def test_every_data_field_builds_or_names_itself(self):
+        # likewise for the data section; the class sizes are computed, but no data drawn
+        def holds(spec, name, value):
+            for field in ("imbalance_factor", "rotation_angle", "noise_sigma"):
+                assert math.isfinite(getattr(spec, field))
+            assert max(spec.num_classes, spec.max_class_size) <= MAX_SIZE
+            assert spec.feature_dim <= MAX_FEATURE_DIM
+            assert len(spec.translation) == spec.feature_dim
+            assert all(type(t) is float and math.isfinite(t) for t in spec.translation)
+            for order in (spec.source_order, spec.target_order):
+                assert sorted(order) == list(range(spec.num_classes))
+            sizes = class_sizes(spec)
+            assert sizes[0] == spec.max_class_size and sizes.min() >= 1
 
-        check_every_field()
+        each_field_builds_or_names_itself(ShiftSpec, "data", {}, holds)
+
+    def test_every_model_field_builds_or_names_itself(self):
+        # likewise for the model section, which names the two sizes it must share
+        def holds(model, name, value):
+            dims = [model.input_dim, model.num_classes, model.bottleneck_dim]
+            dims += model.hidden_dims + model.discriminator_hidden_dims
+            assert all(type(d) is int and 1 <= d <= MAX_SIZE for d in dims)
+
+        base = {"input_dim": 10, "num_classes": 5}
+        each_field_builds_or_names_itself(ModelConfig, "model", base, holds)
 
 
 class TestApplyOverrides:
@@ -359,6 +404,17 @@ class TestRunExperiment:
         _, reports, _ = micro_experiment
         for report in reports:
             assert report.records[-1]["target_per_class_acc"] == report.final_per_class_mean_acc
+
+    def test_final_scores_match_a_pass_of_the_checkpoint(self, micro_experiment):
+        # run_single scores the last epoch's target pass instead of making another
+        cfg, reports, out = micro_experiment
+        _, target = generate(cfg.data)
+        for report in reports:
+            state = load_checkpoint(os.path.join(out, "runs", f"seed{report.seed}",
+                                                 "checkpoint.npz"))
+            scores = score_target(state, target)
+            assert scores["final_per_class_acc"] == report.final_per_class_acc
+            assert scores["final_per_class_mean_acc"] == report.final_per_class_mean_acc
 
     def test_regenerate_matches_original(self, micro_experiment, tmp_path):
         _, _, out = micro_experiment

@@ -158,6 +158,19 @@ class TestScoreTarget:
         assert scores["dist_l1_error"] == float(np.abs(shift.target_dist_est - true_dist).sum())
         assert scores["est_head_class"] == int(np.argmax(shift.target_dist_est))
 
+    def test_given_predictions_are_scored_without_a_pass(self, tiny_pair, tiny_model_cfg,
+                                                         monkeypatch):
+        _, tgt = tiny_pair
+        state = init_model(tiny_model_cfg, seed=5)
+        want = score_target(state, tgt)
+        preds = np.argmax(classify(state, features(state, tgt.features)).values, axis=1)
+
+        def no_pass(*args):
+            raise AssertionError("score_target predicted again")
+
+        monkeypatch.setattr(shiftlab.metrics, "predict", no_pass)
+        assert score_target(state, tgt, predictions=preds) == want
+
     def test_no_estimate_leaves_its_fields_none(self, tiny_pair, tiny_model_cfg):
         _, tgt = tiny_pair
         scores = score_target(init_model(tiny_model_cfg, seed=5), tgt)

@@ -259,8 +259,16 @@ class TestCallBudget:
         # a warm full-method step made 787 Python and C calls, as counted here, before
         # the ops read each shape once and dropped their wrapper closures and NumPy's
         # Python-level reductions, and the losses stopped rebuilding what a step does
-        # not change; it makes 410 now
+        # not change; it makes 395 now
         assert call_count(step, *warm_step_args(std_pair, std_cfg())) <= 450
+
+    def test_full_step_pool_footprint(self, std_pair):
+        # a warm full-method step held 31 buffers and 938 KiB while relu's and
+        # pairwise_distances' rules each took a fresh array for the gradient they
+        # read; they overwrite that gradient now, and the step holds 26 and 693 KiB
+        pool = warm_step_args(std_pair, std_cfg())[-1]
+        assert len(pool) <= 26
+        assert sum(buf.nbytes for buf in pool) <= 700 * KIB
 
     def test_every_op_records_one_zero_argument_rule_run_once(self, std_pair, monkeypatch):
         # benchmarks/tracer.py wraps Tape.record(self, rule) and calls rule()
