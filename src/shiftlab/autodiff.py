@@ -46,12 +46,19 @@ as one fused op, which records one node: ``linear``, ``nll``,
 ``ema_matmul``, ``ratio``, ``binary_cross_entropy`` and
 ``weighted_sum``. Each names the chain it replaces and applies the same
 scalar operations in the same order, so values and gradients match the
-chain bit for bit; the chain's ops stay available. ``label_ratio`` is
-``ratio`` with label-pair weight grids, computed from per-class sums
-instead: its sums are reordered, so it matches ``ratio`` to rounding
-rather than bit for bit. The floors in
+chain bit for bit. ``label_ratio`` is ``ratio`` with label-pair weight
+grids, computed from per-class sums instead: its sums are reordered, so
+it matches ``ratio`` to rounding rather than bit for bit. The floors in
 ``relu``, ``clamp_min`` and the fused ops use ``np.maximum``, so a NaN
 input gives a NaN output rather than the floor value.
+
+``__all__`` holds the ops a training step records and the types and
+helpers around them. The chain ops (``matmul``, ``add_bias``, ``add``, ``sub``, ``mul``,
+``div``, ``add_n``, ``affine``, ``scale_by``, ``log``, ``clamp_min``,
+``sum_all``, ``mean_all``, ``gather_rows`` and ``euclidean_distance``)
+are not exported and no training path calls them. They are kept for two
+reasons only: the fused ops are tested against them, and the benchmark's
+tracer wraps them by name.
 
 Inside ``with pool:`` for a ``Pool``, the ops whose arrays scale with the
 batch (``linear`` forward and backward, ``relu``'s output and mask,
@@ -77,37 +84,21 @@ __all__ = [
     "Tape",
     "Pool",
     "as_matrix",
-    "matmul",
-    "add_bias",
     "linear",
     "ema_matmul",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "add_n",
     "weighted_sum",
-    "affine",
-    "scale_by",
     "relu",
     "sigmoid",
-    "log",
-    "clamp_min",
     "softmax",
-    "sum_all",
-    "mean_all",
     "ratio",
     "LabelPairs",
     "label_ratio",
-    "gather_rows",
     "split_rows",
     "nll",
     "binary_cross_entropy",
-    "euclidean_distance",
     "pairwise_distances",
     "grad_reverse",
     "Velocity",
-    "init_velocity",
     "sgd_step",
 ]
 
@@ -1080,10 +1071,6 @@ class Velocity(list):
         self.scaled_slots = [self.scaled[a:b].reshape(shape) for a, b, shape in cuts]
 
 
-def init_velocity(params: list[Tensor]) -> Velocity:
-    return Velocity(params)
-
-
 def sgd_step(
     params: list[Tensor],
     lr: float,
@@ -1094,8 +1081,8 @@ def sgd_step(
 
     v <- momentum * v + grad; param <- param - lr * v. A parameter that
     received no gradient adds nothing to v. Gradients are cleared
-    afterwards so the next forward pass starts fresh. ``velocity`` is what
-    ``init_velocity`` returns: the decay and the lr * v products take one
+    afterwards so the next forward pass starts fresh. ``velocity`` is a
+    ``Velocity(params)``: the decay and the lr * v products take one
     whole-array call each, and lr * v lands in its preallocated array.
     """
     if len(params) != len(velocity):
@@ -1103,7 +1090,7 @@ def sgd_step(
             f"sgd_step: {len(params)} params but {len(velocity)} velocity slots"
         )
     if not isinstance(velocity, Velocity):
-        raise TypeError(f"sgd_step: velocity must come from init_velocity, got {type(velocity)}")
+        raise TypeError(f"sgd_step: velocity must be a Velocity, got {type(velocity)}")
     velocity.flat *= momentum
     for p, v in zip(params, velocity):
         if p._grad is not None:

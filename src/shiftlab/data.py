@@ -42,6 +42,10 @@ MAX_SIZE = 2**31 - 1
 # The largest feature_dim: a spec holds one translation entry per feature,
 # so this keeps building one from a config within half a MiB.
 MAX_FEATURE_DIM = 2**16
+# The largest norm a drawn feature row may reach: its square, and the square
+# of a distance between two rows, then stay below 1e201, far inside the
+# float range.
+MAX_FEATURE_NORM = 1e100
 
 
 def finite(value) -> bool:
@@ -147,6 +151,8 @@ class ShiftSpec:
     every target mean, and a scalar stands for that value in every
     coordinate. Every float must be finite, each count and dimension at
     most ``MAX_SIZE``, and ``feature_dim`` at most ``MAX_FEATURE_DIM``.
+    ``noise_sigma`` and ``translation`` must keep every drawn row within
+    ``MAX_FEATURE_NORM`` of the origin.
     """
 
     num_classes: int = 5
@@ -205,6 +211,19 @@ class ShiftSpec:
         if bad:
             raise ParameterError(f"translation entries must be finite, got {bad[0]!r}")
         self.translation = [float(t) for t in translation]
+        # bound the norm of any row generate can draw, without drawing one: a
+        # coordinate of a class mean is at most 4 sigma + |t_j| in size (rotation
+        # keeps the radius), and NumPy's normal generator never strays more than
+        # 13 sigma from the mean, so 18 sigma covers both
+        shift = max(abs(t) for t in self.translation)
+        reach = math.sqrt(self.feature_dim) * (shift + 18.0 * self.noise_sigma)
+        if reach > MAX_FEATURE_NORM:
+            name = "noise_sigma" if 18.0 * self.noise_sigma >= shift else "translation"
+            raise ParameterError(
+                f"{name} puts drawn features up to {reach:.3g} from the origin: "
+                "sqrt(feature_dim) * (max |translation| + 18 * noise_sigma) must be "
+                f"at most {MAX_FEATURE_NORM:g}"
+            )
 
     def _check_order(self, order: list[int] | None, name: str) -> list[int]:
         if order is None:

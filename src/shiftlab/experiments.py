@@ -35,18 +35,14 @@ __all__ = [
     "parse_config",
     "apply_overrides",
     "effective_train_config",
-    "resolve_output_dir",
     "run_single",
     "run_experiment",
     "ablate",
     "sweep_if",
     "regenerate_reports",
-    "OUTPUT_ROOT_ENV",
 ]
 
 log = logging.getLogger(__name__)
-
-OUTPUT_ROOT_ENV = "SHIFTLAB_OUTPUT_ROOT"
 
 # The cumulative ablation ladder; see AblationMask.rung.
 LADDER = [
@@ -94,6 +90,8 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        if "\0" in str(self.output_dir):
+            raise ConfigError(f"output_dir must not hold a NUL byte, got {self.output_dir!r}")
         if not self.seeds:
             self.seeds = [self.train.seed]
         if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0
@@ -196,16 +194,8 @@ def effective_train_config(train: TrainConfig, mask: AblationMask) -> TrainConfi
     return cfg
 
 
-def resolve_output_dir(path: str) -> str:
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
-
-
 def claim_output_dir(path: str, force: bool) -> str:
     """Create (or adopt) an output directory, refusing non-empty ones."""
-    path = resolve_output_dir(path)
     if os.path.exists(path):
         if not os.path.isdir(path):
             raise OutputExistsError(f"output path {path} exists and is not a directory")
@@ -603,7 +593,6 @@ def regenerate_reports(out_dir: str) -> dict:
     manifest names its cells: each is rebuilt so, and then the grid's own
     files by the writer its driver uses. Returns the root's aggregate.
     """
-    out_dir = resolve_output_dir(out_dir)
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest = read_json(manifest_path)
     if not (isinstance(manifest, dict) and "cells" in manifest):

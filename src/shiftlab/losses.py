@@ -134,14 +134,6 @@ class CentroidBank:
         self._eligible_key: bytes | None = None  # eligible-class mask of ``_pair_weights``
         self._pair_weights: tuple | None = None
 
-    def initialized(self, domain: str, klass: int) -> bool:
-        return bool(self.seen[domain][klass])
-
-    def value(self, domain: str, klass: int) -> np.ndarray:
-        if not self.initialized(domain, klass):
-            raise KeyError((domain, klass))
-        return self.centroids[domain].values[klass]
-
     def eligible_classes(self) -> list[int]:
         """Classes with both source and target centroids initialized."""
         return np.flatnonzero(self.seen["source"] & self.seen["target"]).tolist()

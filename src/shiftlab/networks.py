@@ -24,7 +24,6 @@ from .autodiff import (
     Velocity,
     as_matrix,
     grad_reverse,
-    init_velocity,
     linear,
     relu,
     sigmoid,
@@ -89,7 +88,7 @@ class ModelState:
     velocity: Velocity = field(init=False)
 
     def __post_init__(self) -> None:
-        self.velocity = init_velocity(self.parameters())
+        self.velocity = Velocity(self.parameters())
 
     def parameters(self) -> list[Tensor]:
         return [t for net in self.layers.values() for pair in net for t in pair]
@@ -139,10 +138,10 @@ def _mlp(
 def features(state: ModelState, x, tape: Tape | None = None) -> Tensor:
     """Extractor forward: affine+relu stacks, final affine to the bottleneck.
 
-    A ``Tensor`` input receives its gradient. Any other input is converted
-    by ``as_matrix`` and is a constant: no gradient is computed for it.
+    ``x`` is converted by ``as_matrix`` and is a constant: no gradient is
+    computed for it.
     """
-    h = x if isinstance(x, Tensor) else as_matrix(x)
+    h = as_matrix(x)
     if h.shape[1] != state.config.input_dim:
         raise ShapeError(
             f"input has {h.shape[1]} columns, model expects {state.config.input_dim}"

@@ -22,7 +22,6 @@ from shiftlab.autodiff import (
     gather_rows,
     grad_reverse,
     Velocity,
-    init_velocity,
     LabelPairs,
     label_ratio,
     linear,
@@ -1191,7 +1190,7 @@ class TestSgdStep:
         # v <- 0.9 v + 0; p <- p - lr v, exactly as with an explicit zero gradient
         p = Tensor([[1.0, -2.0]])
         v0 = np.array([[0.3, -0.7]])
-        vel = init_velocity([p])
+        vel = Velocity([p])
         vel[0][...] = v0
         sgd_step([p], 0.05, 0.9, vel)
         v_old = v0 * 0.9
@@ -1205,7 +1204,7 @@ class TestSgdStep:
         # lr=0.1, momentum=0.9, constant unit gradient:
         # v1=1, p1=-0.1; v2=1.9, p2=-0.29
         p = Tensor(0.0)
-        vel = init_velocity([p])
+        vel = Velocity([p])
         p.grad += 1.0
         sgd_step([p], 0.1, 0.9, vel)
         assert p.item() == pytest.approx(-0.1)
@@ -1215,7 +1214,7 @@ class TestSgdStep:
 
     def test_grads_cleared_after_step(self):
         p = Tensor(1.0)
-        vel = init_velocity([p])
+        vel = Velocity([p])
         p.grad += 2.0
         sgd_step([p], 0.01, 0.9, vel)
         assert np.all(p.grad == 0.0)
@@ -1225,7 +1224,7 @@ class TestSgdStep:
         rng = np.random.default_rng(3)
         shapes = [(3, 4), (1, 4), (4, 2), (1, 2)]
         params = [Tensor(rng.standard_normal(shape)) for shape in shapes]
-        vel = init_velocity(params)
+        vel = Velocity(params)
         assert isinstance(vel, Velocity) and [v.shape for v in vel] == shapes
         want_p = [p.values.copy() for p in params]
         want_v = [np.zeros(shape) for shape in shapes]

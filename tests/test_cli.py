@@ -255,6 +255,26 @@ class TestTrain:
         assert codes == [1] and not out.exists()
         assert "feature_dim must be at most 65536" in caplog.text
 
+    @pytest.mark.parametrize("setting", ["data.noise_sigma=1e308", "data.noise_sigma=1e200",
+                                         "data.translation=1e308"])
+    def test_features_beyond_the_norm_bound_exit_1(self, config_file, tmp_path, caplog,
+                                                   setting):
+        # the first exited 2 with "batch weights must be finite", the others with
+        # a NumericError on a NaN loss
+        out = tmp_path / "run"
+        args = ["train", "--config", config_file, "--out", str(out), "--set", setting]
+        assert main(args) == 1 and not out.exists()
+        field = setting.split("=")[0].split(".")[1]
+        assert f"{field} puts drawn features up to" in caplog.text
+
+    def test_nul_byte_in_output_dir_exit_1(self, config_file, tmp_path, monkeypatch, caplog):
+        # it exited 2 with "ValueError: embedded null byte"
+        monkeypatch.chdir(tmp_path)
+        args = ["train", "--config", config_file, "--set", 'output_dir="a\\u0000b"']
+        assert main(args) == 1
+        assert "output_dir must not hold a NUL byte" in caplog.text
+        assert os.listdir(tmp_path) == ["config.json"]
+
 
 @pytest.fixture(scope="module")
 def trained_checkpoint(tmp_path_factory):

@@ -21,7 +21,7 @@ from shiftlab import (
     generate,
     save_dataset,
 )
-from shiftlab.data import MAX_SIZE
+from shiftlab.data import MAX_FEATURE_NORM, MAX_SIZE
 from shiftlab.metrics import EVALUATOR_ACCESS
 
 
@@ -128,6 +128,28 @@ class TestShiftSpecValidation:
     def test_translation_length_mismatch(self):
         with pytest.raises(ParameterError):
             ShiftSpec(num_classes=3, feature_dim=4, translation=[1.0, 2.0])
+
+    @pytest.mark.parametrize("field,value", [
+        ("noise_sigma", 1e308),  # exited 2: "batch weights must be finite"
+        ("noise_sigma", 1e200),  # exited 2: NumericError on a NaN loss
+        ("noise_sigma", 1e99),  # 2 * 18e99 = 3.6e100
+        ("translation", 1e308),  # exited 2: NumericError on a NaN loss
+        ("translation", [0.0, 0.0, 0.0, 1e100]),  # 2 * (1e100 + 18) over the bound
+    ])
+    def test_rejects_features_beyond_the_norm_bound(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} puts drawn features up to"):
+            ShiftSpec(num_classes=3, feature_dim=4, **{field: value})
+
+    def test_features_at_the_norm_bound_keep_finite_squares(self):
+        # sqrt(4) * (1e99 + 18 sigma) just under 1e100; the drawn rows must lie
+        # within the bound, so their squared distances stay finite
+        sigma = (MAX_FEATURE_NORM / 2 - 1e99) / 18 * (1 - 1e-12)
+        spec = ShiftSpec(num_classes=3, feature_dim=4, max_class_size=40, noise_sigma=sigma,
+                         translation=1e99, seed=1)
+        for ds in generate(spec):
+            x = ds.features
+            assert np.sqrt(np.max(np.einsum("ij,ij->i", x, x))) <= MAX_FEATURE_NORM
+            assert np.all(np.isfinite(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)))
 
 
 class TestGenerate:

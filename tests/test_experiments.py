@@ -40,8 +40,6 @@ from shiftlab.experiments import (
     claim_output_dir,
     effective_train_config,
     regenerate_reports,
-    resolve_output_dir,
-    OUTPUT_ROOT_ENV,
 )
 from shiftlab.data import MAX_FEATURE_DIM, MAX_SIZE, class_sizes
 from shiftlab.training import ConfigError, EpochRecord, lr_schedule
@@ -287,15 +285,6 @@ class TestEffectiveTrainConfig:
 
 
 class TestOutputDirs:
-    def test_env_root_joins_relative(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
-        assert resolve_output_dir("exp1") == str(tmp_path / "exp1")
-        assert resolve_output_dir("/abs/exp1") == "/abs/exp1"
-
-    def test_no_env_is_passthrough(self, monkeypatch):
-        monkeypatch.delenv(OUTPUT_ROOT_ENV, raising=False)
-        assert resolve_output_dir("exp1") == "exp1"
-
     def test_refuses_nonempty_without_force(self, tmp_path):
         out = tmp_path / "exp"
         out.mkdir()

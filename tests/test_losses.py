@@ -146,32 +146,32 @@ class TestCentroidBank:
     def test_first_batch_adopted_outright(self):
         bank = CentroidBank(num_classes=2, ema_coeff=0.7)
         update_centroids(None, bank, batch([[2.0, 0.0], [4.0, 2.0]], [0, 0]), "source")
-        np.testing.assert_allclose(bank.value("source", 0), [3.0, 1.0])
+        np.testing.assert_allclose(bank.centroids["source"].values[0], [3.0, 1.0])
 
     def test_weighted_batch_centroid(self):
         bank = CentroidBank(num_classes=2)
         update_centroids(
             None, bank, batch([[0.0, 0.0], [4.0, 4.0]], [0, 0], [0.25, 0.75]), "source"
         )
-        np.testing.assert_allclose(bank.value("source", 0), [3.0, 3.0])
+        np.testing.assert_allclose(bank.centroids["source"].values[0], [3.0, 3.0])
 
     def test_ema_mixes_old_and_new(self):
         bank = CentroidBank(num_classes=2, ema_coeff=0.7)
         update_centroids(None, bank, batch([[0.0, 0.0]], [0]), "source")
         update_centroids(None, bank, batch([[10.0, 10.0]], [0]), "source")
         # 0.7 * old + 0.3 * batch
-        np.testing.assert_allclose(bank.value("source", 0), [3.0, 3.0])
+        np.testing.assert_allclose(bank.centroids["source"].values[0], [3.0, 3.0])
 
     def test_zero_weight_class_skipped(self):
         bank = CentroidBank(num_classes=2)
         update_centroids(None, bank, batch([[1.0, 1.0]], [0], [0.0]), "source")
-        assert not bank.initialized("source", 0)
+        assert not bank.seen["source"][0]
 
     def test_absent_class_untouched(self):
         bank = CentroidBank(num_classes=3)
         update_centroids(None, bank, batch([[1.0, 0.0]], [0]), "source")
         update_centroids(None, bank, batch([[9.0, 9.0]], [1]), "source")
-        np.testing.assert_allclose(bank.value("source", 0), [1.0, 0.0])
+        np.testing.assert_allclose(bank.centroids["source"].values[0], [1.0, 0.0])
 
     def test_one_batch_mixes_new_seen_zero_weight_and_absent_classes(self):
         bank = CentroidBank(num_classes=4, ema_coeff=0.7)
@@ -187,17 +187,16 @@ class TestCentroidBank:
             "source",
         )
         # class 0 is new: adopted outright as 0.25 * [0, 0] + 0.75 * [4, 8]
-        np.testing.assert_allclose(bank.value("source", 0), [3.0, 6.0], rtol=1e-15)
+        np.testing.assert_allclose(bank.centroids["source"].values[0], [3.0, 6.0], rtol=1e-15)
         # class 1 was seen: 0.7 * [10, 10] + 0.3 * [0, 0]
-        np.testing.assert_allclose(bank.value("source", 1), [7.0, 7.0], rtol=1e-15)
+        np.testing.assert_allclose(bank.centroids["source"].values[1], [7.0, 7.0], rtol=1e-15)
         # class 2 came with zero weight only: still unseen
-        assert not bank.initialized("source", 2)
-        with pytest.raises(KeyError):
-            bank.value("source", 2)
+        assert not bank.seen["source"][2]
+        np.testing.assert_array_equal(bank.centroids["source"].values[2], [0.0, 0.0])
         # class 3 was seen but is absent from the batch: kept bit for bit
-        np.testing.assert_array_equal(bank.value("source", 3), [4.0, -2.0])
-        assert [bank.initialized("source", k) for k in range(4)] == [True, True, False, True]
-        assert not any(bank.initialized("target", k) for k in range(4))
+        np.testing.assert_array_equal(bank.centroids["source"].values[3], [4.0, -2.0])
+        assert bank.seen["source"].tolist() == [True, True, False, True]
+        assert not bank.seen["target"].any()
 
     def test_eligible_needs_both_domains(self):
         bank = CentroidBank(num_classes=2)
@@ -403,7 +402,8 @@ class TestCentroidAlignment:
                     old = ref.get((domain, k))
                     ref[(domain, k)] = mean if old is None else (1 - theta) * mean + theta * old
             for (domain, k), value in ref.items():
-                np.testing.assert_allclose(bank.value(domain, k), value, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(bank.centroids[domain].values[k], value,
+                                           rtol=1e-12, atol=1e-15)
             eligible = [k for k in range(num_classes)
                         if ("source", k) in ref and ("target", k) in ref]
             assert bank.eligible_classes() == eligible
