@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 import numbers
 import os
 import time
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jsonio import write_json, write_text
-from .data import DomainDataset, ShiftSpec, features_digest, generate
+from .data import DomainDataset, ShiftSpec, features_digest, finite, generate
 from .metrics import make_audit_fn, score_target
 from .networks import ModelConfig, save_checkpoint
 from .training import ConfigError, EpochRecord, TrainConfig, run
@@ -483,38 +482,53 @@ def run_experiment(cfg: ExperimentConfig, force: bool = False) -> list[RunReport
     return reports
 
 
-@dataclass
-class GridCell:
-    """One sub-experiment of a grid, as its root's manifest lists it.
+def grid_cells(command, if_values=None) -> list[tuple[str, str, str, float | None]]:
+    """Each cell of a grid as ``(subdir, name, rung, imbalance_factor)``, in run order.
 
-    ``state`` goes from ``not_run`` to ``running`` and then to
-    ``completed`` or ``failed``.
+    ``ablate`` has a cell per ``LADDER`` rung, on the config's own data
+    (factor None), and ignores ``if_values``. ``sweep-if`` has a cell per
+    ``SWEEP_METHODS`` entry at each factor; the factors must be finite and
+    >= 1, and no two may share a sub-directory.
     """
+    if command == "ablate":
+        return [(rung, rung, rung, None) for rung in LADDER]
+    if command != "sweep-if":
+        raise ConfigError(f"no known grid command {command!r}")
+    if not (_fits(if_values, list[float]) and if_values
+            and all(finite(v) and v >= 1 for v in if_values)):
+        raise ConfigError(f"if_values must be finite imbalance factors >= 1, got {if_values!r}")
+    cells = [(os.path.join(f"if{v:g}", method), f"{method}_if{v:g}", rung, v)
+             for v in map(float, if_values) for method, rung in SWEEP_METHODS.items()]
+    subdirs = [subdir for subdir, _, _, _ in cells]
+    repeated = sorted({s for s in subdirs if subdirs.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"sub-experiments would share directories: {repeated}")
+    return cells
 
-    subdir: str
-    name: str
-    rung: str
-    state: str = "not_run"
+
+def _factors(cells) -> list[float]:
+    """A sweep's imbalance factors, each once, in order."""
+    return list(dict.fromkeys(factor for _, _, _, factor in cells))
 
 
-def _write_ladder(out_dir: str, manifest: dict, aggregates: list[dict]) -> dict[str, dict]:
+def _write_ladder(out_dir: str, cells, aggregates: list[dict]) -> dict[str, dict]:
     """The ladder's ``summary.csv`` and ``aggregate.json``: each rung's aggregate."""
     _write_csv(
         os.path.join(out_dir, "summary.csv"),
         ["component_set", "mean_accuracy", "stddev_accuracy"],
         [[agg["name"], agg["mean_accuracy"], agg["stddev_accuracy"]] for agg in aggregates],
     )
-    results = {cell["rung"]: agg for cell, agg in zip(manifest["cells"], aggregates)}
+    results = {rung: agg for (_, _, rung, _), agg in zip(cells, aggregates)}
     write_json(os.path.join(out_dir, "aggregate.json"), results)
     return results
 
 
-def _write_sweep(out_dir: str, manifest: dict, aggregates: list[dict]) -> dict:
+def _write_sweep(out_dir: str, cells, aggregates: list[dict]) -> dict:
     """The sweep's ``summary.csv``, ``plotdata/if_sweep.json`` and ``aggregate.json``.
 
     Each holds the mean accuracy of every method at every imbalance factor.
     """
-    if_values, methods = manifest["if_values"], list(SWEEP_METHODS)
+    if_values, methods = _factors(cells), list(SWEEP_METHODS)
     accs = iter(agg["mean_accuracy"] for agg in aggregates)
     table = {f"{v:g}": {m: next(accs) for m in methods} for v in if_values}
     _write_csv(
@@ -524,13 +538,8 @@ def _write_sweep(out_dir: str, manifest: dict, aggregates: list[dict]) -> dict:
     )
     plot_dir = os.path.join(out_dir, "plotdata")
     os.makedirs(plot_dir, exist_ok=True)
-    write_json(
-        os.path.join(plot_dir, "if_sweep.json"),
-        {
-            "if_values": if_values,
-            "methods": {m: [table[f"{v:g}"][m] for v in if_values] for m in methods},
-        },
-    )
+    write_json(os.path.join(plot_dir, "if_sweep.json"), {"if_values": if_values, "methods": {
+        m: [row[m] for row in table.values()] for m in methods}})
     write_json(os.path.join(out_dir, "aggregate.json"), table)
     return table
 
@@ -538,94 +547,83 @@ def _write_sweep(out_dir: str, manifest: dict, aggregates: list[dict]) -> dict:
 _GRID_WRITERS = {"ablate": _write_ladder, "sweep-if": _write_sweep}
 
 
-def _run_grid(cfg: ExperimentConfig, command: str, cells: list[tuple[str, str, str, ShiftSpec]],
-              force: bool, **extra) -> dict:
-    """Run the sub-experiment of each ``(subdir, name, rung, data)`` cell, in order.
+def _run_grid(cfg: ExperimentConfig, command: str, force: bool, if_values=None) -> dict:
+    """Run the sub-experiment of each of ``grid_cells(command, if_values)``, in order.
 
-    Refuses repeated sub-directories before creating anything. The root's
-    manifest lists the command, the cells with their states, and ``extra``;
-    the first failing cell stops the grid. Then the command's writer builds
-    the root's files from the cells' aggregates, and its result is returned.
+    A bad layout is refused before anything is created. The root's manifest
+    lists the command, each cell with its state, and a sweep's factors; the
+    first failing cell stops the grid. Then the command's writer builds the
+    root's files from the cells' aggregates, and its result is returned.
     """
-    subdirs = [subdir for subdir, _, _, _ in cells]
-    repeated = sorted({s for s in subdirs if subdirs.count(s) > 1})
-    if repeated:
-        raise ConfigError(f"sub-experiments would share directories: {repeated}")
+    cells = grid_cells(command, if_values)
     out_dir = claim_output_dir(cfg.output_dir, force)
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest = {"command": command,
-                "cells": [dataclasses.asdict(GridCell(s, n, r)) for s, n, r, _ in cells],
-                **extra}
+                "cells": [{"subdir": subdir, "name": name, "rung": rung, "state": "not_run"}
+                          for subdir, name, rung, _ in cells]}
+    if command == "sweep-if":
+        manifest["if_values"] = _factors(cells)
     write_json(manifest_path, manifest)
-    subs = [
-        dataclasses.replace(cfg, name=name, data=data, ablation=AblationMask.rung(rung),
-                            output_dir=os.path.join(out_dir, subdir))
-        for subdir, name, rung, data in cells
-    ]
+    subs = [dataclasses.replace(
+        cfg, name=name, ablation=AblationMask.rung(rung), output_dir=os.path.join(out_dir, subdir),
+        data=cfg.data if v is None else dataclasses.replace(cfg.data, imbalance_factor=v))
+        for subdir, name, rung, v in cells]
     results = _run_cells(subs, force, (manifest_path, manifest))
-    return _GRID_WRITERS[command](out_dir, manifest, [agg for _, agg in results])
+    return _GRID_WRITERS[command](out_dir, cells, [agg for _, agg in results])
 
 
 def ablate(cfg: ExperimentConfig, force: bool = False) -> dict[str, dict]:
     """Run the cumulative component ladder and tabulate mean accuracies."""
-    return _run_grid(cfg, "ablate", [(r, r, r, cfg.data) for r in LADDER], force)
+    return _run_grid(cfg, "ablate", force)
 
 
 def sweep_if(cfg: ExperimentConfig, if_values: list[float], force: bool = False) -> dict:
     """Run full / no-calibration / source-only at each imbalance factor."""
-    if not if_values or not all(math.isfinite(v) and v >= 1 for v in if_values):
-        raise ConfigError(f"imbalance factors must all be finite and >= 1, got {if_values}")
-    if_values = [float(v) for v in if_values]
-    cells = [
-        (os.path.join(f"if{v:g}", method), f"{method}_if{v:g}", rung,
-         dataclasses.replace(cfg.data, imbalance_factor=v))
-        for v in if_values
-        for method, rung in SWEEP_METHODS.items()
-    ]
-    return _run_grid(cfg, "sweep-if", cells, force, if_values=if_values)
+    return _run_grid(cfg, "sweep-if", force, if_values)
 
 
 def regenerate_reports(out_dir: str) -> dict:
     """Rebuild aggregate, summary, and plot data from persisted run reports.
 
     An experiment's reports are read in the order of its manifest's
-    ``completed`` list, which is the order the seeds ran in. A grid's
-    manifest names its cells: each is rebuilt so, and then the grid's own
-    files by the writer its driver uses. Returns the root's aggregate.
+    ``completed`` list, which is the order the seeds ran in. Of a grid's
+    manifest only ``command``, ``if_values`` and each cell's ``state`` are
+    read: ``grid_cells`` lays out the cells, each is rebuilt so, and then
+    the root's files by the writer its driver uses. Returns the root's
+    aggregate.
     """
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest = read_json(manifest_path)
-    if not (isinstance(manifest, dict) and "cells" in manifest):
+    if not (isinstance(manifest, dict) and "command" in manifest):
         return _resummarize(out_dir)
-    subdirs = _finished_cells(manifest_path, manifest)
-    aggregates = [_resummarize(os.path.join(out_dir, subdir)) for subdir in subdirs]
-    return _GRID_WRITERS[manifest["command"]](out_dir, manifest, aggregates)
+    try:
+        cells = grid_cells(manifest["command"], manifest.get("if_values"))
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest_path}: {exc}") from None
+    states = manifest.get("cells")
+    if not (isinstance(states, list) and len(states) == len(cells) and all(
+            isinstance(cell, dict) and cell.get("state") == "completed" for cell in states)):
+        raise ConfigError(f"{manifest_path}: cells did not complete; each of the {len(cells)} "
+                          "cells that its command and if_values lay out needs a completed state")
+    aggregates = [_resummarize(os.path.join(out_dir, subdir)) for subdir, _, _, _ in cells]
+    return _GRID_WRITERS[manifest["command"]](out_dir, cells, aggregates)
 
 
 def _resummarize(out_dir: str) -> dict:
-    """Rebuild one experiment's aggregate, summary and plot data from its run reports."""
+    """Rebuild one experiment's aggregate, summary and plot data from its run reports.
+
+    The manifest's ``completed`` seeds name the run directories, so each
+    must be a distinct non-negative integer, and each run must load.
+    """
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest = read_json(manifest_path)
     completed = manifest.get("completed") if isinstance(manifest, dict) else None
-    if not isinstance(completed, list) or not completed:
-        raise ConfigError(f"{manifest_path} lists no completed runs")
-    reports = [RunReport.load(_run_dir(out_dir, seed)) for seed in completed]
+    if not (_fits(completed, list[int]) and completed and min(completed) >= 0
+            and len(set(completed)) == len(completed)):
+        raise ConfigError(f"{manifest_path} lists no completed runs as distinct non-negative "
+                          f"integer seeds, got {completed!r}")
+    try:
+        reports = [RunReport.load(_run_dir(out_dir, seed)) for seed in completed]
+    except ConfigError as exc:
+        raise ConfigError(f"{manifest_path} lists a run that does not load: {exc}") from None
     return _summarize(out_dir, reports[0].name, reports)
-
-
-def _finished_cells(path: str, manifest: dict) -> list[str]:
-    """The sub-directories of a grid manifest's cells, if it is well formed and all completed."""
-    command, cells = manifest.get("command"), manifest["cells"]
-    if command not in _GRID_WRITERS or not isinstance(cells, list) or not cells:
-        raise ConfigError(f"{path} names no known grid command and cells")
-    cells = [_build(GridCell, cell, f"{path} cell {i}") for i, cell in enumerate(cells, 1)]
-    if command == "sweep-if":
-        if_values = manifest.get("if_values")
-        if not (_fits(if_values, list[float])
-                and len(cells) == len(if_values) * len(SWEEP_METHODS)):
-            raise ConfigError(f"{path}: if_values {if_values!r} do not match its "
-                              f"{len(cells)} cells")
-    unfinished = [cell.subdir for cell in cells if cell.state != "completed"]
-    if unfinished:
-        raise ConfigError(f"{path}: cells {unfinished} did not complete")
-    return [cell.subdir for cell in cells]

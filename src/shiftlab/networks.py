@@ -203,34 +203,49 @@ def load_checkpoint(path) -> ModelState:
     """Restore a checkpoint; every layer's shapes must match its config.
 
     Nothing is unpickled. A path that is no readable checkpoint ``.npz``, such
-    as a JSON checkpoint of earlier versions, raises ``CheckpointError``.
+    as a JSON checkpoint of earlier versions, raises ``CheckpointError``; so
+    does an array that is not of finite floats, and a ``provenance`` that is
+    not an object with a string ``features_sha256`` and an object ``data``
+    (each may be null). Each message names the file, and the array if any.
     """
     try:
         with np.load(path, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         meta = json.loads(str(arrays.pop("meta")))
         cfg, init_seed = ModelConfig(**meta["config"]), int(meta["init_seed"])
+        provenance = meta.get("provenance")
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
     except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path} is not a readable checkpoint .npz ({exc!r}); JSON "
                               "checkpoints of earlier versions no longer load") from exc
+    if not (provenance is None or isinstance(provenance, dict)
+            and isinstance(provenance.get("features_sha256"), (str, type(None)))
+            and isinstance(provenance.get("data"), (dict, type(None)))):
+        raise CheckpointError(f"{path}: provenance must be an object with a string "
+                              f"features_sha256 and an object data, got {provenance!r}")
 
     layers = {}
     for net, dims in _layer_dims(cfg).items():
         n = len({name.split(".")[1] for name in arrays if name.startswith(net + ".")})
         if n != len(dims):
-            raise CheckpointError(f"checkpoint {net} has {n} layers, config expects {len(dims)}")
+            raise CheckpointError(f"{path}: {net} has {n} layers, config expects {len(dims)}")
         layers[net] = []
         for i, (fan_in, fan_out) in enumerate(dims):
             name = net if len(dims) == 1 else f"{net} layer {i}"
             pair = []
             for key, expected in (("weight", (fan_in, fan_out)), ("bias", (1, fan_out))):
-                pair.append(arrays.get(f"{net}.{i}.{key}"))
-                shape = getattr(pair[-1], "shape", None)
+                array = arrays.get(f"{net}.{i}.{key}")
+                shape = getattr(array, "shape", None)
                 if shape != expected:
                     raise CheckpointError(
-                        f"checkpoint {name} {key} has shape {shape}, config expects {expected}"
+                        f"{path}: {name} {key} has shape {shape}, config expects {expected}"
                     )
-            layers[net].append((Tensor(pair[0]), Tensor(pair[1])))
-    return ModelState(cfg, layers, init_seed, meta.get("provenance"))
+                if array.dtype.kind != "f":
+                    raise CheckpointError(f"{path}: {name} {key} has dtype {array.dtype}, "
+                                          "expected floats")
+                if not np.isfinite(array).all():
+                    raise CheckpointError(f"{path}: {name} {key} holds a non-finite value")
+                pair.append(Tensor(array))
+            layers[net].append(tuple(pair))
+    return ModelState(cfg, layers, init_seed, provenance)

@@ -65,7 +65,7 @@ class ConfigError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or classifier confidence."""
 
 
 @dataclass
@@ -185,6 +185,15 @@ def _grl_coeff(cfg: TrainConfig, progress: float) -> float:
     return 2.0 / (1.0 + math.exp(-10.0 * progress)) - 1.0
 
 
+def _raise_if_diverged(**confidences: np.ndarray) -> None:
+    """Raise ``NumericError`` naming the first non-finite confidence of any domain's batch."""
+    for domain, conf in confidences.items():
+        bad = np.flatnonzero(~np.isfinite(conf))
+        if bad.size:
+            raise NumericError(f"non-finite {domain} confidence {conf[bad[0]]} at batch row "
+                               f"{bad[0]}: the step's forward pass diverged")
+
+
 def train_step(
     state: ModelState,
     bank: CentroidBank,
@@ -206,7 +215,9 @@ def train_step(
     batches pass through the extractor, and the discriminator, stacked:
     the networks treat rows independently, so that is one call each.
     Called inside ``with pool:``, the step, SGD included, reuses the
-    pool's arrays; the bits are the same without one.
+    pool's arrays; the bits are the same without one. A non-finite total
+    loss raises ``NumericError``, and so do non-finite classifier
+    confidences, before any alignment loss reads them.
     """
     lam = cfg.centroid_loss_weight
     mu = cfg.pairwise_loss_weight
@@ -230,8 +241,12 @@ def train_step(
         src_conf = np.maximum.reduce(p_src.values, axis=1)
         # the pseudo-labels are targets, not a gradient path: no tape
         pseudo = calibrate(classify(state, f_tgt).values, class_weights)
-        src_wb = WeightedBatch(f_src, src_labels, src_conf)
-        tgt_wb = WeightedBatch(f_tgt, pseudo.calibrated_label, pseudo.calibrated_confidence)
+        try:
+            src_wb = WeightedBatch(f_src, src_labels, src_conf)
+            tgt_wb = WeightedBatch(f_tgt, pseudo.calibrated_label, pseudo.calibrated_confidence)
+        except ValueError:
+            _raise_if_diverged(source=src_conf, target=pseudo.calibrated_confidence)
+            raise
 
     if lam > 0.0:
         update_centroids(tape, bank, src_wb, "source")

@@ -121,6 +121,26 @@ def call_count(fn, *args, **kwargs) -> int:
     return count - 1  # the sys.setprofile call that ends the count
 
 
+def entered_code(fn, *args, **kwargs) -> set:
+    """The code object of each Python function that ``fn(*args, **kwargs)`` enters.
+
+    It reads the ``call`` events that ``call_count`` counts.
+    """
+    entered = set()
+
+    def profile(frame, event, arg) -> None:
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
 def retained_grad(tape, t) -> list:
     """A list that receives a copy of ``t``'s gradient (or None) during ``tape.backward``.
 

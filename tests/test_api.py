@@ -9,6 +9,9 @@ import pkgutil
 
 import shiftlab
 from shiftlab import AblationMask, ExperimentConfig, ModelConfig, ShiftSpec, TrainConfig, autodiff
+from shiftlab import networks, training
+
+from conftest import entered_code
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -49,6 +52,17 @@ def test_chain_ops_stay_defined_but_unexported():
     for name in CHAIN_OPS:
         assert callable(getattr(autodiff, name)), name
         assert name not in autodiff.__all__
+
+
+def test_training_and_prediction_enter_no_chain_op(tiny_pair, tiny_model_cfg):
+    # the autodiff docstring's claim: no training path calls the chain ops. A
+    # run takes full-method steps in both stages and a predict pass per epoch.
+    source, target = tiny_pair
+    cfg = TrainConfig(epochs=3, pretrain_epochs=1, batch_size=16)
+    entered = entered_code(training.run, source, target, cfg, tiny_model_cfg)
+    assert {training.train_step.__code__, networks.predict.__code__} <= entered
+    chain = {getattr(autodiff, name).__code__: name for name in CHAIN_OPS}
+    assert [chain[code] for code in entered if code in chain] == []
 
 
 def _schema_section() -> str:

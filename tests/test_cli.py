@@ -115,7 +115,14 @@ class TestTrain:
         bad.write_text("{not json")
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
-    def test_numeric_divergence_exit_2(self, config_file, tmp_path):
+    # the data settings are allowed, but the features they draw make the
+    # model's outputs overflow; they exited 2 with "batch weights must be finite"
+    @pytest.mark.parametrize("setting, named", [
+        ("train.lr0=1e9", "non-finite total loss"),
+        ("data.translation=1e20", "non-finite source confidence nan"),
+        ("data.noise_sigma=1e30", "non-finite source confidence nan"),
+    ])
+    def test_numeric_divergence_exit_2(self, config_file, tmp_path, caplog, setting, named):
         with np.errstate(all="ignore"):
             code = main(
                 [
@@ -125,10 +132,11 @@ class TestTrain:
                     "--out",
                     str(tmp_path / "o"),
                     "--set",
-                    "train.lr0=1e9",
+                    setting,
                 ]
             )
         assert code == 2
+        assert f"NumericError: {named}" in caplog.text
 
     def test_missing_config_file_exit_1(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 1
@@ -308,14 +316,41 @@ class TestEval:
         assert main(["eval", "--config", str(config), "--checkpoint", ckpt]) == 1
         assert "takes 4 features and 3 classes" in caplog.text
 
+    # each edit of a readable checkpoint's arrays or provenance, and the message
+    # naming it; before they were refused, the string weights and the
+    # provenance edits exited 2, and the complex and NaN weights were scored
+    EDITS = {
+        "string_weight": ("classifier weight has dtype <U", lambda a, meta: a.update(
+            {"classifier.0.weight": a["classifier.0.weight"].astype(str)})),
+        "complex_weight": ("classifier weight has dtype complex128", lambda a, meta: a.update(
+            {"classifier.0.weight": a["classifier.0.weight"] + 1j})),
+        "nan_weight": ("extractor layer 0 bias holds a non-finite value", lambda a, meta: a.update(
+            {"extractor.0.bias": a["extractor.0.bias"] + np.nan})),
+        "provenance_list": ("provenance must be an object", lambda a, meta: meta.update(
+            provenance=[meta["provenance"]])),
+        "numeric_digest": ("provenance must be an object", lambda a, meta: meta["provenance"].update(
+            features_sha256=5)),
+        "data_list": ("provenance must be an object", lambda a, meta: meta["provenance"].update(
+            data=[7])),
+    }
+
     @pytest.mark.parametrize(
-        "content", ["old_json", "truncated", "not_a_file_format", "directory"])
-    def test_unreadable_checkpoint_exit_1(self, trained_checkpoint, tmp_path, caplog, content):
+        "content", ["old_json", "truncated", "not_a_file_format", "directory", *EDITS])
+    def test_unreadable_checkpoint_exit_1(self, trained_checkpoint, tmp_path, caplog, capsys,
+                                          content):
         config, trained = trained_checkpoint
         ckpt = tmp_path / "checkpoint.npz"
         blob = pathlib.Path(trained).read_bytes()
         if content == "directory":
             ckpt.mkdir()
+        elif content in self.EDITS:
+            with np.load(trained) as npz:
+                arrays = dict(npz)
+            meta = json.loads(str(arrays["meta"]))
+            self.EDITS[content][1](arrays, meta)
+            arrays["meta"] = np.array(json.dumps(meta))
+            with open(ckpt, "wb") as fh:
+                np.savez(fh, **arrays)
         else:
             ckpt.write_bytes({
                 "old_json": b'{"config": {"input_dim": 4, "num_classes": 3}, "init_seed": 1}',
@@ -325,7 +360,10 @@ class TestEval:
         assert main(["eval", "--config", config, "--checkpoint", str(ckpt)]) == 1
         assert str(ckpt) in caplog.text
         hint = "JSON checkpoints of earlier versions no longer load"
-        assert (hint in caplog.text) == (content != "directory")
+        assert (hint in caplog.text) == (content not in ("directory", *self.EDITS))
+        if content in self.EDITS:
+            assert self.EDITS[content][0] in caplog.text
+        assert capsys.readouterr().out == ""
 
     def test_same_data_exit_0(self, trained_checkpoint, caplog):
         config, ckpt = trained_checkpoint
@@ -472,6 +510,22 @@ class TestSweepAndAblate:
         ]
 
 
+@pytest.fixture(scope="module")
+def finished_ladder(tmp_path_factory):
+    """The output directory of a finished MICRO ``ablate``; copy it before editing."""
+    root = tmp_path_factory.mktemp("finished")
+    config = root / "config.json"
+    config.write_text(json.dumps(MICRO))
+    assert main(["ablate", "--config", str(config), "--out", str(root / "ladder")]) == 0
+    return root / "ladder"
+
+
+def files_under(root: pathlib.Path, skip: pathlib.Path | None = None) -> dict:
+    """Every file below ``root`` but those below ``skip``, with its bytes."""
+    return {path: path.read_bytes() for path in root.rglob("*")
+            if path.is_file() and (skip is None or skip not in path.parents)}
+
+
 class TestGridReport:
     """report --dir rebuilds a whole grid: every cell, then the root."""
 
@@ -512,12 +566,12 @@ class TestGridReport:
 
     @pytest.mark.parametrize("manifest, named", [
         ({"command": "train", "cells": []}, "no known grid command"),
-        ({"command": "ablate", "cells": [{"subdir": "full"}]}, "'name'"),
+        ({"command": "ablate", "cells": [{"subdir": "full"}]}, "needs a completed state"),
         ({"command": "ablate", "cells": [{"subdir": 1, "name": "full", "rung": "full"}]},
-         "subdir"),
+         "did not complete"),
         ({"command": "ablate",
           "cells": [{"subdir": ".", "name": "a", "rung": "full", "state": "completed"}]},
-         "lists no completed runs"),
+         "each of the 5 cells"),
         ({"command": "sweep-if", "if_values": ["1"],
           "cells": [{"subdir": "a", "name": "a", "rung": "full", "state": "completed"}]},
          "if_values"),
@@ -530,6 +584,73 @@ class TestGridReport:
         assert main(["report", "--dir", str(tmp_path)]) == 1
         assert "manifest.json" in caplog.text and named in caplog.text
         assert sorted(os.listdir(tmp_path)) == ["manifest.json"]
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+    def test_cell_paths_in_the_manifest_are_not_followed(self, finished_ladder, tmp_path,
+                                                          absolute):
+        # the cells' sub-directories come from the command alone; a manifest
+        # naming another experiment's directory once had report --dir rewrite it
+        out, victim = tmp_path / "ladder", tmp_path / "victim"
+        shutil.copytree(finished_ladder, out)
+        shutil.copytree(out / "full", victim)
+        (victim / "summary.csv").write_text("edited by hand\n")
+        before = files_under(victim)
+        manifest = json.loads((out / "manifest.json").read_text())
+        for cell in manifest["cells"]:
+            cell["subdir"] = str(victim) if absolute else os.path.join("..", "victim")
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        rebuilt = out / "aggregate.json"
+        original = rebuilt.read_bytes()
+        rebuilt.unlink()
+        assert main(["report", "--dir", str(out)]) == 0
+        assert files_under(victim) == before
+        assert rebuilt.read_bytes() == original
+
+    def test_mutated_manifests_exit_0_or_name_a_manifest(self, finished_ladder, tmp_path,
+                                                         caplog):
+        # one edit of the root manifest or of one cell's: each run exits 0, or
+        # exits 1 naming a manifest.json, and writes nothing outside the root
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        out, victim = tmp_path / "ladder", tmp_path / "victim"
+        shutil.copytree(finished_ladder, out)
+        shutil.copytree(out / "full", victim)
+        outside = files_under(tmp_path, skip=out)
+        manifests = {path: path.read_bytes() for path in out.rglob("manifest.json")}
+        drop = object()
+        leaves = st.one_of(
+            st.none(), st.booleans(), st.integers(-3, 10**20), st.floats(), st.text(max_size=4),
+            st.sampled_from([100, 5, "completed", "ablate", "sweep-if", "", ".", "..",
+                             "../victim", str(victim), "/", "seed100", "../runs/seed100"]))
+
+        @hypothesis.settings(max_examples=40, deadline=None)
+        @hypothesis.given(
+            key=st.sampled_from(["command", "if_values", "cells", "subdir", "state", "completed"]),
+            value=st.one_of(st.just(drop), leaves, st.lists(leaves, max_size=6)),
+            cell=st.integers(0, len(experiments.LADDER) - 1),
+        )
+        def check(key, value, cell):
+            # a rebuild rewrites the same bytes, so only the manifests are restored
+            for path, data in manifests.items():
+                path.write_bytes(data)
+            path = out / (experiments.LADDER[cell] if key == "completed" else "") / "manifest.json"
+            doc = json.loads(path.read_text())
+            if key == "if_values":
+                doc["command"] = "sweep-if"
+            edited = doc["cells"][cell] if key in ("subdir", "state") else doc
+            if value is drop:
+                edited.pop(key, None)
+            else:
+                edited[key] = value
+            path.write_text(json.dumps(doc))
+            caplog.clear()
+            code = main(["report", "--dir", str(out)])
+            errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+            assert code in (0, 1), errors
+            assert code == 0 or "manifest.json" in errors[0], errors
+            assert files_under(tmp_path, skip=out) == outside
+
+        check()
 
 
 class TestFailurePath:

@@ -242,6 +242,23 @@ class TestTrainStep:
         # the velocity holds this step's gradient: a network the losses skip has none
         assert np.any(states[0].velocity[-1] != 0.0) == (gam > 0.0)
 
+    @pytest.mark.parametrize("lam, mu", [(3.0, 0.0), (0.0, 0.6)], ids=["centroid", "pairwise"])
+    def test_non_finite_target_confidence_stops_the_step(self, tiny_pair, tiny_model_cfg,
+                                                         lam, mu):
+        # the source batch stays finite, so no loss value shows the NaN; the
+        # step stops where the target confidences first hold it, and names it
+        src, tgt = tiny_pair
+        state = init_model(tiny_model_cfg, 0)
+        before = [t.values.copy() for t in state.parameters()]
+        cfg = quick_cfg(centroid_loss_weight=lam, pairwise_loss_weight=mu,
+                        adversarial_loss_weight=0.0)
+        tgt_x = tgt.features[:8].copy()
+        tgt_x[3] = np.nan
+        with pytest.raises(NumericError, match="non-finite target confidence nan at batch row 3"):
+            train_step(state, CentroidBank(3), np.ones(3), cfg, src.features[:8],
+                       src.labels[:8], tgt_x, 0.01)
+        assert all(np.array_equal(t.values, b) for t, b in zip(state.parameters(), before))
+
 
 class TestRun:
     def test_deterministic_given_seed(self, tiny_pair, tiny_model_cfg):
