@@ -10,7 +10,24 @@ The backward-rule contract: an op given a tape makes exactly one
 ``Tape.record(rule)`` call, and ``rule`` takes no arguments. When run, it
 reads the gradient of its own output (``out._grad``), does nothing if that
 is still None, and otherwise adds each input's share into that input.
-``Tape.backward`` calls every rule once, newest first.
+``Tape.backward`` calls every rule once, newest first. A rule holds its
+op's operands and output, never the tape, so a step's arrays are freed
+when its tape is dropped, without waiting for the garbage collector.
+
+One share may be deferred: ``linear``'s weight gradient x.T @ g, when it
+takes at least ``_OFFLOAD_MACS`` (about 4M) multiply-adds and the weight
+is a leaf. Inside ``Tape.backward`` that product runs on one worker
+thread, into the array the rule took, while the caller goes on with the
+bias and x gradients and the rules after it. Until then the leaf's
+gradient is a stand-in that any later contribution waits for, so the
+additions keep rule order. ``Tape.backward`` waits for every deferred
+product before it returns or raises, and the leaf then holds the result.
+The product is the same single call on the same operands, so the bits are
+those of the synchronous rule. The thread is started on first use, at
+most one per process and none with fewer than 2 usable CPUs; a forked
+child starts its own. At the benchmark's shapes only the batch-400
+extractor's middle layer (13.1M) qualifies; the standard step starts no
+thread.
 
 A rule consumes its output's gradient, as PyTorch frees a non-leaf
 tensor's: by the time it runs, every op that read the output has added
@@ -74,6 +91,8 @@ from __future__ import annotations
 
 import contextvars
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -154,9 +173,12 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros_like(self.values)
-        return self._grad
+        g = self._grad
+        if g is None:
+            self._grad = g = np.zeros_like(self.values)
+        elif g.__class__ is _Deferred:
+            self._grad = g = g.settle()
+        return g
 
     @grad.setter
     def grad(self, value) -> None:
@@ -270,6 +292,128 @@ def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
         t._grad += g
 
 
+# A weight gradient x.T @ g of at least this many multiply-adds is handed
+# to the worker thread (see ``linear``). The standard step's largest is
+# 1.6M (128 x 100 x 128) and the batch-400 step's 13.1M (128 x 800 x 128).
+# Below a few million the worker's wait for the interpreter lock, held by
+# the rules that run meanwhile, costs more than the overlap saves.
+_OFFLOAD_MACS = 1 << 22
+
+
+class _Deferred:
+    """A product ``a @ b`` that the worker thread writes into ``out``.
+
+    It stands in a leaf's ``_grad`` until settled; ``prior`` is the
+    gradient the leaf held before it. ``settle`` waits for the product and
+    returns ``prior + out``, added in place as ``_accumulate`` would, or
+    ``out`` alone. ``_accumulate``'s ``t._grad += g`` settles it first, so
+    a later contribution is added after the pending one.
+    """
+
+    __slots__ = ("a", "b", "out", "prior", "done", "error")
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+        self.a, self.b, self.out = a, b, out
+        self.prior = self.error = None
+        self.done = threading.Lock()  # held until the worker is done
+        self.done.acquire()
+
+    def run(self) -> None:
+        """Compute the product; called on the worker thread."""
+        np.matmul(self.a, self.b, out=self.out)
+
+    def wait(self) -> None:
+        """Block until the worker is done with this product."""
+        self.done.acquire()
+        self.done.release()
+
+    def settle(self) -> np.ndarray:
+        self.wait()
+        if self.error is not None:
+            raise self.error
+        if self.prior is None:
+            return self.out
+        self.prior += self.out
+        return self.prior
+
+    def __iadd__(self, g: np.ndarray) -> np.ndarray:
+        grad = self.settle()
+        grad += g
+        return grad
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+class _Worker:
+    """One daemon thread that runs the ``_Deferred`` products it is handed, in order."""
+
+    def __init__(self) -> None:
+        import queue
+
+        self._jobs = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="shiftlab-backward", daemon=True).start()
+
+    def submit(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> _Deferred:
+        job = _Deferred(a, b, out)
+        self._jobs.put(job)
+        return job
+
+    def _serve(self) -> None:
+        while True:
+            job = self._jobs.get()
+            try:
+                job.run()
+            except BaseException as exc:  # raised by ``settle`` on the waiting thread
+                job.error = exc
+            done = job.done
+            del job  # an idle worker keeps no array of a finished backward alive
+            done.release()
+
+
+# This process's worker: None until a product is first offloaded, False
+# when fewer than 2 CPUs are usable and products stay on the caller. The
+# lock keeps two threads' first offloads from starting two workers.
+_worker: _Worker | bool | None = None
+_worker_lock = threading.Lock()
+
+
+def _forget_worker() -> None:
+    """In a forked child: the parent's thread is not there, so start anew."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+# The (leaf, product) pairs of the running ``Tape.backward``, which waits
+# for them; None outside one, where every product runs on the caller.
+_DEFERRED: contextvars.ContextVar[list | None] = contextvars.ContextVar(
+    "deferred", default=None)
+
+
+def _offload(leaf: Tensor, a: np.ndarray, b: np.ndarray) -> _Deferred | None:
+    """Start ``a @ b`` on the worker, as part of ``leaf``'s gradient, if one can run."""
+    global _worker
+    deferred = _DEFERRED.get()
+    if deferred is None:
+        return None
+    if _worker is None:
+        with _worker_lock:
+            if _worker is None:
+                _worker = _Worker() if _usable_cpus() >= 2 else False
+    if _worker is False:
+        return None
+    job = _worker.submit(a, b, _empty(leaf.values.shape))
+    deferred.append((leaf, job))
+    return job
+
+
 class Tape:
     """Ordered record of backward rules for one forward pass."""
 
@@ -284,7 +428,11 @@ class Tape:
         return len(self._rules)
 
     def backward(self, output: Tensor) -> None:
-        """Seed ``output`` with gradient 1 and replay all rules in reverse."""
+        """Seed ``output`` with gradient 1 and replay all rules in reverse.
+
+        Every product a rule handed to the worker thread has finished, and
+        is in its leaf's gradient, when this returns or raises.
+        """
         if not self._rules:
             raise TapeError("backward on an empty tape: no operations were recorded")
         if output.values.shape != (1, 1):
@@ -292,8 +440,18 @@ class Tape:
                 f"backward seed must be a 1x1 scalar, got shape {output.values.shape}"
             )
         _accumulate(output, np.array([[1.0]]))
-        for rule in reversed(self._rules):
-            rule()
+        deferred: list = []
+        token = _DEFERRED.set(deferred)
+        try:
+            for rule in reversed(self._rules):
+                rule()
+        finally:
+            _DEFERRED.reset(token)
+            for _, job in deferred:
+                job.wait()
+            for leaf, job in deferred:
+                if leaf._grad is job:
+                    leaf._grad = job.settle()
 
 
 def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -340,6 +498,12 @@ def linear(tape: Tape | None, x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> T
     ``add_bias(matmul(x, w), b)``. ``x`` may also be a plain 2-D float64
     array: a constant, such as an input batch, for which no gradient is
     computed. Backward reads it again, so it must not change meanwhile.
+
+    Inside ``Tape.backward``, when ``w`` is a leaf and x.T @ g takes at
+    least ``_OFFLOAD_MACS`` multiply-adds, that product runs on the worker
+    thread while the rule computes the bias and x gradients; backward waits
+    for it before it returns. It is the same single product on the same
+    operands, so the bits do not change.
     """
     constant = not isinstance(x, Tensor)
     xv = x if constant else x.values
@@ -355,11 +519,18 @@ def linear(tape: Tape | None, x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> T
 
         def backward() -> None:
             g = out._grad
-            if g is not None:
-                _accumulate(b, np.add.reduce(g, axis=0, keepdims=True))
-                if not constant:
-                    _accumulate(x, np.matmul(g, w.values.T, out=_empty(x_shape)))
+            if g is None:
+                return
+            job = None
+            if xv.size * w_shape[1] >= _OFFLOAD_MACS and not isinstance(w, _Output):
+                job = _offload(w, xv.T, g)
+            _accumulate(b, np.add.reduce(g, axis=0, keepdims=True))
+            if not constant:
+                _accumulate(x, np.matmul(g, w.values.T, out=_empty(x_shape)))
+            if job is None:
                 _accumulate(w, np.matmul(xv.T, g, out=_empty(w_shape)))
+            else:  # in rule order: after this rule's own contributions
+                job.prior, w._grad = w._grad, job
 
         tape.record(backward)
     return out
@@ -891,9 +1062,12 @@ def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> T
             if g is not None:
                 per_row = -1.0 * g[0, 0] / n / clamped
                 per_row *= mask
-                if probs._grad is None:
-                    probs._grad = np.zeros(probs.values.shape)
-                probs._grad[rows, idx] += per_row[:, 0]
+                grad = probs._grad
+                if grad is None:
+                    probs._grad = grad = np.zeros(probs.values.shape)
+                elif grad.__class__ is _Deferred:
+                    probs._grad = grad = grad.settle()
+                grad[rows, idx] += per_row[:, 0]
 
         tape.record(backward)
     return out

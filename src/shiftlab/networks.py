@@ -204,9 +204,10 @@ def load_checkpoint(path) -> ModelState:
 
     Nothing is unpickled. A path that is no readable checkpoint ``.npz``, such
     as a JSON checkpoint of earlier versions, raises ``CheckpointError``; so
-    does an array that is not of finite floats, and a ``provenance`` that is
-    not an object with a string ``features_sha256`` and an object ``data``
-    (each may be null). Each message names the file, and the array if any.
+    does an array that is not of finite floats or that belongs to no layer,
+    and a ``provenance`` that is not an object with a string
+    ``features_sha256`` and an object ``data`` (each may be null). Each
+    message names the file, and the array if any.
     """
     try:
         with np.load(path, allow_pickle=False) as npz:
@@ -248,4 +249,9 @@ def load_checkpoint(path) -> ModelState:
                     raise CheckpointError(f"{path}: {name} {key} holds a non-finite value")
                 pair.append(Tensor(array))
             layers[net].append(tuple(pair))
+    layer_arrays = {f"{net}.{i}.{key}" for net, dims in _layer_dims(cfg).items()
+                    for i in range(len(dims)) for key in ("weight", "bias")}
+    stray = sorted(set(arrays) - layer_arrays)
+    if stray:
+        raise CheckpointError(f"{path}: array {stray[0]!r} belongs to no layer")
     return ModelState(cfg, layers, init_seed, provenance)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -166,7 +166,8 @@ class EpochRecord:
     target_per_class_acc: float | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a number or None, so nothing needs asdict's deep copy
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), separators=(",", ":"))

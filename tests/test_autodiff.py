@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import os
+import subprocess
+import sys
+import threading
+import time
+import weakref
+
 import numpy as np
 import pytest
 
+from shiftlab import autodiff
 from shiftlab.autodiff import (
+    Pool,
     ShapeError,
     Tape,
     TapeError,
@@ -557,6 +568,233 @@ class TestLinear:
     def test_bias_shape_mismatch(self):
         with pytest.raises(ShapeError):
             linear(None, Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones((1, 3))))
+
+
+# 800 x 128 @ 128 x 128, the batch-400 step's middle layer: its weight
+# gradient takes 13.1M multiply-adds, above the offload threshold
+BIG = (800, 128, 128)
+assert BIG[0] * BIG[1] * BIG[2] >= autodiff._OFFLOAD_MACS
+
+
+def _worker_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "shiftlab-backward"]
+
+
+def _big_linear_grads(xv, wv, bv, r, pool=None):
+    """(x, w, b) gradients of sum(relu(linear(x, w, b)) * r)."""
+    x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
+    with pool if pool is not None else contextlib.nullcontext():
+        tape = Tape()
+        tape.backward(sum_all(tape, scale_by(tape, relu(tape, linear(tape, x, w, b)), r)))
+        return [t.grad.copy() for t in (x, w, b)]
+
+
+@pytest.fixture
+def submits(monkeypatch):
+    """The products handed to the worker thread, counted; needs a spare CPU."""
+    if autodiff._usable_cpus() < 2:
+        pytest.skip("the worker runs only with a spare CPU")
+    count = [0]
+    submit = autodiff._Worker.submit
+
+    def counted(self, a, b, out):
+        count[0] += 1
+        return submit(self, a, b, out)
+
+    monkeypatch.setattr(autodiff._Worker, "submit", counted)
+    return count
+
+
+class TestOffload:
+    """linear's large weight gradients, computed on the worker during backward."""
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_gradients_equal_the_synchronous_products_bit_for_bit(self, submits, monkeypatch,
+                                                                  pooled):
+        xv, wv, bv, r = _linear_pair(np.random.default_rng(40), *BIG)
+        pool = Pool() if pooled else None
+        offloaded = _big_linear_grads(xv, wv, bv, r, pool)
+        assert submits[0] == 1 and len(_worker_threads()) == 1
+        monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
+        synchronous = _big_linear_grads(xv, wv, bv, r, pool)
+        assert submits[0] == 1
+        g = r * (xv @ wv + bv > 0.0)
+        assert (offloaded[1] == xv.T @ g).all()
+        for got, want in zip(offloaded, synchronous):
+            assert (got == want).all()
+
+    def test_a_weight_used_twice_accumulates_in_rule_order(self, submits, monkeypatch):
+        rng = np.random.default_rng(41)
+        n, d_in, d_out = BIG
+        xs = [rng.standard_normal((rows, d_in)) for rows in (n, 10, n)]
+        rs = [rng.standard_normal((rows, d_out)) for rows in (n, 10, n)]
+        wv = rng.standard_normal((d_in, d_out))
+
+        def weight_grad():
+            w, b = Tensor(wv), Tensor(np.zeros((1, d_out)))
+            tape = Tape()
+            terms = [sum_all(tape, scale_by(tape, linear(tape, x, w, b), r))
+                     for x, r in zip(xs, rs)]
+            tape.backward(weighted_sum(tape, terms, [1.0, 1.0, 1.0]))
+            return w.grad
+
+        offloaded = weight_grad()
+        assert submits[0] == 2  # the small middle use stays on the caller
+        monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
+        assert (offloaded == weight_grad()).all()
+        # rules run newest first: the third use's product, the second's, the first's
+        first, second, third = (x.T @ r for x, r in zip(xs, rs))
+        assert (offloaded == third + second + first).all()
+        # another order of the same sums gives other bits, so the test can tell
+        assert not (offloaded == third + first + second).all()
+
+    @pytest.mark.parametrize("reader", ["nll", "gather_rows"])
+    def test_a_direct_gradient_write_waits_for_the_product(self, submits, monkeypatch, reader):
+        # these rules write into their input's gradient array themselves
+        rng = np.random.default_rng(47)
+        xv, wv, _, r = _linear_pair(rng, *BIG)
+        labels = rng.integers(0, BIG[2], BIG[1])
+
+        def weight_grad():
+            w = Tensor(np.abs(wv))
+            tape = Tape()
+            if reader == "nll":
+                picked = nll(tape, w, labels, 1e-12)
+            else:
+                picked = sum_all(tape, gather_rows(tape, w, labels))
+            # recorded last, linear's rule runs first and leaves the product pending
+            h = linear(tape, xv, w, Tensor(np.zeros((1, BIG[2]))))
+            out = sum_all(tape, scale_by(tape, h, r))
+            tape.backward(weighted_sum(tape, [picked, out], [1.0, 1.0]))
+            return w.grad
+
+        offloaded = weight_grad()
+        assert submits[0] == 1
+        monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
+        assert (offloaded == weight_grad()).all()
+
+    def test_a_raising_rule_leaves_no_pending_write(self, submits, monkeypatch):
+        run = autodiff._Deferred.run
+
+        def slow_run(self):
+            time.sleep(0.2)
+            run(self)
+
+        monkeypatch.setattr(autodiff._Deferred, "run", slow_run)
+        rng = np.random.default_rng(42)
+        xv, wv, bv, r = _linear_pair(rng, *BIG)
+        x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
+        pool = Pool()
+        with pool:
+            tape = Tape()
+
+            def fail():
+                raise RuntimeError("a rule failed")
+
+            tape.record(fail)  # runs last, after linear's rule handed off its product
+            loss = sum_all(tape, scale_by(tape, linear(tape, x, w, b), r))
+            start = time.perf_counter()
+            with pytest.raises(RuntimeError, match="a rule failed"):
+                tape.backward(loss)
+            assert time.perf_counter() - start >= 0.2
+            assert submits[0] == 1
+            grad = w._grad
+            assert isinstance(grad, np.ndarray)
+            assert any(np.shares_memory(grad, buf) for buf in pool)
+            assert (grad == xv.T @ r).all()
+
+    def test_backward_leaves_no_reference_cycle(self, submits):
+        # nor does the worker hold the product's operands once it is done
+        rng = np.random.default_rng(43)
+        xv, wv, bv, r = _linear_pair(rng, *BIG)
+        gc.disable()
+        try:
+            x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
+            tape = Tape()
+            tape.backward(sum_all(tape, scale_by(tape, linear(tape, x, w, b), r)))
+            refs = [weakref.ref(tape), weakref.ref(x.values)]
+            del tape, x
+            assert submits[0] == 1 and [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_no_worker_without_a_spare_cpu(self, monkeypatch):
+        monkeypatch.setattr(autodiff, "_worker", None)
+        monkeypatch.setattr(autodiff, "_usable_cpus", lambda: 1)
+        threads = threading.active_count()
+        rng = np.random.default_rng(44)
+        xv, wv, bv, r = _linear_pair(rng, *BIG)
+        got = _big_linear_grads(xv, wv, bv, r)
+        assert autodiff._worker is False and threading.active_count() == threads
+        monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
+        for a, b in zip(got, _big_linear_grads(xv, wv, bv, r)):
+            assert (a == b).all()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_worker(self, submits):
+        rng = np.random.default_rng(45)
+        args = _linear_pair(rng, *BIG)
+        expected = _big_linear_grads(*args)
+        parent_worker = autodiff._worker
+        assert submits[0] == 1 and isinstance(parent_worker, autodiff._Worker)
+        pid = os.fork()
+        if pid == 0:  # the child: reusing the parent's worker would wait forever
+            code = 1
+            try:
+                got = _big_linear_grads(*args)
+                fresh = autodiff._worker is not parent_worker and submits[0] == 2
+                code = 0 if fresh and all((a == b).all() for a, b in zip(got, expected)) else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's backward did not finish within 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_concurrent_backwards_each_wait_for_their_own_products(self, submits):
+        # more callers than cores share the one worker; a product that one
+        # backward left unwaited would show as a stand-in or an unwritten array
+        rng = np.random.default_rng(46)
+        cases = [_linear_pair(rng, *BIG) for _ in range(3)]
+        want = [(xv.T @ (r * (xv @ wv + bv > 0.0))) for xv, wv, bv, r in cases]
+        errors = []
+
+        def caller(i):
+            try:
+                for _ in range(4):
+                    got = _big_linear_grads(*cases[i])[1]
+                    np.testing.assert_allclose(got, want[i], rtol=1e-12, atol=1e-9)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert submits[0] == 12 and len(_worker_threads()) == 1
+
+    def test_importing_starts_no_thread_machinery(self):
+        # the worker's queue module is imported when the first worker starts
+        code = ("import sys, shiftlab.cli; "
+                "print(sorted({'queue', 'concurrent.futures'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestSplitRows:

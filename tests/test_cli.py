@@ -318,7 +318,8 @@ class TestEval:
 
     # each edit of a readable checkpoint's arrays or provenance, and the message
     # naming it; before they were refused, the string weights and the
-    # provenance edits exited 2, and the complex and NaN weights were scored
+    # provenance edits exited 2, and the complex and NaN weights and the
+    # arrays of no layer were scored
     EDITS = {
         "string_weight": ("classifier weight has dtype <U", lambda a, meta: a.update(
             {"classifier.0.weight": a["classifier.0.weight"].astype(str)})),
@@ -332,6 +333,10 @@ class TestEval:
             features_sha256=5)),
         "data_list": ("provenance must be an object", lambda a, meta: meta["provenance"].update(
             data=[7])),
+        "extra_array": ("array 'junk' belongs to no layer", lambda a, meta: a.update(
+            junk=np.zeros(3))),
+        "extra_layer_array": ("array 'classifier.0.extra' belongs to no layer",
+                              lambda a, meta: a.update({"classifier.0.extra": np.zeros((1, 3))})),
     }
 
     @pytest.mark.parametrize(

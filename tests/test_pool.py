@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import inspect
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -23,7 +24,7 @@ from shiftlab import (
     predict,
     train_step,
 )
-from shiftlab import networks, training
+from shiftlab import autodiff, networks, training
 from shiftlab.autodiff import Tensor, linear, mul, relu, sum_all
 
 from conftest import allocation_peak, call_count, standard_config
@@ -237,6 +238,14 @@ def warm_step_args(std_pair, cfg):
     for src_idx, tgt_idx in batches[:5]:
         step(state, bank, cfg, src, tgt, src_idx, tgt_idx, pool)
     return (state, bank, cfg, src, tgt) + batches[5] + (pool,)
+
+
+def test_warm_step_starts_no_thread(std_pair, monkeypatch):
+    # no weight gradient of the standard step is large enough for the worker
+    monkeypatch.setattr(autodiff, "_worker", None)
+    threads = threading.active_count()
+    step(*warm_step_args(std_pair, std_cfg()))
+    assert autodiff._worker is None and threading.active_count() == threads
 
 
 class TestCallBudget:
