@@ -15,17 +15,18 @@ op's operands and output, never the tape, so a step's arrays are freed
 when its tape is dropped, without waiting for the garbage collector.
 
 One share may be deferred: ``linear``'s weight gradient x.T @ g, when it
-takes at least ``_OFFLOAD_MACS`` (about 4M) multiply-adds and the weight
-is a leaf. Inside ``Tape.backward`` that product runs on one worker
-thread, into the array the rule took, while the caller goes on with the
-bias and x gradients and the rules after it. Until then the leaf's
-gradient is a stand-in that any later contribution waits for, so the
-additions keep rule order. ``Tape.backward`` waits for every deferred
-product before it returns or raises, and the leaf then holds the result.
-The product is the same single call on the same operands, so the bits are
-those of the synchronous rule. The thread is started on first use, at
-most one per process and none with fewer than 2 usable CPUs; a forked
-child starts its own. At the benchmark's shapes only the batch-400
+takes at least ``_OFFLOAD_MACS`` (about 4M) multiply-adds, the weight is
+a leaf and it is the weight's first contribution. Inside ``Tape.backward``
+that product runs on a one-thread ``concurrent.futures`` executor, into
+the array the rule took, while the caller goes on with the bias and x
+gradients and the rules after it. Until then the leaf's gradient is the
+product's ``Future``: any later contribution waits for its result before
+adding to it, so the additions keep rule order. ``Tape.backward`` waits
+for every future before it returns or raises, and the leaf then holds the
+result. The product is the same single call on the same operands, so the
+bits are those of the synchronous rule. The executor is made on first
+use, at most one per process and none with fewer than 2 usable CPUs; a
+forked child makes its own. At the benchmark's shapes only the batch-400
 extractor's middle layer (13.1M) qualifies; the standard step starts no
 thread.
 
@@ -176,8 +177,8 @@ class Tensor:
         g = self._grad
         if g is None:
             self._grad = g = np.zeros_like(self.values)
-        elif g.__class__ is _Deferred:
-            self._grad = g = g.settle()
+        elif g.__class__ is _Future:
+            self._grad = g = g.result()
         return g
 
     @grad.setter
@@ -284,62 +285,24 @@ def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
     """Add ``g`` into ``t``'s gradient.
 
     On the first write the buffer adopts ``g``, which must then be a fresh
-    array nothing else holds; ``shared=True`` copies it instead.
+    array nothing else holds; ``shared=True`` copies it instead. A pending
+    deferred product is waited for and added to first.
     """
-    if t._grad is None:
+    grad = t._grad
+    if grad is None:
         t._grad = g.copy() if shared else g
     else:
-        t._grad += g
+        if grad.__class__ is _Future:
+            t._grad = grad = grad.result()
+        grad += g
 
 
 # A weight gradient x.T @ g of at least this many multiply-adds is handed
-# to the worker thread (see ``linear``). The standard step's largest is
+# to the executor (see ``linear``). The standard step's largest is
 # 1.6M (128 x 100 x 128) and the batch-400 step's 13.1M (128 x 800 x 128).
 # Below a few million the worker's wait for the interpreter lock, held by
 # the rules that run meanwhile, costs more than the overlap saves.
 _OFFLOAD_MACS = 1 << 22
-
-
-class _Deferred:
-    """A product ``a @ b`` that the worker thread writes into ``out``.
-
-    It stands in a leaf's ``_grad`` until settled; ``prior`` is the
-    gradient the leaf held before it. ``settle`` waits for the product and
-    returns ``prior + out``, added in place as ``_accumulate`` would, or
-    ``out`` alone. ``_accumulate``'s ``t._grad += g`` settles it first, so
-    a later contribution is added after the pending one.
-    """
-
-    __slots__ = ("a", "b", "out", "prior", "done", "error")
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-        self.a, self.b, self.out = a, b, out
-        self.prior = self.error = None
-        self.done = threading.Lock()  # held until the worker is done
-        self.done.acquire()
-
-    def run(self) -> None:
-        """Compute the product; called on the worker thread."""
-        np.matmul(self.a, self.b, out=self.out)
-
-    def wait(self) -> None:
-        """Block until the worker is done with this product."""
-        self.done.acquire()
-        self.done.release()
-
-    def settle(self) -> np.ndarray:
-        self.wait()
-        if self.error is not None:
-            raise self.error
-        if self.prior is None:
-            return self.out
-        self.prior += self.out
-        return self.prior
-
-    def __iadd__(self, g: np.ndarray) -> np.ndarray:
-        grad = self.settle()
-        grad += g
-        return grad
 
 
 def _usable_cpus() -> int:
@@ -349,69 +312,57 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _Worker:
-    """One daemon thread that runs the ``_Deferred`` products it is handed, in order."""
-
-    def __init__(self) -> None:
-        import queue
-
-        self._jobs = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="shiftlab-backward", daemon=True).start()
-
-    def submit(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> _Deferred:
-        job = _Deferred(a, b, out)
-        self._jobs.put(job)
-        return job
-
-    def _serve(self) -> None:
-        while True:
-            job = self._jobs.get()
-            try:
-                job.run()
-            except BaseException as exc:  # raised by ``settle`` on the waiting thread
-                job.error = exc
-            done = job.done
-            del job  # an idle worker keeps no array of a finished backward alive
-            done.release()
+# This process's one-thread executor: None until a product is first
+# offloaded, False when fewer than 2 CPUs are usable and products stay on
+# the caller. The lock keeps two threads' first offloads from making two.
+# ``_Future`` is ``concurrent.futures.Future`` once that is imported.
+_executor = None
+_executor_lock = threading.Lock()
+_Future = None
 
 
-# This process's worker: None until a product is first offloaded, False
-# when fewer than 2 CPUs are usable and products stay on the caller. The
-# lock keeps two threads' first offloads from starting two workers.
-_worker: _Worker | bool | None = None
-_worker_lock = threading.Lock()
-
-
-def _forget_worker() -> None:
+def _forget_executor() -> None:
     """In a forked child: the parent's thread is not there, so start anew."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(after_in_child=_forget_executor)
 
-# The (leaf, product) pairs of the running ``Tape.backward``, which waits
+# The (leaf, future) pairs of the running ``Tape.backward``, which waits
 # for them; None outside one, where every product runs on the caller.
 _DEFERRED: contextvars.ContextVar[list | None] = contextvars.ContextVar(
     "deferred", default=None)
 
 
-def _offload(leaf: Tensor, a: np.ndarray, b: np.ndarray) -> _Deferred | None:
-    """Start ``a @ b`` on the worker, as part of ``leaf``'s gradient, if one can run."""
-    global _worker
+def _product(operands: list) -> np.ndarray:
+    """``a @ b`` into ``out`` for ``operands`` ``[a, b, out]``, which it empties
+    first, so the worker keeps none of them once the future is done."""
+    a, b, out = operands
+    operands.clear()
+    return np.matmul(a, b, out=out)
+
+
+def _offload(leaf: Tensor, a: np.ndarray, b: np.ndarray) -> bool:
+    """Start ``a @ b`` on the executor as ``leaf``'s gradient, if one can run."""
+    global _executor, _Future
     deferred = _DEFERRED.get()
     if deferred is None:
-        return None
-    if _worker is None:
-        with _worker_lock:
-            if _worker is None:
-                _worker = _Worker() if _usable_cpus() >= 2 else False
-    if _worker is False:
-        return None
-    job = _worker.submit(a, b, _empty(leaf.values.shape))
-    deferred.append((leaf, job))
-    return job
+        return False
+    with _executor_lock:
+        if _executor is None and _usable_cpus() < 2:
+            _executor = False
+        elif _executor is None:
+            from concurrent.futures import Future, ThreadPoolExecutor
+
+            _Future = Future
+            _executor = ThreadPoolExecutor(1, thread_name_prefix="shiftlab-backward")
+    if _executor is False:
+        return False
+    leaf._grad = future = _executor.submit(_product, [a, b, _empty(leaf.values.shape)])
+    deferred.append((leaf, future))
+    return True
 
 
 class Tape:
@@ -430,8 +381,9 @@ class Tape:
     def backward(self, output: Tensor) -> None:
         """Seed ``output`` with gradient 1 and replay all rules in reverse.
 
-        Every product a rule handed to the worker thread has finished, and
-        is in its leaf's gradient, when this returns or raises.
+        Every product a rule handed to the executor has finished when this
+        returns or raises, and its leaf then holds the result; a product
+        that failed raises here.
         """
         if not self._rules:
             raise TapeError("backward on an empty tape: no operations were recorded")
@@ -447,11 +399,11 @@ class Tape:
                 rule()
         finally:
             _DEFERRED.reset(token)
-            for _, job in deferred:
-                job.wait()
-            for leaf, job in deferred:
-                if leaf._grad is job:
-                    leaf._grad = job.settle()
+            for _, future in deferred:
+                future.exception()  # waits, and raises nothing
+            for leaf, future in deferred:
+                if leaf._grad is future:
+                    leaf._grad = future.result()
 
 
 def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -499,10 +451,11 @@ def linear(tape: Tape | None, x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> T
     array: a constant, such as an input batch, for which no gradient is
     computed. Backward reads it again, so it must not change meanwhile.
 
-    Inside ``Tape.backward``, when ``w`` is a leaf and x.T @ g takes at
-    least ``_OFFLOAD_MACS`` multiply-adds, that product runs on the worker
-    thread while the rule computes the bias and x gradients; backward waits
-    for it before it returns. It is the same single product on the same
+    Inside ``Tape.backward``, when ``w`` is a leaf with no gradient yet
+    and x.T @ g takes at least ``_OFFLOAD_MACS`` multiply-adds, that
+    product runs on the executor while this rule and the ones after it go
+    on; ``w``'s gradient is its future until read, and backward waits for
+    it before it returns. It is the same single product on the same
     operands, so the bits do not change.
     """
     constant = not isinstance(x, Tensor)
@@ -521,16 +474,13 @@ def linear(tape: Tape | None, x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> T
             g = out._grad
             if g is None:
                 return
-            job = None
-            if xv.size * w_shape[1] >= _OFFLOAD_MACS and not isinstance(w, _Output):
-                job = _offload(w, xv.T, g)
+            deferred = (w._grad is None and xv.size * w_shape[1] >= _OFFLOAD_MACS
+                        and not isinstance(w, _Output) and _offload(w, xv.T, g))
             _accumulate(b, np.add.reduce(g, axis=0, keepdims=True))
             if not constant:
                 _accumulate(x, np.matmul(g, w.values.T, out=_empty(x_shape)))
-            if job is None:
+            if not deferred:
                 _accumulate(w, np.matmul(xv.T, g, out=_empty(w_shape)))
-            else:  # in rule order: after this rule's own contributions
-                job.prior, w._grad = w._grad, job
 
         tape.record(backward)
     return out
@@ -1065,8 +1015,8 @@ def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> T
                 grad = probs._grad
                 if grad is None:
                     probs._grad = grad = np.zeros(probs.values.shape)
-                elif grad.__class__ is _Deferred:
-                    probs._grad = grad = grad.settle()
+                elif grad.__class__ is _Future:
+                    probs._grad = grad = grad.result()
                 grad[rows, idx] += per_row[:, 0]
 
         tape.record(backward)

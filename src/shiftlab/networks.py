@@ -210,7 +210,8 @@ def load_checkpoint(path) -> ModelState:
     message names the file, and the array if any.
     """
     try:
-        with np.load(path, allow_pickle=False) as npz:
+        # np.load leaves a file it opened itself open when it cannot parse it
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         meta = json.loads(str(arrays.pop("meta")))
         cfg, init_seed = ModelConfig(**meta["config"]), int(meta["init_seed"])

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import gc
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 import time
 import weakref
@@ -577,7 +579,8 @@ assert BIG[0] * BIG[1] * BIG[2] >= autodiff._OFFLOAD_MACS
 
 
 def _worker_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "shiftlab-backward"]
+    # the executor names its one thread shiftlab-backward_0
+    return [t for t in threading.enumerate() if t.name.startswith("shiftlab-backward")]
 
 
 def _big_linear_grads(xv, wv, bv, r, pool=None):
@@ -591,22 +594,22 @@ def _big_linear_grads(xv, wv, bv, r, pool=None):
 
 @pytest.fixture
 def submits(monkeypatch):
-    """The products handed to the worker thread, counted; needs a spare CPU."""
+    """The products run on the executor's thread, counted; needs a spare CPU."""
     if autodiff._usable_cpus() < 2:
-        pytest.skip("the worker runs only with a spare CPU")
+        pytest.skip("the executor runs only with a spare CPU")
     count = [0]
-    submit = autodiff._Worker.submit
+    product = autodiff._product
 
-    def counted(self, a, b, out):
+    def counted(operands):
         count[0] += 1
-        return submit(self, a, b, out)
+        return product(operands)
 
-    monkeypatch.setattr(autodiff._Worker, "submit", counted)
+    monkeypatch.setattr(autodiff, "_product", counted)
     return count
 
 
 class TestOffload:
-    """linear's large weight gradients, computed on the worker during backward."""
+    """linear's large weight gradients, computed on the executor during backward."""
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_gradients_equal_the_synchronous_products_bit_for_bit(self, submits, monkeypatch,
@@ -639,7 +642,10 @@ class TestOffload:
             return w.grad
 
         offloaded = weight_grad()
-        assert submits[0] == 2  # the small middle use stays on the caller
+        # only the weight's first contribution, the third use's, is deferred: the
+        # small middle use waits for it, and the first use, large too, then stays
+        # on the caller
+        assert submits[0] == 1
         monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
         assert (offloaded == weight_grad()).all()
         # rules run newest first: the third use's product, the second's, the first's
@@ -674,13 +680,13 @@ class TestOffload:
         assert (offloaded == weight_grad()).all()
 
     def test_a_raising_rule_leaves_no_pending_write(self, submits, monkeypatch):
-        run = autodiff._Deferred.run
+        product = autodiff._product
 
-        def slow_run(self):
+        def slow_product(operands):
             time.sleep(0.2)
-            run(self)
+            return product(operands)
 
-        monkeypatch.setattr(autodiff._Deferred, "run", slow_run)
+        monkeypatch.setattr(autodiff, "_product", slow_product)
         rng = np.random.default_rng(42)
         xv, wv, bv, r = _linear_pair(rng, *BIG)
         x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
@@ -703,8 +709,41 @@ class TestOffload:
             assert any(np.shares_memory(grad, buf) for buf in pool)
             assert (grad == xv.T @ r).all()
 
-    def test_backward_leaves_no_reference_cycle(self, submits):
-        # nor does the worker hold the product's operands once it is done
+    def test_a_failed_product_raises_once_every_product_is_done(self, submits, monkeypatch):
+        product, started = autodiff._product, []
+
+        def fail_first_slow_second(operands):
+            started.append(len(started))
+            if len(started) == 1:
+                operands.clear()
+                raise FloatingPointError("a product failed")
+            time.sleep(0.2)
+            return product(operands)
+
+        monkeypatch.setattr(autodiff, "_product", fail_first_slow_second)
+        rng = np.random.default_rng(48)
+        xv, wv, bv, r = _linear_pair(rng, *BIG)
+        w1, w2, b = Tensor(wv), Tensor(wv), Tensor(bv)
+        tape = Tape()
+        h = linear(tape, linear(tape, xv, w1, b), w2, b)  # w2's rule runs, and fails, first
+        with pytest.raises(FloatingPointError, match="a product failed"):
+            tape.backward(sum_all(tape, scale_by(tape, h, r)))
+        assert started == [0, 1]
+        # w1's product was waited for, not left running; its leaf reads the result
+        assert isinstance(w1._grad, autodiff._Future) and w1._grad.done()
+        assert (w1.grad == xv.T @ (r @ wv.T)).all()
+
+    def test_backward_leaves_no_reference_cycle(self, submits, monkeypatch):
+        # nor does the worker hold the product's operands once it is done: the
+        # list it was handed is empty before the future completes
+        product, held = autodiff._product, []
+
+        def product_and_look(operands):
+            out = product(operands)
+            held.append(len(operands))
+            return out
+
+        monkeypatch.setattr(autodiff, "_product", product_and_look)
         rng = np.random.default_rng(43)
         xv, wv, bv, r = _linear_pair(rng, *BIG)
         gc.disable()
@@ -715,17 +754,18 @@ class TestOffload:
             refs = [weakref.ref(tape), weakref.ref(x.values)]
             del tape, x
             assert submits[0] == 1 and [ref() for ref in refs] == [None, None]
+            assert held == [0]
         finally:
             gc.enable()
 
     def test_no_worker_without_a_spare_cpu(self, monkeypatch):
-        monkeypatch.setattr(autodiff, "_worker", None)
+        monkeypatch.setattr(autodiff, "_executor", None)
         monkeypatch.setattr(autodiff, "_usable_cpus", lambda: 1)
         threads = threading.active_count()
         rng = np.random.default_rng(44)
         xv, wv, bv, r = _linear_pair(rng, *BIG)
         got = _big_linear_grads(xv, wv, bv, r)
-        assert autodiff._worker is False and threading.active_count() == threads
+        assert autodiff._executor is False and threading.active_count() == threads
         monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
         for a, b in zip(got, _big_linear_grads(xv, wv, bv, r)):
             assert (a == b).all()
@@ -735,14 +775,15 @@ class TestOffload:
         rng = np.random.default_rng(45)
         args = _linear_pair(rng, *BIG)
         expected = _big_linear_grads(*args)
-        parent_worker = autodiff._worker
-        assert submits[0] == 1 and isinstance(parent_worker, autodiff._Worker)
+        parent_executor = autodiff._executor
+        assert submits[0] == 1
+        assert isinstance(parent_executor, concurrent.futures.ThreadPoolExecutor)
         pid = os.fork()
         if pid == 0:  # the child: reusing the parent's worker would wait forever
             code = 1
             try:
                 got = _big_linear_grads(*args)
-                fresh = autodiff._worker is not parent_worker and submits[0] == 2
+                fresh = autodiff._executor is not parent_executor and submits[0] == 2
                 code = 0 if fresh and all((a == b).all() for a, b in zip(got, expected)) else 3
             finally:
                 os._exit(code)
@@ -757,6 +798,37 @@ class TestOffload:
             os.waitpid(pid, 0)
             pytest.fail("the forked child's backward did not finish within 60 s")
         assert os.waitstatus_to_exitcode(status) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_exits_through_the_interpreter(self):
+        # at exit the interpreter joins the executors' threads, the parent's
+        # too, which the child does not have; it must not wait for it
+        if autodiff._usable_cpus() < 2:
+            pytest.skip("the executor runs only with a spare CPU")
+        code = textwrap.dedent("""
+            import os, signal, sys
+            import numpy as np
+            from shiftlab import autodiff as ad
+
+            def weight_grad():
+                w = ad.Tensor(np.ones((128, 128)))
+                tape = ad.Tape()
+                h = ad.linear(tape, np.ones((800, 128)), w, ad.Tensor(np.zeros((1, 128))))
+                tape.backward(ad.sum_all(tape, h))
+                return w.grad
+
+            want, parent = weight_grad(), ad._executor
+            assert parent
+            if os.fork() == 0:
+                signal.alarm(30)  # a child that hangs ends itself
+                ok = (weight_grad() == want).all() and ad._executor not in (None, parent)
+                sys.exit(0 if ok else 3)
+            sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_concurrent_backwards_each_wait_for_their_own_products(self, submits):
         # more callers than cores share the one worker; a product that one
@@ -788,7 +860,8 @@ class TestOffload:
         assert submits[0] == 12 and len(_worker_threads()) == 1
 
     def test_importing_starts_no_thread_machinery(self):
-        # the worker's queue module is imported when the first worker starts
+        # concurrent.futures, and the queue module it uses, are imported when
+        # the first product is offloaded
         code = ("import sys, shiftlab.cli; "
                 "print(sorted({'queue', 'concurrent.futures'} & set(sys.modules)))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import os
+import pathlib
 import shutil
 
 import numpy as np
@@ -50,30 +51,33 @@ EDGES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 10**30, -(10**30), 10**40
          2**31 - 1, 2**31, 0, 1, -1, 0.5, True, False, "1", "NaN", None, [1]]
 
 
-def each_field_builds_or_names_itself(cls, section: str, base: dict, holds) -> None:
-    """Set each field of ``cls``, one at a time in the ``section`` document
-    ``base``, to each of ``EDGES`` and then to 50 drawn floats and integers.
-    Each document must build, with ``holds(built_section, name, value)``
-    passing, or raise the ``ConfigError`` that names the field."""
+def each_field_builds_or_names_itself(cls, section: str | None, base: dict, holds,
+                                     names=None, edges=(), drawn=None) -> None:
+    """Set each field of ``cls``, or each of ``names``, one at a time in the
+    ``section`` document ``base`` (the root document if ``section`` is None),
+    to each of ``EDGES`` and ``edges`` and then to 50 values drawn from
+    ``drawn``, floats and integers by default. Each document must build,
+    with ``holds(built_section, name, value)`` passing, or raise the
+    ``ConfigError`` that names the field."""
     hypothesis = pytest.importorskip("hypothesis")
-    names = [f.name for f in dataclasses.fields(cls)]
+    st = hypothesis.strategies
+    names = names or [f.name for f in dataclasses.fields(cls)]
 
     def check(name, value):
+        doc = dict(base, **{name: value})
         try:
-            cfg = parse_config({section: dict(base, **{name: value})})
+            cfg = parse_config(doc if section is None else {section: doc})
         except ConfigError as exc:
             assert name in str(exc)
             return
-        holds(getattr(cfg, section), name, value)
+        holds(cfg if section is None else getattr(cfg, section), name, value)
 
     for name in names:
-        for value in EDGES:
+        for value in EDGES + list(edges):
             check(name, value)
 
-    st = hypothesis.strategies
-
     @hypothesis.settings(max_examples=50, deadline=None)
-    @hypothesis.given(value=st.one_of(st.floats(), st.integers()))
+    @hypothesis.given(value=st.one_of(st.floats(), st.integers()) if drawn is None else drawn)
     def check_every_field(value):
         for name in names:
             check(name, value)
@@ -199,6 +203,28 @@ class TestParseConfig:
 
         base = {"input_dim": 10, "num_classes": 5}
         each_field_builds_or_names_itself(ModelConfig, "model", base, holds)
+
+    def test_every_root_field_builds_or_names_itself(self):
+        # likewise for the root's own fields, with seed lists and strings besides:
+        # the seeds build as distinct non-negative ints, train.seed if none
+        # are given, and the output directory holds no NUL byte
+        st = pytest.importorskip("hypothesis").strategies
+
+        def holds(cfg, name, value):
+            if name == "seeds":
+                assert cfg.seeds == (value or [cfg.train.seed])
+                assert all(type(s) is int and s >= 0 for s in cfg.seeds)
+                assert len(set(cfg.seeds)) == len(cfg.seeds)
+            else:
+                assert getattr(cfg, name) == value and type(value) is str
+            assert "\0" not in cfg.output_dir
+
+        edges = ["", "x", "a\0b", "\0", [], [0], [0, 1], [1, 1], [-1], [True], [False],
+                 [1.0], ["1"], [None], [[1]], [2**63], {}, {"seeds": [1]}]
+        entry = st.one_of(st.integers(-3, 3), st.booleans(), st.floats(), st.text(), st.none())
+        drawn = st.one_of(st.text(), st.lists(entry, max_size=4), st.integers(), st.floats())
+        each_field_builds_or_names_itself(None, None, {}, holds,
+                                          ["name", "seeds", "output_dir"], edges, drawn)
 
 
 class TestApplyOverrides:
@@ -329,10 +355,10 @@ class TestRunExperiment:
 
     def test_manifest_and_artifacts(self, micro_experiment):
         cfg, _, out = micro_experiment
-        manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
+        manifest = json.loads(pathlib.Path(out, "manifest.json").read_text())
         assert manifest["completed"] == [100, 101]
         assert manifest["failed"] == []
-        config_echo = json.loads(open(os.path.join(out, "config.json")).read())
+        config_echo = json.loads(pathlib.Path(out, "config.json").read_text())
         assert config_echo["train"]["epochs"] == 4
         for seed in (100, 101):
             run_dir = os.path.join(out, "runs", f"seed{seed}")
@@ -345,11 +371,11 @@ class TestRunExperiment:
 
     def test_aggregate_and_csv(self, micro_experiment):
         _, reports, out = micro_experiment
-        agg = json.loads(open(os.path.join(out, "aggregate.json")).read())
+        agg = json.loads(pathlib.Path(out, "aggregate.json").read_text())
         accs = [r.final_per_class_mean_acc for r in reports]
         assert agg["per_seed_accuracy"] == pytest.approx(accs)
         assert agg["mean_accuracy"] == pytest.approx(float(np.mean(accs)))
-        lines = open(os.path.join(out, "summary.csv")).read().splitlines()
+        lines = pathlib.Path(out, "summary.csv").read_text().splitlines()
         assert lines[0] == "name,seed,per_class_mean_accuracy,dist_l1_error,wall_clock_sec"
         assert len(lines) == 1 + len(reports) + 2  # runs + mean + stddev rows
         assert lines[1].startswith("micro,100,")
@@ -357,10 +383,10 @@ class TestRunExperiment:
     def test_plotdata_files(self, micro_experiment):
         _, reports, out = micro_experiment
         plot = os.path.join(out, "plotdata")
-        frac = json.loads(open(os.path.join(plot, "calibrated_fraction.json")).read())
+        frac = json.loads(pathlib.Path(plot, "calibrated_fraction.json").read_text())
         assert frac["epochs"] == [1, 2, 3, 4]
         assert set(frac["per_seed"]) == {"100", "101"}
-        dist = json.loads(open(os.path.join(plot, "distribution_estimate.json")).read())
+        dist = json.loads(pathlib.Path(plot, "distribution_estimate.json").read_text())
         assert dist["true_target_dist"] == reports[0].true_target_dist
         assert os.path.isfile(os.path.join(plot, "calibrated_subset_accuracy.json"))
 
@@ -381,11 +407,11 @@ class TestRunExperiment:
             run_dir = os.path.join(out, "runs", f"seed{report.seed}")
             assert sorted(os.listdir(run_dir)) == [
                 "checkpoint.npz", "epoch_records.jsonl", "report.json"]
-            doc = json.loads(open(os.path.join(run_dir, "report.json")).read())
+            doc = json.loads(pathlib.Path(run_dir, "report.json").read_text())
             assert list(doc) == [name for name in fields if name != "records"]
             assert report.label_shift is not None
             assert doc["label_shift"] == report.label_shift
-            lines = open(os.path.join(run_dir, "epoch_records.jsonl")).read().splitlines()
+            lines = pathlib.Path(run_dir, "epoch_records.jsonl").read_text().splitlines()
             assert [json.loads(line) for line in lines] == report.records
 
     def test_last_audit_scores_the_final_model(self, micro_experiment):
@@ -407,7 +433,7 @@ class TestRunExperiment:
 
     def test_regenerate_matches_original(self, micro_experiment, tmp_path):
         _, _, out = micro_experiment
-        original = json.loads(open(os.path.join(out, "aggregate.json")).read())
+        original = json.loads(pathlib.Path(out, "aggregate.json").read_text())
         rebuilt = regenerate_reports(out)
         assert rebuilt == original
 
@@ -426,7 +452,7 @@ class TestRunExperiment:
                 doc[key] = [r[key] for r in records]
             path.write_text(json.dumps(doc))
         shutil.rmtree(copy / "plotdata")
-        original = json.loads(open(os.path.join(out, "aggregate.json")).read())
+        original = json.loads(pathlib.Path(out, "aggregate.json").read_text())
         assert regenerate_reports(str(copy)) == original
         for name in os.listdir(os.path.join(out, "plotdata")):
             with open(os.path.join(out, "plotdata", name), "rb") as fh:
@@ -518,7 +544,7 @@ class TestAblate:
         ]
         for agg in results.values():
             assert 0.0 <= agg["mean_accuracy"] <= 1.0
-        lines = open(tmp_path / "ladder" / "summary.csv").read().splitlines()
+        lines = (tmp_path / "ladder" / "summary.csv").read_text().splitlines()
         assert lines[0] == "component_set,mean_accuracy,stddev_accuracy"
         assert len(lines) == 6
 
@@ -531,7 +557,7 @@ class TestSweepIf:
         table = sweep_if(parse_config(doc), [1, 5])
         assert set(table) == {"1", "5"}
         assert set(table["1"]) == {"full", "no_calibration", "source_only"}
-        plot = json.loads(open(tmp_path / "sweep" / "plotdata" / "if_sweep.json").read())
+        plot = json.loads((tmp_path / "sweep" / "plotdata" / "if_sweep.json").read_text())
         assert plot["if_values"] == [1.0, 5.0]
         assert len(plot["methods"]["full"]) == 2
 

@@ -310,6 +310,10 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="JSON checkpoints of earlier versions"):
             load_checkpoint(path)
 
+    def test_missing_file_cannot_be_read(self, tmp_path):
+        with pytest.raises(CheckpointError, match="cannot read"):
+            load_checkpoint(tmp_path / "none.npz")
+
     def test_truncated_file_refused(self, tmp_path):
         path = tmp_path / "ckpt.npz"
         save_checkpoint(init_model(small_cfg(), seed=42), path)

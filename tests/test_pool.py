@@ -241,11 +241,11 @@ def warm_step_args(std_pair, cfg):
 
 
 def test_warm_step_starts_no_thread(std_pair, monkeypatch):
-    # no weight gradient of the standard step is large enough for the worker
-    monkeypatch.setattr(autodiff, "_worker", None)
+    # no weight gradient of the standard step is large enough for the executor
+    monkeypatch.setattr(autodiff, "_executor", None)
     threads = threading.active_count()
     step(*warm_step_args(std_pair, std_cfg()))
-    assert autodiff._worker is None and threading.active_count() == threads
+    assert autodiff._executor is None and threading.active_count() == threads
 
 
 class TestCallBudget:
@@ -268,7 +268,7 @@ class TestCallBudget:
         # a warm full-method step made 787 Python and C calls, as counted here, before
         # the ops read each shape once and dropped their wrapper closures and NumPy's
         # Python-level reductions, and the losses stopped rebuilding what a step does
-        # not change; it makes 395 now
+        # not change; it makes 396 now
         assert call_count(step, *warm_step_args(std_pair, std_cfg())) <= 450
 
     def test_full_step_pool_footprint(self, std_pair):
