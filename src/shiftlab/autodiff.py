@@ -10,9 +10,12 @@ The backward-rule contract: an op given a tape makes exactly one
 ``Tape.record(rule)`` call, and ``rule`` takes no arguments. When run, it
 reads the gradient of its own output (``out._grad``), does nothing if that
 is still None, and otherwise adds each input's share into that input.
-``Tape.backward`` calls every rule once, newest first. A rule holds its
-op's operands and output, never the tape, so a step's arrays are freed
-when its tape is dropped, without waiting for the garbage collector.
+``Tape.backward`` calls every rule once, newest first, and drops each as
+soon as it has run, as PyTorch frees the tensors it saved for backward.
+A rule holds its op's operands and output, never the tape, so an array
+that only rules held is freed once backward is done with it, without
+waiting for the garbage collector and while the tape is still held. The
+tape is then empty: a second ``backward`` raises ``TapeError``.
 
 One share may be deferred: ``linear``'s weight gradient x.T @ g, when it
 takes at least ``_OFFLOAD_MACS`` (about 4M) multiply-adds, the weight is
@@ -79,20 +82,25 @@ reasons only: the fused ops are tested against them, and the benchmark's
 tracer wraps them by name.
 
 Inside ``with pool:`` for a ``Pool``, the ops whose arrays scale with the
-batch (``linear`` forward and backward, ``relu``'s output and mask,
+batch (``linear`` forward and backward, ``relu``'s output,
 ``split_rows``' backward, the n x m distances of ``pairwise_distances``
 and the n x m gradient of ``label_ratio``) write into the pool's arrays
 instead of allocating; the arithmetic and its bits are the same. Those
 arrays are handed out again once the outermost ``with`` block ends, so
-nothing made inside one may be kept past it. Outside any, every op
-allocates. A warm full training step at the benchmark's shapes holds 26
-pool buffers: 693 KiB at batch 50 and 6,693 KiB at batch 400.
+nothing made inside one may be kept past it. Within a block, a later
+array may be written into the buffer of an earlier one that nothing
+views any more, such as a forward activation whose rules backward has
+run and dropped. Outside any, every op allocates. A warm full training
+step at the benchmark's shapes holds 16 pool buffers and 618 KiB at
+batch 50, and 13 buffers and 4,644 KiB at batch 400; with one buffer per
+array it held 26, 693 and 6,693 KiB.
 """
 from __future__ import annotations
 
 import contextvars
 import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -128,7 +136,8 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """Backward was requested on a tape that recorded nothing."""
+    """Backward was requested on a tape that holds no rule: none was recorded,
+    or backward has already run."""
 
 
 def as_matrix(values) -> np.ndarray:
@@ -201,7 +210,7 @@ class Tensor:
 
 
 _FLOAT = np.dtype(np.float64)
-_BOOL = np.dtype(bool)
+_refcount = sys.getrefcount
 
 
 class Pool:
@@ -209,17 +218,33 @@ class Pool:
 
     ``with pool:`` makes the pool the active one for the ops (see the
     module docstring). The i-th array taken inside the block reuses the
-    i-th buffer, grown when too small, so a loop whose steps take the same
-    sequence of shapes, or smaller ones, allocates only in its first step.
-    A taken array's contents are garbage until the op writes it, and it is
-    handed out again once the outermost ``with pool:`` block ends: a value
-    that outlives the block must not be a pool array. ``len(pool)`` counts
-    the buffers held and iterating yields them.
+    i-th position's buffer, grown when too small, so a loop whose steps
+    take the same sequence of shapes, or smaller ones, allocates only in
+    its first step. A taken array's contents are garbage until the op
+    writes it, and it is handed out again once the outermost ``with
+    pool:`` block ends: a value that outlives the block must not be a pool
+    array.
+
+    Within a block, a later position may write into an earlier position's
+    buffer once nothing views it any more. The first block to reach a
+    position picks, among the buffers whose arrays are all unreferenced,
+    the smallest one large enough, and the position keeps that buffer in
+    later blocks. There each take re-checks only the buffer and the array
+    the buffer's previous position handed out, with ``sys.getrefcount``:
+    NumPy points every slice's ``.base`` at the buffer itself, so a held
+    slice shows on the buffer, and a held array on itself. A position
+    whose buffer is still viewed moves to a fresh buffer of its own, for
+    good. ``len(pool)`` counts the buffers held and iterating yields them.
     """
 
     def __init__(self) -> None:
-        self._buffers: list[np.ndarray] = []  # flat bytes, one per position
-        self._views: list[np.ndarray] = []  # the array last handed out at each position
+        self._buffers: list[np.ndarray] = []  # flat bytes, each shared by one or more positions
+        # per buffer: what sys.getrefcount reads for it when only the pool
+        # refers to it, through the list above and its cached arrays
+        self._refs: list[int] = []
+        self._views: list[np.ndarray | None] = []  # per position: the array last handed out
+        self._slot: list[int] = []  # per position: the index of its buffer
+        self._after: list[int] = []  # per position: the one before it on its buffer, or -1
         self._taken = 0
         self._tokens: list[contextvars.Token] = []
 
@@ -239,21 +264,77 @@ class Pool:
         return iter(self._buffers)
 
     def take(self, shape: tuple[int, ...], dtype: np.dtype = _FLOAT) -> np.ndarray:
-        """An uninitialised array nothing else has taken since the block began."""
+        """An uninitialised array that nothing else views."""
         i = self._taken
         self._taken = i + 1
         try:
             view = self._views[i]
         except IndexError:  # a position no block has reached before
-            self._buffers.append(np.empty(0, np.uint8))
-            self._views.append(None)
-        else:
-            if view.shape == shape and view.dtype is dtype:
-                return view
+            return self._place(i, shape, dtype)
+        before = self._after[i]
+        if before >= 0:
+            # a reference dropped between the two reads, say by the executor's
+            # thread, can only make a free buffer look held, never the reverse
+            s = self._slot[i]
+            if _refcount(self._views[before]) != 2 or _refcount(self._buffers[s]) != self._refs[s]:
+                self._move(i)
+                view = None
+        if view is not None and view.shape == shape and view.dtype is dtype:
+            return view
+        return self._view(i, shape, dtype)
+
+    def _new_buffer(self) -> int:
+        self._buffers.append(np.empty(0, np.uint8))
+        self._refs.append(2)  # the list and getrefcount's argument
+        return len(self._buffers) - 1
+
+    def _place(self, i: int, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """Give new position ``i`` the smallest free buffer that fits, else a new one.
+
+        Every earlier position was taken in this block, each after checking
+        the one before it on its buffer, so a buffer is free when it and
+        the array of its last position are referenced by the pool alone.
+        """
         nbytes = math.prod(shape) * dtype.itemsize
-        if self._buffers[i].size < nbytes:
-            self._buffers[i] = np.empty(nbytes, np.uint8)
-        view = self._buffers[i][:nbytes].view(dtype).reshape(shape)
+        last = {s: p for p, s in enumerate(self._slot)}
+        best = -1
+        for s, p in last.items():
+            size = self._buffers[s].size
+            if (nbytes <= size and (best < 0 or size < self._buffers[best].size)
+                    and _refcount(self._views[p]) == 2
+                    and _refcount(self._buffers[s]) == self._refs[s]):
+                best = s
+        self._after.append(-1 if best < 0 else last[best])
+        self._slot.append(self._new_buffer() if best < 0 else best)
+        self._views.append(None)
+        return self._view(i, shape, dtype)
+
+    def _move(self, i: int) -> None:
+        """Give position ``i`` a buffer of its own: its shared one is still viewed."""
+        s, before = self._slot[i], self._after[i]
+        if self._views[i] is not None:
+            self._views[i] = None
+            self._refs[s] -= 1
+        for p in range(i + 1, len(self._after)):
+            if self._after[p] == i:
+                self._after[p] = before
+        self._slot[i] = self._new_buffer()
+        self._after[i] = -1
+
+    def _view(self, i: int, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """Cache and return a ``shape`` array on position ``i``'s buffer, grown if too small."""
+        s = self._slot[i]
+        nbytes = math.prod(shape) * dtype.itemsize
+        if self._buffers[s].size < nbytes:
+            self._buffers[s] = np.empty(nbytes, np.uint8)
+            # the other positions' arrays are on the old buffer
+            for p in range(len(self._slot)):
+                if self._slot[p] == s:
+                    self._views[p] = None
+            self._refs[s] = 2
+        if self._views[i] is None:
+            self._refs[s] += 1
+        view = self._buffers[s][:nbytes].view(dtype).reshape(shape)
         self._views[i] = view
         return view
 
@@ -381,21 +462,29 @@ class Tape:
     def backward(self, output: Tensor) -> None:
         """Seed ``output`` with gradient 1 and replay all rules in reverse.
 
-        Every product a rule handed to the executor has finished when this
-        returns or raises, and its leaf then holds the result; a product
-        that failed raises here.
+        Each rule is dropped as soon as it has run, so the arrays only it
+        held, its op's operands and output, are freed once backward is done
+        with them, and the tape is left empty: a second call raises
+        ``TapeError``. Every product a rule handed to the executor has
+        finished when this returns or raises, and its leaf then holds the
+        result; a product that failed raises here.
         """
-        if not self._rules:
-            raise TapeError("backward on an empty tape: no operations were recorded")
+        rules = self._rules
+        if not rules:
+            raise TapeError("backward on an empty tape: no operations were recorded, "
+                            "or backward already ran")
         if output.values.shape != (1, 1):
             raise ShapeError(
                 f"backward seed must be a 1x1 scalar, got shape {output.values.shape}"
             )
+        self._rules = []
         _accumulate(output, np.array([[1.0]]))
         deferred: list = []
         token = _DEFERRED.set(deferred)
         try:
-            for rule in reversed(self._rules):
+            for i in range(len(rules) - 1, -1, -1):
+                rule = rules[i]
+                rules[i] = None
                 rule()
         finally:
             _DEFERRED.reset(token)
@@ -674,22 +763,21 @@ def relu(tape: Tape | None, x: Tensor, in_place: bool = False) -> Tensor:
 
     The subgradient at exactly 0 is taken as 0. ``in_place=True``
     overwrites ``x``'s values with the result, for an input nothing reads
-    again; ``x`` still gets its gradient, which needs only the sign mask.
-    Off the tape no mask is kept.
+    again; ``x`` still gets its gradient, which needs only the sign. The
+    rule reads that sign from the output: max(x, 0) > 0 exactly where
+    x > 0, NaN and -0.0 included, so no mask lives until backward.
     """
     v = x.values
-    if tape is None:
-        return _Output(np.maximum(v, 0.0, out=v if in_place else _empty(v.shape)))
-    mask = np.greater(v, 0.0, out=_empty(v.shape, _BOOL))
     out = _Output(np.maximum(v, 0.0, out=v if in_place else _empty(v.shape)))
+    if tape is not None:
 
-    def backward() -> None:
-        g = out._grad
-        if g is not None:
-            out._grad = None
-            _accumulate(x, np.multiply(g, mask, out=g))
+        def backward() -> None:
+            g = out._grad
+            if g is not None:
+                out._grad = None
+                _accumulate(x, np.multiply(g, out.values > 0.0, out=g))
 
-    tape.record(backward)
+        tape.record(backward)
     return out
 
 

@@ -10,6 +10,7 @@ reports, so everything under an output directory can be rebuilt offline.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import numbers
@@ -118,15 +119,24 @@ def _fits(value, kind) -> bool:
     return any(_fits(value, arg) for arg in args) if args else isinstance(value, kind)
 
 
+@functools.cache
+def _field_types(cls) -> tuple[dict, dict]:
+    """``cls``'s fields: their declared type strings, and the types they name.
+
+    Made once per class, since ``typing.get_type_hints`` evaluates every
+    annotation; the dicts are shared by every caller and only read.
+    """
+    return {f.name: f.type for f in dataclasses.fields(cls)}, typing.get_type_hints(cls)
+
+
 def _build(cls, doc, where: str):
     """``cls(**doc)`` for a JSON object whose keys and values fit ``cls``'s fields."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
-    declared = {f.name: f.type for f in dataclasses.fields(cls)}
+    declared, hints = _field_types(cls)
     unknown = set(doc) - set(declared)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
     for key, value in doc.items():
         if not _fits(value, hints[key]):
             raise ConfigError(f"{where}.{key} must be {declared[key]}, got {value!r}")
@@ -240,15 +250,42 @@ class RunReport:
 
     @classmethod
     def load(cls, run_dir: str) -> "RunReport":
-        """The report that ``run_single`` returned for ``run_dir``; unknown keys are ignored."""
+        """The report that ``run_single`` returned for ``run_dir``; unknown keys are ignored.
+
+        Every number in both files must be finite, and ``final_per_class_acc``
+        must hold one entry per class of ``true_target_dist``; otherwise
+        ``ConfigError`` names the file and the field.
+        """
         path = os.path.join(run_dir, "report.json")
         doc = read_json(path)
         if isinstance(doc, dict):
             doc = {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc}
+            _require_finite(doc, path)
             records_path = os.path.join(run_dir, "epoch_records.jsonl")
-            doc["records"] = [_build(EpochRecord, rec, f"{records_path} line {i}").to_dict()
-                              for i, rec in enumerate(read_json(records_path, lines=True), 1)]
-        return _build(cls, doc, path)
+            doc["records"] = []
+            for i, rec in enumerate(read_json(records_path, lines=True), 1):
+                where = f"{records_path} line {i}"
+                _require_finite(rec, where)
+                doc["records"].append(_build(EpochRecord, rec, where).to_dict())
+        report = _build(cls, doc, path)
+        if len(report.final_per_class_acc) != len(report.true_target_dist):
+            raise ConfigError(
+                f"{path}.final_per_class_acc has {len(report.final_per_class_acc)} entries "
+                f"but true_target_dist has {len(report.true_target_dist)} classes"
+            )
+        return report
+
+
+def _require_finite(value, where: str) -> None:
+    """Refuse a NaN, an infinity or an int beyond the float range anywhere in a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _require_finite(item, f"{where}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool) and not finite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
 
 
 def _write_outputs(out_dir, state, records, provenance) -> None:

@@ -145,6 +145,36 @@ class TestTapeMechanics:
         with pytest.raises(TapeError):
             tape.backward(Tensor(1.0))
 
+    def test_second_backward_raises(self):
+        tape = Tape()
+        x = Tensor([[1.0, -2.0]])
+        loss = sum_all(tape, relu(tape, x))
+        tape.backward(loss)
+        assert len(tape) == 0
+        with pytest.raises(TapeError):
+            tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [[1.0, 0.0]])
+
+    def test_backward_frees_what_only_the_tape_held(self):
+        # each rule is dropped once it has run, so an op output the caller
+        # no longer holds is freed before backward ends, while the tape is held
+        rng = np.random.default_rng(3)
+        tape = Tape()
+        freed = []
+        # recorded first, so run last: after every rule of the ops below
+        tape.record(lambda: freed.append([ref() is None for ref in refs]))
+        x = Tensor(rng.standard_normal((4, 3)))
+        w, b = Tensor(rng.standard_normal((3, 2))), Tensor(rng.standard_normal((1, 2)))
+        h = linear(tape, x, w, b)
+        r = relu(tape, h)
+        refs = [weakref.ref(h.values), weakref.ref(r.values)]
+        loss = sum_all(tape, r)
+        del h, r
+        assert not any(ref() is None for ref in refs)
+        tape.backward(loss)
+        assert freed == [[True, True]]
+        assert w._grad is not None and x._grad is not None
+
     def test_gradient_accumulates_on_reuse(self):
         # x used twice: d(x+x)/dx = 2
         tape = Tape()
@@ -176,6 +206,20 @@ class TestTapeMechanics:
         y = mul(None, x, x)
         assert y.item() == 4.0
         assert np.all(x.grad == 0.0)
+
+
+class TestReluSign:
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_gradient_follows_the_input_sign(self, in_place):
+        # the rule reads the sign from the output: max(x, 0) > 0 exactly where x > 0
+        values = np.array([[np.nan, -0.0, 0.0, -1.0, 2.0, np.inf, -np.inf, 1e-300]])
+        upstream = np.array([[3.0, 3.0, 3.0, 3.0, 3.0, np.inf, np.nan, -2.0]])
+        x = Tensor(values)
+        tape = Tape()
+        out = relu(tape, x, in_place=in_place)
+        tape.backward(sum_all(tape, mul(tape, out, Tensor(upstream))))
+        want = upstream * (values > 0.0)
+        assert np.array_equal(x.grad, want, equal_nan=True)
 
 
 class TestOpValues:

@@ -437,6 +437,9 @@ class TestReport:
         ("corrupt_report", ["report.json"]),
         ("no_epoch_records", ["epoch_records.jsonl"]),
         ("record_lacks_field", ["epoch_records.jsonl line 2", "calibrated_fraction"]),
+        ("report_nan_mean", ["report.json", "final_per_class_mean_acc"]),
+        ("report_no_per_class", ["report.json", "final_per_class_acc"]),
+        ("record_infinite_loss", ["epoch_records.jsonl line 1", "loss_class"]),
     ])
     def test_unreadable_run_files_exit_1(self, trained_checkpoint, tmp_path, caplog, fault,
                                          named):
@@ -452,6 +455,10 @@ class TestReport:
             doc = json.loads((run_dir / "report.json").read_text())
             if fault == "report_lacks_seed":
                 del doc["seed"]
+            elif fault == "report_nan_mean":
+                doc["final_per_class_mean_acc"] = float("nan")
+            elif fault == "report_no_per_class":
+                doc["final_per_class_acc"] = []
             else:
                 doc["final_per_class_mean_acc"] = "high"
             (run_dir / "report.json").write_text(json.dumps(doc))
@@ -462,7 +469,10 @@ class TestReport:
         else:
             path = run_dir / "epoch_records.jsonl"
             records = [json.loads(line) for line in path.read_text().splitlines()]
-            del records[1]["calibrated_fraction"]
+            if fault == "record_infinite_loss":
+                records[0]["loss_class"] = float("inf")
+            else:
+                del records[1]["calibrated_fraction"]
             path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         assert main(["report", "--dir", str(out)]) == 1
         assert all(name in caplog.text for name in named)

@@ -42,7 +42,7 @@ from shiftlab.experiments import (
     effective_train_config,
     regenerate_reports,
 )
-from shiftlab.data import MAX_FEATURE_DIM, MAX_SIZE, class_sizes
+from shiftlab.data import MAX_FEATURE_DIM, MAX_SIZE, class_sizes, finite
 from shiftlab.training import ConfigError, EpochRecord, lr_schedule
 
 
@@ -480,6 +480,96 @@ class TestRunExperiment:
     def test_regenerate_needs_runs(self, tmp_path):
         with pytest.raises(ConfigError):
             regenerate_reports(str(tmp_path))
+
+
+MISSING = object()  # a mutation that deletes the key
+
+
+def numbers_in(value):
+    """Every number in a JSON value, bools excluded."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [n for item in value for n in numbers_in(item)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+class TestRunReportLoad:
+    def test_every_mutated_run_loads_or_names_its_file(self, micro_experiment, tmp_path):
+        # In the manner of each_field_builds_or_names_itself: each field of
+        # report.json and of one epoch record is set in turn to each of
+        # EDGES and a few more values and deleted, an extra key is added,
+        # then drawn values are set and each file is cut short at a drawn
+        # offset. Every mutated run loads, finite and with one accuracy per
+        # class, or raises the ConfigError that names its file; a
+        # non-finite number also names its field.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        _, _, out = micro_experiment
+        source = pathlib.Path(out, "runs", "seed100")
+        report = json.loads((source / "report.json").read_text())
+        records = [json.loads(line) for line in
+                   (source / "epoch_records.jsonl").read_text().splitlines()]
+        # one run directory per mutated file, the other file intact in it
+        run_dirs = {}
+        for name in ("report.json", "epoch_records.jsonl"):
+            run_dirs[name] = shutil.copytree(source, tmp_path / name)
+
+        def check(name, text, named, field=None, value=None):
+            (run_dirs[name] / name).write_text(text)
+            try:
+                loaded = RunReport.load(str(run_dirs[name]))
+            except ConfigError as exc:
+                assert named in str(exc)
+                numbers = numbers_in(value)
+                if field is not None and not all(map(finite, numbers)):
+                    assert field in str(exc)
+                return
+            assert all(map(finite, numbers_in([loaded.to_dict(), loaded.records])))
+            assert len(loaded.final_per_class_acc) == len(loaded.true_target_dist)
+
+        def lines(recs):
+            return "".join(json.dumps(rec) + "\n" for rec in recs)
+
+        def mutated(doc, field, value):
+            doc = dict(doc)
+            if value is MISSING:
+                del doc[field]
+            else:
+                doc[field] = value
+            return doc
+
+        def check_field(field, value):
+            if field in report:
+                check("report.json", json.dumps(mutated(report, field, value)), "report.json",
+                      field, value)
+            if field in records[1]:
+                recs = records[:1] + [mutated(records[1], field, value)] + records[2:]
+                check("epoch_records.jsonl", lines(recs), "epoch_records.jsonl line 2",
+                      field, value)
+
+        fields = list(report) + list(records[1])
+        for field in fields:
+            for value in EDGES + [MISSING, [], [math.nan], {"nested": math.inf}]:
+                check_field(field, value)
+        check("report.json", json.dumps(dict(report, extra=math.nan)), "report.json")
+        check("epoch_records.jsonl", lines([dict(records[0], extra=1.0)] + records[1:]),
+              "epoch_records.jsonl line 1")
+
+        @hypothesis.settings(max_examples=50, deadline=None)
+        @hypothesis.given(
+            field=st.sampled_from(fields),
+            value=st.one_of(st.floats(), st.integers(), st.text(max_size=5), st.none(),
+                            st.lists(st.floats(), max_size=6)),
+            cut=st.floats(0.0, 1.0, exclude_max=True),
+        )
+        def check_drawn(field, value, cut):
+            check_field(field, value)
+            for name, text in (("report.json", json.dumps(report)),
+                               ("epoch_records.jsonl", lines(records))):
+                check(name, text[:int(cut * len(text))], name)
+
+        check_drawn()
 
 
 class TestRunSingle:

@@ -88,6 +88,84 @@ class TestPool:
         assert again.dtype == bool and again.shape == (4, 3)
         assert not np.shares_memory(small, big) and np.shares_memory(big, again)
 
+    def test_a_later_position_shares_a_buffer_nothing_views(self):
+        pool = Pool()
+        for _ in range(2):
+            with pool:
+                a = pool.take((4, 3))
+                buffer = id(a.base)  # every pool array's base is its buffer
+                del a
+                b = pool.take((2, 3))  # a is gone: b may use its buffer
+                c = pool.take((4, 3))  # b is held: c may not
+            assert id(b.base) == buffer and id(c.base) != buffer
+            del b, c
+        assert len(pool) == 2
+
+    @pytest.mark.parametrize("held", ["array", "slice", "transpose"])
+    def test_a_warm_take_skips_a_buffer_still_viewed(self, held):
+        pool = Pool()
+        with pool:
+            pool.take((4, 3))
+            pool.take((4, 3))  # learns to share the first position's buffer
+        assert len(pool) == 1
+        with pool:
+            a = pool.take((4, 3))
+            kept = {"array": a, "slice": a[1:], "transpose": a.T}[held]
+            del a
+            b = pool.take((4, 3))
+            assert not np.shares_memory(kept, b)
+        assert len(pool) == 2
+        del kept, b
+        with pool:  # the second position keeps its own buffer
+            a = pool.take((4, 3))
+            assert not np.shares_memory(a, pool.take((4, 3)))
+
+    def test_growing_a_shared_buffer_moves_every_position_off_the_old_one(self):
+        pool = Pool()
+        for middle in (2, 4):  # three positions learn one buffer, then the middle grows it
+            with pool:
+                for rows in (2, middle, 2):
+                    pool.take((rows, 3))
+        assert len(pool) == 1
+        with pool:
+            a = pool.take((2, 3))
+            kept = a[1:]  # a slice shows only on its buffer's count
+            del a
+            pool.take((4, 3))
+            assert not np.shares_memory(kept, pool.take((2, 3)))
+
+    def test_a_take_never_shares_memory_with_a_held_array(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        keeps = ["drop", "array", "slice", "transpose", "release"]
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(blocks=st.lists(st.lists(st.integers(1, 4), min_size=1, max_size=6),
+                                          min_size=1, max_size=4),
+                          seed=st.integers(0, 2**32 - 1))
+        def check(blocks, seed):
+            # each block's shapes three times over, so positions share, grow
+            # and re-check, each block holding a drawn selection of its arrays
+            choose = np.random.default_rng(seed).integers
+            pool = Pool()
+            for block in [rows for rows in blocks for _ in range(3)]:
+                held = []
+                with pool:
+                    for k, n in enumerate(block):
+                        arr = pool.take((n, 3))
+                        assert not any(np.shares_memory(arr, h) for h, _ in held)
+                        arr[...] = k
+                        what = keeps[choose(len(keeps))]
+                        if what == "release" and held:
+                            del held[choose(len(held))]
+                        elif what in ("array", "slice", "transpose"):
+                            view = {"array": arr, "slice": arr[n // 2:], "transpose": arr.T}
+                            held.append((view[what], k))
+                        del arr
+                    assert all((h == k).all() for h, k in held)
+
+        check()
+
     def test_ops_use_the_pool_only_inside_its_block(self):
         rng = np.random.default_rng(0)
         x, w, b = rng.standard_normal((6, 3)), Tensor(rng.standard_normal((3, 4))), Tensor(
@@ -278,6 +356,26 @@ class TestCallBudget:
         pool = warm_step_args(std_pair, std_cfg())[-1]
         assert len(pool) <= 26
         assert sum(buf.nbytes for buf in pool) <= 700 * KIB
+
+    def test_wide_step_pool_footprint(self, std_pair):
+        # a warm full-method step at batch 400, full_wide's, held 26 buffers and
+        # 6,693 KiB while every position kept a buffer of its own; backward now
+        # frees each op's arrays once its rule has run and later positions write
+        # into them, and the step holds 13 buffers and 4,644 KiB. At this batch
+        # the offload thread holds pool arrays while later positions are taken,
+        # and the bits stay those of unpooled steps.
+        src, tgt = std_pair
+        states = [init_model(STD.model, 5) for _ in range(2)]
+        banks = [CentroidBank(5) for _ in range(2)]
+        pool = Pool()
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            tgt_idx, src_idx = rng.permutation(len(tgt))[:400], rng.integers(0, len(src), 400)
+            got = step(states[0], banks[0], std_cfg(), src, tgt, src_idx, tgt_idx, pool)
+            assert got == step(states[1], banks[1], std_cfg(), src, tgt, src_idx, tgt_idx)
+        assert sum(buf.nbytes for buf in pool) <= 5000 * KIB
+        for a, b in zip(states[0].parameters(), states[1].parameters()):
+            assert np.array_equal(a.values, b.values)
 
     def test_every_op_records_one_zero_argument_rule_run_once(self, std_pair, monkeypatch):
         # benchmarks/tracer.py wraps Tape.record(self, rule) and calls rule()

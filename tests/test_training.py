@@ -188,12 +188,18 @@ class TestTrainStep:
     def test_tape_nodes_per_step(self, tiny_pair, monkeypatch, loss_weights, nodes):
         # the default ModelConfig has the standard benchmark's depth: two
         # hidden extractor layers and one hidden discriminator layer
+        # backward empties the tape, so count the nodes as they are recorded
         tapes = []
 
         class RecordedTape(Tape):
             def __init__(self):
                 super().__init__()
+                self.recorded = 0
                 tapes.append(self)
+
+            def record(self, rule):
+                self.recorded += 1
+                super().record(rule)
 
         monkeypatch.setattr(training, "Tape", RecordedTape)
         src, tgt = tiny_pair
@@ -209,7 +215,7 @@ class TestTrainStep:
         # every loss took its full path: a centroid ratio, no skipped pairwise batch
         assert len(bank.eligible_classes()) == (3 if lam else 0)
         assert diagnostics == {}
-        assert [len(t) for t in tapes] == [nodes]
+        assert [t.recorded for t in tapes] == [nodes]
 
     @pytest.mark.parametrize("loss_weights", [
         (3.0, 0.6, 1.0), (0.0, 0.0, 1.0), (3.0, 0.6, 0.0), (0.0, 0.6, 0.0), (1.0, 0.0, 2.0),
