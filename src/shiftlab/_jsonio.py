@@ -1,9 +1,56 @@
-"""Crash-safe writes of JSON, text and binary artifacts."""
+"""Crash-safe writes of JSON, text and binary artifacts, and the type rules
+that JSON read back into a dataclass must meet."""
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
+import typing
 from collections.abc import Callable, Iterable
+
+
+def fits(value, kind) -> bool:
+    """Whether a JSON value fits a declared type; bools are no numbers, floats no ints."""
+    if kind is bool:
+        return isinstance(value, bool)
+    if kind in (int, float):
+        return isinstance(value, (int, kind)) and not isinstance(value, bool)
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(fits(v, args[0]) for v in value)
+    return any(fits(value, arg) for arg in args) if args else isinstance(value, kind)
+
+
+@functools.cache
+def _field_types(cls) -> tuple[dict, dict]:
+    """``cls``'s fields: their declared type strings, and the types they name.
+
+    Made once per class, since ``typing.get_type_hints`` evaluates every
+    annotation; the dicts are shared by every caller and only read.
+    """
+    return {f.name: f.type for f in dataclasses.fields(cls)}, typing.get_type_hints(cls)
+
+
+def build(cls, doc, where: str, error: type[Exception]):
+    """``cls(**doc)`` for a JSON object whose keys and values fit ``cls``'s fields.
+
+    Anything else raises ``error`` with a message that names ``where`` and
+    the field.
+    """
+    if not isinstance(doc, dict):
+        raise error(f"{where} must be an object, got {type(doc).__name__}")
+    declared, hints = _field_types(cls)
+    unknown = set(doc) - set(declared)
+    if unknown:
+        raise error(f"unknown keys in {where}: {sorted(unknown)}")
+    for key, value in doc.items():
+        if not fits(value, hints[key]):
+            raise error(f"{where}.{key} must be {declared[key]}, got {value!r}")
+    try:
+        return cls(**doc)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{where}: {exc}") from exc
 
 
 def write_json(path, doc) -> None:

@@ -17,12 +17,12 @@ that only rules held is freed once backward is done with it, without
 waiting for the garbage collector and while the tape is still held. The
 tape is then empty: a second ``backward`` raises ``TapeError``.
 
-One share may be deferred: ``linear``'s weight gradient x.T @ g, when it
-takes at least ``_OFFLOAD_MACS`` (about 4M) multiply-adds, the weight is
-a leaf and it is the weight's first contribution. Inside ``Tape.backward``
-that product runs on a one-thread ``concurrent.futures`` executor, into
-the array the rule took, while the caller goes on with the bias and x
-gradients and the rules after it. Until then the leaf's gradient is the
+One share may be deferred: a layer's weight gradient h.T @ g in ``mlp``
+(so in ``linear``), when it takes at least ``_OFFLOAD_MACS`` (about 4M)
+multiply-adds, the weight is a leaf and it is the weight's first
+contribution. Inside ``Tape.backward`` that product runs on a one-thread
+``concurrent.futures`` executor, into the array the rule took, while the
+caller goes on with the bias and input gradients and the rules after it. Until then the leaf's gradient is the
 product's ``Future``: any later contribution waits for its result before
 adding to it, so the additions keep rule order. ``Tape.backward`` waits
 for every future before it returns or raises, and the leaf then holds the
@@ -38,7 +38,12 @@ tensor's: by the time it runs, every op that read the output has added
 its share, and nothing reads that array again. So ``relu``, ``sigmoid``,
 ``softmax``, ``grad_reverse`` and ``pairwise_distances`` overwrite it in
 place, hand it on to their input where the shapes agree, and leave their
-output holding no gradient; the other ops leave theirs in place. Only a
+output holding no gradient; the other ops leave theirs in place. Arrays
+an op keeps for backward are reused the same way inside its node:
+``mlp`` writes each hidden layer's masked gradient over that layer's
+activation once nothing reads the activation any more, and
+``label_ratio`` divides its gradient grid, in row blocks, into its
+distance table. Only a
 leaf, a parameter or any other tensor built with ``Tensor(...)``, keeps
 a gradient to be read after backward. The array is private to its
 tensor: ``_accumulate`` adopts only an array nothing else holds and
@@ -58,20 +63,26 @@ gradient does nothing. ``Tensor.grad`` reads as zeros until then.
 
 Only the operations the training method needs are provided, and all
 tensors are 2-D. There is no broadcasting beyond what the individual
-operations document. ``linear`` also takes a plain array as a constant
-input, and ``split_rows`` cuts one tensor into two row blocks, so one
-pass over stacked batches can feed per-batch losses.
+operations document. ``mlp`` and ``linear`` also take a plain array as
+a constant input, and ``split_rows`` cuts one tensor into two row
+blocks, so one pass over stacked batches can feed per-batch losses.
 
 A chain of ops that the training step builds many times is also offered
-as one fused op, which records one node: ``linear``, ``nll``,
-``ema_matmul``, ``ratio``, ``binary_cross_entropy`` and
+as one fused op, which records one node: ``mlp`` (a network's dense
+layers with ``relu`` between them; ``linear`` is its one-layer case),
+``nll``, ``ema_matmul``, ``ratio``, ``binary_cross_entropy`` and
 ``weighted_sum``. Each names the chain it replaces and applies the same
 scalar operations in the same order, so values and gradients match the
 chain bit for bit. ``label_ratio`` is ``ratio`` with label-pair weight
-grids, computed from per-class sums instead: its sums are reordered, so
-it matches ``ratio`` to rounding rather than bit for bit. The floors in
-``relu``, ``clamp_min`` and the fused ops use ``np.maximum``, so a NaN
-input gives a NaN output rather than the floor value.
+grids over ``pairwise_distances``, computed from per-class sums instead:
+its sums are reordered, so it matches that chain to rounding rather than
+bit for bit, and it matches ``pairwise_distances`` feeding a table-taking
+``label_ratio`` bit for bit. No training step records ``relu`` on its
+own: ``mlp`` applies it inside its node. It stays public, in-place form
+included, as the activation of the chain ``mlp`` is tested against. The
+floors in ``relu``, ``mlp``, ``clamp_min`` and the fused ops use
+``np.maximum``, so a NaN input gives a NaN output rather than the floor
+value.
 
 ``__all__`` holds the ops a training step records and the types and
 helpers around them. The chain ops (``matmul``, ``add_bias``, ``add``, ``sub``, ``mul``,
@@ -82,18 +93,20 @@ reasons only: the fused ops are tested against them, and the benchmark's
 tracer wraps them by name.
 
 Inside ``with pool:`` for a ``Pool``, the ops whose arrays scale with the
-batch (``linear`` forward and backward, ``relu``'s output,
-``split_rows``' backward, the n x m distances of ``pairwise_distances``
-and the n x m gradient of ``label_ratio``) write into the pool's arrays
-instead of allocating; the arithmetic and its bits are the same. Those
+batch (``mlp``'s forward and backward, ``relu``'s output, ``split_rows``'
+backward, the n x m distances of ``pairwise_distances`` and
+``label_ratio``, and the latter's gradient blocks) write into the pool's
+arrays instead of allocating; the arithmetic and its bits are the same. Those
 arrays are handed out again once the outermost ``with`` block ends, so
 nothing made inside one may be kept past it. Within a block, a later
 array may be written into the buffer of an earlier one that nothing
 views any more, such as a forward activation whose rules backward has
 run and dropped. Outside any, every op allocates. A warm full training
-step at the benchmark's shapes holds 16 pool buffers and 618 KiB at
-batch 50, and 13 buffers and 4,644 KiB at batch 400; with one buffer per
-array it held 26, 693 and 6,693 KiB.
+step at the benchmark's shapes holds 14 pool buffers and 511 KiB at
+batch 50, and 13 buffers and 3,549 KiB at batch 400. While ``label_ratio``
+took a distance table and sent its whole gradient table back, and each
+layer and relu was a node of its own, it held 16 and 618 KiB, and 13
+and 4,644 KiB; with one buffer per array it held 26, 693 and 6,693 KiB.
 """
 from __future__ import annotations
 
@@ -112,6 +125,7 @@ __all__ = [
     "Tape",
     "Pool",
     "as_matrix",
+    "mlp",
     "linear",
     "ema_matmul",
     "weighted_sum",
@@ -379,7 +393,7 @@ def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
 
 
 # A weight gradient x.T @ g of at least this many multiply-adds is handed
-# to the executor (see ``linear``). The standard step's largest is
+# to the executor (see ``mlp``). The standard step's largest is
 # 1.6M (128 x 100 x 128) and the batch-400 step's 13.1M (128 x 800 x 128).
 # Below a few million the worker's wait for the interpreter lock, held by
 # the rules that run meanwhile, costs more than the overlap saves.
@@ -532,30 +546,54 @@ def add_bias(tape: Tape | None, x: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
-def linear(tape: Tape | None, x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
-    """Dense layer x @ w + b in one node; b is a 1 x m bias row.
+def mlp(
+    tape: Tape | None, x: Tensor | np.ndarray, layers: list[tuple[Tensor, Tensor]]
+) -> Tensor:
+    """Dense layers h @ w + b with ``relu`` between each pair, in one node.
 
-    Same values and gradients, bit for bit, as
-    ``add_bias(matmul(x, w), b)``. ``x`` may also be a plain 2-D float64
-    array: a constant, such as an input batch, for which no gradient is
-    computed. Backward reads it again, so it must not change meanwhile.
+    ``layers`` is a non-empty list of (w, b) pairs, b a 1 x m bias row;
+    the last layer's output stays linear. Same values and gradients, bit
+    for bit, as the chain ``relu(linear(...), in_place=True)`` per hidden
+    layer and ``linear`` for the last. ``x`` may also be a plain 2-D
+    float64 array: a constant, such as an input batch, for which no
+    gradient is computed. Backward reads it again, so it must not change
+    meanwhile.
 
-    Inside ``Tape.backward``, when ``w`` is a leaf with no gradient yet
-    and x.T @ g takes at least ``_OFFLOAD_MACS`` multiply-adds, that
-    product runs on the executor while this rule and the ones after it go
-    on; ``w``'s gradient is its future until read, and backward waits for
-    it before it returns. It is the same single product on the same
-    operands, so the bits do not change.
+    Each hidden activation overwrites its layer's affine output, as the
+    in-place ``relu`` does, and is held for backward, which reads it for
+    the next layer's weight gradient and for relu's sign. Once both are
+    done, the masked gradient is written over the activation, so the
+    array the gradient came from is free for the layer below.
+
+    Inside ``Tape.backward``, when a layer's ``w`` is a leaf with no
+    gradient yet and h.T @ g takes at least ``_OFFLOAD_MACS``
+    multiply-adds, that product runs on the executor while the rule and
+    the ones after it go on; ``w``'s gradient is its future until read,
+    and backward waits for it before it returns. It is the same single
+    product on the same operands, so the bits do not change. The product
+    reads the layer's input activation, so that layer's masked gradient
+    goes into its own array instead.
     """
     constant = not isinstance(x, Tensor)
-    xv = x if constant else x.values
-    x_shape, w_shape = xv.shape, w.values.shape
-    if xv.ndim != 2 or x_shape[1] != w_shape[0]:
-        raise ShapeError(f"linear: inner dimensions differ, {x_shape} @ {w_shape}")
-    if b.values.shape != (1, w_shape[1]):
-        raise ShapeError(f"linear: bias {b.values.shape} does not fit {w_shape[1]} outputs")
-    h = np.matmul(xv, w.values, out=_empty((x_shape[0], w_shape[1])))
-    h += b.values
+    h = x if constant else x.values
+    if h.ndim != 2:
+        raise ShapeError(f"mlp: input must be 2-D, got shape {h.shape}")
+    if not layers:
+        raise ShapeError("mlp: needs at least one layer")
+    rows, last = h.shape[0], len(layers) - 1
+    inputs = []  # each layer's input: x, then the hidden activations
+    for k, (w, b) in enumerate(layers):
+        w_shape = w.values.shape
+        if h.shape[1] != w_shape[0]:
+            raise ShapeError(f"mlp: layer {k}'s inner dimensions differ, {h.shape} @ {w_shape}")
+        if b.values.shape != (1, w_shape[1]):
+            raise ShapeError(
+                f"mlp: layer {k}'s bias {b.values.shape} does not fit {w_shape[1]} outputs")
+        inputs.append(h)
+        h = np.matmul(h, w.values, out=_empty((rows, w_shape[1])))
+        h += b.values
+        if k < last:
+            np.maximum(h, 0.0, out=h)
     out = _Output(h)
     if tape is not None:
 
@@ -563,16 +601,35 @@ def linear(tape: Tape | None, x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> T
             g = out._grad
             if g is None:
                 return
-            deferred = (w._grad is None and xv.size * w_shape[1] >= _OFFLOAD_MACS
-                        and not isinstance(w, _Output) and _offload(w, xv.T, g))
-            _accumulate(b, np.add.reduce(g, axis=0, keepdims=True))
-            if not constant:
-                _accumulate(x, np.matmul(g, w.values.T, out=_empty(x_shape)))
-            if not deferred:
-                _accumulate(w, np.matmul(xv.T, g, out=_empty(w_shape)))
+            for k in range(last, -1, -1):
+                w, b = layers[k]
+                hv, w_shape = inputs[k], w.values.shape
+                deferred = (w._grad is None and hv.size * w_shape[1] >= _OFFLOAD_MACS
+                            and not isinstance(w, _Output) and _offload(w, hv.T, g))
+                _accumulate(b, np.add.reduce(g, axis=0, keepdims=True))
+                if k:
+                    gx = np.matmul(g, w.values.T, out=_empty(hv.shape))
+                elif not constant:
+                    _accumulate(x, np.matmul(g, w.values.T, out=_empty(hv.shape)))
+                if not deferred:
+                    _accumulate(w, np.matmul(hv.T, g, out=_empty(w_shape)))
+                if k:
+                    # relu's rule: hv > 0 exactly where its affine input was
+                    g = np.multiply(gx, hv > 0.0, out=gx if deferred else hv)
+                    del gx  # else the pool sees its buffer held at the next take
 
         tape.record(backward)
     return out
+
+
+def linear(tape: Tape | None, x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer x @ w + b in one node; b is a 1 x m bias row.
+
+    ``mlp`` with the one layer (w, b): same values and gradients, bit for
+    bit, as ``add_bias(matmul(x, w), b)``, and the same constant input and
+    offload.
+    """
+    return mlp(tape, x, [(w, b)])
 
 
 def ema_matmul(
@@ -956,51 +1013,63 @@ class LabelPairs:
         self.tgt = z[:, None] == classes
 
 
+# Rows per block of ``label_ratio``'s gradient grid. A lone last row goes
+# with the block before it, for the reason ``networks.predict`` gives.
+_GRID_ROWS = 64
+
+
 def label_ratio(
     tape: Tape | None,
-    dists: Tensor,
+    a: Tensor,
+    b: Tensor,
     pairs: LabelPairs,
     src_scale: np.ndarray,
     tgt_scale: np.ndarray,
     eps: float,
 ) -> Tensor:
-    """Mean scaled entry over same-label pairs over that over different-label pairs.
+    """Mean scaled distance over same-label pairs over that over different-label pairs.
 
-    With D = ``dists`` (n x m), labels y and z of its rows and columns
-    (given as ``pairs``) and scales s and t, the value is
+    With D = ``pairwise_distances(a, b)`` (n x m), labels y and z of the
+    rows of a and b (given as ``pairs``) and scales s and t, the value is
 
         [sum_ij D_ij s_i t_j [y_i = z_j] / n_same]
         / ([sum_ij D_ij s_i t_j [y_i != z_j] / n_diff] + eps),
 
     n_same and n_diff counting the pairs of each kind. That is ``ratio``
-    with the weight grids s t^T [same] / n_same and s t^T [diff] / n_diff,
-    but no n x m array is made apart from the gradient. The forward takes
-    one product D @ B, B the m x C one-hot of z scaled by t: row i's
-    own-label column is its same-label sum and its other columns add up to
-    its cross-label sum, so neither is a difference. The gradient grid
-    s_i t_j (alpha [y_i = z_j] - beta [y_i != z_j]) is the rank-C product
-    (s one-hot(y)) @ R^T with R_jc = t_j (alpha if z_j = c else -beta), where
-    alpha = g / (den n_same), beta = g q / (den n_diff), g is the upstream
-    gradient, q the value and den its denominator. Each entry has one
-    nonzero term, so no digits cancel even when beta >> alpha, as they
-    would in the rank-(C+1) form (alpha + beta) [y_i = z_j] - beta.
-    Both kinds of pair must occur.
+    over ``pairwise_distances`` with the weight grids s t^T [same] / n_same
+    and s t^T [diff] / n_diff, in one node whose one n x m array is D. The
+    forward takes one product D @ B, B the m x C one-hot of z scaled by
+    t: row i's own-label column is its same-label sum and its other
+    columns add up to its cross-label sum, so neither is a difference.
+    The gradient grid s_i t_j (alpha [y_i = z_j] - beta [y_i != z_j]) is
+    the rank-C product (s one-hot(y)) @ R^T with R_jc = t_j (alpha if
+    z_j = c else -beta), where alpha = g / (den n_same),
+    beta = g q / (den n_diff), g is the upstream gradient, q the value and
+    den its denominator. Each entry has one nonzero term, so no digits
+    cancel even when beta >> alpha, as they would in the rank-(C+1) form
+    (alpha + beta) [y_i = z_j] - beta. Backward forms the grid in blocks
+    of ``_GRID_ROWS`` rows and divides each into D's rows in place, so D
+    becomes the grid over D that ``pairwise_distances``' rule would form,
+    and the same code finishes both gradients: the values and gradients
+    are those of ``pairwise_distances`` feeding the table-taking form of
+    this op, bit for bit. Both kinds of pair must occur.
     """
     s = np.asarray(src_scale, dtype=np.float64)
     t = np.asarray(tgt_scale, dtype=np.float64)
-    n, m = dists.values.shape
+    n, m = a.values.shape[0], b.values.shape[0]
     if pairs.src.shape[0] != n or s.shape != (n,) or pairs.tgt.shape[0] != m or t.shape != (m,):
         raise ShapeError(
-            f"label_ratio: table {dists.values.shape} with {pairs.src.shape[0]} source "
-            f"labels, scales {s.shape} and {pairs.tgt.shape[0]} target labels, scales {t.shape}"
+            f"label_ratio: {n} x {m} pairs with {pairs.src.shape[0]} source labels, scales "
+            f"{s.shape} and {pairs.tgt.shape[0]} target labels, scales {t.shape}"
         )
     n_same, n_diff = pairs.n_same, pairs.n_diff
     if n_same == 0 or n_diff == 0:
         raise ValueError(
             f"label_ratio: needs same- and different-label pairs, got {n_same} and {n_diff}"
         )
+    dist, saved = _distances("label_ratio", a, b)
     src_weight = pairs.src * s[:, None]  # n x C: s_i in column y_i
-    by_class = dists.values @ (pairs.tgt * t[:, None])  # n x C
+    by_class = dist @ (pairs.tgt * t[:, None])  # n x C
     same_sum = np.vdot(src_weight, by_class)
     # s_i - s_i is exactly 0: these weights pick row i's other columns
     cross_sum = np.vdot(s[:, None] - src_weight, by_class)
@@ -1011,11 +1080,17 @@ def label_ratio(
 
         def backward() -> None:
             g = out._grad
-            if g is not None:
-                c = g[0, 0]
-                per_class = np.where(pairs.tgt.T, c / (den * n_same), -(c * q / (den * n_diff)))
-                per_class *= t  # C x m: R^T
-                _accumulate(dists, np.matmul(src_weight, per_class, out=_empty((n, m))))
+            if g is None:
+                return
+            c = g[0, 0]
+            per_class = np.where(pairs.tgt.T, c / (den * n_same), -(c * q / (den * n_diff)))
+            per_class *= t  # C x m: R^T
+            grid = _empty((min(n, _GRID_ROWS + 1), m))
+            starts = range(0, max(n - 1, 1), _GRID_ROWS)
+            for lo, hi in zip(starts, [*starts[1:], n]):
+                block = np.matmul(src_weight[lo:hi], per_class, out=grid[:hi - lo])
+                _over_distances(block, dist[lo:hi], dist[lo:hi], saved[2], lo)
+            _distance_grads(a, b, dist, saved)
 
         tape.record(backward)
     return out
@@ -1177,6 +1252,80 @@ def euclidean_distance(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
 _GRAM_RTOL = 1e-4
 
 
+def _distances(op: str, a: Tensor, b: Tensor) -> tuple[np.ndarray, tuple]:
+    """The n x m table of ``pairwise_distances(a, b)`` and what its backward needs.
+
+    That is (ac, bc, near): the shifted rows, and None or the
+    near-coincident pairs' (rows, cols, diff, exact, scaled), rows
+    ascending, ``scaled`` zeros for ``_over_distances`` to fill. The table
+    is taken from the active pool, if any.
+    """
+    av, bv = a.values, b.values
+    (n, d), (m, d_b) = av.shape, bv.shape
+    if d != d_b:
+        raise ShapeError(f"{op}: feature dims differ, {av.shape} vs {bv.shape}")
+    shift = np.add.reduce(bv, axis=0) / m if m else 0.0
+    ac = av - shift
+    bc = bv - shift
+    a2 = np.add.reduce(ac * ac, axis=1)
+    b2 = np.add.reduce(bc * bc, axis=1)
+    dist = np.matmul(ac, (-2.0 * bc).T, out=_empty((n, m)))
+    dist += a2[:, None]
+    dist += b2
+    # No pair can pass the cut unless the smallest squared distance passes
+    # it against the largest norms; that one test clears almost every call.
+    near = None
+    if np.minimum.reduce(dist, axis=None, initial=np.inf) <= _GRAM_RTOL * (
+        np.maximum.reduce(a2, initial=0.0) + np.maximum.reduce(b2, initial=0.0)
+    ):
+        rows, cols = np.nonzero(dist <= _GRAM_RTOL * (a2[:, None] + b2))
+        diff = av[rows] - bv[cols]
+        exact = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        dist[rows, cols] = 0.0
+        near = rows, cols, diff, exact, np.zeros_like(exact)
+    np.sqrt(dist, out=dist)
+    if near is not None:
+        dist[rows, cols] = exact
+    return dist, (ac, bc, near)
+
+
+def _over_distances(w: np.ndarray, dist: np.ndarray, out: np.ndarray, near,
+                    lo: int = 0) -> None:
+    """Write w / dist into ``out``, which may be ``w`` or ``dist``, for rows lo.. of a table.
+
+    ``w`` is the gradient of those rows of ``_distances``' table ``dist``.
+    Zero-distance pairs get 0, and so do the near-coincident pairs, whose
+    w / exact goes into their entries of ``scaled`` (0 where exact is 0).
+    """
+    if near is None:
+        np.divide(w, dist, out=out)
+        return
+    rows, cols, _, exact, scaled = near
+    k0, k1 = np.searchsorted(rows, (lo, lo + w.shape[0]))
+    r, c = rows[k0:k1] - lo, cols[k0:k1]
+    np.divide(w[r, c], exact[k0:k1], out=scaled[k0:k1], where=exact[k0:k1] > 0.0)
+    positive = dist > 0.0
+    np.divide(w, dist, out=out, where=positive)
+    out[~positive] = 0.0
+    out[r, c] = 0.0
+
+
+def _distance_grads(a: Tensor, b: Tensor, w_over: np.ndarray, saved: tuple) -> None:
+    """Add the gradients of a distance table into a and b, given ``_over_distances``' table."""
+    ac, bc, near = saved
+    grad_a = ac * np.add.reduce(w_over, axis=1)[:, None]
+    grad_a -= w_over @ bc
+    grad_b = bc * np.add.reduce(w_over, axis=0)[:, None]
+    grad_b -= w_over.T @ ac
+    if near is not None:
+        rows, cols, diff, _, scaled = near
+        step = scaled[:, None] * diff
+        np.add.at(grad_a, rows, step)
+        np.subtract.at(grad_b, cols, step)
+    _accumulate(a, grad_a)
+    _accumulate(b, grad_b)
+
+
 def pairwise_distances(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """All unsquared Euclidean distances between rows of a and rows of b.
 
@@ -1190,31 +1339,7 @@ def pairwise_distances(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     has a relative error below about 2e-11 for d <= 16, and coincident rows
     give exactly 0. Zero-distance pairs get zero gradient.
     """
-    av, bv = a.values, b.values
-    (n, d), (m, d_b) = av.shape, bv.shape
-    if d != d_b:
-        raise ShapeError(f"pairwise_distances: feature dims differ, {av.shape} vs {bv.shape}")
-    shift = np.add.reduce(bv, axis=0) / m if m else 0.0
-    ac = av - shift
-    bc = bv - shift
-    a2 = np.add.reduce(ac * ac, axis=1)
-    b2 = np.add.reduce(bc * bc, axis=1)
-    dist = np.matmul(ac, (-2.0 * bc).T, out=_empty((n, m)))
-    dist += a2[:, None]
-    dist += b2
-    # No pair can pass the cut unless the smallest squared distance passes
-    # it against the largest norms; that one test clears almost every call.
-    exact = None
-    if np.minimum.reduce(dist, axis=None, initial=np.inf) <= _GRAM_RTOL * (
-        np.maximum.reduce(a2, initial=0.0) + np.maximum.reduce(b2, initial=0.0)
-    ):
-        rows, cols = np.nonzero(dist <= _GRAM_RTOL * (a2[:, None] + b2))
-        diff = av[rows] - bv[cols]
-        exact = np.sqrt(np.add.reduce(diff * diff, axis=1))
-        dist[rows, cols] = 0.0
-    np.sqrt(dist, out=dist)
-    if exact is not None:
-        dist[rows, cols] = exact
+    dist, saved = _distances("pairwise_distances", a, b)
     out = _Output(dist)
     if tape is not None:
 
@@ -1223,25 +1348,8 @@ def pairwise_distances(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
             if w is None:
                 return
             out._grad = None
-            if exact is not None:
-                scaled = np.divide(w[rows, cols], exact, out=np.zeros_like(exact),
-                                   where=exact > 0.0)
-                positive = dist > 0.0
-                w[~positive] = 0.0
-                np.divide(w, dist, out=w, where=positive)
-                w[rows, cols] = 0.0
-            else:
-                np.divide(w, dist, out=w)
-            grad_a = ac * np.add.reduce(w, axis=1)[:, None]
-            grad_a -= w @ bc
-            grad_b = bc * np.add.reduce(w, axis=0)[:, None]
-            grad_b -= w.T @ ac
-            if exact is not None:
-                step = scaled[:, None] * diff
-                np.add.at(grad_a, rows, step)
-                np.subtract.at(grad_b, cols, step)
-            _accumulate(a, grad_a)
-            _accumulate(b, grad_b)
+            _over_distances(w, dist, w, saved[2])
+            _distance_grads(a, b, w, saved)
 
         tape.record(backward)
     return out

@@ -10,18 +10,16 @@ reports, so everything under an output directory can be rebuilt offline.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import logging
 import numbers
 import os
 import time
-import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonio import write_json, write_text
+from ._jsonio import build, fits, write_json, write_text
 from .data import DomainDataset, ShiftSpec, features_digest, finite, generate
 from .metrics import make_audit_fn, score_target
 from .networks import ModelConfig, save_checkpoint
@@ -107,45 +105,6 @@ class ExperimentConfig:
                     raise ConfigError(f"model.{dim} is {got} but data.{data_dim} is {want}")
 
 
-def _fits(value, kind) -> bool:
-    """Whether a JSON value fits a declared type; bools are no numbers, floats no ints."""
-    if kind is bool:
-        return isinstance(value, bool)
-    if kind in (int, float):
-        return isinstance(value, (int, kind)) and not isinstance(value, bool)
-    args = typing.get_args(kind)
-    if typing.get_origin(kind) is list:
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    return any(_fits(value, arg) for arg in args) if args else isinstance(value, kind)
-
-
-@functools.cache
-def _field_types(cls) -> tuple[dict, dict]:
-    """``cls``'s fields: their declared type strings, and the types they name.
-
-    Made once per class, since ``typing.get_type_hints`` evaluates every
-    annotation; the dicts are shared by every caller and only read.
-    """
-    return {f.name: f.type for f in dataclasses.fields(cls)}, typing.get_type_hints(cls)
-
-
-def _build(cls, doc, where: str):
-    """``cls(**doc)`` for a JSON object whose keys and values fit ``cls``'s fields."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object, got {type(doc).__name__}")
-    declared, hints = _field_types(cls)
-    unknown = set(doc) - set(declared)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    for key, value in doc.items():
-        if not _fits(value, hints[key]):
-            raise ConfigError(f"{where}.{key} must be {declared[key]}, got {value!r}")
-    try:
-        return cls(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 _SECTIONS = {"data": ShiftSpec, "model": ModelConfig, "train": TrainConfig,
              "ablation": AblationMask}
 
@@ -157,8 +116,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     """
     if isinstance(doc, dict):
         doc = {key: value if key not in _SECTIONS or value is None
-               else _build(_SECTIONS[key], value, key) for key, value in doc.items()}
-    return _build(ExperimentConfig, doc, "config root")
+               else build(_SECTIONS[key], value, key, ConfigError) for key, value in doc.items()}
+    return build(ExperimentConfig, doc, "config root", ConfigError)
 
 
 def apply_overrides(doc: dict, settings: list[str]) -> dict:
@@ -266,8 +225,8 @@ class RunReport:
             for i, rec in enumerate(read_json(records_path, lines=True), 1):
                 where = f"{records_path} line {i}"
                 _require_finite(rec, where)
-                doc["records"].append(_build(EpochRecord, rec, where).to_dict())
-        report = _build(cls, doc, path)
+                doc["records"].append(build(EpochRecord, rec, where, ConfigError).to_dict())
+        report = build(cls, doc, path, ConfigError)
         if len(report.final_per_class_acc) != len(report.true_target_dist):
             raise ConfigError(
                 f"{path}.final_per_class_acc has {len(report.final_per_class_acc)} entries "
@@ -531,7 +490,7 @@ def grid_cells(command, if_values=None) -> list[tuple[str, str, str, float | Non
         return [(rung, rung, rung, None) for rung in LADDER]
     if command != "sweep-if":
         raise ConfigError(f"no known grid command {command!r}")
-    if not (_fits(if_values, list[float]) and if_values
+    if not (fits(if_values, list[float]) and if_values
             and all(finite(v) and v >= 1 for v in if_values)):
         raise ConfigError(f"if_values must be finite imbalance factors >= 1, got {if_values!r}")
     cells = [(os.path.join(f"if{v:g}", method), f"{method}_if{v:g}", rung, v)
@@ -655,7 +614,7 @@ def _resummarize(out_dir: str) -> dict:
     manifest_path = os.path.join(out_dir, "manifest.json")
     manifest = read_json(manifest_path)
     completed = manifest.get("completed") if isinstance(manifest, dict) else None
-    if not (_fits(completed, list[int]) and completed and min(completed) >= 0
+    if not (fits(completed, list[int]) and completed and min(completed) >= 0
             and len(set(completed)) == len(completed)):
         raise ConfigError(f"{manifest_path} lists no completed runs as distinct non-negative "
                           f"integer seeds, got {completed!r}")

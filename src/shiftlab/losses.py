@@ -233,7 +233,5 @@ def discriminative_alignment_loss(
             key = "no_same_label_pairs" if pairs.n_same == 0 else "no_diff_label_pairs"
             diagnostics[key] = diagnostics.get(key, 0) + 1
         return Tensor([[0.0]])
-    dists = pairwise_distances(tape, batch_src.features, batch_tgt.features)
-    return label_ratio(
-        tape, dists, pairs, np.sqrt(batch_src.weights), np.sqrt(batch_tgt.weights), RATIO_EPS
-    )
+    return label_ratio(tape, batch_src.features, batch_tgt.features, pairs,
+                       np.sqrt(batch_src.weights), np.sqrt(batch_tgt.weights), RATIO_EPS)

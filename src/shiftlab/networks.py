@@ -4,6 +4,7 @@ The extractor is an MLP ending in a linear bottleneck (no final relu, so
 features can occupy all orthants). The classifier is a single linear
 layer plus softmax. The discriminator sees features through a gradient
 reversal and emits a probability-of-target via a logistic output.
+Each network's dense layers are one ``autodiff.mlp`` node on a tape.
 ``predict`` runs the extractor and classifier over many rows in blocks.
 """
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._jsonio import write_file
+from ._jsonio import build, fits, write_file
 from .autodiff import (
     Pool,
     ShapeError,
@@ -24,8 +25,7 @@ from .autodiff import (
     Velocity,
     as_matrix,
     grad_reverse,
-    linear,
-    relu,
+    mlp,
     sigmoid,
     softmax,
 )
@@ -122,19 +122,6 @@ def init_model(cfg: ModelConfig, seed: int) -> ModelState:
     return ModelState(cfg, layers, seed)
 
 
-def _mlp(
-    layers: list[tuple[Tensor, Tensor]], h: Tensor | np.ndarray, tape: Tape | None
-) -> Tensor:
-    """Affine layers with a relu between each pair; the last output stays linear.
-
-    Each relu overwrites the affine output it reads, which nothing else reads.
-    """
-    for w, b in layers[:-1]:
-        h = relu(tape, linear(tape, h, w, b), in_place=True)
-    w, b = layers[-1]
-    return linear(tape, h, w, b)
-
-
 def features(state: ModelState, x, tape: Tape | None = None) -> Tensor:
     """Extractor forward: affine+relu stacks, final affine to the bottleneck.
 
@@ -146,12 +133,12 @@ def features(state: ModelState, x, tape: Tape | None = None) -> Tensor:
         raise ShapeError(
             f"input has {h.shape[1]} columns, model expects {state.config.input_dim}"
         )
-    return _mlp(state.layers["extractor"], h, tape)
+    return mlp(tape, h, state.layers["extractor"])
 
 
 def classify(state: ModelState, feats: Tensor, tape: Tape | None = None) -> Tensor:
     """Linear layer then row-wise softmax; rows sum to 1."""
-    return softmax(tape, _mlp(state.layers["classifier"], feats, tape))
+    return softmax(tape, mlp(tape, feats, state.layers["classifier"]))
 
 
 def discriminate(
@@ -159,7 +146,7 @@ def discriminate(
 ) -> Tensor:
     """Probability-of-target per sample, with reversed gradients into feats."""
     h = grad_reverse(tape, feats, grl_coeff)
-    return sigmoid(tape, _mlp(state.layers["discriminator"], h, tape))
+    return sigmoid(tape, mlp(tape, h, state.layers["discriminator"]))
 
 
 def predict(state: ModelState, x, pool: Pool | None = None) -> np.ndarray:
@@ -205,22 +192,34 @@ def load_checkpoint(path) -> ModelState:
     Nothing is unpickled. A path that is no readable checkpoint ``.npz``, such
     as a JSON checkpoint of earlier versions, raises ``CheckpointError``; so
     does an array that is not of finite floats or that belongs to no layer,
-    and a ``provenance`` that is not an object with a string
-    ``features_sha256`` and an object ``data`` (each may be null). Each
-    message names the file, and the array if any.
+    a ``meta`` that is not an object of ``config``, ``init_seed`` and
+    ``provenance``, a config that a config file's ``model`` section could
+    not hold (a float or bool where an int belongs, an unknown or missing
+    key), an ``init_seed`` that is not a non-negative int, and a
+    ``provenance`` that is not an object with a string ``features_sha256``
+    and an object ``data`` (each may be null). Each message names the
+    file, and the array or field if any.
     """
     try:
         # np.load leaves a file it opened itself open when it cannot parse it
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
             arrays = {name: npz[name] for name in npz.files}
         meta = json.loads(str(arrays.pop("meta")))
-        cfg, init_seed = ModelConfig(**meta["config"]), int(meta["init_seed"])
-        provenance = meta.get("provenance")
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
     except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise CheckpointError(f"{path} is not a readable checkpoint .npz ({exc!r}); JSON "
                               "checkpoints of earlier versions no longer load") from exc
+    if not (isinstance(meta, dict) and {"config", "init_seed"} <= meta.keys()
+            and meta.keys() <= {"config", "init_seed", "provenance"}):
+        raise CheckpointError(f"{path}: meta must be an object of config, init_seed and "
+                              f"provenance, got {meta!r}")
+    cfg = build(ModelConfig, meta["config"], f"{path}: meta config", CheckpointError)
+    init_seed = meta["init_seed"]
+    if not (fits(init_seed, int) and init_seed >= 0):
+        raise CheckpointError(f"{path}: meta init_seed must be a non-negative int, "
+                              f"got {init_seed!r}")
+    provenance = meta.get("provenance")
     if not (provenance is None or isinstance(provenance, dict)
             and isinstance(provenance.get("features_sha256"), (str, type(None)))
             and isinstance(provenance.get("data"), (dict, type(None)))):

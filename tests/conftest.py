@@ -28,6 +28,7 @@ from shiftlab import (
     parse_config,
     update_centroids,
 )
+from shiftlab import autodiff
 from shiftlab.autodiff import (
     Tape,
     Tensor,
@@ -35,10 +36,13 @@ from shiftlab.autodiff import (
     affine,
     clamp_min,
     div,
+    linear,
     log,
     matmul,
     mean_all,
+    pairwise_distances,
     ratio,
+    relu,
     scale_by,
     sgd_step,
     sum_all,
@@ -180,6 +184,52 @@ def unfused_ema_matmul(tape, coeff, x, mix, base):
     contrib = matmul(tape, Tensor(coeff), x)
     scaled = scale_by(tape, contrib, np.broadcast_to(mix[:, None], contrib.shape))
     return add(tape, scaled, Tensor(base))
+
+
+def table_label_ratio(tape, dists, pairs, src_scale, tgt_scale, eps):
+    """``label_ratio`` as it was before it took the features: one node over a
+    distance table ``dists``, whose n x m gradient it sends back whole."""
+    s, t = np.asarray(src_scale, dtype=np.float64), np.asarray(tgt_scale, dtype=np.float64)
+    n, m = dists.values.shape
+    n_same, n_diff = pairs.n_same, pairs.n_diff
+    src_weight = pairs.src * s[:, None]
+    by_class = dists.values @ (pairs.tgt * t[:, None])
+    same_sum = np.vdot(src_weight, by_class)
+    cross_sum = np.vdot(s[:, None] - src_weight, by_class)
+    den = cross_sum / n_diff + eps
+    q = same_sum / n_same / den
+    out = Tensor([[q]])
+    if tape is not None:
+
+        def backward():
+            g = out._grad
+            if g is not None:
+                c = g[0, 0]
+                per_class = np.where(pairs.tgt.T, c / (den * n_same), -(c * q / (den * n_diff)))
+                per_class *= t
+                grad = np.matmul(src_weight, per_class, out=autodiff._empty((n, m)))
+                autodiff._accumulate(dists, grad)
+
+        tape.record(backward)
+    return out
+
+
+def two_op_label_ratio(tape, a, b, pairs, src_scale, tgt_scale, eps):
+    """``label_ratio`` as two nodes: ``pairwise_distances``, then ``table_label_ratio``.
+
+    The fused op must give the same values and gradients, bit for bit.
+    """
+    return table_label_ratio(tape, pairwise_distances(tape, a, b), pairs, src_scale,
+                             tgt_scale, eps)
+
+
+def chained_mlp(tape, x, layers):
+    """``mlp`` as the chain it fuses: ``relu(linear(...), in_place=True)`` per
+    hidden layer, then ``linear``."""
+    for w, b in layers[:-1]:
+        x = relu(tape, linear(tape, x, w, b), in_place=True)
+    w, b = layers[-1]
+    return linear(tape, x, w, b)
 
 
 def grid_label_ratio(tape, dists, src_labels, tgt_labels, src_weights, tgt_weights, eps):

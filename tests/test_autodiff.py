@@ -41,6 +41,7 @@ from shiftlab.autodiff import (
     log,
     matmul,
     mean_all,
+    mlp,
     mul,
     nll,
     pairwise_distances,
@@ -58,9 +59,12 @@ from shiftlab.autodiff import (
 from conftest import (
     away_from_kinks,
     central_difference,
+    chained_mlp,
     grid_label_ratio,
     relative_error,
     retained_grad,
+    table_label_ratio,
+    two_op_label_ratio,
     unfused_binary_cross_entropy,
     unfused_ema_matmul,
     unfused_ratio,
@@ -914,6 +918,100 @@ class TestOffload:
         assert out.strip() == "[]"
 
 
+def _mlp_layers(rng, widths):
+    return [(Tensor(rng.standard_normal((d_in, d_out)) / np.sqrt(d_in)),
+             Tensor(rng.standard_normal((1, d_out))))
+            for d_in, d_out in zip(widths, widths[1:])]
+
+
+def _mlp_grads(op, xv, layers, r, constant, pool=None):
+    """``op``'s output and the gradients of sum(op(x, layers) * r): x's if it is
+    a Tensor, then each weight's and bias's."""
+    x = xv if constant else Tensor(xv)
+    for w, b in layers:
+        w.zero_grad()
+        b.zero_grad()
+    with pool if pool is not None else contextlib.nullcontext():
+        tape = Tape()
+        out = op(tape, x, layers)
+        tape.backward(sum_all(tape, scale_by(tape, out, r)))
+        grads = [t.grad.copy() for pair in layers for t in pair]
+        return [out.values.copy()] + ([] if constant else [x.grad.copy()]) + grads
+
+
+class TestMlp:
+    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("constant", [True, False], ids=["array", "tensor"])
+    @pytest.mark.parametrize("widths", [(10, 8), (10, 128, 8), (8, 32, 16, 1)])
+    def test_bit_identical_to_the_linear_relu_chain(self, widths, constant, pooled):
+        rng = np.random.default_rng([2500, len(widths)])
+        xv = rng.standard_normal((100, widths[0]))
+        layers = _mlp_layers(rng, widths)
+        r = rng.standard_normal((100, widths[-1]))
+        pool = Pool() if pooled else None
+        for _ in range(2):  # a pool reuses its arrays the second time
+            fused = _mlp_grads(mlp, xv, layers, r, constant, pool)
+            chained = _mlp_grads(chained_mlp, xv, layers, r, constant, pool)
+            assert len(fused) == len(chained) == 2 * len(layers) + 1 + (not constant)
+            for got, want in zip(fused, chained):
+                assert got.shape == want.shape and (got == want).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_match_finite_differences(self, seed):
+        rng = np.random.default_rng(2600 + seed)
+        x = Tensor(away_from_kinks(rng, (3, 4)))
+        layers = _mlp_layers(rng, (4, 5, 3, 2))
+        r = rng.standard_normal((3, 2))
+
+        def build():
+            tape = Tape()
+            return tape, sum_all(tape, scale_by(tape, mlp(tape, x, layers), r))
+
+        _fd_check(build, [x] + [t for pair in layers for t in pair])
+
+    def test_records_one_node(self):
+        rng = np.random.default_rng(2700)
+        tape = Tape()
+        mlp(tape, rng.standard_normal((3, 4)), _mlp_layers(rng, (4, 5, 5, 2)))
+        assert len(tape) == 1
+
+    def test_shapes_must_fit(self):
+        rng = np.random.default_rng(2800)
+        layers = _mlp_layers(rng, (4, 5, 2))
+        with pytest.raises(ShapeError, match="layer 1's inner dimensions"):
+            mlp(None, np.ones((3, 4)), [layers[0], layers[0]])
+        with pytest.raises(ShapeError, match="layer 0's bias"):
+            mlp(None, np.ones((3, 4)), [(layers[0][0], layers[1][1])])
+        with pytest.raises(ShapeError, match="at least one layer"):
+            mlp(None, np.ones((3, 4)), [])
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_no_activation_is_overwritten_while_a_product_reads_it(self, submits, monkeypatch,
+                                                                   pooled):
+        # the batch-400 extractor: its middle layer's weight gradient reads the
+        # first hidden activation on the executor, here slowed down, while the
+        # rule goes on to the first layer
+        product = autodiff._product
+
+        def slow_product(operands):
+            time.sleep(0.1)
+            return product(operands)
+
+        monkeypatch.setattr(autodiff, "_product", slow_product)
+        rng = np.random.default_rng(2900)
+        xv = rng.standard_normal((800, 10))
+        layers = _mlp_layers(rng, (10, 128, 128, 8))
+        r = rng.standard_normal((800, 8))
+        pool = Pool() if pooled else None
+        offloaded = _mlp_grads(mlp, xv, layers, r, True, pool)
+        assert submits[0] == 1
+        monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
+        synchronous = _mlp_grads(mlp, xv, layers, r, True, pool)
+        assert submits[0] == 1
+        for got, want in zip(offloaded, synchronous):
+            assert (got == want).all()
+
+
 class TestSplitRows:
     def test_values_are_the_two_halves(self):
         x = Tensor(np.arange(12.0).reshape(4, 3))
@@ -1114,21 +1212,36 @@ class TestRatio:
             ratio(None, Tensor(np.ones((2, 3))), np.ones((2, 3)), np.ones((3, 2)), 1e-8)
 
 
+def _fused(tape, a, b, ys, yt, ws, wt):
+    return label_ratio(tape, a, b, LabelPairs(ys, yt), np.sqrt(ws), np.sqrt(wt), 1e-8)
+
+
+def _two_op(tape, a, b, ys, yt, ws, wt):
+    return two_op_label_ratio(tape, a, b, LabelPairs(ys, yt), np.sqrt(ws), np.sqrt(wt), 1e-8)
+
+
+def _grid(tape, a, b, ys, yt, ws, wt):
+    return grid_label_ratio(tape, pairwise_distances(tape, a, b), ys, yt, ws, wt, 1e-8)
+
+
+def _label_ratio_results(op, av, bv, ys, yt, ws, wt):
+    """Value and both feature gradients of 0.6 times ``op``'s loss."""
+    a, b = Tensor(av), Tensor(bv)
+    tape = Tape()
+    loss = op(tape, a, b, ys, yt, ws, wt)
+    tape.backward(affine(tape, loss, 0.6))
+    return loss.values, a.grad, b.grad
+
+
 def _label_ratio_and_oracle(av, bv, ys, yt, ws, wt):
-    """Value and both feature gradients of ``label_ratio`` over
-    ``pairwise_distances``, then of the weight-grid oracle."""
-    results = []
-    for fused in (True, False):
-        a, b = Tensor(av), Tensor(bv)
-        tape = Tape()
-        dists = pairwise_distances(tape, a, b)
-        if fused:
-            loss = label_ratio(tape, dists, LabelPairs(ys, yt), np.sqrt(ws), np.sqrt(wt), 1e-8)
-        else:
-            loss = grid_label_ratio(tape, dists, ys, yt, ws, wt, 1e-8)
-        tape.backward(affine(tape, loss, 0.6))
-        results.append((loss.values, a.grad, b.grad))
-    return results
+    """``_label_ratio_results`` of ``label_ratio``, then of the weight-grid oracle."""
+    return [_label_ratio_results(op, av, bv, ys, yt, ws, wt) for op in (_fused, _grid)]
+
+
+def _assert_bit_identical_to_two_ops(av, bv, ys, yt, ws, wt):
+    results = [_label_ratio_results(op, av, bv, ys, yt, ws, wt) for op in (_fused, _two_op)]
+    for got, want in zip(*results):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def _assert_close_to_oracle(results, rtol=1e-12):
@@ -1150,26 +1263,48 @@ class TestLabelRatio:
         )
         _assert_close_to_oracle(results)
 
+    @pytest.mark.parametrize("case", ["plain", "coincident", "zero_weights"])
+    @pytest.mark.parametrize("n, m", [(1, 3), (2, 5), (50, 50), (65, 40), (66, 70), (129, 30),
+                                      (400, 400)])
+    def test_bit_identical_to_the_two_op_form(self, n, m, case):
+        # the gradient grid goes in blocks of _GRID_ROWS rows, a lone last row
+        # with the block before; coincident rows take the explicit-difference path
+        rng = np.random.default_rng([2400, n, m])
+        av, bv = rng.standard_normal((n, 8)), rng.standard_normal((m, 8))
+        ys, yt = rng.integers(0, 5, n), rng.integers(0, 5, m)
+        ys[0], yt[:2] = 0, [0, 1]  # both kinds of pair
+        ws, wt = rng.uniform(size=n), rng.uniform(size=m)
+        if case == "coincident":
+            for i in range(0, n, 5):  # exact and near copies, in every row block
+                bv[(3 * i) % m] = av[i] + (1e-9 if i % 2 else 0.0)
+        elif case == "zero_weights":
+            ws[::3] = 0.0
+            wt[1::4] = 0.0
+        near = autodiff._distances("test", Tensor(av), Tensor(bv))[1][2]
+        assert (near is not None) == (case == "coincident")
+        _assert_bit_identical_to_two_ops(av, bv, ys, yt, ws, wt)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(1600 + seed)
-        x = Tensor(rng.uniform(0.5, 2.0, (4, 5)))
+        a, b = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((5, 3)))
         ys, yt = np.array([0, 1, 2, 0]), np.array([2, 0, 1, 1, 3])
         s, t = rng.uniform(size=4), rng.uniform(size=5)
 
         def build():
             tape = Tape()
-            return tape, label_ratio(tape, x, LabelPairs(ys, yt), s, t, 1e-8)
+            return tape, label_ratio(tape, a, b, LabelPairs(ys, yt), s, t, 1e-8)
 
-        _fd_check(build, [x])
+        _fd_check(build, [a, b])
 
     def test_value(self):
-        x = Tensor([[1.0, 2.0, 4.0], [3.0, 5.0, 7.0]])
-        out = label_ratio(None, x, LabelPairs(np.array([0, 1]), np.array([0, 1, 1])),
+        # one feature: the distance table is [[1, 2, 4], [9, 8, 6]]
+        a, b = Tensor([[0.0], [10.0]]), Tensor([[1.0], [2.0], [4.0]])
+        out = label_ratio(None, a, b, LabelPairs(np.array([0, 1]), np.array([0, 1, 1])),
                           np.array([1.0, 0.5]), np.array([1.0, 2.0, 1.0]), 0.0)
-        same = (1.0 + 0.5 * 2.0 * 5.0 + 0.5 * 7.0) / 3
-        cross = (2.0 * 2.0 + 4.0 + 0.5 * 3.0) / 3
-        assert out.item() == pytest.approx(same / cross, rel=1e-15)
+        same = (1.0 + 0.5 * 2.0 * 8.0 + 0.5 * 6.0) / 3
+        cross = (2.0 * 2.0 + 4.0 + 0.5 * 9.0) / 3
+        assert out.item() == pytest.approx(same / cross, rel=1e-14)
 
     def test_zero_weights(self):
         rng = np.random.default_rng(1700)
@@ -1187,6 +1322,7 @@ class TestLabelRatio:
         value, grad_a, grad_b = _label_ratio_and_oracle(av, bv, ys, yt, ws, 0.0 * wt)[0]
         assert value[0, 0] == 0.0
         assert np.all(grad_a == 0.0) and np.all(grad_b == 0.0)
+        _assert_bit_identical_to_two_ops(av, bv, ys, yt, ws, 0.0 * wt)
 
     def test_class_present_on_one_side_only(self):
         rng = np.random.default_rng(1800)
@@ -1209,15 +1345,16 @@ class TestLabelRatio:
         av, bv = rng.standard_normal((n, 8)), rng.standard_normal((m, 8))
         ws, wt = rng.uniform(size=n), rng.uniform(size=m)
         _assert_close_to_oracle(_label_ratio_and_oracle(av, bv, ys, yt, ws, wt))
-        # every entry of the gradient grid within a few roundings of the oracle's
+        # every entry of the gradient grid within a few roundings of the oracle's;
+        # the table form's grid is the fused op's, which matches it bit for bit
         grids = []
-        for fused in (True, False):
+        for op in (table_label_ratio, grid_label_ratio):
             x = Tensor(pairwise_distances(None, Tensor(av), Tensor(bv)).values)
             tape = Tape()
-            if fused:
-                loss = label_ratio(tape, x, LabelPairs(ys, yt), np.sqrt(ws), np.sqrt(wt), 1e-8)
+            if op is table_label_ratio:
+                loss = op(tape, x, LabelPairs(ys, yt), np.sqrt(ws), np.sqrt(wt), 1e-8)
             else:
-                loss = grid_label_ratio(tape, x, ys, yt, ws, wt, 1e-8)
+                loss = op(tape, x, ys, yt, ws, wt, 1e-8)
             tape.backward(loss)
             grids.append(x.grad)
         np.testing.assert_allclose(grids[0], grids[1], rtol=1e-14, atol=0.0)
@@ -1239,13 +1376,13 @@ class TestLabelRatio:
         for yt in ([0, 0], [1, 1]):
             pairs = LabelPairs(np.array([0, 0]), np.array(yt))
             with pytest.raises(ValueError, match="same- and different-label"):
-                label_ratio(None, x, pairs, np.ones(2), np.ones(2), 1e-8)
+                label_ratio(None, x, x, pairs, np.ones(2), np.ones(2), 1e-8)
 
     def test_rejects_negative_labels(self):
+        x = Tensor(np.ones((2, 2)))
         with pytest.raises(ValueError, match="negative"):
-            label_ratio(None, Tensor(np.ones((2, 2))),
-                        LabelPairs(np.array([0, -1]), np.array([0, 1])), np.ones(2), np.ones(2),
-                        1e-8)
+            label_ratio(None, x, x, LabelPairs(np.array([0, -1]), np.array([0, 1])),
+                        np.ones(2), np.ones(2), 1e-8)
 
     @pytest.mark.parametrize("ys, yt, s, t", [
         ([0, 1, 0], [0, 1], [1.0, 1.0], [1.0, 1.0]),  # one label too many
@@ -1253,9 +1390,16 @@ class TestLabelRatio:
         ([0, 1], [0], [1.0, 1.0], [1.0, 1.0]),  # a target label missing
     ])
     def test_shapes_must_fit(self, ys, yt, s, t):
+        x = Tensor(np.ones((2, 2)))
         with pytest.raises(ShapeError):
-            label_ratio(None, Tensor(np.ones((2, 2))), LabelPairs(np.array(ys), np.array(yt)),
+            label_ratio(None, x, x, LabelPairs(np.array(ys), np.array(yt)),
                         np.array(s), np.array(t), 1e-8)
+
+    def test_feature_dims_must_match(self):
+        pairs = LabelPairs(np.array([0, 1]), np.array([0, 1]))
+        with pytest.raises(ShapeError, match="label_ratio: feature dims differ"):
+            label_ratio(None, Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3))), pairs,
+                        np.ones(2), np.ones(2), 1e-8)
 
 
 def test_label_ratio_property():
@@ -1268,19 +1412,23 @@ def test_label_ratio_property():
         m=st.integers(1, 30),
         classes=st.integers(1, 6),
         zero_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+        coincident=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def check(n, m, classes, zero_fraction, seed):
+    def check(n, m, classes, zero_fraction, coincident, seed):
         rng = np.random.default_rng(seed)
         ys, yt = rng.integers(0, classes, n), rng.integers(0, classes, m)
         ws, wt = rng.uniform(size=n), rng.uniform(size=m)
         ws[rng.uniform(size=n) < zero_fraction] = 0.0
         av, bv = rng.standard_normal((n, 4)), rng.standard_normal((m, 4))
+        if coincident:
+            bv[rng.integers(0, m, n)] = av
         same = ys[:, None] == yt
         if same.all() or not same.any():
             with pytest.raises(ValueError):
-                label_ratio(None, Tensor(np.ones((n, m))), LabelPairs(ys, yt), ws, wt, 1e-8)
+                label_ratio(None, Tensor(av), Tensor(bv), LabelPairs(ys, yt), ws, wt, 1e-8)
             return
+        _assert_bit_identical_to_two_ops(av, bv, ys, yt, ws, wt)
         results = _label_ratio_and_oracle(av, bv, ys, yt, ws, wt)
         if np.any(ws > 0.0):
             _assert_close_to_oracle(results)

@@ -519,7 +519,7 @@ class TestDiscriminativeAlignment:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(tape) == 2 and loss.shape == (1, 1)
+        assert len(tape) == 1 and loss.shape == (1, 1)
         assert held <= 1.5 * 8 * n * n
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -340,3 +341,134 @@ class TestCheckpoint:
         assert os.listdir(tmp_path) == ["ckpt.npz"]
         for pa, pb in zip(old.parameters(), load_checkpoint(path).parameters()):
             np.testing.assert_array_equal(pa.values, pb.values)
+
+
+def _saved(tmp_path):
+    """A saved small model's path, arrays and meta document."""
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(init_model(small_cfg(), seed=42), path, provenance={"features_sha256": "ab"})
+    with np.load(path) as npz:
+        arrays = dict(npz)
+    return path, arrays, json.loads(str(arrays.pop("meta")))
+
+
+def _save_raw(path, arrays, meta_text: str) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.array(meta_text), **arrays)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("input_dim", 4.0), ("num_classes", 3.0), ("hidden_dims", [8.0, 8]),
+    ("bottleneck_dim", True), ("init_seed", 1.5), ("init_seed", "7"), ("init_seed", True),
+    ("init_seed", -1), ("init_seed", None),
+], ids=repr)
+def test_checkpoint_fields_follow_the_config_file_type_rules(tmp_path, field, value):
+    # a float where an int belongs used to load (input_dim 4.0) or be truncated
+    # (init_seed 1.5), and "7" and true passed through int(), where a config
+    # file's model section refuses each
+    path, arrays, meta = _saved(tmp_path)
+    (meta if field == "init_seed" else meta["config"])[field] = value
+    _save_raw(path, arrays, json.dumps(meta))
+    with pytest.raises(CheckpointError, match=field) as caught:
+        load_checkpoint(path)
+    assert str(path) in str(caught.value)
+
+
+# The values each meta field is set to, before drawn ones.
+META_EDGES = [math.nan, math.inf, -1, 0, 1, 2, 4, 4.0, 1.5, 2**63, True, False, "7", "", None,
+              [], [1], [8, 8], [8.0], [True], [[8]], {}, {"data": None}]
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(ModelConfig)]
+LIST_FIELDS = {"hidden_dims", "discriminator_hidden_dims"}
+
+
+def _an_int(value) -> bool:
+    return type(value) is int
+
+
+def test_load_checkpoint_loads_or_names_its_file(tmp_path):
+    # ROADMAP item 10's checkpoint half: a saved checkpoint with drawn wrong
+    # shapes, missing or extra arrays, bad meta and wrong-typed fields loads
+    # a model whose every array fits its config, or is refused with a
+    # CheckpointError naming the file, and naming the field when a lone edit
+    # puts a value of the wrong type into one
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    path, arrays, meta = _saved(tmp_path)
+    names = sorted(arrays)
+    value = st.one_of(st.sampled_from(META_EDGES), st.integers(-3, 70), st.floats(),
+                      st.text(max_size=3), st.lists(st.integers(-1, 9), max_size=3))
+    edit = st.one_of(
+        st.tuples(st.just("config"), st.sampled_from(CONFIG_FIELDS), value),
+        st.tuples(st.just("meta"), st.sampled_from(["init_seed", "provenance"]), value),
+        st.tuples(st.just("drop_meta"), st.sampled_from(["config", "init_seed", "provenance"]),
+                  st.none()),
+        st.tuples(st.just("drop_config"), st.sampled_from(CONFIG_FIELDS), st.none()),
+        st.tuples(st.just("extra_meta"), st.sampled_from(["seed", "version", "configs"]), value),
+        st.tuples(st.just("meta_text"), st.none(), st.text(max_size=8)),
+        st.tuples(st.just("drop_array"), st.sampled_from(names), st.none()),
+        st.tuples(st.just("extra_array"), st.sampled_from(["junk", "extractor.0.extra",
+                                                           "classifier.1.weight"]), st.none()),
+        st.tuples(st.just("shape"), st.sampled_from(names),
+                  st.lists(st.integers(0, 9), max_size=3)),
+        st.tuples(st.just("dtype"), st.sampled_from(names),
+                  st.sampled_from(["int64", "float32", "bool", "complex128", "U3"])),
+        st.tuples(st.just("fill"), st.sampled_from(names),
+                  st.sampled_from([math.nan, math.inf, -math.inf, 1e308])),
+    )
+
+    def holds(state, doc):
+        # what loaded is what was stored, with no float or bool read as an int
+        cfg = state.config
+        assert json.dumps(dataclasses.asdict(cfg), sort_keys=True) == json.dumps(
+            doc["config"], sort_keys=True)
+        assert json.dumps(state.init_seed) == json.dumps(doc["init_seed"])
+        dims = [cfg.input_dim, cfg.num_classes, cfg.bottleneck_dim]
+        assert all(_an_int(d) and 1 <= d <= MAX_SIZE
+                   for d in dims + cfg.hidden_dims + cfg.discriminator_hidden_dims)
+        assert _an_int(state.init_seed) and state.init_seed >= 0
+        for got, want in zip(state.parameters(), init_model(cfg, 0).parameters(), strict=True):
+            assert got.values.shape == want.values.shape and got.values.dtype == np.float64
+            assert np.isfinite(got.values).all()
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(edits=st.lists(edit, min_size=1, max_size=3))
+    def check(edits):
+        doc, saved = json.loads(json.dumps(meta)), dict(arrays)
+        text = None
+        for kind, name, v in edits:
+            config = doc.get("config", {})
+            if kind == "config":
+                config[name] = v
+            elif kind in ("meta", "extra_meta"):
+                doc[name] = v
+            elif kind == "drop_meta":
+                doc.pop(name, None)
+            elif kind == "drop_config":
+                config.pop(name, None)
+            elif kind == "meta_text":
+                text = v
+            elif kind == "drop_array":
+                saved.pop(name, None)
+            elif kind == "extra_array":
+                saved[name] = np.zeros((1, 3))
+            elif kind == "shape":
+                saved[name] = np.zeros(v)
+            elif kind == "dtype":
+                saved[name] = np.ones((1, 3)).astype(v)
+            else:
+                saved[name] = np.full(arrays[name].shape, v)
+        _save_raw(path, saved, json.dumps(doc) if text is None else text)
+        try:
+            state = load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(path) in str(exc)
+            kind, name, v = edits[0]
+            mistyped = kind in ("config", "meta") and name != "provenance" and not (
+                _an_int(v) if name not in LIST_FIELDS
+                else type(v) is list and all(_an_int(d) for d in v))
+            if len(edits) == 1 and mistyped:
+                assert name in str(exc)
+            return
+        holds(state, doc)
+
+    check()

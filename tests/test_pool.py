@@ -346,7 +346,7 @@ class TestCallBudget:
         # a warm full-method step made 787 Python and C calls, as counted here, before
         # the ops read each shape once and dropped their wrapper closures and NumPy's
         # Python-level reductions, and the losses stopped rebuilding what a step does
-        # not change; it makes 396 now
+        # not change; it makes 376 now
         assert call_count(step, *warm_step_args(std_pair, std_cfg())) <= 450
 
     def test_full_step_pool_footprint(self, std_pair):
@@ -396,6 +396,20 @@ class TestCallBudget:
         args = warm_step_args(std_pair, std_cfg())
         monkeypatch.setattr(training, "Tape", RecordingTape)
         step(*args)
-        assert len(rules) == 23
-        assert runs == list(range(22, -1, -1))
+        assert len(rules) == 16
+        assert runs == list(range(15, -1, -1))
 
+
+def test_wide_step_holds_one_table_and_one_gradient_buffer_per_network(std_pair):
+    # at batch 400 a step held the n x m distance table and its gradient table
+    # at once, and a fourth 800 x 128 array beside the extractor's two
+    # activations: 4,644 KiB. label_ratio now turns the distance table into
+    # the gradient over it in row blocks, and mlp writes each masked gradient
+    # over its activation: 3,549 KiB
+    src, tgt = std_pair
+    state, bank, pool = init_model(STD.model, 5), CentroidBank(5), Pool()
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        tgt_idx, src_idx = rng.permutation(len(tgt))[:400], rng.integers(0, len(src), 400)
+        step(state, bank, std_cfg(), src, tgt, src_idx, tgt_idx, pool)
+    assert sum(buf.nbytes for buf in pool) <= 3800 * KIB

@@ -182,7 +182,7 @@ def quick_cfg(**kwargs) -> TrainConfig:
 class TestTrainStep:
     @pytest.mark.parametrize(
         "loss_weights,nodes",
-        [((3.0, 0.6, 1.0), 23), ((0.0, 0.0, 0.0), 8)],
+        [((3.0, 0.6, 1.0), 16), ((0.0, 0.0, 0.0), 4)],
         ids=["full", "source_only"],
     )
     def test_tape_nodes_per_step(self, tiny_pair, monkeypatch, loss_weights, nodes):
