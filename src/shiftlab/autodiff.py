@@ -17,19 +17,12 @@ that only rules held is freed once backward is done with it, without
 waiting for the garbage collector and while the tape is still held. The
 tape is then empty: a second ``backward`` raises ``TapeError``.
 
-One share may be deferred: a layer's weight gradient h.T @ g in ``mlp``
-(so in ``linear``), when it takes at least ``_OFFLOAD_MACS`` (about 4M)
-multiply-adds, the weight is a leaf and it is the weight's first
-contribution. Inside ``Tape.backward`` that product runs on a one-thread
-``concurrent.futures`` executor, into the array the rule took, while the
-caller goes on with the bias and input gradients and the rules after it. Until then the leaf's gradient is the
-product's ``Future``: any later contribution waits for its result before
-adding to it, so the additions keep rule order. ``Tape.backward`` waits
-for every future before it returns or raises, and the leaf then holds the
-result. The product is the same single call on the same operands, so the
-bits are those of the synchronous rule. The executor is made on first
-use, at most one per process and none with fewer than 2 usable CPUs; a
-forked child makes its own. At the benchmark's shapes only the batch-400
+One share may run on another thread: ``mlp``'s rule hands a weight
+gradient h.T @ g of at least ``_OFFLOAD_MACS`` (about 4M) multiply-adds
+to a one-thread ``concurrent.futures`` executor, and waits for it before
+it returns or raises (see ``mlp``). The executor is made on first use,
+at most one per process and none with fewer than 2 usable CPUs; a forked
+child makes its own. At the benchmark's shapes only the batch-400
 extractor's middle layer (13.1M) qualifies; the standard step starts no
 thread.
 
@@ -63,26 +56,25 @@ gradient does nothing. ``Tensor.grad`` reads as zeros until then.
 
 Only the operations the training method needs are provided, and all
 tensors are 2-D. There is no broadcasting beyond what the individual
-operations document. ``mlp`` and ``linear`` also take a plain array as
-a constant input, and ``split_rows`` cuts one tensor into two row
-blocks, so one pass over stacked batches can feed per-batch losses.
+operations document. ``mlp`` also takes a plain array as a constant
+input, and ``split_rows`` cuts one tensor into two row blocks, so one
+pass over stacked batches can feed per-batch losses.
 
 A chain of ops that the training step builds many times is also offered
 as one fused op, which records one node: ``mlp`` (a network's dense
-layers with ``relu`` between them; ``linear`` is its one-layer case),
-``nll``, ``ema_matmul``, ``ratio``, ``binary_cross_entropy`` and
-``weighted_sum``. Each names the chain it replaces and applies the same
-scalar operations in the same order, so values and gradients match the
-chain bit for bit. ``label_ratio`` is ``ratio`` with label-pair weight
-grids over ``pairwise_distances``, computed from per-class sums instead:
-its sums are reordered, so it matches that chain to rounding rather than
-bit for bit, and it matches ``pairwise_distances`` feeding a table-taking
-``label_ratio`` bit for bit. No training step records ``relu`` on its
-own: ``mlp`` applies it inside its node. It stays public, in-place form
-included, as the activation of the chain ``mlp`` is tested against. The
-floors in ``relu``, ``mlp``, ``clamp_min`` and the fused ops use
-``np.maximum``, so a NaN input gives a NaN output rather than the floor
-value.
+layers with ``relu`` between them), ``nll``, ``ema_matmul``, ``ratio``,
+``binary_cross_entropy`` and ``weighted_sum``. Each names the chain it
+replaces and applies the same scalar operations in the same order, so
+values and gradients match the chain bit for bit. ``label_ratio`` is
+``ratio`` with label-pair weight grids over ``pairwise_distances``,
+computed from per-class sums instead: its sums are reordered, so it
+matches that chain to rounding rather than bit for bit, and it matches
+``pairwise_distances`` feeding a table-taking ``label_ratio`` bit for
+bit. No training step records ``relu`` on its own: ``mlp`` applies it
+inside its node. It stays public as the activation of the chain ``mlp``
+is tested against. The floors in ``relu``, ``mlp``, ``clamp_min`` and
+the fused ops use ``np.maximum``, so a NaN input gives a NaN output
+rather than the floor value.
 
 ``__all__`` holds the ops a training step records and the types and
 helpers around them. The chain ops (``matmul``, ``add_bias``, ``add``, ``sub``, ``mul``,
@@ -103,10 +95,8 @@ array may be written into the buffer of an earlier one that nothing
 views any more, such as a forward activation whose rules backward has
 run and dropped. Outside any, every op allocates. A warm full training
 step at the benchmark's shapes holds 14 pool buffers and 511 KiB at
-batch 50, and 13 buffers and 3,549 KiB at batch 400. While ``label_ratio``
-took a distance table and sent its whole gradient table back, and each
-layer and relu was a node of its own, it held 16 and 618 KiB, and 13
-and 4,644 KiB; with one buffer per array it held 26, 693 and 6,693 KiB.
+batch 50, and 13 buffers and 3,549 KiB at batch 400; the footprint tests
+in ``tests/test_pool.py`` record what it held before.
 """
 from __future__ import annotations
 
@@ -126,7 +116,6 @@ __all__ = [
     "Pool",
     "as_matrix",
     "mlp",
-    "linear",
     "ema_matmul",
     "weighted_sum",
     "relu",
@@ -200,8 +189,6 @@ class Tensor:
         g = self._grad
         if g is None:
             self._grad = g = np.zeros_like(self.values)
-        elif g.__class__ is _Future:
-            self._grad = g = g.result()
         return g
 
     @grad.setter
@@ -380,15 +367,12 @@ def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
     """Add ``g`` into ``t``'s gradient.
 
     On the first write the buffer adopts ``g``, which must then be a fresh
-    array nothing else holds; ``shared=True`` copies it instead. A pending
-    deferred product is waited for and added to first.
+    array nothing else holds; ``shared=True`` copies it instead.
     """
     grad = t._grad
     if grad is None:
         t._grad = g.copy() if shared else g
     else:
-        if grad.__class__ is _Future:
-            t._grad = grad = grad.result()
         grad += g
 
 
@@ -407,13 +391,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# This process's one-thread executor: None until a product is first
-# offloaded, False when fewer than 2 CPUs are usable and products stay on
-# the caller. The lock keeps two threads' first offloads from making two.
-# ``_Future`` is ``concurrent.futures.Future`` once that is imported.
+# This process's one-thread executor: None until first used, False with
+# fewer than 2 usable CPUs. The lock keeps two first offloads from making two.
 _executor = None
 _executor_lock = threading.Lock()
-_Future = None
 
 
 def _forget_executor() -> None:
@@ -425,11 +406,6 @@ def _forget_executor() -> None:
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_executor)
 
-# The (leaf, future) pairs of the running ``Tape.backward``, which waits
-# for them; None outside one, where every product runs on the caller.
-_DEFERRED: contextvars.ContextVar[list | None] = contextvars.ContextVar(
-    "deferred", default=None)
-
 
 def _product(operands: list) -> np.ndarray:
     """``a @ b`` into ``out`` for ``operands`` ``[a, b, out]``, which it empties
@@ -439,25 +415,19 @@ def _product(operands: list) -> np.ndarray:
     return np.matmul(a, b, out=out)
 
 
-def _offload(leaf: Tensor, a: np.ndarray, b: np.ndarray) -> bool:
-    """Start ``a @ b`` on the executor as ``leaf``'s gradient, if one can run."""
-    global _executor, _Future
-    deferred = _DEFERRED.get()
-    if deferred is None:
-        return False
+def _offload(a: np.ndarray, b: np.ndarray, shape: tuple[int, int]):
+    """The future of ``a @ b`` into a new ``shape`` array, or None: no executor."""
+    global _executor
     with _executor_lock:
         if _executor is None and _usable_cpus() < 2:
             _executor = False
         elif _executor is None:
-            from concurrent.futures import Future, ThreadPoolExecutor
+            from concurrent.futures import ThreadPoolExecutor
 
-            _Future = Future
             _executor = ThreadPoolExecutor(1, thread_name_prefix="shiftlab-backward")
     if _executor is False:
-        return False
-    leaf._grad = future = _executor.submit(_product, [a, b, _empty(leaf.values.shape)])
-    deferred.append((leaf, future))
-    return True
+        return None
+    return _executor.submit(_product, [a, b, _empty(shape)])
 
 
 class Tape:
@@ -479,9 +449,7 @@ class Tape:
         Each rule is dropped as soon as it has run, so the arrays only it
         held, its op's operands and output, are freed once backward is done
         with them, and the tape is left empty: a second call raises
-        ``TapeError``. Every product a rule handed to the executor has
-        finished when this returns or raises, and its leaf then holds the
-        result; a product that failed raises here.
+        ``TapeError``.
         """
         rules = self._rules
         if not rules:
@@ -493,20 +461,10 @@ class Tape:
             )
         self._rules = []
         _accumulate(output, np.array([[1.0]]))
-        deferred: list = []
-        token = _DEFERRED.set(deferred)
-        try:
-            for i in range(len(rules) - 1, -1, -1):
-                rule = rules[i]
-                rules[i] = None
-                rule()
-        finally:
-            _DEFERRED.reset(token)
-            for _, future in deferred:
-                future.exception()  # waits, and raises nothing
-            for leaf, future in deferred:
-                if leaf._grad is future:
-                    leaf._grad = future.result()
+        for i in range(len(rules) - 1, -1, -1):
+            rule = rules[i]
+            rules[i] = None
+            rule()
 
 
 def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -553,26 +511,23 @@ def mlp(
 
     ``layers`` is a non-empty list of (w, b) pairs, b a 1 x m bias row;
     the last layer's output stays linear. Same values and gradients, bit
-    for bit, as the chain ``relu(linear(...), in_place=True)`` per hidden
-    layer and ``linear`` for the last. ``x`` may also be a plain 2-D
-    float64 array: a constant, such as an input batch, for which no
+    for bit, as the chain ``relu(add_bias(matmul(...)))`` per hidden layer
+    and ``add_bias(matmul(...))`` for the last. ``x`` may also be a plain
+    2-D float64 array: a constant, such as an input batch, for which no
     gradient is computed. Backward reads it again, so it must not change
     meanwhile.
 
-    Each hidden activation overwrites its layer's affine output, as the
-    in-place ``relu`` does, and is held for backward, which reads it for
-    the next layer's weight gradient and for relu's sign. Once both are
-    done, the masked gradient is written over the activation, so the
-    array the gradient came from is free for the layer below.
+    Each hidden activation overwrites its layer's affine output and is
+    held for backward, which reads it for the next layer's weight
+    gradient and for relu's sign, then writes the masked gradient over
+    it, so the array the gradient came from is free for the layer below.
 
-    Inside ``Tape.backward``, when a layer's ``w`` is a leaf with no
-    gradient yet and h.T @ g takes at least ``_OFFLOAD_MACS``
-    multiply-adds, that product runs on the executor while the rule and
-    the ones after it go on; ``w``'s gradient is its future until read,
-    and backward waits for it before it returns. It is the same single
-    product on the same operands, so the bits do not change. The product
-    reads the layer's input activation, so that layer's masked gradient
-    goes into its own array instead.
+    A weight gradient h.T @ g of at least ``_OFFLOAD_MACS`` multiply-adds
+    runs on the executor while backward goes on with the layers below; as
+    it reads h, the masked gradient then goes into its own array. Once
+    the layer loop ends or raises, backward waits for every such product,
+    then adds each into its weight in layer order. It is the call the
+    rule would make itself, so the bits do not change.
     """
     constant = not isinstance(x, Tensor)
     h = x if constant else x.values
@@ -601,35 +556,34 @@ def mlp(
             g = out._grad
             if g is None:
                 return
-            for k in range(last, -1, -1):
-                w, b = layers[k]
-                hv, w_shape = inputs[k], w.values.shape
-                deferred = (w._grad is None and hv.size * w_shape[1] >= _OFFLOAD_MACS
-                            and not isinstance(w, _Output) and _offload(w, hv.T, g))
-                _accumulate(b, np.add.reduce(g, axis=0, keepdims=True))
-                if k:
-                    gx = np.matmul(g, w.values.T, out=_empty(hv.shape))
-                elif not constant:
-                    _accumulate(x, np.matmul(g, w.values.T, out=_empty(hv.shape)))
-                if not deferred:
-                    _accumulate(w, np.matmul(hv.T, g, out=_empty(w_shape)))
-                if k:
-                    # relu's rule: hv > 0 exactly where its affine input was
-                    g = np.multiply(gx, hv > 0.0, out=gx if deferred else hv)
-                    del gx  # else the pool sees its buffer held at the next take
+            offloaded = []  # (w, future) per weight gradient on the executor
+            try:
+                for k in range(last, -1, -1):
+                    w, b = layers[k]
+                    hv, w_shape = inputs[k], w.values.shape
+                    big = hv.size * w_shape[1] >= _OFFLOAD_MACS
+                    future = _offload(hv.T, g, w_shape) if big else None
+                    if future is not None:
+                        offloaded.append((w, future))
+                    _accumulate(b, np.add.reduce(g, axis=0, keepdims=True))
+                    if k:
+                        gx = np.matmul(g, w.values.T, out=_empty(hv.shape))
+                    elif not constant:
+                        _accumulate(x, np.matmul(g, w.values.T, out=_empty(hv.shape)))
+                    if future is None:
+                        _accumulate(w, np.matmul(hv.T, g, out=_empty(w_shape)))
+                    if k:
+                        # relu's rule: hv > 0 exactly where its affine input was
+                        g = np.multiply(gx, hv > 0.0, out=hv if future is None else gx)
+                        del gx  # else the pool sees its buffer held at the next take
+            finally:
+                for _, future in offloaded:
+                    future.exception()  # waits, and raises nothing
+            for w, future in offloaded:
+                _accumulate(w, future.result())
 
         tape.record(backward)
     return out
-
-
-def linear(tape: Tape | None, x: Tensor | np.ndarray, w: Tensor, b: Tensor) -> Tensor:
-    """Dense layer x @ w + b in one node; b is a 1 x m bias row.
-
-    ``mlp`` with the one layer (w, b): same values and gradients, bit for
-    bit, as ``add_bias(matmul(x, w), b)``, and the same constant input and
-    offload.
-    """
-    return mlp(tape, x, [(w, b)])
 
 
 def ema_matmul(
@@ -815,17 +769,15 @@ def scale_by(tape: Tape | None, x: Tensor, factor: np.ndarray) -> Tensor:
     return out
 
 
-def relu(tape: Tape | None, x: Tensor, in_place: bool = False) -> Tensor:
+def relu(tape: Tape | None, x: Tensor) -> Tensor:
     """max(x, 0) elementwise; a NaN entry stays NaN.
 
-    The subgradient at exactly 0 is taken as 0. ``in_place=True``
-    overwrites ``x``'s values with the result, for an input nothing reads
-    again; ``x`` still gets its gradient, which needs only the sign. The
-    rule reads that sign from the output: max(x, 0) > 0 exactly where
-    x > 0, NaN and -0.0 included, so no mask lives until backward.
+    The subgradient at exactly 0 is taken as 0. The rule reads the sign
+    from the output: max(x, 0) > 0 exactly where x > 0, NaN and -0.0
+    included, so no mask lives until backward.
     """
     v = x.values
-    out = _Output(np.maximum(v, 0.0, out=v if in_place else _empty(v.shape)))
+    out = _Output(np.maximum(v, 0.0, out=_empty(v.shape)))
     if tape is not None:
 
         def backward() -> None:
@@ -1178,8 +1130,6 @@ def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> T
                 grad = probs._grad
                 if grad is None:
                     probs._grad = grad = np.zeros(probs.values.shape)
-                elif grad.__class__ is _Future:
-                    probs._grad = grad = grad.result()
                 grad[rows, idx] += per_row[:, 0]
 
         tape.record(backward)

@@ -33,10 +33,10 @@ from shiftlab.autodiff import (
     Tape,
     Tensor,
     add,
+    add_bias,
     affine,
     clamp_min,
     div,
-    linear,
     log,
     matmul,
     mean_all,
@@ -224,12 +224,15 @@ def two_op_label_ratio(tape, a, b, pairs, src_scale, tgt_scale, eps):
 
 
 def chained_mlp(tape, x, layers):
-    """``mlp`` as the chain it fuses: ``relu(linear(...), in_place=True)`` per
-    hidden layer, then ``linear``."""
+    """``mlp`` as the chain it fuses: ``relu(add_bias(matmul(...)))`` per hidden
+    layer, then ``add_bias(matmul(...))``. A plain array input becomes a
+    ``Tensor`` whose gradient nothing reads."""
+    if not isinstance(x, Tensor):
+        x = Tensor(x)
     for w, b in layers[:-1]:
-        x = relu(tape, linear(tape, x, w, b), in_place=True)
+        x = relu(tape, add_bias(tape, matmul(tape, x, w), b))
     w, b = layers[-1]
-    return linear(tape, x, w, b)
+    return add_bias(tape, matmul(tape, x, w), b)
 
 
 def grid_label_ratio(tape, dists, src_labels, tgt_labels, src_weights, tgt_weights, eps):

@@ -37,7 +37,6 @@ from shiftlab.autodiff import (
     Velocity,
     LabelPairs,
     label_ratio,
-    linear,
     log,
     matmul,
     mean_all,
@@ -169,7 +168,7 @@ class TestTapeMechanics:
         tape.record(lambda: freed.append([ref() is None for ref in refs]))
         x = Tensor(rng.standard_normal((4, 3)))
         w, b = Tensor(rng.standard_normal((3, 2))), Tensor(rng.standard_normal((1, 2)))
-        h = linear(tape, x, w, b)
+        h = mlp(tape, x, [(w, b)])
         r = relu(tape, h)
         refs = [weakref.ref(h.values), weakref.ref(r.values)]
         loss = sum_all(tape, r)
@@ -213,14 +212,13 @@ class TestTapeMechanics:
 
 
 class TestReluSign:
-    @pytest.mark.parametrize("in_place", [False, True])
-    def test_gradient_follows_the_input_sign(self, in_place):
+    def test_gradient_follows_the_input_sign(self):
         # the rule reads the sign from the output: max(x, 0) > 0 exactly where x > 0
         values = np.array([[np.nan, -0.0, 0.0, -1.0, 2.0, np.inf, -np.inf, 1e-300]])
         upstream = np.array([[3.0, 3.0, 3.0, 3.0, 3.0, np.inf, np.nan, -2.0]])
         x = Tensor(values)
         tape = Tape()
-        out = relu(tape, x, in_place=in_place)
+        out = relu(tape, x)
         tape.backward(sum_all(tape, mul(tape, out, Tensor(upstream))))
         want = upstream * (values > 0.0)
         assert np.array_equal(x.grad, want, equal_nan=True)
@@ -540,8 +538,8 @@ class TestConsumedGradients:
         params = [Tensor(rng.standard_normal(shape)) for shape in ((4, 5), (1, 5), (5, 3), (1, 3))]
         other = Tensor(rng.standard_normal((2, 3)))
         tape = Tape()
-        hidden = relu(tape, linear(tape, x, *params[:2]))
-        feats = linear(tape, hidden, *params[2:])
+        hidden = relu(tape, mlp(tape, x, [tuple(params[:2])]))
+        feats = mlp(tape, hidden, [tuple(params[2:])])
         reversed_ = grad_reverse(tape, feats, 0.5)
         outputs = [hidden, reversed_, sigmoid(tape, reversed_), softmax(tape, feats),
                    pairwise_distances(tape, feats, other)]
@@ -561,6 +559,8 @@ def _linear_pair(rng, n=50, d_in=10, d_out=128):
 
 
 class TestLinear:
+    """``mlp`` with one layer: x @ w + b."""
+
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_identical_to_matmul_add_bias(self, seed):
         xv, wv, bv, r = _linear_pair(np.random.default_rng(800 + seed))
@@ -569,7 +569,7 @@ class TestLinear:
             x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
             tape = Tape()
             if fused:
-                out = linear(tape, x, w, b)
+                out = mlp(tape, x, [(w, b)])
             else:
                 out = add_bias(tape, matmul(tape, x, w), b)
             tape.backward(sum_all(tape, scale_by(tape, relu(tape, out), r)))
@@ -588,7 +588,7 @@ class TestLinear:
 
         def build():
             tape = Tape()
-            return tape, sum_all(tape, scale_by(tape, linear(tape, x, w, b), r))
+            return tape, sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r))
 
         _fd_check(build, [x, w, b])
 
@@ -600,7 +600,7 @@ class TestLinear:
         for x in (xv, Tensor(xv)):
             w, b = Tensor(wv), Tensor(bv)
             tape = Tape()
-            out = linear(tape, x, w, b)
+            out = mlp(tape, x, [(w, b)])
             tape.backward(sum_all(tape, scale_by(tape, relu(tape, out), r)))
             results.append((out.values, w.grad, b.grad))
         for got, want in zip(*results):
@@ -609,15 +609,15 @@ class TestLinear:
 
     def test_array_input_must_be_2d(self):
         with pytest.raises(ShapeError):
-            linear(None, np.ones(3), Tensor(np.ones((3, 4))), Tensor(np.ones((1, 4))))
+            mlp(None, np.ones(3), [(Tensor(np.ones((3, 4))), Tensor(np.ones((1, 4))))])
 
     def test_inner_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            linear(None, Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), Tensor(np.ones((1, 4))))
+            mlp(None, Tensor(np.ones((2, 3))), [(Tensor(np.ones((2, 4))), Tensor(np.ones((1, 4))))])
 
     def test_bias_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            linear(None, Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))), Tensor(np.ones((1, 3))))
+            mlp(None, Tensor(np.ones((2, 3))), [(Tensor(np.ones((3, 4))), Tensor(np.ones((1, 3))))])
 
 
 # 800 x 128 @ 128 x 128, the batch-400 step's middle layer: its weight
@@ -632,11 +632,11 @@ def _worker_threads() -> list[threading.Thread]:
 
 
 def _big_linear_grads(xv, wv, bv, r, pool=None):
-    """(x, w, b) gradients of sum(relu(linear(x, w, b)) * r)."""
+    """(x, w, b) gradients of sum(relu(mlp(x, [(w, b)])) * r)."""
     x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
     with pool if pool is not None else contextlib.nullcontext():
         tape = Tape()
-        tape.backward(sum_all(tape, scale_by(tape, relu(tape, linear(tape, x, w, b)), r)))
+        tape.backward(sum_all(tape, scale_by(tape, relu(tape, mlp(tape, x, [(w, b)])), r)))
         return [t.grad.copy() for t in (x, w, b)]
 
 
@@ -657,7 +657,7 @@ def submits(monkeypatch):
 
 
 class TestOffload:
-    """linear's large weight gradients, computed on the executor during backward."""
+    """mlp's large weight gradients, computed on the executor during its rule."""
 
     @pytest.mark.parametrize("pooled", [False, True])
     def test_gradients_equal_the_synchronous_products_bit_for_bit(self, submits, monkeypatch,
@@ -684,16 +684,15 @@ class TestOffload:
         def weight_grad():
             w, b = Tensor(wv), Tensor(np.zeros((1, d_out)))
             tape = Tape()
-            terms = [sum_all(tape, scale_by(tape, linear(tape, x, w, b), r))
+            terms = [sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r))
                      for x, r in zip(xs, rs)]
             tape.backward(weighted_sum(tape, terms, [1.0, 1.0, 1.0]))
             return w.grad
 
         offloaded = weight_grad()
-        # only the weight's first contribution, the third use's, is deferred: the
-        # small middle use waits for it, and the first use, large too, then stays
-        # on the caller
-        assert submits[0] == 1
+        # the two large uses each offload, and each rule adds its product before
+        # it returns
+        assert submits[0] == 2
         monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
         assert (offloaded == weight_grad()).all()
         # rules run newest first: the third use's product, the second's, the first's
@@ -716,8 +715,8 @@ class TestOffload:
                 picked = nll(tape, w, labels, 1e-12)
             else:
                 picked = sum_all(tape, gather_rows(tape, w, labels))
-            # recorded last, linear's rule runs first and leaves the product pending
-            h = linear(tape, xv, w, Tensor(np.zeros((1, BIG[2]))))
+            # recorded last, mlp's rule runs first and offloads its product
+            h = mlp(tape, xv, [(w, Tensor(np.zeros((1, BIG[2]))))])
             out = sum_all(tape, scale_by(tape, h, r))
             tape.backward(weighted_sum(tape, [picked, out], [1.0, 1.0]))
             return w.grad
@@ -745,8 +744,8 @@ class TestOffload:
             def fail():
                 raise RuntimeError("a rule failed")
 
-            tape.record(fail)  # runs last, after linear's rule handed off its product
-            loss = sum_all(tape, scale_by(tape, linear(tape, x, w, b), r))
+            tape.record(fail)  # runs last, after mlp's rule handed off its product
+            loss = sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r))
             start = time.perf_counter()
             with pytest.raises(RuntimeError, match="a rule failed"):
                 tape.backward(loss)
@@ -757,29 +756,55 @@ class TestOffload:
             assert any(np.shares_memory(grad, buf) for buf in pool)
             assert (grad == xv.T @ r).all()
 
-    def test_a_failed_product_raises_once_every_product_is_done(self, submits, monkeypatch):
-        product, started = autodiff._product, []
+    def test_a_failed_product_raises_from_the_rule_that_started_it(self, submits, monkeypatch):
+        started = []
 
-        def fail_first_slow_second(operands):
-            started.append(len(started))
-            if len(started) == 1:
-                operands.clear()
-                raise FloatingPointError("a product failed")
-            time.sleep(0.2)
-            return product(operands)
+        def fail(operands):
+            started.append(len(operands))
+            operands.clear()
+            raise FloatingPointError("a product failed")
 
-        monkeypatch.setattr(autodiff, "_product", fail_first_slow_second)
+        monkeypatch.setattr(autodiff, "_product", fail)
         rng = np.random.default_rng(48)
         xv, wv, bv, r = _linear_pair(rng, *BIG)
         w1, w2, b = Tensor(wv), Tensor(wv), Tensor(bv)
+        later = []
         tape = Tape()
-        h = linear(tape, linear(tape, xv, w1, b), w2, b)  # w2's rule runs, and fails, first
+        tape.record(lambda: later.append(True))  # runs last
+        h = mlp(tape, mlp(tape, xv, [(w1, b)]), [(w2, b)])  # w2's rule runs, and fails, first
         with pytest.raises(FloatingPointError, match="a product failed"):
             tape.backward(sum_all(tape, scale_by(tape, h, r)))
-        assert started == [0, 1]
-        # w1's product was waited for, not left running; its leaf reads the result
-        assert isinstance(w1._grad, autodiff._Future) and w1._grad.done()
-        assert (w1.grad == xv.T @ (r @ wv.T)).all()
+        # w2's rule added its bias share, then raised: w1's rule and the one
+        # recorded before it never ran, and neither weight got a gradient
+        assert started == [3] and later == []
+        assert (b.grad == np.add.reduce(r, axis=0, keepdims=True)).all()
+        assert w1._grad is None and w2._grad is None
+
+    def test_a_raising_rule_returns_once_its_product_is_done(self, submits, monkeypatch):
+        product, done = autodiff._product, []
+
+        def slow_product(operands):
+            time.sleep(0.2)
+            out = product(operands)
+            done.append(out)
+            return out
+
+        monkeypatch.setattr(autodiff, "_product", slow_product)
+        rng = np.random.default_rng(49)
+        xv, wv, bv, r = _linear_pair(rng, *BIG)
+        x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
+        b._grad = np.zeros((1, BIG[2] + 1))  # the rule's bias share cannot add to it
+        pool = Pool()
+        with pool:
+            tape = Tape()
+            loss = sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r))
+            with pytest.raises(ValueError):
+                tape.backward(loss)
+            # the rule raised after it submitted the product, and waited for it
+            assert submits[0] == 1 and len(done) == 1
+            assert any(np.shares_memory(done[0], buf) for buf in pool)
+            assert (done[0] == xv.T @ r).all()
+            assert w._grad is None
 
     def test_backward_leaves_no_reference_cycle(self, submits, monkeypatch):
         # nor does the worker hold the product's operands once it is done: the
@@ -798,7 +823,7 @@ class TestOffload:
         try:
             x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
             tape = Tape()
-            tape.backward(sum_all(tape, scale_by(tape, linear(tape, x, w, b), r)))
+            tape.backward(sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r)))
             refs = [weakref.ref(tape), weakref.ref(x.values)]
             del tape, x
             assert submits[0] == 1 and [ref() for ref in refs] == [None, None]
@@ -861,7 +886,7 @@ class TestOffload:
             def weight_grad():
                 w = ad.Tensor(np.ones((128, 128)))
                 tape = ad.Tape()
-                h = ad.linear(tape, np.ones((800, 128)), w, ad.Tensor(np.zeros((1, 128))))
+                h = ad.mlp(tape, np.ones((800, 128)), [(w, ad.Tensor(np.zeros((1, 128))))])
                 tape.backward(ad.sum_all(tape, h))
                 return w.grad
 
