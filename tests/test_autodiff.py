@@ -780,6 +780,43 @@ class TestOffload:
         assert (b.grad == np.add.reduce(r, axis=0, keepdims=True)).all()
         assert w1._grad is None and w2._grad is None
 
+    def test_a_failed_product_raises_once_every_product_is_done(self, submits, monkeypatch):
+        # a two-layer rule offloads both weight gradients: the top layer's
+        # product fails at once, the bottom layer's is still running
+        product, done = autodiff._product, []
+
+        def fail_then_slow(operands):
+            if not done:
+                done.append(None)
+                operands.clear()
+                raise FloatingPointError("a product failed")
+            time.sleep(0.2)
+            out = product(operands)
+            done.append(out)
+            return out
+
+        monkeypatch.setattr(autodiff, "_product", fail_then_slow)
+        rng = np.random.default_rng(50)
+        xv, w1v, b1v, r = _linear_pair(rng, *BIG)
+        w2v = rng.standard_normal((BIG[2], BIG[2]))
+        w1, b1, w2, b2 = Tensor(w1v), Tensor(b1v), Tensor(w2v), Tensor(np.zeros((1, BIG[2])))
+        pool = Pool()
+        with pool:
+            tape = Tape()
+            h = mlp(tape, xv, [(w1, b1), (w2, b2)])
+            start = time.perf_counter()
+            with pytest.raises(FloatingPointError, match="a product failed"):
+                tape.backward(sum_all(tape, scale_by(tape, h, r)))
+            assert time.perf_counter() - start >= 0.2
+            # both were submitted; only the second ran the product
+            assert len(done) == 2 and submits[0] == 1
+            g =(r @ w2v.T) * (np.maximum(xv @ w1v + b1v, 0.0) > 0.0)
+            assert any(np.shares_memory(done[1], buf) for buf in pool)
+            assert (done[1] == xv.T @ g).all()
+            # both layers added their bias shares; neither weight got a gradient
+            assert (b1.grad == np.add.reduce(g, axis=0, keepdims=True)).all()
+            assert w1._grad is None and w2._grad is None
+
     def test_a_raising_rule_returns_once_its_product_is_done(self, submits, monkeypatch):
         product, done = autodiff._product, []
 
