@@ -88,15 +88,15 @@ Inside ``with pool:`` for a ``Pool``, the ops whose arrays scale with the
 batch (``mlp``'s forward and backward, ``relu``'s output, ``split_rows``'
 backward, the n x m distances of ``pairwise_distances`` and
 ``label_ratio``, and the latter's gradient blocks) write into the pool's
-arrays instead of allocating; the arithmetic and its bits are the same. Those
-arrays are handed out again once the outermost ``with`` block ends, so
-nothing made inside one may be kept past it. Within a block, a later
-array may be written into the buffer of an earlier one that nothing
-views any more, such as a forward activation whose rules backward has
-run and dropped. Outside any, every op allocates. A warm full training
-step at the benchmark's shapes holds 14 pool buffers and 511 KiB at
-batch 50, and 13 buffers and 3,549 KiB at batch 400; the footprint tests
-in ``tests/test_pool.py`` record what it held before.
+arrays instead of allocating; the arithmetic and its bits are the same.
+Each array is made on a buffer that nothing else refers to, in this
+block or kept from an earlier one, so a later array may reuse the buffer
+of a forward activation whose rules backward has run and dropped. An
+array kept past its block is never overwritten, but its buffer stays
+taken and the pool makes another, so nothing made inside a block should
+outlive it. Outside any, every op allocates. A warm full training step
+at the benchmark's shapes holds 14 pool buffers and 511 KiB at batch 50,
+and 13 buffers and 3,549 KiB at batch 400; ``tests/test_pool.py`` bounds both.
 """
 from __future__ import annotations
 
@@ -218,34 +218,27 @@ class Pool:
     """Scratch arrays that one step after another writes into.
 
     ``with pool:`` makes the pool the active one for the ops (see the
-    module docstring). The i-th array taken inside the block reuses the
-    i-th position's buffer, grown when too small, so a loop whose steps
-    take the same sequence of shapes, or smaller ones, allocates only in
-    its first step. A taken array's contents are garbage until the op
-    writes it, and it is handed out again once the outermost ``with
-    pool:`` block ends: a value that outlives the block must not be a pool
-    array.
+    module docstring). The i-th array taken inside the block is made on
+    the i-th position's buffer, grown when too small, so a loop whose
+    steps take the same sequence of shapes, or smaller ones, allocates
+    only in its first step. A taken array's contents are garbage until
+    the op writes it.
 
-    Within a block, a later position may write into an earlier position's
-    buffer once nothing views it any more. The first block to reach a
-    position picks, among the buffers whose arrays are all unreferenced,
-    the smallest one large enough, and the position keeps that buffer in
-    later blocks. There each take re-checks only the buffer and the array
-    the buffer's previous position handed out, with ``sys.getrefcount``:
-    NumPy points every slice's ``.base`` at the buffer itself, so a held
-    slice shows on the buffer, and a held array on itself. A position
-    whose buffer is still viewed moves to a fresh buffer of its own, for
-    good. ``len(pool)`` counts the buffers held and iterating yields them.
+    A buffer is free when only the pool refers to it. NumPy points the
+    ``.base`` of every array made on a buffer, and of every slice or
+    transpose of one, at the buffer itself, so ``sys.getrefcount`` on it
+    shows whether anything still views it. The first block to reach a
+    position gives it the smallest free buffer large enough, else a new
+    one. Each later take checks the position's buffer once: when it is
+    held, by an array kept from an earlier block or taken earlier in this
+    one, the position moves to a new buffer for good. So no take
+    overwrites an array that is still referenced; a kept array only costs
+    a buffer. ``len(pool)`` counts the buffers and iterating yields them.
     """
 
     def __init__(self) -> None:
         self._buffers: list[np.ndarray] = []  # flat bytes, each shared by one or more positions
-        # per buffer: what sys.getrefcount reads for it when only the pool
-        # refers to it, through the list above and its cached arrays
-        self._refs: list[int] = []
-        self._views: list[np.ndarray | None] = []  # per position: the array last handed out
         self._slot: list[int] = []  # per position: the index of its buffer
-        self._after: list[int] = []  # per position: the one before it on its buffer, or -1
         self._taken = 0
         self._tokens: list[contextvars.Token] = []
 
@@ -265,79 +258,39 @@ class Pool:
         return iter(self._buffers)
 
     def take(self, shape: tuple[int, ...], dtype: np.dtype = _FLOAT) -> np.ndarray:
-        """An uninitialised array that nothing else views."""
+        """An uninitialised array on a buffer nothing else views."""
         i = self._taken
         self._taken = i + 1
         try:
-            view = self._views[i]
-        except IndexError:  # a position no block has reached before
-            return self._place(i, shape, dtype)
-        before = self._after[i]
-        if before >= 0:
-            # a reference dropped between the two reads, say by the executor's
-            # thread, can only make a free buffer look held, never the reverse
             s = self._slot[i]
-            if _refcount(self._views[before]) != 2 or _refcount(self._buffers[s]) != self._refs[s]:
-                self._move(i)
-                view = None
-        if view is not None and view.shape == shape and view.dtype is dtype:
-            return view
-        return self._view(i, shape, dtype)
+        except IndexError:  # a position no block has reached before
+            s = self._place(math.prod(shape) * dtype.itemsize)
+            self._slot.append(s)
+        else:
+            # only the list and the argument refer to a free buffer; a reference
+            # the executor's thread is about to drop can only make a free
+            # buffer look held, never the reverse
+            if _refcount(self._buffers[s]) != 2:
+                s = self._slot[i] = len(self._buffers)
+                self._buffers.append(np.empty(0, np.uint8))
+        try:
+            return np.ndarray(shape, dtype, self._buffers[s])
+        except TypeError:  # too small, and free: nothing views it
+            self._buffers[s] = np.empty(math.prod(shape) * dtype.itemsize, np.uint8)
+            return np.ndarray(shape, dtype, self._buffers[s])
 
-    def _new_buffer(self) -> int:
-        self._buffers.append(np.empty(0, np.uint8))
-        self._refs.append(2)  # the list and getrefcount's argument
-        return len(self._buffers) - 1
-
-    def _place(self, i: int, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """Give new position ``i`` the smallest free buffer that fits, else a new one.
-
-        Every earlier position was taken in this block, each after checking
-        the one before it on its buffer, so a buffer is free when it and
-        the array of its last position are referenced by the pool alone.
-        """
-        nbytes = math.prod(shape) * dtype.itemsize
-        last = {s: p for p, s in enumerate(self._slot)}
+    def _place(self, nbytes: int) -> int:
+        """The index of the smallest free buffer of at least ``nbytes``, else of a new one."""
         best = -1
-        for s, p in last.items():
+        for s in range(len(self._buffers)):
             size = self._buffers[s].size
             if (nbytes <= size and (best < 0 or size < self._buffers[best].size)
-                    and _refcount(self._views[p]) == 2
-                    and _refcount(self._buffers[s]) == self._refs[s]):
+                    and _refcount(self._buffers[s]) == 2):
                 best = s
-        self._after.append(-1 if best < 0 else last[best])
-        self._slot.append(self._new_buffer() if best < 0 else best)
-        self._views.append(None)
-        return self._view(i, shape, dtype)
-
-    def _move(self, i: int) -> None:
-        """Give position ``i`` a buffer of its own: its shared one is still viewed."""
-        s, before = self._slot[i], self._after[i]
-        if self._views[i] is not None:
-            self._views[i] = None
-            self._refs[s] -= 1
-        for p in range(i + 1, len(self._after)):
-            if self._after[p] == i:
-                self._after[p] = before
-        self._slot[i] = self._new_buffer()
-        self._after[i] = -1
-
-    def _view(self, i: int, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """Cache and return a ``shape`` array on position ``i``'s buffer, grown if too small."""
-        s = self._slot[i]
-        nbytes = math.prod(shape) * dtype.itemsize
-        if self._buffers[s].size < nbytes:
-            self._buffers[s] = np.empty(nbytes, np.uint8)
-            # the other positions' arrays are on the old buffer
-            for p in range(len(self._slot)):
-                if self._slot[p] == s:
-                    self._views[p] = None
-            self._refs[s] = 2
-        if self._views[i] is None:
-            self._refs[s] += 1
-        view = self._buffers[s][:nbytes].view(dtype).reshape(shape)
-        self._views[i] = view
-        return view
+        if best < 0:
+            best = len(self._buffers)
+            self._buffers.append(np.empty(0, np.uint8))
+        return best
 
 
 _ACTIVE: contextvars.ContextVar[Pool | None] = contextvars.ContextVar("pool", default=None)
