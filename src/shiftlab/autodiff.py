@@ -10,6 +10,14 @@ The backward-rule contract: an op given a tape makes exactly one
 ``Tape.record(rule)`` call, and ``rule`` takes no arguments. When run, it
 reads the gradient of its own output (``out._grad``), does nothing if that
 is still None, and otherwise adds each input's share into that input.
+``_node`` builds the output and records that rule for the 18 ops whose
+rule only adds shares computed from the gradient. The other 10 keep a
+hand-written rule, because theirs does more than add fresh arrays:
+``mlp``, ``relu``, ``sigmoid``, ``softmax``, ``grad_reverse`` and
+``pairwise_distances`` consume their output's gradient in place (below),
+``label_ratio`` turns its distance table into its gradient,
+``split_rows`` joins two outputs' gradients into one array, and ``nll``
+and ``gather_rows`` add into picked entries of their input's gradient.
 ``Tape.backward`` calls every rule once, newest first, and drops each as
 soon as it has run, as PyTorch frees the tensors it saved for backward.
 A rule holds its op's operands and output, never the tape, so an array
@@ -39,8 +47,9 @@ activation once nothing reads the activation any more, and
 distance table. Only a
 leaf, a parameter or any other tensor built with ``Tensor(...)``, keeps
 a gradient to be read after backward. The array is private to its
-tensor: ``_accumulate`` adopts only an array nothing else holds and
-copies a shared one, and the ``grad`` setter copies what it is given.
+tensor: ``_accumulate`` adopts only an array nothing else holds, and
+``_node`` has it copy a share that is the output's own gradient, so no
+two tensors hold one array; the ``grad`` setter copies what it is given.
 
 At the training step's shapes the arithmetic is cheap and the cost is in
 Python-level calls, so the ops read shapes from ``.values.shape`` rather
@@ -257,14 +266,14 @@ class Pool:
     def __iter__(self):
         return iter(self._buffers)
 
-    def take(self, shape: tuple[int, ...], dtype: np.dtype = _FLOAT) -> np.ndarray:
-        """An uninitialised array on a buffer nothing else views."""
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialised float64 array on a buffer nothing else views."""
         i = self._taken
         self._taken = i + 1
         try:
             s = self._slot[i]
         except IndexError:  # a position no block has reached before
-            s = self._place(math.prod(shape) * dtype.itemsize)
+            s = self._place(math.prod(shape) * _FLOAT.itemsize)
             self._slot.append(s)
         else:
             # only the list and the argument refer to a free buffer; a reference
@@ -274,10 +283,10 @@ class Pool:
                 s = self._slot[i] = len(self._buffers)
                 self._buffers.append(np.empty(0, np.uint8))
         try:
-            return np.ndarray(shape, dtype, self._buffers[s])
+            return np.ndarray(shape, _FLOAT, self._buffers[s])
         except TypeError:  # too small, and free: nothing views it
-            self._buffers[s] = np.empty(math.prod(shape) * dtype.itemsize, np.uint8)
-            return np.ndarray(shape, dtype, self._buffers[s])
+            self._buffers[s] = np.empty(math.prod(shape) * _FLOAT.itemsize, np.uint8)
+            return np.ndarray(shape, _FLOAT, self._buffers[s])
 
     def _place(self, nbytes: int) -> int:
         """The index of the smallest free buffer of at least ``nbytes``, else of a new one."""
@@ -296,10 +305,10 @@ class Pool:
 _ACTIVE: contextvars.ContextVar[Pool | None] = contextvars.ContextVar("pool", default=None)
 
 
-def _empty(shape: tuple[int, ...], dtype: np.dtype = _FLOAT) -> np.ndarray:
-    """An uninitialised array: from the active pool, else newly allocated."""
+def _empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array: from the active pool, else newly allocated."""
     pool = _ACTIVE.get()
-    return np.empty(shape, dtype) if pool is None else pool.take(shape, dtype)
+    return np.empty(shape) if pool is None else pool.take(shape)
 
 
 class _Output(Tensor):
@@ -420,22 +429,35 @@ class Tape:
             rule()
 
 
-def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
-    if a.values.shape[1] != b.values.shape[0]:
-        raise ShapeError(
-            f"matmul: inner dimensions differ, {a.values.shape} @ {b.values.shape}"
-        )
-    out = _Output(a.values @ b.values)
+def _node(tape: Tape | None, values: np.ndarray, inputs, shares) -> Tensor:
+    """An op output owning ``values``; on a tape, the rule that adds its shares.
+
+    ``shares(g)`` maps the output's gradient g to one array per tensor of
+    ``inputs``, in order, or None for an input that gets nothing. A share
+    is a fresh array, which its input adopts, or g itself, which is
+    copied, so no two tensors hold one array.
+    """
+    out = _Output(values)
     if tape is not None:
 
         def backward() -> None:
             g = out._grad
             if g is not None:
-                _accumulate(a, g @ b.values.T)
-                _accumulate(b, a.values.T @ g)
+                for t, share in zip(inputs, shares(g)):
+                    if share is not None:
+                        _accumulate(t, share, shared=share is g)
 
         tape.record(backward)
     return out
+
+
+def matmul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
+    if a.values.shape[1] != b.values.shape[0]:
+        raise ShapeError(
+            f"matmul: inner dimensions differ, {a.values.shape} @ {b.values.shape}"
+        )
+    return _node(tape, a.values @ b.values, (a, b),
+                 lambda g: (g @ b.values.T, a.values.T @ g))
 
 
 def add_bias(tape: Tape | None, x: Tensor, bias: Tensor) -> Tensor:
@@ -444,17 +466,8 @@ def add_bias(tape: Tape | None, x: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"add_bias: bias {bias.values.shape} does not fit rows of {x.values.shape}"
         )
-    out = _Output(x.values + bias.values)
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                _accumulate(x, g, shared=True)
-                _accumulate(bias, np.add.reduce(g, axis=0, keepdims=True))
-
-        tape.record(backward)
-    return out
+    return _node(tape, x.values + bias.values, (x, bias),
+                 lambda g: (g, np.add.reduce(g, axis=0, keepdims=True)))
 
 
 def mlp(
@@ -563,16 +576,7 @@ def ema_matmul(
     h = coeff @ x.values
     h *= col
     h += base
-    out = _Output(h)
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                _accumulate(x, coeff.T @ (g * col))
-
-        tape.record(backward)
-    return out
+    return _node(tape, h, (x,), lambda g: (coeff.T @ (g * col),))
 
 
 def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
@@ -582,64 +586,25 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("add", a, b)
-    out = _Output(a.values + b.values)
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                _accumulate(a, g, shared=True)
-                _accumulate(b, g, shared=True)
-
-        tape.record(backward)
-    return out
+    return _node(tape, a.values + b.values, (a, b), lambda g: (g, g))
 
 
 def sub(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("sub", a, b)
-    out = _Output(a.values - b.values)
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                _accumulate(a, g, shared=True)
-                _accumulate(b, np.negative(g))
-
-        tape.record(backward)
-    return out
+    return _node(tape, a.values - b.values, (a, b), lambda g: (g, np.negative(g)))
 
 
 def mul(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of two same-shape tensors."""
     _require_same_shape("mul", a, b)
-    out = _Output(a.values * b.values)
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                _accumulate(a, g * b.values)
-                _accumulate(b, g * a.values)
-
-        tape.record(backward)
-    return out
+    return _node(tape, a.values * b.values, (a, b), lambda g: (g * b.values, g * a.values))
 
 
 def div(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise quotient a / b of two same-shape tensors."""
     _require_same_shape("div", a, b)
-    out = _Output(a.values / b.values)
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                _accumulate(a, g / b.values)
-                _accumulate(b, -(g * out.values / b.values))
-
-        tape.record(backward)
-    return out
+    q = a.values / b.values
+    return _node(tape, q, (a, b), lambda g: (g / b.values, -(g * q / b.values)))
 
 
 def add_n(tape: Tape | None, tensors: list[Tensor]) -> Tensor:
@@ -649,17 +614,7 @@ def add_n(tape: Tape | None, tensors: list[Tensor]) -> Tensor:
     first = tensors[0]
     for t in tensors[1:]:
         _require_same_shape("add_n", first, t)
-    out = _Output(sum(t.values for t in tensors))
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                for t in tensors:
-                    _accumulate(t, g, shared=True)
-
-        tape.record(backward)
-    return out
+    return _node(tape, sum(t.values for t in tensors), tensors, lambda g: [g] * len(tensors))
 
 
 def weighted_sum(tape: Tape | None, tensors: list[Tensor], weights: list[float]) -> Tensor:
@@ -678,31 +633,12 @@ def weighted_sum(tape: Tape | None, tensors: list[Tensor], weights: list[float])
         if t.values.shape != shape:
             raise ShapeError(f"weighted_sum: shapes differ, {shape} vs {t.values.shape}")
         total = total + w * t.values
-    out = _Output(total)
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                for t, w in zip(tensors, weights):
-                    _accumulate(t, w * g)
-
-        tape.record(backward)
-    return out
+    return _node(tape, total, tensors, lambda g: [w * g for w in weights])
 
 
 def affine(tape: Tape | None, x: Tensor, scale: float, shift: float = 0.0) -> Tensor:
     """scale * x + shift with scalar constants."""
-    out = _Output(scale * x.values + shift)
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                _accumulate(x, scale * g)
-
-        tape.record(backward)
-    return out
+    return _node(tape, scale * x.values + shift, (x,), lambda g: (scale * g,))
 
 
 def scale_by(tape: Tape | None, x: Tensor, factor: np.ndarray) -> Tensor:
@@ -710,16 +646,7 @@ def scale_by(tape: Tape | None, x: Tensor, factor: np.ndarray) -> Tensor:
     fac = np.asarray(factor, dtype=np.float64)
     if fac.shape != x.values.shape:
         raise ShapeError(f"scale_by: factor {fac.shape} vs tensor {x.values.shape}")
-    out = _Output(x.values * fac)
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                _accumulate(x, g * fac)
-
-        tape.record(backward)
-    return out
+    return _node(tape, x.values * fac, (x,), lambda g: (g * fac,))
 
 
 def relu(tape: Tape | None, x: Tensor) -> Tensor:
@@ -780,16 +707,7 @@ def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
 def log(tape: Tape | None, x: Tensor) -> Tensor:
     if np.any(x.values <= 0.0):
         raise ValueError("log: all entries must be positive")
-    out = _Output(np.log(x.values))
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                _accumulate(x, g / x.values)
-
-        tape.record(backward)
-    return out
+    return _node(tape, np.log(x.values), (x,), lambda g: (g / x.values,))
 
 
 def clamp_min(tape: Tape | None, x: Tensor, floor: float) -> Tensor:
@@ -798,16 +716,7 @@ def clamp_min(tape: Tape | None, x: Tensor, floor: float) -> Tensor:
     A NaN entry stays NaN.
     """
     mask = x.values > floor
-    out = _Output(np.maximum(x.values, floor))
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                _accumulate(x, g * mask)
-
-        tape.record(backward)
-    return out
+    return _node(tape, np.maximum(x.values, floor), (x,), lambda g: (g * mask,))
 
 
 def softmax(tape: Tape | None, logits: Tensor) -> Tensor:
@@ -834,30 +743,14 @@ def softmax(tape: Tape | None, logits: Tensor) -> Tensor:
 
 
 def sum_all(tape: Tape | None, x: Tensor) -> Tensor:
-    out = _Output(np.array([[np.add.reduce(x.values, axis=None)]]))
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                _accumulate(x, np.full(x.values.shape, g[0, 0]))
-
-        tape.record(backward)
-    return out
+    return _node(tape, np.array([[np.add.reduce(x.values, axis=None)]]), (x,),
+                 lambda g: (np.full(x.values.shape, g[0, 0]),))
 
 
 def mean_all(tape: Tape | None, x: Tensor) -> Tensor:
     n = x.values.size
-    out = _Output(np.array([[np.add.reduce(x.values, axis=None) / n]]))
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                _accumulate(x, np.full(x.values.shape, g[0, 0] / n))
-
-        tape.record(backward)
-    return out
+    return _node(tape, np.array([[np.add.reduce(x.values, axis=None) / n]]), (x,),
+                 lambda g: (np.full(x.values.shape, g[0, 0] / n),))
 
 
 def ratio(
@@ -876,19 +769,14 @@ def ratio(
         raise ShapeError(f"ratio: weights {w_num.shape}, {w_den.shape} vs tensor {v.shape}")
     den = np.add.reduce(v * w_den, axis=None) + eps
     q = np.add.reduce(v * w_num, axis=None) / den
-    out = _Output(np.array([[q]]))
-    if tape is not None:
 
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                c = g[0, 0]
-                grad = -(c * q / den) * w_den
-                grad += (c / den) * w_num
-                _accumulate(x, grad)
+    def shares(g):
+        c = g[0, 0]
+        grad = -(c * q / den) * w_den
+        grad += (c / den) * w_num
+        return (grad,)
 
-        tape.record(backward)
-    return out
+    return _node(tape, np.array([[q]]), (x,), shares)
 
 
 class LabelPairs:
@@ -1108,18 +996,12 @@ def binary_cross_entropy(
         raise ValueError("binary_cross_entropy: floored probabilities must be positive")
     terms = (np.add.reduce(np.log(neg), axis=None) / neg.size
              + np.add.reduce(np.log(pos), axis=None) / pos.size)
-    out = _Output(np.array([[-1.0 * terms + 0.0]]))
-    if tape is not None:
 
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                c = -1.0 * g[0, 0]
-                _accumulate(p_pos, c / pos.size / pos * pos_mask)
-                _accumulate(p_neg, -1.0 * (c / neg.size / neg * neg_mask))
+    def shares(g):
+        c = -1.0 * g[0, 0]
+        return c / pos.size / pos * pos_mask, -1.0 * (c / neg.size / neg * neg_mask)
 
-        tape.record(backward)
-    return out
+    return _node(tape, np.array([[-1.0 * terms + 0.0]]), (p_pos, p_neg), shares)
 
 
 def euclidean_distance(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -1131,18 +1013,14 @@ def euclidean_distance(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("euclidean_distance", a, b)
     diff = a.values - b.values
     dist = float(np.sqrt(np.add.reduce(diff * diff, axis=None)))
-    out = _Output(np.array([[dist]]))
-    if tape is not None:
 
-        def backward() -> None:
-            g = out._grad
-            if g is not None and dist > 0.0:
-                step = g[0, 0] * (diff / dist)
-                _accumulate(a, step)
-                _accumulate(b, -step)
+    def shares(g):
+        if not dist > 0.0:  # NaN included: no share
+            return None, None
+        step = g[0, 0] * (diff / dist)
+        return step, -step
 
-        tape.record(backward)
-    return out
+    return _node(tape, np.array([[dist]]), (a, b), shares)
 
 
 # A pair whose squared distance the Gram form gives as at most this

@@ -237,7 +237,6 @@ def train_step(
     out = dict.fromkeys(LOSS_FIELDS, 0.0)
     out["loss_class"] = loss_class.item()
 
-    src_wb = tgt_wb = None
     if lam > 0.0 or mu > 0.0:
         src_conf = np.maximum.reduce(p_src.values, axis=1)
         # the pseudo-labels are targets, not a gradient path: no tape

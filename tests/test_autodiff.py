@@ -434,6 +434,17 @@ class TestOpGradients:
         assert np.all(a.grad == 0.0)
         assert np.all(b.grad == 0.0)
 
+    def test_nan_distance_adds_no_gradient(self):
+        # the rule skips unless dist > 0, which NaN fails like 0 does
+        tape = Tape()
+        a = Tensor([[np.nan, 2.0]])
+        b = Tensor([[1.0, 2.0]])
+        d = euclidean_distance(tape, a, b)
+        tape.backward(d)
+        assert np.isnan(d.item())
+        assert np.all(a.grad == 0.0)
+        assert np.all(b.grad == 0.0)
+
 
 class TestGradientsDoNotAlias:
     """Ops that pass one upstream gradient to several inputs must copy it."""

@@ -170,6 +170,11 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(np.ones(3) / 3, np.ones(3))
 
+    def test_one_weight_for_five_classes_rejected(self):
+        # a one-element vector would broadcast against any row: only the check refuses it
+        with pytest.raises(ValueError, match="1 class weights"):
+            calibrate(np.full((2, 5), 0.2), np.ones(1))
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(31)
         raw = rng.uniform(size=(200, 6))

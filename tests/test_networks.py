@@ -22,6 +22,7 @@ from shiftlab import (
     features,
     init_model,
     load_checkpoint,
+    predict,
     save_checkpoint,
 )
 from shiftlab.data import MAX_SIZE
@@ -55,6 +56,13 @@ class TestModelConfig:
     def test_rejects_single_class(self):
         with pytest.raises(ValueError):
             ModelConfig(input_dim=4, num_classes=1)
+
+    def test_two_classes_build_and_predict(self):
+        # the smallest class count the check admits
+        state = init_model(dataclasses.replace(small_cfg(), num_classes=2), seed=0)
+        probs = predict(state, np.random.default_rng(0).normal(size=(7, 4)))
+        assert probs.shape == (7, 2)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0)
 
     @pytest.mark.parametrize("hidden, disc", [
         ([16.7], [8]),  # used to train as [16]

@@ -172,6 +172,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("offset", [0.5, 0.01])
+    def test_accepts_a_calibration_offset_below_one(self, offset):
+        # the check admits any positive offset, not only those above 1
+        assert TrainConfig(calibration_offset=offset).calibration_offset == offset
+
 
 def quick_cfg(**kwargs) -> TrainConfig:
     base = dict(epochs=4, pretrain_epochs=2, batch_size=16, seed=100)
