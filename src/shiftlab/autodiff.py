@@ -8,22 +8,33 @@ so tensors reused in several places receive the sum of all contributions.
 
 The backward-rule contract: an op given a tape makes exactly one
 ``Tape.record(rule)`` call, and ``rule`` takes no arguments. When run, it
-reads the gradient of its own output (``out._grad``), does nothing if that
-is still None, and otherwise adds each input's share into that input.
-``_node`` builds the output and records that rule for the 18 ops whose
-rule only adds shares computed from the gradient. The other 10 keep a
-hand-written rule, because theirs does more than add fresh arrays:
-``mlp``, ``relu``, ``sigmoid``, ``softmax``, ``grad_reverse`` and
-``pairwise_distances`` consume their output's gradient in place (below),
-``label_ratio`` turns its distance table into its gradient,
-``split_rows`` joins two outputs' gradients into one array, and ``nll``
-and ``gather_rows`` add into picked entries of their input's gradient.
-``Tape.backward`` calls every rule once, newest first, and drops each as
-soon as it has run, as PyTorch frees the tensors it saved for backward.
-A rule holds its op's operands and output, never the tape, so an array
-that only rules held is freed once backward is done with it, without
-waiting for the garbage collector and while the tape is still held. The
-tape is then empty: a second ``backward`` raises ``TapeError``.
+takes the gradient of its own output off that output, which then holds
+none, does nothing if there was none, and otherwise adds each input's
+share into that input. This is how PyTorch frees a non-leaf tensor's
+gradient: by the time a rule runs, every op that read the output has
+added its share, and nothing reads that array again. So a rule may
+overwrite it in place and hand it on to an input where the shapes agree,
+as ``relu``, ``sigmoid``, ``softmax``, ``grad_reverse`` and
+``pairwise_distances`` do. ``_node`` builds the output and records that
+rule for every op but two, which keep a hand-written one: ``split_rows``
+has two outputs, whose gradients it joins into one array, and ``mlp``
+adds each layer's shares as it reaches that layer, while a weight
+gradient may still be computing on another thread (below). Arrays an op
+keeps for backward are reused the same way inside its node: ``mlp``
+writes each hidden layer's masked gradient over that layer's activation
+once nothing reads the activation any more, and ``label_ratio`` divides
+its gradient grid, in row blocks, into its distance table. Only a leaf,
+a parameter or any other tensor built with ``Tensor(...)``, keeps a
+gradient to be read after backward. The array is private to its tensor:
+``_accumulate`` adopts only an array no other tensor holds, and an op
+that hands its gradient to more than one input copies it for the
+others; the ``grad`` setter copies what it is given. ``Tape.backward``
+calls every rule once, newest first, and drops each as soon as it has
+run, as PyTorch frees the tensors it saved for backward. A rule holds
+its op's operands and output, never the tape, so an array that only
+rules held is freed once backward is done with it, without waiting for
+the garbage collector and while the tape is still held. The tape is then
+empty: a second ``backward`` raises ``TapeError``.
 
 One share may run on another thread: ``mlp``'s rule hands a weight
 gradient h.T @ g of at least ``_OFFLOAD_MACS`` (about 4M) multiply-adds
@@ -34,23 +45,6 @@ child makes its own. At the benchmark's shapes only the batch-400
 extractor's middle layer (13.1M) qualifies; the standard step starts no
 thread.
 
-A rule consumes its output's gradient, as PyTorch frees a non-leaf
-tensor's: by the time it runs, every op that read the output has added
-its share, and nothing reads that array again. So ``relu``, ``sigmoid``,
-``softmax``, ``grad_reverse`` and ``pairwise_distances`` overwrite it in
-place, hand it on to their input where the shapes agree, and leave their
-output holding no gradient; the other ops leave theirs in place. Arrays
-an op keeps for backward are reused the same way inside its node:
-``mlp`` writes each hidden layer's masked gradient over that layer's
-activation once nothing reads the activation any more, and
-``label_ratio`` divides its gradient grid, in row blocks, into its
-distance table. Only a
-leaf, a parameter or any other tensor built with ``Tensor(...)``, keeps
-a gradient to be read after backward. The array is private to its
-tensor: ``_accumulate`` adopts only an array nothing else holds, and
-``_node`` has it copy a share that is the output's own gradient, so no
-two tensors hold one array; the ``grad`` setter copies what it is given.
-
 At the training step's shapes the arithmetic is cheap and the cost is in
 Python-level calls, so the ops read shapes from ``.values.shape`` rather
 than ``Tensor.shape`` and reduce with ``np.add.reduce`` and its like
@@ -59,9 +53,7 @@ rather than the array methods, whose Python wrappers cost more calls.
 
 Only the user boundary pays for a full ``Tensor``: the public constructor
 copies its input, while op outputs own the array their op just computed.
-Gradient buffers are allocated on the first accumulation, usually by
-adopting the array the backward rule computed; a rule whose output got no
-gradient does nothing. ``Tensor.grad`` reads as zeros until then.
+A gradient is made by its tensor's first share, which the tensor adopts.
 
 Only the operations the training method needs are provided, and all
 tensors are 2-D. There is no broadcasting beyond what the individual
@@ -179,8 +171,8 @@ class Tensor:
     Until then ``grad`` reads as zeros of the tensor's shape (and keeps
     that buffer), so ``t.grad += 1.0`` works on a fresh tensor. Setting
     ``grad`` stores a copy. ``zero_grad`` drops the buffer; an array read
-    from ``grad`` before that keeps its values. An op output's gradient
-    may be consumed by backward (see the module docstring).
+    from ``grad`` before that keeps its values. Backward consumes an op
+    output's gradient (see the module docstring).
     """
 
     __slots__ = ("values", "_grad")
@@ -325,15 +317,12 @@ class _Output(Tensor):
         self._grad = None
 
 
-def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
-    """Add ``g`` into ``t``'s gradient.
-
-    On the first write the buffer adopts ``g``, which must then be a fresh
-    array nothing else holds; ``shared=True`` copies it instead.
-    """
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t``'s gradient. The first write adopts ``g``, so no other
+    tensor may hold it: it is a fresh array or one a rule took from its output."""
     grad = t._grad
     if grad is None:
-        t._grad = g.copy() if shared else g
+        t._grad = g
     else:
         grad += g
 
@@ -432,10 +421,13 @@ class Tape:
 def _node(tape: Tape | None, values: np.ndarray, inputs, shares) -> Tensor:
     """An op output owning ``values``; on a tape, the rule that adds its shares.
 
-    ``shares(g)`` maps the output's gradient g to one array per tensor of
-    ``inputs``, in order, or None for an input that gets nothing. A share
-    is a fresh array, which its input adopts, or g itself, which is
-    copied, so no two tensors hold one array.
+    The rule takes the output's gradient g off the output, which then
+    holds none, and ``shares(g)`` returns one array per tensor of
+    ``inputs``, in order, or None for an input that gets nothing. An
+    input adopts its share or adds it into the gradient it has, so each
+    share is a fresh array or g itself, which ``shares`` may have
+    overwritten; an op that hands g to more than one input copies it
+    for the others.
     """
     out = _Output(values)
     if tape is not None:
@@ -443,9 +435,10 @@ def _node(tape: Tape | None, values: np.ndarray, inputs, shares) -> Tensor:
         def backward() -> None:
             g = out._grad
             if g is not None:
+                out._grad = None
                 for t, share in zip(inputs, shares(g)):
                     if share is not None:
-                        _accumulate(t, share, shared=share is g)
+                        _accumulate(t, share)
 
         tape.record(backward)
     return out
@@ -522,6 +515,7 @@ def mlp(
             g = out._grad
             if g is None:
                 return
+            out._grad = None
             offloaded = []  # (w, future) per weight gradient on the executor
             try:
                 for k in range(last, -1, -1):
@@ -586,7 +580,7 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 def add(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("add", a, b)
-    return _node(tape, a.values + b.values, (a, b), lambda g: (g, g))
+    return _node(tape, a.values + b.values, (a, b), lambda g: (g, g.copy()))
 
 
 def sub(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -614,7 +608,8 @@ def add_n(tape: Tape | None, tensors: list[Tensor]) -> Tensor:
     first = tensors[0]
     for t in tensors[1:]:
         _require_same_shape("add_n", first, t)
-    return _node(tape, sum(t.values for t in tensors), tensors, lambda g: [g] * len(tensors))
+    return _node(tape, sum(t.values for t in tensors), tensors,
+                 lambda g: [g, *[g.copy() for _ in tensors[1:]]])
 
 
 def weighted_sum(tape: Tape | None, tensors: list[Tensor], weights: list[float]) -> Tensor:
@@ -657,17 +652,8 @@ def relu(tape: Tape | None, x: Tensor) -> Tensor:
     included, so no mask lives until backward.
     """
     v = x.values
-    out = _Output(np.maximum(v, 0.0, out=_empty(v.shape)))
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                out._grad = None
-                _accumulate(x, np.multiply(g, out.values > 0.0, out=g))
-
-        tape.record(backward)
-    return out
+    h = np.maximum(v, 0.0, out=_empty(v.shape))
+    return _node(tape, h, (x,), lambda g: (np.multiply(g, h > 0.0, out=g),))
 
 
 # The floor and ceiling that ``sigmoid`` clips its output to.
@@ -689,19 +675,13 @@ def sigmoid(tape: Tape | None, x: Tensor) -> Tensor:
     s = np.maximum(e, v >= 0.0)
     s /= 1.0 + e
     np.minimum(np.maximum(s, _ABOVE_ZERO, out=s), _BELOW_ONE, out=s)
-    out = _Output(s)
-    if tape is not None:
 
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                out._grad = None
-                np.multiply(g, s, out=g)
-                g *= 1.0 - s
-                _accumulate(x, g)
+    def shares(g):
+        np.multiply(g, s, out=g)
+        g *= 1.0 - s
+        return (g,)
 
-        tape.record(backward)
-    return out
+    return _node(tape, s, (x,), shares)
 
 
 def log(tape: Tape | None, x: Tensor) -> Tensor:
@@ -727,19 +707,13 @@ def softmax(tape: Tape | None, logits: Tensor) -> Tensor:
     e = np.subtract(v, np.maximum.reduce(v, axis=1, keepdims=True))
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=1, keepdims=True)
-    out = _Output(e)
-    if tape is not None:
 
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                out._grad = None
-                np.subtract(g, np.add.reduce(g * e, axis=1, keepdims=True), out=g)
-                g *= e
-                _accumulate(logits, g)
+    def shares(g):
+        np.subtract(g, np.add.reduce(g * e, axis=1, keepdims=True), out=g)
+        g *= e
+        return (g,)
 
-        tape.record(backward)
-    return out
+    return _node(tape, e, (logits,), shares)
 
 
 def sum_all(tape: Tape | None, x: Tensor) -> Tensor:
@@ -868,25 +842,19 @@ def label_ratio(
     cross_sum = np.vdot(s[:, None] - src_weight, by_class)
     den = cross_sum / n_diff + eps
     q = same_sum / n_same / den
-    out = _Output(np.array([[q]]))
-    if tape is not None:
 
-        def backward() -> None:
-            g = out._grad
-            if g is None:
-                return
-            c = g[0, 0]
-            per_class = np.where(pairs.tgt.T, c / (den * n_same), -(c * q / (den * n_diff)))
-            per_class *= t  # C x m: R^T
-            grid = _empty((min(n, _GRID_ROWS + 1), m))
-            starts = range(0, max(n - 1, 1), _GRID_ROWS)
-            for lo, hi in zip(starts, [*starts[1:], n]):
-                block = np.matmul(src_weight[lo:hi], per_class, out=grid[:hi - lo])
-                _over_distances(block, dist[lo:hi], dist[lo:hi], saved[2], lo)
-            _distance_grads(a, b, dist, saved)
+    def shares(g):
+        c = g[0, 0]
+        per_class = np.where(pairs.tgt.T, c / (den * n_same), -(c * q / (den * n_diff)))
+        per_class *= t  # C x m: R^T
+        grid = _empty((min(n, _GRID_ROWS + 1), m))
+        starts = range(0, max(n - 1, 1), _GRID_ROWS)
+        for lo, hi in zip(starts, [*starts[1:], n]):
+            block = np.matmul(src_weight[lo:hi], per_class, out=grid[:hi - lo])
+            _over_distances(block, dist[lo:hi], dist[lo:hi], saved[2], lo)
+        return _distance_shares(dist, saved)
 
-        tape.record(backward)
-    return out
+    return _node(tape, np.array([[q]]), (a, b), shares)
 
 
 def _row_indices(op: str, x: Tensor, indices) -> np.ndarray:
@@ -905,16 +873,13 @@ def gather_rows(tape: Tape | None, x: Tensor, indices: np.ndarray) -> Tensor:
     """Pick one column per row: out[i, 0] = x[i, indices[i]]."""
     idx = _row_indices("gather_rows", x, indices)
     rows = np.arange(x.values.shape[0])
-    out = _Output(x.values[rows, idx].reshape(-1, 1))
-    if tape is not None:
 
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                np.add.at(x.grad, (rows, idx), g[:, 0])
+    def shares(g):
+        grad = np.zeros(x.values.shape)
+        grad[rows, idx] = g[:, 0]
+        return (grad,)
 
-        tape.record(backward)
-    return out
+    return _node(tape, x.values[rows, idx].reshape(-1, 1), (x,), shares)
 
 
 def split_rows(tape: Tape | None, x: Tensor, n: int) -> tuple[Tensor, Tensor]:
@@ -933,6 +898,7 @@ def split_rows(tape: Tape | None, x: Tensor, n: int) -> tuple[Tensor, Tensor]:
         def backward() -> None:
             g_top, g_bottom = top._grad, bottom._grad
             if g_top is not None or g_bottom is not None:
+                top._grad = bottom._grad = None
                 grad = _empty(shape)
                 grad[:n] = 0.0 if g_top is None else g_top
                 grad[n:] = 0.0 if g_bottom is None else g_bottom
@@ -960,21 +926,15 @@ def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> T
         raise ValueError("nll: floored probabilities must be positive")
     n = clamped.size
     mean = np.add.reduce(np.log(clamped), axis=None) / n
-    out = _Output(np.array([[-1.0 * mean + 0.0]]))
-    if tape is not None:
 
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                per_row = -1.0 * g[0, 0] / n / clamped
-                per_row *= mask
-                grad = probs._grad
-                if grad is None:
-                    probs._grad = grad = np.zeros(probs.values.shape)
-                grad[rows, idx] += per_row[:, 0]
+    def shares(g):
+        per_row = -1.0 * g[0, 0] / n / clamped
+        per_row *= mask
+        grad = np.zeros(probs.values.shape)
+        grad[rows, idx] = per_row[:, 0]
+        return (grad,)
 
-        tape.record(backward)
-    return out
+    return _node(tape, np.array([[-1.0 * mean + 0.0]]), (probs,), shares)
 
 
 def binary_cross_entropy(
@@ -1091,8 +1051,8 @@ def _over_distances(w: np.ndarray, dist: np.ndarray, out: np.ndarray, near,
     out[r, c] = 0.0
 
 
-def _distance_grads(a: Tensor, b: Tensor, w_over: np.ndarray, saved: tuple) -> None:
-    """Add the gradients of a distance table into a and b, given ``_over_distances``' table."""
+def _distance_shares(w_over: np.ndarray, saved: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients into a and b of a distance table, given ``_over_distances``' table."""
     ac, bc, near = saved
     grad_a = ac * np.add.reduce(w_over, axis=1)[:, None]
     grad_a -= w_over @ bc
@@ -1103,8 +1063,7 @@ def _distance_grads(a: Tensor, b: Tensor, w_over: np.ndarray, saved: tuple) -> N
         step = scaled[:, None] * diff
         np.add.at(grad_a, rows, step)
         np.subtract.at(grad_b, cols, step)
-    _accumulate(a, grad_a)
-    _accumulate(b, grad_b)
+    return grad_a, grad_b
 
 
 def pairwise_distances(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
@@ -1121,36 +1080,19 @@ def pairwise_distances(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:
     give exactly 0. Zero-distance pairs get zero gradient.
     """
     dist, saved = _distances("pairwise_distances", a, b)
-    out = _Output(dist)
-    if tape is not None:
 
-        def backward() -> None:
-            w = out._grad
-            if w is None:
-                return
-            out._grad = None
-            _over_distances(w, dist, w, saved[2])
-            _distance_grads(a, b, w, saved)
+    def shares(w):
+        _over_distances(w, dist, w, saved[2])
+        return _distance_shares(w, saved)
 
-        tape.record(backward)
-    return out
+    return _node(tape, dist, (a, b), shares)
 
 
 def grad_reverse(tape: Tape | None, x: Tensor, coeff: float) -> Tensor:
     """Identity forward; backward multiplies the gradient by -coeff."""
     if coeff < 0.0:
         raise ValueError(f"grad_reverse: coeff must be >= 0, got {coeff}")
-    out = _Output(x.values.copy())
-    if tape is not None:
-
-        def backward() -> None:
-            g = out._grad
-            if g is not None:
-                out._grad = None
-                _accumulate(x, np.multiply(-coeff, g, out=g))
-
-        tape.record(backward)
-    return out
+    return _node(tape, x.values.copy(), (x,), lambda g: (np.multiply(-coeff, g, out=g),))
 
 
 class Velocity(list):
