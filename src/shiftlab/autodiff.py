@@ -16,13 +16,11 @@ added its share, and nothing reads that array again. So a rule may
 overwrite it in place and hand it on to an input where the shapes agree,
 as ``relu``, ``sigmoid``, ``softmax``, ``grad_reverse`` and
 ``pairwise_distances`` do. ``_node`` builds the output and records that
-rule for every op but two, which keep a hand-written one: ``split_rows``
-has two outputs, whose gradients it joins into one array, and ``mlp``
-adds each layer's shares as it reaches that layer, while a weight
-gradient may still be computing on another thread (below). Arrays an op
-keeps for backward are reused the same way inside its node: ``mlp``
-writes each hidden layer's masked gradient over that layer's activation
-once nothing reads the activation any more, and ``label_ratio`` divides
+rule, which computes every share before it adds any, for every op but
+``split_rows``, whose hand-written rule joins the gradients of its two
+outputs into one array. An op frees or reuses the arrays it keeps for
+backward inside its node: ``mlp`` drops each hidden activation once
+its layer is done, freeing its buffer, and ``label_ratio`` divides
 its gradient grid, in row blocks, into its distance table. Only a leaf,
 a parameter or any other tensor built with ``Tensor(...)``, keeps a
 gradient to be read after backward. The array is private to its tensor:
@@ -477,16 +475,18 @@ def mlp(
     meanwhile.
 
     Each hidden activation overwrites its layer's affine output and is
-    held for backward, which reads it for the next layer's weight
-    gradient and for relu's sign, then writes the masked gradient over
-    it, so the array the gradient came from is free for the layer below.
+    held for backward. From the last layer down, the rule computes each
+    layer's bias and weight shares, and g @ w.T into a new array: x's
+    share at the first layer, and at a hidden layer the layer below's g
+    once masked in place by the sign of h. The rule then drops h, so a
+    later pool take may reuse its buffer.
 
     A weight gradient h.T @ g of at least ``_OFFLOAD_MACS`` multiply-adds
-    runs on the executor while backward goes on with the layers below; as
-    it reads h, the masked gradient then goes into its own array. Once
-    the layer loop ends or raises, backward waits for every such product,
-    then adds each into its weight in layer order. It is the call the
-    rule would make itself, so the bits do not change.
+    runs on the executor instead, while the rule goes on with the layers
+    below; nothing else differs. Once the layer loop ends or raises, the
+    rule waits for every such product, and only then are the shares
+    added, so a failed product raises with none added. The product is
+    the call the rule would make itself, so the bits do not change.
     """
     constant = not isinstance(x, Tensor)
     h = x if constant else x.values
@@ -496,6 +496,7 @@ def mlp(
         raise ShapeError("mlp: needs at least one layer")
     rows, last = h.shape[0], len(layers) - 1
     inputs = []  # each layer's input: x, then the hidden activations
+    params = []  # each layer's w and b, in order
     for k, (w, b) in enumerate(layers):
         w_shape = w.values.shape
         if h.shape[1] != w_shape[0]:
@@ -504,46 +505,40 @@ def mlp(
             raise ShapeError(
                 f"mlp: layer {k}'s bias {b.values.shape} does not fit {w_shape[1]} outputs")
         inputs.append(h)
+        params += w, b
         h = np.matmul(h, w.values, out=_empty((rows, w_shape[1])))
         h += b.values
         if k < last:
             np.maximum(h, 0.0, out=h)
-    out = _Output(h)
-    if tape is not None:
 
-        def backward() -> None:
-            g = out._grad
-            if g is None:
-                return
-            out._grad = None
-            offloaded = []  # (w, future) per weight gradient on the executor
-            try:
-                for k in range(last, -1, -1):
-                    w, b = layers[k]
-                    hv, w_shape = inputs[k], w.values.shape
-                    big = hv.size * w_shape[1] >= _OFFLOAD_MACS
-                    future = _offload(hv.T, g, w_shape) if big else None
-                    if future is not None:
-                        offloaded.append((w, future))
-                    _accumulate(b, np.add.reduce(g, axis=0, keepdims=True))
-                    if k:
-                        gx = np.matmul(g, w.values.T, out=_empty(hv.shape))
-                    elif not constant:
-                        _accumulate(x, np.matmul(g, w.values.T, out=_empty(hv.shape)))
-                    if future is None:
-                        _accumulate(w, np.matmul(hv.T, g, out=_empty(w_shape)))
-                    if k:
-                        # relu's rule: hv > 0 exactly where its affine input was
-                        g = np.multiply(gx, hv > 0.0, out=hv if future is None else gx)
-                        del gx  # else the pool sees its buffer held at the next take
-            finally:
-                for _, future in offloaded:
-                    future.exception()  # waits, and raises nothing
-            for w, future in offloaded:
-                _accumulate(w, future.result())
+    def shares(g):
+        grads = [None] * len(params)
+        offloaded = []  # (index in grads, future) per weight gradient on the executor
+        try:
+            for k in range(last, -1, -1):
+                w = params[2 * k]
+                hv, w_shape = inputs[k], w.values.shape
+                big = hv.size * w_shape[1] >= _OFFLOAD_MACS
+                future = _offload(hv.T, g, w_shape) if big else None
+                if future is not None:
+                    offloaded.append((2 * k, future))
+                grads[2 * k + 1] = np.add.reduce(g, axis=0, keepdims=True)
+                if k or not constant:
+                    gx = np.matmul(g, w.values.T, out=_empty(hv.shape))
+                if future is None:
+                    grads[2 * k] = np.matmul(hv.T, g, out=_empty(w_shape))
+                if k:
+                    # relu's rule: hv > 0 exactly where its affine input was
+                    g = np.multiply(gx, hv > 0.0, out=gx)
+                del inputs[k]
+        finally:
+            for _, future in offloaded:
+                future.exception()  # waits, and raises nothing
+        for i, future in offloaded:
+            grads[i] = future.result()
+        return grads if constant else [*grads, gx]
 
-        tape.record(backward)
-    return out
+    return _node(tape, h, params if constant else [*params, x], shares)
 
 
 def ema_matmul(

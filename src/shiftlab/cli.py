@@ -110,7 +110,7 @@ def _load_config(args) -> "ExperimentConfig":
     if getattr(args, "seed", None) is not None:
         doc["seeds"] = [args.seed]
         doc.setdefault("train", {})["seed"] = args.seed
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         doc["output_dir"] = args.out
     return parse_config(doc)
 

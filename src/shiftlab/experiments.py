@@ -88,6 +88,8 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
+        if not self.output_dir:
+            raise ConfigError("output_dir must not be empty")
         if "\0" in str(self.output_dir):
             raise ConfigError(f"output_dir must not hold a NUL byte, got {self.output_dir!r}")
         if not self.seeds:

@@ -563,6 +563,22 @@ class TestConsumedGradients:
                and next(iter(inspect.signature(fn).parameters), None) == "tape"}
         assert ops == set(CONSUMERS)
 
+    @pytest.mark.parametrize("op", sorted(set(CONSUMERS) - {"split_rows"}))
+    def test_every_rule_is_recorded_by_node(self, op, monkeypatch):
+        # one recording path: only split_rows, with its two outputs, records its own
+        callers = []
+        record = Tape.record
+
+        def recording(self, rule):
+            callers.append(sys._getframe(1).f_code)
+            record(self, rule)
+
+        monkeypatch.setattr(Tape, "record", recording)
+        rng = np.random.default_rng(2160)
+        CONSUMERS[op](Tape(), Tensor(away_from_kinks(rng, (4, 3))),
+                      Tensor(rng.standard_normal((5, 3))))
+        assert callers and all(code is autodiff._node.__code__ for code in callers)
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("op", sorted(CONSUMERS))
     def test_an_output_read_by_two_ops_passes_the_gradient_check(self, op, seed):
@@ -864,10 +880,10 @@ class TestOffload:
         h = mlp(tape, mlp(tape, xv, [(w1, b)]), [(w2, b)])  # w2's rule runs, and fails, first
         with pytest.raises(FloatingPointError, match="a product failed"):
             tape.backward(sum_all(tape, scale_by(tape, h, r)))
-        # w2's rule added its bias share, then raised: w1's rule and the one
-        # recorded before it never ran, and neither weight got a gradient
+        # w2's rule raised before it added any share: w1's rule and the one
+        # recorded before it never ran, and neither weight nor the bias got a gradient
         assert started == [3] and later == []
-        assert (b.grad == np.add.reduce(r, axis=0, keepdims=True)).all()
+        assert b._grad is None
         assert w1._grad is None and w2._grad is None
 
     def test_a_failed_product_raises_once_every_product_is_done(self, submits, monkeypatch):
@@ -903,8 +919,8 @@ class TestOffload:
             g =(r @ w2v.T) * (np.maximum(xv @ w1v + b1v, 0.0) > 0.0)
             assert any(np.shares_memory(done[1], buf) for buf in pool)
             assert (done[1] == xv.T @ g).all()
-            # both layers added their bias shares; neither weight got a gradient
-            assert (b1.grad == np.add.reduce(g, axis=0, keepdims=True)).all()
+            # the rule added no share: neither bias nor weight got a gradient
+            assert b1._grad is None and b2._grad is None
             assert w1._grad is None and w2._grad is None
 
     def test_a_raising_rule_returns_once_its_product_is_done(self, submits, monkeypatch):
@@ -931,7 +947,9 @@ class TestOffload:
             assert submits[0] == 1 and len(done) == 1
             assert any(np.shares_memory(done[0], buf) for buf in pool)
             assert (done[0] == xv.T @ r).all()
-            assert w._grad is None
+            # every share was computed before any was added: the weight's went in,
+            # then the bias's raised, so the input's never did
+            assert w._grad is done[0] and x._grad is None
 
     def test_backward_leaves_no_reference_cycle(self, submits, monkeypatch):
         # nor does the worker hold the product's operands once it is done: the

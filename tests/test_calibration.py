@@ -44,6 +44,15 @@ class TestSourceDistribution:
         with pytest.raises(ValueError):
             source_distribution([], num_classes=3)
 
+    def test_empty_rejected_by_its_own_check(self):
+        # without the check, NumPy's min() of an empty array raises a message naming no label
+        with pytest.raises(ValueError, match="zero labels"):
+            source_distribution([], num_classes=3)
+
+    def test_one_label(self):
+        np.testing.assert_allclose(source_distribution([1], num_classes=2), [0.25, 0.75],
+                                   rtol=1e-12)
+
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             source_distribution([0, 3], num_classes=3)
@@ -62,6 +71,21 @@ class TestEstimateTargetDistribution:
             dist = estimate_target_distribution(p, threshold=0.9, num_classes=2)
         np.testing.assert_allclose(dist, [0.5, 0.5], rtol=1e-12)
         assert "no pseudo-label above confidence" in caplog.text
+
+    def test_fallback_counts_every_sample(self):
+        # an imbalanced batch, so the fallback differs from the smoothing alone
+        p = pseudo([0, 0, 0, 1], [0.3, 0.3, 0.3, 0.3])
+        dist = estimate_target_distribution(p, threshold=0.9, num_classes=2)
+        np.testing.assert_allclose(dist, [0.7, 0.3], rtol=1e-12)
+
+    def test_threshold_zero_accepted(self):
+        p = pseudo([0, 1, 1], [0.0, 0.5, 0.4])
+        dist = estimate_target_distribution(p, threshold=0.0, num_classes=2)
+        np.testing.assert_allclose(dist, [0.5 / 3.0, 2.5 / 3.0], rtol=1e-12)
+
+    def test_label_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            estimate_target_distribution(pseudo([0, 2], [0.9, 0.9]), threshold=0.5, num_classes=2)
 
     def test_threshold_range(self):
         p = pseudo([0], [0.9])
@@ -83,6 +107,15 @@ class TestShiftMetric:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             shift_metric(np.ones(3) / 3, np.ones(2) / 2)
+
+    def test_one_entry_against_three_rejected(self):
+        # the two would broadcast: only the check refuses them
+        with pytest.raises(ValueError, match="shapes differ"):
+            shift_metric(np.ones(3) / 3, np.ones(1))
+
+    def test_lists_accepted(self):
+        m = shift_metric([0.5, 0.25, 0.25], [0.25, 0.25, 0.5])
+        np.testing.assert_allclose(m, [0.5, 1.0, 2.0], rtol=1e-12)
 
     def test_zero_source_rejected(self):
         with pytest.raises(ValueError):
@@ -115,6 +148,10 @@ class TestWeightingMatrix:
         metric = np.sort(10.0 ** np.random.default_rng(3).uniform(-3, 3, 1000))
         w = weighting_matrix(metric, offset=1.5)
         assert np.all(np.diff(w) > 0.0)
+
+    def test_list_accepted(self):
+        want = weighting_matrix(np.array([1.0, 4.0]), offset=1.5)
+        np.testing.assert_array_equal(weighting_matrix([1.0, 4.0], offset=1.5), want)
 
     def test_nonpositive_metric_rejected(self):
         with pytest.raises(ValueError):
@@ -169,6 +206,12 @@ class TestCalibrate:
             calibrate(np.ones((2, 3)) / 3, np.ones(2))
         with pytest.raises(ValueError):
             calibrate(np.ones(3) / 3, np.ones(3))
+
+    def test_lists_accepted(self):
+        out = calibrate([[0.2, 0.8], [0.6, 0.4]], [1.0, 0.2])
+        np.testing.assert_array_equal(out.raw_label, [1, 0])
+        np.testing.assert_array_equal(out.calibrated_label, [0, 0])
+        np.testing.assert_array_equal(out.calibrated_confidence, [0.2, 0.6])
 
     def test_one_weight_for_five_classes_rejected(self):
         # a one-element vector would broadcast against any row: only the check refuses it

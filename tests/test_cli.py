@@ -61,6 +61,13 @@ class TestGenData:
         assert main(["gen-data", "--config", config_file, "--out", str(out)]) == 3
         assert main(["gen-data", "--config", config_file, "--out", str(out), "--force"]) == 0
 
+    def test_empty_out_exit_1(self, config_file, tmp_path, monkeypatch, caplog):
+        # it was ignored, and the data went into the config's output_dir
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-data", "--config", config_file, "--out", ""]) == 1
+        assert "output_dir must not be empty" in caplog.text
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_seed_flag_exit_1(self, config_file, tmp_path):
         # --seed picks training seeds, which gen-data does not use
         out = tmp_path / "data"
@@ -281,6 +288,14 @@ class TestTrain:
         args = ["train", "--config", config_file, "--set", 'output_dir="a\\u0000b"']
         assert main(args) == 1
         assert "output_dir must not hold a NUL byte" in caplog.text
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_empty_output_dir_exit_1(self, config_file, tmp_path, monkeypatch, caplog):
+        # it exited 2 with "FileNotFoundError: ''"
+        monkeypatch.chdir(tmp_path)
+        args = ["train", "--config", config_file, "--set", 'output_dir=""']
+        assert main(args) == 1
+        assert "output_dir must not be empty" in caplog.text
         assert os.listdir(tmp_path) == ["config.json"]
 
 

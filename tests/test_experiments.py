@@ -207,7 +207,7 @@ class TestParseConfig:
     def test_every_root_field_builds_or_names_itself(self):
         # likewise for the root's own fields, with seed lists and strings besides:
         # the seeds build as distinct non-negative ints, train.seed if none
-        # are given, and the output directory holds no NUL byte
+        # are given, and the output directory is not empty and holds no NUL byte
         st = pytest.importorskip("hypothesis").strategies
 
         def holds(cfg, name, value):
@@ -217,7 +217,7 @@ class TestParseConfig:
                 assert len(set(cfg.seeds)) == len(cfg.seeds)
             else:
                 assert getattr(cfg, name) == value and type(value) is str
-            assert "\0" not in cfg.output_dir
+            assert cfg.output_dir and "\0" not in cfg.output_dir
 
         edges = ["", "x", "a\0b", "\0", [], [0], [0, 1], [1, 1], [-1], [True], [False],
                  [1.0], ["1"], [None], [[1]], [2**63], {}, {"seeds": [1]}]

@@ -393,7 +393,7 @@ class TestCallBudget:
 
 def test_wide_step_holds_one_table_and_one_gradient_buffer_per_network(std_pair):
     # label_ratio turns the n x m distance table into its gradient in row
-    # blocks, and mlp writes each masked gradient over its activation, so
+    # blocks, and mlp drops each activation once its layer is done, so
     # neither a second table nor a fourth 800 x 128 array is held
     src, tgt = std_pair
     state, bank, pool = init_model(STD.model, 5), CentroidBank(5), Pool()
