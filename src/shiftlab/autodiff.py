@@ -6,33 +6,32 @@ to push gradients back to its inputs. Calling ``Tape.backward`` on a
 scalar output replays the closures in reverse order. Gradients accumulate
 so tensors reused in several places receive the sum of all contributions.
 
-The backward-rule contract: an op given a tape makes exactly one
-``Tape.record(rule)`` call, and ``rule`` takes no arguments. When run, it
+The backward-rule contract, with no exception: every op output made on a
+tape gets one rule, which ``_node`` builds and records; no other code
+calls ``Tape.record(rule)``. ``rule`` takes no arguments. When run, it
 takes the gradient of its own output off that output, which then holds
-none, does nothing if there was none, and otherwise adds each input's
-share into that input. This is how PyTorch frees a non-leaf tensor's
-gradient: by the time a rule runs, every op that read the output has
-added its share, and nothing reads that array again. So a rule may
-overwrite it in place and hand it on to an input where the shapes agree,
-as ``relu``, ``sigmoid``, ``softmax``, ``grad_reverse`` and
-``pairwise_distances`` do. ``_node`` builds the output and records that
-rule, which computes every share before it adds any, for every op but
-``split_rows``, whose hand-written rule joins the gradients of its two
-outputs into one array. An op frees or reuses the arrays it keeps for
-backward inside its node: ``mlp`` drops each hidden activation once
-its layer is done, freeing its buffer, and ``label_ratio`` divides
-its gradient grid, in row blocks, into its distance table. Only a leaf,
-a parameter or any other tensor built with ``Tensor(...)``, keeps a
-gradient to be read after backward. The array is private to its tensor:
-``_accumulate`` adopts only an array no other tensor holds, and an op
-that hands its gradient to more than one input copies it for the
-others; the ``grad`` setter copies what it is given. ``Tape.backward``
-calls every rule once, newest first, and drops each as soon as it has
-run, as PyTorch frees the tensors it saved for backward. A rule holds
-its op's operands and output, never the tape, so an array that only
-rules held is freed once backward is done with it, without waiting for
-the garbage collector and while the tape is still held. The tape is then
-empty: a second ``backward`` raises ``TapeError``.
+none, does nothing if there was none, and otherwise computes every
+input's share before it adds any into that input. This is how PyTorch
+frees a non-leaf tensor's gradient: by the time a rule runs, every op
+that read the output has added its share, and nothing reads that array
+again. So a rule may overwrite it in place and hand it on to an input
+where the shapes agree, as ``relu``, ``sigmoid``, ``softmax``,
+``grad_reverse`` and ``pairwise_distances`` do. ``split_rows`` makes two
+outputs, so it records two rules, one per row view. An op frees or
+reuses the arrays it keeps for backward inside its node: ``mlp`` drops
+each hidden activation once its layer is done, freeing its buffer, and
+``label_ratio`` divides its gradient grid, in row blocks, into its
+distance table. Only a leaf, a parameter or any other tensor built with
+``Tensor(...)``, keeps a gradient to be read after backward. The array
+is private to its tensor: ``_accumulate`` adopts only an array no other
+tensor holds, and an op that hands its gradient to more than one input
+copies it for the others; the ``grad`` setter copies what it is given.
+``Tape.backward`` calls every rule once, newest first, and drops each as
+soon as it has run, as PyTorch frees the tensors it saved for backward.
+A rule holds its op's operands and output, never the tape, so an array
+that only rules held is freed once backward is done with it, without
+waiting for the garbage collector and while the tape is still held. The
+tape is then empty: a second ``backward`` raises ``TapeError``.
 
 One share may run on another thread: ``mlp``'s rule hands a weight
 gradient h.T @ g of at least ``_OFFLOAD_MACS`` (about 4M) multiply-adds
@@ -49,15 +48,12 @@ than ``Tensor.shape`` and reduce with ``np.add.reduce`` and its like
 rather than the array methods, whose Python wrappers cost more calls.
 ``tests/test_pool.py`` bounds the calls of a full training step.
 
-Only the user boundary pays for a full ``Tensor``: the public constructor
-copies its input, while op outputs own the array their op just computed.
-A gradient is made by its tensor's first share, which the tensor adopts.
-
 Only the operations the training method needs are provided, and all
 tensors are 2-D. There is no broadcasting beyond what the individual
 operations document. ``mlp`` also takes a plain array as a constant
-input, and ``split_rows`` cuts one tensor into two row blocks, so one
-pass over stacked batches can feed per-batch losses.
+input, and ``split_rows`` cuts one tensor into two row views, so one
+pass over stacked batches can feed per-batch losses;
+``binary_cross_entropy`` reads such a stacked column whole.
 
 A chain of ops that the training step builds many times is also offered
 as one fused op, which records one node: ``mlp`` (a network's dense
@@ -94,8 +90,8 @@ of a forward activation whose rules backward has run and dropped. An
 array kept past its block is never overwritten, but its buffer stays
 taken and the pool makes another, so nothing made inside a block should
 outlive it. Outside any, every op allocates. A warm full training step
-at the benchmark's shapes holds 14 pool buffers and 511 KiB at batch 50,
-and 13 buffers and 3,549 KiB at batch 400; ``tests/test_pool.py`` bounds both.
+at the benchmark's shapes holds 13 pool buffers and 511 KiB at batch 50,
+and 12 buffers and 3,543 KiB at batch 400; ``tests/test_pool.py`` bounds both.
 """
 from __future__ import annotations
 
@@ -775,8 +771,15 @@ class LabelPairs:
         self.tgt = z[:, None] == classes
 
 
-# Rows per block of ``label_ratio``'s gradient grid. A lone last row goes
-# with the block before it, for the reason ``networks.predict`` gives.
+def _row_blocks(n: int, size: int):
+    """The (lo, hi) bounds of n rows in blocks of ``size``. A lone last row joins
+    the block before it: NumPy takes a one-row product through a matrix-vector
+    kernel, which rounds differently."""
+    starts = range(0, n - 1 if n > 1 else n, size)
+    return zip(starts, [*starts[1:], n])
+
+
+# Rows per block of ``label_ratio``'s gradient grid.
 _GRID_ROWS = 64
 
 
@@ -843,8 +846,7 @@ def label_ratio(
         per_class = np.where(pairs.tgt.T, c / (den * n_same), -(c * q / (den * n_diff)))
         per_class *= t  # C x m: R^T
         grid = _empty((min(n, _GRID_ROWS + 1), m))
-        starts = range(0, max(n - 1, 1), _GRID_ROWS)
-        for lo, hi in zip(starts, [*starts[1:], n]):
+        for lo, hi in _row_blocks(n, _GRID_ROWS):
             block = np.matmul(src_weight[lo:hi], per_class, out=grid[:hi - lo])
             _over_distances(block, dist[lo:hi], dist[lo:hi], saved[2], lo)
         return _distance_shares(dist, saved)
@@ -878,29 +880,25 @@ def gather_rows(tape: Tape | None, x: Tensor, indices: np.ndarray) -> Tensor:
 
 
 def split_rows(tape: Tape | None, x: Tensor, n: int) -> tuple[Tensor, Tensor]:
-    """Rows ``[:n]`` and rows ``[n:]`` of ``x`` as two tensors, in one node.
+    """Rows ``[:n]`` and rows ``[n:]`` of ``x`` as two tensors, one node each.
 
-    Both are views of ``x``'s values. Backward writes the two halves'
-    gradients into one array for ``x``, with zeros for a half that got
-    none; if neither got any, nothing is sent back.
+    Both are views of ``x``'s values. Each view's share is an array of
+    ``x``'s shape: the view's gradient in its own rows, zeros in the others.
     """
-    shape = x.values.shape
-    if not 0 <= n <= shape[0]:
-        raise ShapeError(f"split_rows: cannot split {shape[0]} rows at row {n}")
-    top, bottom = _Output(x.values[:n]), _Output(x.values[n:])
-    if tape is not None:
+    rows = x.values.shape[0]
+    if not 0 <= n <= rows:
+        raise ShapeError(f"split_rows: cannot split {rows} rows at row {n}")
 
-        def backward() -> None:
-            g_top, g_bottom = top._grad, bottom._grad
-            if g_top is not None or g_bottom is not None:
-                top._grad = bottom._grad = None
-                grad = _empty(shape)
-                grad[:n] = 0.0 if g_top is None else g_top
-                grad[n:] = 0.0 if g_bottom is None else g_bottom
-                _accumulate(x, grad)
+    def view(lo, hi):
+        def shares(g):
+            grad = _empty(x.values.shape)
+            grad[lo:hi] = g
+            grad[:lo] = grad[hi:] = 0.0
+            return (grad,)
 
-        tape.record(backward)
-    return top, bottom
+        return _node(tape, x.values[lo:hi], (x,), shares)
+
+    return view(0, n), view(n, rows)
 
 
 def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> Tensor:
@@ -932,21 +930,25 @@ def nll(tape: Tape | None, probs: Tensor, labels: np.ndarray, floor: float) -> T
     return _node(tape, np.array([[-1.0 * mean + 0.0]]), (probs,), shares)
 
 
-def binary_cross_entropy(
-    tape: Tape | None, p_neg: Tensor, p_pos: Tensor, floor: float
-) -> Tensor:
-    """-(mean log(1 - p_neg) + mean log(p_pos)), each probability floored at ``floor``.
+def binary_cross_entropy(tape: Tape | None, p: Tensor, n_neg: int, floor: float) -> Tensor:
+    """-(mean log(1 - p[:n_neg]) + mean log(p[n_neg:])), each probability floored at ``floor``.
 
-    One node with the same scalar operations, in the same order, as
+    ``p`` is one column of probabilities whose first ``n_neg`` rows are
+    labelled 0 and the rest 1, with ``0 < n_neg < rows``. One node with
+    the same scalar operations, in the same order, as the chain over the
+    ``split_rows(p, n_neg)`` halves p_neg and p_pos,
     ``affine(add(mean_all(log(clamp_min(affine(p_neg, -1.0, 1.0), floor))),
     mean_all(log(clamp_min(p_pos, floor)))), -1.0)``; no gradient flows
     where the floor binds, and a NaN probability gives a NaN loss.
     """
-    neg = -1.0 * p_neg.values + 1.0
+    v = p.values
+    if not 0 < n_neg < v.shape[0]:
+        raise ShapeError(f"binary_cross_entropy: cannot split {v.shape[0]} rows at row {n_neg}")
+    neg = -1.0 * v[:n_neg] + 1.0
     neg_mask = neg > floor
     neg = np.maximum(neg, floor)
-    pos_mask = p_pos.values > floor
-    pos = np.maximum(p_pos.values, floor)
+    pos_mask = v[n_neg:] > floor
+    pos = np.maximum(v[n_neg:], floor)
     if floor <= 0.0 and (np.any(neg <= 0.0) or np.any(pos <= 0.0)):
         raise ValueError("binary_cross_entropy: floored probabilities must be positive")
     terms = (np.add.reduce(np.log(neg), axis=None) / neg.size
@@ -954,9 +956,10 @@ def binary_cross_entropy(
 
     def shares(g):
         c = -1.0 * g[0, 0]
-        return c / pos.size / pos * pos_mask, -1.0 * (c / neg.size / neg * neg_mask)
+        return (np.concatenate([-1.0 * (c / neg.size / neg * neg_mask),
+                                c / pos.size / pos * pos_mask]),)
 
-    return _node(tape, np.array([[-1.0 * terms + 0.0]]), (p_pos, p_neg), shares)
+    return _node(tape, np.array([[-1.0 * terms + 0.0]]), (p,), shares)
 
 
 def euclidean_distance(tape: Tape | None, a: Tensor, b: Tensor) -> Tensor:

@@ -87,21 +87,22 @@ def cross_entropy(tape: Tape | None, probs: Tensor, labels: np.ndarray) -> Tenso
     return nll(tape, probs, labels, PROB_FLOOR)
 
 
-def domain_adversarial_loss(tape: Tape | None, d_src: Tensor, d_tgt: Tensor) -> Tensor:
-    """Binary cross-entropy with source labeled 0 and target labeled 1.
+def domain_adversarial_loss(tape: Tape | None, d: Tensor, n_src: int) -> Tensor:
+    """Binary cross-entropy of the discriminator's n x 1 output ``d`` on a stacked
+    batch: its first ``n_src`` rows, the source, labeled 0, and the rest 1.
 
     Minimizing this trains the discriminator; the gradient reversal inside
     the discriminator path makes the extractor ascend it, so one descent
-    direction realizes the adversarial game.
+    direction realizes the adversarial game. A split point outside
+    ``0 < n_src < n`` raises ``ShapeError``.
     """
-    for name, t in (("d_src", d_src), ("d_tgt", d_tgt)):
-        v = t.values
-        if v.shape[1] != 1:
-            raise ShapeError(f"{name} must be n x 1, got {v.shape}")
-        # a NaN fails both comparisons and passes, to reach the non-finite-loss check
-        if np.logical_or.reduce((v <= 0.0) | (v >= 1.0), axis=None):
-            raise ValueError(f"{name}: discriminator outputs must lie strictly in (0, 1)")
-    return binary_cross_entropy(tape, d_src, d_tgt, PROB_FLOOR)
+    v = d.values
+    if v.shape[1] != 1:
+        raise ShapeError(f"d must be n x 1, got {v.shape}")
+    # a NaN fails both comparisons and passes, to reach the non-finite-loss check
+    if np.logical_or.reduce((v <= 0.0) | (v >= 1.0), axis=None):
+        raise ValueError("discriminator outputs must lie strictly in (0, 1)")
+    return binary_cross_entropy(tape, d, n_src, PROB_FLOOR)
 
 
 _DOMAINS = ("source", "target")

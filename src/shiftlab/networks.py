@@ -23,6 +23,7 @@ from .autodiff import (
     Tape,
     Tensor,
     Velocity,
+    _row_blocks,
     as_matrix,
     grad_reverse,
     mlp,
@@ -157,20 +158,16 @@ def predict(state: ModelState, x, pool: Pool | None = None) -> np.ndarray:
     arrays are reused from block to block and, with the caller's pool,
     from call to call. The returned array is new. The same bits come out
     as from one pass: a block's products give each row the same sums,
-    and a lone last row goes with the row before it, because NumPy takes
-    a one-row product through a matrix-vector kernel that rounds
-    differently.
+    and a lone last row joins the block before it.
     """
     x = as_matrix(x)
     n = x.shape[0]
     probs = np.empty((n, state.config.num_classes))
     if pool is None:
         pool = Pool()
-    for start in range(0, n, PREDICT_ROWS):
-        lo = start - 1 if start and n - start == 1 else start
-        rows = slice(lo, start + PREDICT_ROWS)
+    for lo, hi in _row_blocks(n, PREDICT_ROWS):
         with pool:
-            probs[rows] = classify(state, features(state, x[rows])).values
+            probs[lo:hi] = classify(state, features(state, x[lo:hi])).values
     return probs
 
 

@@ -214,8 +214,8 @@ def train_step(
     entirely (reported as 0.0), so a run with all weights zero performs
     exactly the source-only update. Otherwise the source and target
     batches pass through the extractor, and the discriminator, stacked:
-    the networks treat rows independently, so that is one call each.
-    Called inside ``with pool:``, the step, SGD included, reuses the
+    the networks treat rows independently, so that is one call each, and
+    only the features are split into the two batches. Called inside ``with pool:``, the step, SGD included, reuses the
     pool's arrays; the bits are the same without one. A non-finite total
     loss raises ``NumericError``, and so do non-finite classifier
     confidences, before any alignment loss reads them.
@@ -261,8 +261,7 @@ def train_step(
         terms.append(loss_pair)
         weights.append(mu)
     if gam > 0.0:
-        d_src, d_tgt = split_rows(tape, discriminate(state, f_all, grl_coeff, tape), n_src)
-        loss_adv = domain_adversarial_loss(tape, d_src, d_tgt)
+        loss_adv = domain_adversarial_loss(tape, discriminate(state, f_all, grl_coeff, tape), n_src)
         out["loss_adversarial"] = loss_adv.item()
         terms.append(loss_adv)
         weights.append(gam)

@@ -22,7 +22,6 @@ from shiftlab import (
     cross_entropy,
     discriminate,
     discriminative_alignment_loss,
-    domain_adversarial_loss,
     features,
     generate,
     parse_config,
@@ -45,9 +44,11 @@ from shiftlab.autodiff import (
     relu,
     scale_by,
     sgd_step,
+    split_rows,
     sum_all,
     weighted_sum,
 )
+from shiftlab.losses import PROB_FLOOR
 
 
 # README's quickstart config: the standard benchmark.
@@ -174,7 +175,12 @@ def unfused_ratio(tape, x, w_num, w_den, eps):
     return div(tape, numerator, affine(tape, denominator, 1.0, eps))
 
 
-def unfused_binary_cross_entropy(tape, p_neg, p_pos, floor):
+def unfused_binary_cross_entropy(tape, p, n_neg, floor):
+    return binary_cross_entropy_of_halves(tape, *split_rows(tape, p, n_neg), floor)
+
+
+def binary_cross_entropy_of_halves(tape, p_neg, p_pos, floor):
+    """The chain of ``unfused_binary_cross_entropy`` over its two halves."""
     neg = mean_all(tape, log(tape, clamp_min(tape, affine(tape, p_neg, -1.0, 1.0), floor)))
     pos = mean_all(tape, log(tape, clamp_min(tape, p_pos, floor)))
     return affine(tape, add(tape, neg, pos), -1.0)
@@ -291,7 +297,8 @@ def two_pass_train_step(state, bank, class_weights, cfg, src_features, src_label
     if gam > 0.0:
         d_src = discriminate(state, f_src, grl_coeff, tape)
         d_tgt = discriminate(state, f_tgt, grl_coeff, tape)
-        loss_adv = domain_adversarial_loss(tape, d_src, d_tgt)
+        # the stacked step's loss over the two halves of its one column
+        loss_adv = binary_cross_entropy_of_halves(tape, d_src, d_tgt, PROB_FLOOR)
         out["loss_adversarial"] = loss_adv.item()
         terms.append(loss_adv)
         weights.append(gam)

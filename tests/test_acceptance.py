@@ -38,7 +38,7 @@ from shiftlab import (
     update_centroids,
     weighting_matrix,
 )
-from shiftlab.autodiff import add_n, affine
+from shiftlab.autodiff import add_n, affine, split_rows
 from shiftlab.experiments import LADDER, SWEEP_METHODS, run_single
 
 from conftest import relative_error, standard_config
@@ -176,14 +176,16 @@ def _draw_instance(rng):
 
 
 def _loss_values(state, x_src, y_src, x_tgt, frozen, tape=None):
-    """All four losses from one forward pass; weights and pseudo-labels frozen."""
-    f_src = features(state, x_src, tape)
-    f_tgt = features(state, x_tgt, tape)
+    """All four losses from one forward pass; weights and pseudo-labels frozen.
+
+    The two batches go through the extractor and the discriminator stacked,
+    as in a training step.
+    """
+    f_all = features(state, np.concatenate([x_src, x_tgt]), tape)
+    f_src, f_tgt = split_rows(tape, f_all, len(x_src))
     p_src = classify(state, f_src, tape)
     loss_c = cross_entropy(tape, p_src, y_src)
-    d_src = discriminate(state, f_src, 1.0, tape)
-    d_tgt = discriminate(state, f_tgt, 1.0, tape)
-    loss_dc = domain_adversarial_loss(tape, d_src, d_tgt)
+    loss_dc = domain_adversarial_loss(tape, discriminate(state, f_all, 1.0, tape), len(x_src))
     src_wb = WeightedBatch(f_src, y_src, frozen["src_conf"])
     tgt_wb = WeightedBatch(f_tgt, frozen["tgt_labels"], frozen["tgt_conf"])
     bank = CentroidBank(state.config.num_classes, 0.7)

@@ -48,6 +48,14 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_every_public_module_declares_its_exports():
+    # without __all__, a star import would also take the module's own imports
+    for info in pkgutil.iter_modules(shiftlab.__path__):
+        if not info.name.startswith("_"):
+            module = importlib.import_module(f"shiftlab.{info.name}")
+            assert isinstance(getattr(module, "__all__", None), list), module.__name__
+
+
 def test_chain_ops_stay_defined_but_unexported():
     for name in CHAIN_OPS:
         assert callable(getattr(autodiff, name)), name

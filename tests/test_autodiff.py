@@ -535,10 +535,10 @@ CONSUMERS = {
         tape, x, other, LabelPairs([0, 1, 0, 1], [0, 1, 1, 0, 0]), FIXED[0, :4],
         FIXED[1], 0.5),
     "gather_rows": lambda tape, x, other: gather_rows(tape, x, [0, 2, 1, 0]),
-    "split_rows": lambda tape, x, other: add(tape, *split_rows(tape, x, 2)),
+    "split_rows": lambda tape, x, other: sub(tape, *split_rows(tape, x, 2)),
     "nll": lambda tape, x, other: nll(tape, softmax(tape, x), [0, 2, 1, 0], 1e-3),
     "binary_cross_entropy": lambda tape, x, other: binary_cross_entropy(
-        tape, sigmoid(tape, x), sigmoid(tape, other), 1e-3),
+        tape, sigmoid(tape, x), 1, 1e-3),
     "euclidean_distance": lambda tape, x, other: euclidean_distance(tape, x, _fixed(4, 3)),
 }
 
@@ -563,9 +563,9 @@ class TestConsumedGradients:
                and next(iter(inspect.signature(fn).parameters), None) == "tape"}
         assert ops == set(CONSUMERS)
 
-    @pytest.mark.parametrize("op", sorted(set(CONSUMERS) - {"split_rows"}))
+    @pytest.mark.parametrize("op", sorted(CONSUMERS))
     def test_every_rule_is_recorded_by_node(self, op, monkeypatch):
-        # one recording path: only split_rows, with its two outputs, records its own
+        # one recording path, with no exception
         callers = []
         record = Tape.record
 
@@ -1234,10 +1234,10 @@ class TestSplitRows:
         assert len(tape) == 0
         assert x._grad is None
 
-    def test_records_one_node(self):
+    def test_records_one_node_per_half(self):
         tape = Tape()
         split_rows(tape, Tensor(np.ones((3, 2))), 1)
-        assert len(tape) == 1
+        assert len(tape) == 2
 
     @pytest.mark.parametrize("n", [0, 4])
     def test_empty_half(self, n):
@@ -1612,44 +1612,43 @@ def test_label_ratio_property():
 class TestBinaryCrossEntropy:
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_identical_to_the_unfused_chain(self, seed):
+        # unequal halves, so a mixed-up split would show
         rng = np.random.default_rng(1400 + seed)
-        src_v, tgt_v = rng.standard_normal((50, 1)) * 3.0, rng.standard_normal((50, 1)) * 3.0
+        logits_v = rng.standard_normal((80, 1)) * 3.0
         results = []
         for op in (binary_cross_entropy, unfused_binary_cross_entropy):
-            src, tgt = Tensor(src_v), Tensor(tgt_v)
+            logits = Tensor(logits_v)
             tape = Tape()
-            d_src, d_tgt = sigmoid(tape, src), sigmoid(tape, tgt)
-            # sigmoid's rule consumes its output's gradient
-            kept = retained_grad(tape, d_src), retained_grad(tape, d_tgt)
-            d_src.values[0, 0] = 1.0  # the floor binds once on each side
-            d_tgt.values[0, 0] = 0.0
-            loss = op(tape, d_src, d_tgt, 1e-12)
+            d = sigmoid(tape, logits)
+            kept = retained_grad(tape, d)  # sigmoid's rule consumes its output's gradient
+            d.values[0, 0] = 1.0  # the floor binds once on each side
+            d.values[50, 0] = 0.0
+            loss = op(tape, d, 50, 1e-12)
             tape.backward(affine(tape, loss, 0.7))
-            results.append((loss.values, kept[0][0], kept[1][0], src.grad, tgt.grad))
+            results.append((loss.values, kept[0], logits.grad))
         _assert_bit_identical(results)
-        assert results[0][1][0, 0] == 0.0 and results[0][2][0, 0] == 0.0
+        assert results[0][1][0, 0] == 0.0 and results[0][1][50, 0] == 0.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(1500 + seed)
-        p_neg = Tensor(rng.uniform(0.1, 0.9, (4, 1)))
-        p_pos = Tensor(rng.uniform(0.1, 0.9, (3, 1)))
+        p = Tensor(rng.uniform(0.1, 0.9, (7, 1)))
 
         def build():
             tape = Tape()
-            return tape, binary_cross_entropy(tape, p_neg, p_pos, 1e-12)
+            return tape, binary_cross_entropy(tape, p, 4, 1e-12)
 
-        _fd_check(build, [p_neg, p_pos])
+        _fd_check(build, [p])
 
     def test_value(self):
-        loss = binary_cross_entropy(None, Tensor([[0.3]]), Tensor([[0.8]]), 1e-12)
+        loss = binary_cross_entropy(None, Tensor([[0.3], [0.8]]), 1, 1e-12)
         assert loss.item() == pytest.approx(-(np.log(0.7) + np.log(0.8)), rel=1e-15)
 
     def test_floored_probabilities_must_be_positive(self):
         with pytest.raises(ValueError):
-            binary_cross_entropy(None, Tensor([[0.5]]), Tensor([[0.0]]), 0.0)
+            binary_cross_entropy(None, Tensor([[0.5], [0.0]]), 1, 0.0)
         with pytest.raises(ValueError):
-            binary_cross_entropy(None, Tensor([[1.0]]), Tensor([[0.5]]), 0.0)
+            binary_cross_entropy(None, Tensor([[1.0], [0.5]]), 1, 0.0)
 
 
 def _ema_operands(rng, classes, n, d):
@@ -1753,9 +1752,8 @@ class TestNanPropagates:
         assert np.isnan(nll(None, Tensor([[np.nan, 0.5], [0.5, 0.5]]), np.array([0, 1]), 1e-12).item())
 
     def test_binary_cross_entropy(self):
-        nan, half = Tensor([[np.nan]]), Tensor([[0.5]])
-        assert np.isnan(binary_cross_entropy(None, nan, half, 1e-12).item())
-        assert np.isnan(binary_cross_entropy(None, half, nan, 1e-12).item())
+        for p in ([[np.nan], [0.5]], [[0.5], [np.nan]]):
+            assert np.isnan(binary_cross_entropy(None, Tensor(p), 1, 1e-12).item())
 
 
 def _explicit_pairwise(av, bv, g):

@@ -22,7 +22,7 @@ from shiftlab import (
     domain_adversarial_loss,
     update_centroids,
 )
-from shiftlab.autodiff import matmul, sigmoid, softmax, weighted_sum
+from shiftlab.autodiff import binary_cross_entropy, matmul, sigmoid, softmax, weighted_sum
 
 from conftest import (
     central_difference,
@@ -80,45 +80,50 @@ class TestCrossEntropy:
 
 class TestDomainAdversarial:
     def test_oracle_value(self):
-        loss = domain_adversarial_loss(None, Tensor([[0.3]]), Tensor([[0.8]]))
+        loss = domain_adversarial_loss(None, Tensor([[0.3], [0.8]]), 1)
         assert loss.values[0, 0] == pytest.approx(0.5798184952529422, rel=1e-12)
 
     def test_coin_flip_outputs(self):
         # -(ln 0.5 + ln 0.5): each domain term contributes ln 2
-        loss = domain_adversarial_loss(None, Tensor([[0.5], [0.5]]), Tensor([[0.5]]))
+        loss = domain_adversarial_loss(None, Tensor([[0.5], [0.5], [0.5]]), 2)
         assert loss.values[0, 0] == pytest.approx(2 * LN2, rel=1e-12)
 
     def test_means_within_each_domain(self):
-        loss = domain_adversarial_loss(None, Tensor([[0.3], [0.5]]), Tensor([[0.8]]))
+        loss = domain_adversarial_loss(None, Tensor([[0.3], [0.5], [0.8]]), 2)
         expected = -((np.log(0.7) + np.log(0.5)) / 2 + np.log(0.8))
         assert loss.values[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_saturated_outputs(self):
         with pytest.raises(ValueError):
-            domain_adversarial_loss(None, Tensor([[0.0]]), Tensor([[0.5]]))
+            domain_adversarial_loss(None, Tensor([[0.0], [0.5]]), 1)
         with pytest.raises(ValueError):
-            domain_adversarial_loss(None, Tensor([[0.5]]), Tensor([[1.0]]))
+            domain_adversarial_loss(None, Tensor([[0.5], [1.0]]), 1)
 
     def test_rejects_wide_output(self):
         with pytest.raises(ShapeError):
-            domain_adversarial_loss(None, Tensor([[0.5, 0.5]]), Tensor([[0.5]]))
+            domain_adversarial_loss(None, Tensor([[0.5, 0.5], [0.5, 0.5]]), 1)
+
+    @pytest.mark.parametrize("n", [-1, 0, 3, 4])
+    @pytest.mark.parametrize("loss", [
+        domain_adversarial_loss,
+        lambda tape, d, n: binary_cross_entropy(tape, d, n, losses.PROB_FLOOR),
+    ], ids=["domain_adversarial_loss", "binary_cross_entropy"])
+    def test_split_point_out_of_range(self, loss, n):
+        # each domain needs a row: 0 < n < rows
+        with pytest.raises(ShapeError):
+            loss(None, Tensor([[0.3], [0.5], [0.8]]), n)
 
     def test_gradient_matches_finite_difference(self):
-        from shiftlab.autodiff import sigmoid
-
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((5, 1))
-        y = rng.standard_normal((4, 1))
+        x = rng.standard_normal((9, 1))
 
         def f():
             t = Tape()
-            return domain_adversarial_loss(
-                t, sigmoid(t, Tensor(x)), sigmoid(t, Tensor(y))
-            ).values[0, 0]
+            return domain_adversarial_loss(t, sigmoid(t, Tensor(x)), 5).values[0, 0]
 
         tape = Tape()
         leaf = Tensor(x)
-        tape.backward(domain_adversarial_loss(tape, sigmoid(tape, leaf), sigmoid(tape, Tensor(y))))
+        tape.backward(domain_adversarial_loss(tape, sigmoid(tape, leaf), 5))
         assert relative_error(leaf.grad, central_difference(f, x)) < 1e-3
 
 
@@ -140,6 +145,10 @@ class TestWeightedBatch:
     def test_negative_label(self):
         with pytest.raises(ValueError):
             batch(np.zeros((2, 2)), [-1, 1])
+
+    def test_list_weights_become_a_float_array(self):
+        wb = WeightedBatch(Tensor(np.zeros((2, 2))), [0, 1], [1, 0])
+        assert wb.weights.dtype == np.float64 and wb.weights.tolist() == [1.0, 0.0]
 
 
 class TestCentroidBank:
@@ -210,6 +219,11 @@ class TestCentroidBank:
         with pytest.raises(ValueError):
             update_centroids(None, bank, batch([[1.0, 0.0]], [5]), "source")
 
+    def test_label_equal_to_the_class_count_is_out_of_range(self):
+        bank = CentroidBank(num_classes=2)
+        with pytest.raises(ValueError, match="out of range"):
+            update_centroids(None, bank, batch([[1.0, 0.0]], [2]), "source")
+
     def test_bad_domain(self):
         bank = CentroidBank(num_classes=2)
         with pytest.raises(ValueError):
@@ -220,6 +234,17 @@ class TestCentroidBank:
             CentroidBank(num_classes=2, ema_coeff=0.0)
         with pytest.raises(ValueError):
             CentroidBank(num_classes=2, ema_coeff=1.5)
+
+    def test_ema_coeff_one_keeps_a_seen_centroid(self):
+        # the top of the range (0, 1]: the old centroid gets all the weight
+        bank = CentroidBank(num_classes=2, ema_coeff=1.0)
+        update_centroids(None, bank, batch([[1.0, 2.0]], [0]), "source")
+        update_centroids(None, bank, batch([[9.0, 9.0]], [0]), "source")
+        assert bank.centroids["source"].values[0].tolist() == [1.0, 2.0]
+
+    def test_needs_two_classes(self):
+        with pytest.raises(ValueError, match="num_classes"):
+            CentroidBank(num_classes=1)
 
 
 def seeded_bank(points: dict[tuple[str, int], list[float]]) -> CentroidBank:
@@ -534,7 +559,7 @@ def _alignment_step(n: int) -> tuple:
     for domain, f, y, w in zip(("source", "target"), warm, labels, weights):
         update_centroids(None, bank, batch(f, y, w), domain)  # a seen history
     src, tgt = Tensor(rng.standard_normal((n, 8))), Tensor(rng.standard_normal((n, 8)))
-    src_logits, tgt_logits = Tensor(rng.standard_normal((n, 1))), Tensor(rng.standard_normal((n, 1)))
+    logits = Tensor(rng.standard_normal((2 * n, 1)))  # source rows, then target rows
     tape = Tape()
     src_wb = WeightedBatch(src, labels[0], weights[0])
     tgt_wb = WeightedBatch(tgt, labels[1], weights[1])
@@ -543,10 +568,10 @@ def _alignment_step(n: int) -> tuple:
     parts = [
         centroid_alignment_loss(tape, bank),
         discriminative_alignment_loss(tape, src_wb, tgt_wb),
-        domain_adversarial_loss(tape, sigmoid(tape, src_logits), sigmoid(tape, tgt_logits)),
+        domain_adversarial_loss(tape, sigmoid(tape, logits), n),
     ]
     tape.backward(weighted_sum(tape, parts, [3.0, 0.6, 1.0]))
-    return tuple(p.values for p in parts) + (src.grad, tgt.grad, src_logits.grad, tgt_logits.grad)
+    return tuple(p.values for p in parts) + (src.grad, tgt.grad, logits.grad)
 
 
 @pytest.mark.parametrize("n", [50, 400])

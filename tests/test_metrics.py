@@ -69,6 +69,18 @@ class TestPerClassAccuracy:
         with pytest.raises(ValueError):
             per_class_accuracies([0, 2], [0, 1], 2)
 
+    def test_no_predictions_is_named(self):
+        # an empty array's min() raises a ValueError of its own, which names no cause
+        with pytest.raises(ValueError, match="no predictions"):
+            per_class_accuracies([], [], 2)
+
+    def test_one_prediction_is_scored(self):
+        assert per_class_accuracies([1], [1], 2) == [None, 1.0]
+
+    def test_true_label_equal_to_the_class_count_is_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            per_class_accuracies([0, 1], [0, 2], 2)
+
 
 def pseudo_labels(rows) -> PseudoLabels:
     """PseudoLabels from (raw, raw_conf, calibrated, calibrated_conf) rows."""
