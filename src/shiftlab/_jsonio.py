@@ -12,8 +12,6 @@ from collections.abc import Callable, Iterable
 
 def fits(value, kind) -> bool:
     """Whether a JSON value fits a declared type; bools are no numbers, floats no ints."""
-    if kind is bool:
-        return isinstance(value, bool)
     if kind in (int, float):
         return isinstance(value, (int, kind)) and not isinstance(value, bool)
     args = typing.get_args(kind)

@@ -33,15 +33,6 @@ that only rules held is freed once backward is done with it, without
 waiting for the garbage collector and while the tape is still held. The
 tape is then empty: a second ``backward`` raises ``TapeError``.
 
-One share may run on another thread: ``mlp``'s rule hands a weight
-gradient h.T @ g of at least ``_OFFLOAD_MACS`` (about 4M) multiply-adds
-to a one-thread ``concurrent.futures`` executor, and waits for it before
-it returns or raises (see ``mlp``). The executor is made on first use,
-at most one per process and none with fewer than 2 usable CPUs; a forked
-child makes its own. At the benchmark's shapes only the batch-400
-extractor's middle layer (13.1M) qualifies; the standard step starts no
-thread.
-
 At the training step's shapes the arithmetic is cheap and the cost is in
 Python-level calls, so the ops read shapes from ``.values.shape`` rather
 than ``Tensor.shape`` and reduce with ``np.add.reduce`` and its like
@@ -97,9 +88,7 @@ from __future__ import annotations
 
 import contextvars
 import math
-import os
 import sys
-import threading
 
 import numpy as np
 
@@ -262,9 +251,7 @@ class Pool:
             s = self._place(math.prod(shape) * _FLOAT.itemsize)
             self._slot.append(s)
         else:
-            # only the list and the argument refer to a free buffer; a reference
-            # the executor's thread is about to drop can only make a free
-            # buffer look held, never the reverse
+            # only the list and the argument refer to a free buffer
             if _refcount(self._buffers[s]) != 2:
                 s = self._slot[i] = len(self._buffers)
                 self._buffers.append(np.empty(0, np.uint8))
@@ -319,60 +306,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t._grad = g
     else:
         grad += g
-
-
-# A weight gradient x.T @ g of at least this many multiply-adds is handed
-# to the executor (see ``mlp``). The standard step's largest is
-# 1.6M (128 x 100 x 128) and the batch-400 step's 13.1M (128 x 800 x 128).
-# Below a few million the worker's wait for the interpreter lock, held by
-# the rules that run meanwhile, costs more than the overlap saves.
-_OFFLOAD_MACS = 1 << 22
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
-# This process's one-thread executor: None until first used, False with
-# fewer than 2 usable CPUs. The lock keeps two first offloads from making two.
-_executor = None
-_executor_lock = threading.Lock()
-
-
-def _forget_executor() -> None:
-    """In a forked child: the parent's thread is not there, so start anew."""
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_executor)
-
-
-def _product(operands: list) -> np.ndarray:
-    """``a @ b`` into ``out`` for ``operands`` ``[a, b, out]``, which it empties
-    first, so the worker keeps none of them once the future is done."""
-    a, b, out = operands
-    operands.clear()
-    return np.matmul(a, b, out=out)
-
-
-def _offload(a: np.ndarray, b: np.ndarray, shape: tuple[int, int]):
-    """The future of ``a @ b`` into a new ``shape`` array, or None: no executor."""
-    global _executor
-    with _executor_lock:
-        if _executor is None and _usable_cpus() < 2:
-            _executor = False
-        elif _executor is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _executor = ThreadPoolExecutor(1, thread_name_prefix="shiftlab-backward")
-    if _executor is False:
-        return None
-    return _executor.submit(_product, [a, b, _empty(shape)])
 
 
 class Tape:
@@ -476,13 +409,6 @@ def mlp(
     share at the first layer, and at a hidden layer the layer below's g
     once masked in place by the sign of h. The rule then drops h, so a
     later pool take may reuse its buffer.
-
-    A weight gradient h.T @ g of at least ``_OFFLOAD_MACS`` multiply-adds
-    runs on the executor instead, while the rule goes on with the layers
-    below; nothing else differs. Once the layer loop ends or raises, the
-    rule waits for every such product, and only then are the shares
-    added, so a failed product raises with none added. The product is
-    the call the rule would make itself, so the bits do not change.
     """
     constant = not isinstance(x, Tensor)
     h = x if constant else x.values
@@ -509,29 +435,17 @@ def mlp(
 
     def shares(g):
         grads = [None] * len(params)
-        offloaded = []  # (index in grads, future) per weight gradient on the executor
-        try:
-            for k in range(last, -1, -1):
-                w = params[2 * k]
-                hv, w_shape = inputs[k], w.values.shape
-                big = hv.size * w_shape[1] >= _OFFLOAD_MACS
-                future = _offload(hv.T, g, w_shape) if big else None
-                if future is not None:
-                    offloaded.append((2 * k, future))
-                grads[2 * k + 1] = np.add.reduce(g, axis=0, keepdims=True)
-                if k or not constant:
-                    gx = np.matmul(g, w.values.T, out=_empty(hv.shape))
-                if future is None:
-                    grads[2 * k] = np.matmul(hv.T, g, out=_empty(w_shape))
-                if k:
-                    # relu's rule: hv > 0 exactly where its affine input was
-                    g = np.multiply(gx, hv > 0.0, out=gx)
-                del inputs[k]
-        finally:
-            for _, future in offloaded:
-                future.exception()  # waits, and raises nothing
-        for i, future in offloaded:
-            grads[i] = future.result()
+        for k in range(last, -1, -1):
+            w = params[2 * k]
+            hv, w_shape = inputs[k], w.values.shape
+            grads[2 * k + 1] = np.add.reduce(g, axis=0, keepdims=True)
+            if k or not constant:
+                gx = np.matmul(g, w.values.T, out=_empty(hv.shape))
+            grads[2 * k] = np.matmul(hv.T, g, out=_empty(w_shape))
+            if k:
+                # relu's rule: hv > 0 exactly where its affine input was
+                g = np.multiply(gx, hv > 0.0, out=gx)
+            del inputs[k]
         return grads if constant else [*grads, gx]
 
     return _node(tape, h, params if constant else [*params, x], shares)

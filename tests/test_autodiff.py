@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import gc
 import inspect
@@ -726,15 +725,9 @@ class TestLinear:
             mlp(None, Tensor(np.ones((2, 3))), [(Tensor(np.ones((3, 4))), Tensor(np.ones((1, 3))))])
 
 
-# 800 x 128 @ 128 x 128, the batch-400 step's middle layer: its weight
-# gradient takes 13.1M multiply-adds, above the offload threshold
+# 800 x 128 @ 128 x 128, the batch-400 step's middle layer: the largest
+# weight gradient a benchmark step computes, 13.1M multiply-adds
 BIG = (800, 128, 128)
-assert BIG[0] * BIG[1] * BIG[2] >= autodiff._OFFLOAD_MACS
-
-
-def _worker_threads() -> list[threading.Thread]:
-    # the executor names its one thread shiftlab-backward_0
-    return [t for t in threading.enumerate() if t.name.startswith("shiftlab-backward")]
 
 
 def _big_linear_grads(xv, wv, bv, r, pool=None):
@@ -746,100 +739,63 @@ def _big_linear_grads(xv, wv, bv, r, pool=None):
         return [t.grad.copy() for t in (x, w, b)]
 
 
-@pytest.fixture
-def submits(monkeypatch):
-    """The products run on the executor's thread, counted; needs a spare CPU."""
-    if autodiff._usable_cpus() < 2:
-        pytest.skip("the executor runs only with a spare CPU")
-    count = [0]
-    product = autodiff._product
-
-    def counted(operands):
-        count[0] += 1
-        return product(operands)
-
-    monkeypatch.setattr(autodiff, "_product", counted)
-    return count
-
-
-class TestOffload:
-    """mlp's large weight gradients, computed on the executor during its rule."""
+class TestLargeProducts:
+    """mlp's rule at the batch-400 step's shapes, every product on the calling thread."""
 
     @pytest.mark.parametrize("pooled", [False, True])
-    def test_gradients_equal_the_synchronous_products_bit_for_bit(self, submits, monkeypatch,
-                                                                  pooled):
+    def test_gradients_equal_the_direct_products_bit_for_bit(self, pooled):
         xv, wv, bv, r = _linear_pair(np.random.default_rng(40), *BIG)
         pool = Pool() if pooled else None
-        offloaded = _big_linear_grads(xv, wv, bv, r, pool)
-        assert submits[0] == 1 and len(_worker_threads()) == 1
-        monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
-        synchronous = _big_linear_grads(xv, wv, bv, r, pool)
-        assert submits[0] == 1
+        got = _big_linear_grads(xv, wv, bv, r, pool)
         g = r * (xv @ wv + bv > 0.0)
-        assert (offloaded[1] == xv.T @ g).all()
-        for got, want in zip(offloaded, synchronous):
-            assert (got == want).all()
+        assert (got[0] == g @ wv.T).all()
+        assert (got[1] == xv.T @ g).all()
+        assert (got[2] == g.sum(axis=0, keepdims=True)).all()
+        for again, first in zip(_big_linear_grads(xv, wv, bv, r, pool), got):
+            assert (again == first).all()
 
-    def test_a_weight_used_twice_accumulates_in_rule_order(self, submits, monkeypatch):
+    def test_a_weight_used_twice_accumulates_in_rule_order(self):
         rng = np.random.default_rng(41)
         n, d_in, d_out = BIG
         xs = [rng.standard_normal((rows, d_in)) for rows in (n, 10, n)]
         rs = [rng.standard_normal((rows, d_out)) for rows in (n, 10, n)]
         wv = rng.standard_normal((d_in, d_out))
-
-        def weight_grad():
-            w, b = Tensor(wv), Tensor(np.zeros((1, d_out)))
-            tape = Tape()
-            terms = [sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r))
-                     for x, r in zip(xs, rs)]
-            tape.backward(weighted_sum(tape, terms, [1.0, 1.0, 1.0]))
-            return w.grad
-
-        offloaded = weight_grad()
-        # the two large uses each offload, and each rule adds its product before
-        # it returns
-        assert submits[0] == 2
-        monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
-        assert (offloaded == weight_grad()).all()
+        w, b = Tensor(wv), Tensor(np.zeros((1, d_out)))
+        tape = Tape()
+        terms = [sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r))
+                 for x, r in zip(xs, rs)]
+        tape.backward(weighted_sum(tape, terms, [1.0, 1.0, 1.0]))
         # rules run newest first: the third use's product, the second's, the first's
         first, second, third = (x.T @ r for x, r in zip(xs, rs))
-        assert (offloaded == third + second + first).all()
+        assert (w.grad == third + second + first).all()
         # another order of the same sums gives other bits, so the test can tell
-        assert not (offloaded == third + first + second).all()
+        assert not (w.grad == third + first + second).all()
 
     @pytest.mark.parametrize("reader", ["nll", "gather_rows"])
-    def test_a_direct_gradient_write_waits_for_the_product(self, submits, monkeypatch, reader):
-        # these rules write into their input's gradient array themselves
+    def test_a_gathered_share_adds_to_the_product(self, reader):
         rng = np.random.default_rng(47)
         xv, wv, _, r = _linear_pair(rng, *BIG)
         labels = rng.integers(0, BIG[2], BIG[1])
 
-        def weight_grad():
-            w = Tensor(np.abs(wv))
-            tape = Tape()
+        def picked(tape, w):
             if reader == "nll":
-                picked = nll(tape, w, labels, 1e-12)
-            else:
-                picked = sum_all(tape, gather_rows(tape, w, labels))
-            # recorded last, mlp's rule runs first and offloads its product
-            h = mlp(tape, xv, [(w, Tensor(np.zeros((1, BIG[2]))))])
-            out = sum_all(tape, scale_by(tape, h, r))
-            tape.backward(weighted_sum(tape, [picked, out], [1.0, 1.0]))
-            return w.grad
+                return nll(tape, w, labels, 1e-12)
+            return sum_all(tape, gather_rows(tape, w, labels))
 
-        offloaded = weight_grad()
-        assert submits[0] == 1
-        monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
-        assert (offloaded == weight_grad()).all()
+        alone = Tensor(np.abs(wv))
+        tape = Tape()
+        tape.backward(picked(tape, alone))
+        w = Tensor(np.abs(wv))
+        tape = Tape()
+        first = picked(tape, w)
+        # recorded last, mlp's rule runs first: w adopts its product, then
+        # the gathered share is added into it
+        h = mlp(tape, xv, [(w, Tensor(np.zeros((1, BIG[2]))))])
+        out = sum_all(tape, scale_by(tape, h, r))
+        tape.backward(weighted_sum(tape, [first, out], [1.0, 1.0]))
+        assert (w.grad == xv.T @ r + alone.grad).all()
 
-    def test_a_raising_rule_leaves_no_pending_write(self, submits, monkeypatch):
-        product = autodiff._product
-
-        def slow_product(operands):
-            time.sleep(0.2)
-            return product(operands)
-
-        monkeypatch.setattr(autodiff, "_product", slow_product)
+    def test_a_raising_rule_keeps_the_shares_added_before_it(self):
         rng = np.random.default_rng(42)
         xv, wv, bv, r = _linear_pair(rng, *BIG)
         x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
@@ -850,27 +806,36 @@ class TestOffload:
             def fail():
                 raise RuntimeError("a rule failed")
 
-            tape.record(fail)  # runs last, after mlp's rule handed off its product
+            tape.record(fail)  # runs last, after mlp's rule added its shares
             loss = sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r))
-            start = time.perf_counter()
             with pytest.raises(RuntimeError, match="a rule failed"):
                 tape.backward(loss)
-            assert time.perf_counter() - start >= 0.2
-            assert submits[0] == 1
-            grad = w._grad
-            assert isinstance(grad, np.ndarray)
-            assert any(np.shares_memory(grad, buf) for buf in pool)
-            assert (grad == xv.T @ r).all()
+            assert any(np.shares_memory(w._grad, buf) for buf in pool)
+            assert (w._grad == xv.T @ r).all()
+            assert (b._grad == r.sum(axis=0, keepdims=True)).all()
+            assert (x._grad == r @ wv.T).all()
 
-    def test_a_failed_product_raises_from_the_rule_that_started_it(self, submits, monkeypatch):
-        started = []
+    @pytest.fixture
+    def failing_product(self, monkeypatch):
+        """fail_after(n): the BIG[1] x BIG[2] arrays mlp's rule asks for after
+        the first n raise; returns the list of those asked for."""
+        empty, asked = autodiff._empty, []
 
-        def fail(operands):
-            started.append(len(operands))
-            operands.clear()
-            raise FloatingPointError("a product failed")
+        def fail_after(n):
+            def take(shape):
+                if shape == (BIG[1], BIG[2]):
+                    asked.append(shape)
+                    if len(asked) > n:
+                        raise MemoryError("no room for a product")
+                return empty(shape)
 
-        monkeypatch.setattr(autodiff, "_product", fail)
+            monkeypatch.setattr(autodiff, "_empty", take)
+            return asked
+
+        return fail_after
+
+    def test_a_failed_product_raises_from_the_rule_that_started_it(self, failing_product):
+        asked = failing_product(0)
         rng = np.random.default_rng(48)
         xv, wv, bv, r = _linear_pair(rng, *BIG)
         w1, w2, b = Tensor(wv), Tensor(wv), Tensor(bv)
@@ -878,61 +843,34 @@ class TestOffload:
         tape = Tape()
         tape.record(lambda: later.append(True))  # runs last
         h = mlp(tape, mlp(tape, xv, [(w1, b)]), [(w2, b)])  # w2's rule runs, and fails, first
-        with pytest.raises(FloatingPointError, match="a product failed"):
+        with pytest.raises(MemoryError, match="no room for a product"):
             tape.backward(sum_all(tape, scale_by(tape, h, r)))
         # w2's rule raised before it added any share: w1's rule and the one
         # recorded before it never ran, and neither weight nor the bias got a gradient
-        assert started == [3] and later == []
+        assert len(asked) == 1 and later == []
         assert b._grad is None
         assert w1._grad is None and w2._grad is None
 
-    def test_a_failed_product_raises_once_every_product_is_done(self, submits, monkeypatch):
-        # a two-layer rule offloads both weight gradients: the top layer's
-        # product fails at once, the bottom layer's is still running
-        product, done = autodiff._product, []
-
-        def fail_then_slow(operands):
-            if not done:
-                done.append(None)
-                operands.clear()
-                raise FloatingPointError("a product failed")
-            time.sleep(0.2)
-            out = product(operands)
-            done.append(out)
-            return out
-
-        monkeypatch.setattr(autodiff, "_product", fail_then_slow)
+    def test_a_failed_lower_product_adds_no_share_of_the_layers_above(self, failing_product):
+        # a two-layer rule: the top layer's weight product succeeds, the
+        # bottom layer's fails
+        asked = failing_product(1)
         rng = np.random.default_rng(50)
         xv, w1v, b1v, r = _linear_pair(rng, *BIG)
         w2v = rng.standard_normal((BIG[2], BIG[2]))
-        w1, b1, w2, b2 = Tensor(w1v), Tensor(b1v), Tensor(w2v), Tensor(np.zeros((1, BIG[2])))
-        pool = Pool()
-        with pool:
+        x, w1, b1 = Tensor(xv), Tensor(w1v), Tensor(b1v)
+        w2, b2 = Tensor(w2v), Tensor(np.zeros((1, BIG[2])))
+        with Pool():
             tape = Tape()
-            h = mlp(tape, xv, [(w1, b1), (w2, b2)])
-            start = time.perf_counter()
-            with pytest.raises(FloatingPointError, match="a product failed"):
+            h = mlp(tape, x, [(w1, b1), (w2, b2)])
+            with pytest.raises(MemoryError, match="no room for a product"):
                 tape.backward(sum_all(tape, scale_by(tape, h, r)))
-            assert time.perf_counter() - start >= 0.2
-            # both were submitted; only the second ran the product
-            assert len(done) == 2 and submits[0] == 1
-            g =(r @ w2v.T) * (np.maximum(xv @ w1v + b1v, 0.0) > 0.0)
-            assert any(np.shares_memory(done[1], buf) for buf in pool)
-            assert (done[1] == xv.T @ g).all()
-            # the rule added no share: neither bias nor weight got a gradient
-            assert b1._grad is None and b2._grad is None
-            assert w1._grad is None and w2._grad is None
+        assert len(asked) == 2
+        # the rule computes every share before it adds any
+        assert b1._grad is None and b2._grad is None
+        assert w1._grad is None and w2._grad is None and x._grad is None
 
-    def test_a_raising_rule_returns_once_its_product_is_done(self, submits, monkeypatch):
-        product, done = autodiff._product, []
-
-        def slow_product(operands):
-            time.sleep(0.2)
-            out = product(operands)
-            done.append(out)
-            return out
-
-        monkeypatch.setattr(autodiff, "_product", slow_product)
+    def test_a_share_that_cannot_be_added_stops_the_rest(self):
         rng = np.random.default_rng(49)
         xv, wv, bv, r = _linear_pair(rng, *BIG)
         x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
@@ -943,25 +881,12 @@ class TestOffload:
             loss = sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r))
             with pytest.raises(ValueError):
                 tape.backward(loss)
-            # the rule raised after it submitted the product, and waited for it
-            assert submits[0] == 1 and len(done) == 1
-            assert any(np.shares_memory(done[0], buf) for buf in pool)
-            assert (done[0] == xv.T @ r).all()
             # every share was computed before any was added: the weight's went in,
             # then the bias's raised, so the input's never did
-            assert w._grad is done[0] and x._grad is None
+            assert any(np.shares_memory(w._grad, buf) for buf in pool)
+            assert (w._grad == xv.T @ r).all() and x._grad is None
 
-    def test_backward_leaves_no_reference_cycle(self, submits, monkeypatch):
-        # nor does the worker hold the product's operands once it is done: the
-        # list it was handed is empty before the future completes
-        product, held = autodiff._product, []
-
-        def product_and_look(operands):
-            out = product(operands)
-            held.append(len(operands))
-            return out
-
-        monkeypatch.setattr(autodiff, "_product", product_and_look)
+    def test_backward_leaves_no_reference_cycle(self):
         rng = np.random.default_rng(43)
         xv, wv, bv, r = _linear_pair(rng, *BIG)
         gc.disable()
@@ -971,38 +896,26 @@ class TestOffload:
             tape.backward(sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r)))
             refs = [weakref.ref(tape), weakref.ref(x.values)]
             del tape, x
-            assert submits[0] == 1 and [ref() for ref in refs] == [None, None]
-            assert held == [0]
+            assert [ref() for ref in refs] == [None, None]
         finally:
             gc.enable()
 
-    def test_no_worker_without_a_spare_cpu(self, monkeypatch):
-        monkeypatch.setattr(autodiff, "_executor", None)
-        monkeypatch.setattr(autodiff, "_usable_cpus", lambda: 1)
+    def test_backward_starts_no_thread(self):
         threads = threading.active_count()
-        rng = np.random.default_rng(44)
-        xv, wv, bv, r = _linear_pair(rng, *BIG)
-        got = _big_linear_grads(xv, wv, bv, r)
-        assert autodiff._executor is False and threading.active_count() == threads
-        monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
-        for a, b in zip(got, _big_linear_grads(xv, wv, bv, r)):
-            assert (a == b).all()
+        _big_linear_grads(*_linear_pair(np.random.default_rng(44), *BIG))
+        assert threading.active_count() == threads
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_starts_its_own_worker(self, submits):
+    def test_a_forked_child_gets_the_parents_gradients(self):
         rng = np.random.default_rng(45)
         args = _linear_pair(rng, *BIG)
-        expected = _big_linear_grads(*args)
-        parent_executor = autodiff._executor
-        assert submits[0] == 1
-        assert isinstance(parent_executor, concurrent.futures.ThreadPoolExecutor)
+        expected = _big_linear_grads(*args, Pool())
         pid = os.fork()
-        if pid == 0:  # the child: reusing the parent's worker would wait forever
+        if pid == 0:  # the child: the same bits, on a pool of its own
             code = 1
             try:
-                got = _big_linear_grads(*args)
-                fresh = autodiff._executor is not parent_executor and submits[0] == 2
-                code = 0 if fresh and all((a == b).all() for a, b in zip(got, expected)) else 3
+                got = _big_linear_grads(*args, Pool())
+                code = 0 if all((a == b).all() for a, b in zip(got, expected)) else 3
             finally:
                 os._exit(code)
         deadline = time.monotonic() + 60.0
@@ -1019,12 +932,10 @@ class TestOffload:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_exits_through_the_interpreter(self):
-        # at exit the interpreter joins the executors' threads, the parent's
-        # too, which the child does not have; it must not wait for it
-        if autodiff._usable_cpus() < 2:
-            pytest.skip("the executor runs only with a spare CPU")
+        # a child forked after a backward runs its own backward, starts no
+        # thread, and its interpreter exits without waiting on anything
         code = textwrap.dedent("""
-            import os, signal, sys
+            import os, signal, sys, threading
             import numpy as np
             from shiftlab import autodiff as ad
 
@@ -1035,11 +946,10 @@ class TestOffload:
                 tape.backward(ad.sum_all(tape, h))
                 return w.grad
 
-            want, parent = weight_grad(), ad._executor
-            assert parent
+            want = weight_grad()
             if os.fork() == 0:
                 signal.alarm(30)  # a child that hangs ends itself
-                ok = (weight_grad() == want).all() and ad._executor not in (None, parent)
+                ok = (weight_grad() == want).all() and threading.active_count() == 1
                 sys.exit(0 if ok else 3)
             sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))
         """)
@@ -1048,19 +958,21 @@ class TestOffload:
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
 
-    def test_concurrent_backwards_each_wait_for_their_own_products(self, submits):
-        # more callers than cores share the one worker; a product that one
-        # backward left unwaited would show as a stand-in or an unwritten array
+    def test_threads_with_their_own_tapes_get_the_single_thread_gradients(self):
+        # three callers, more than a 2-core machine has cores, each with its
+        # own tape and Pool; a pool is active only in the context of the
+        # thread that entered it
         rng = np.random.default_rng(46)
         cases = [_linear_pair(rng, *BIG) for _ in range(3)]
-        want = [(xv.T @ (r * (xv @ wv + bv > 0.0))) for xv, wv, bv, r in cases]
+        want = [_big_linear_grads(*case, Pool()) for case in cases]
         errors = []
 
         def caller(i):
             try:
+                pool = Pool()
                 for _ in range(4):
-                    got = _big_linear_grads(*cases[i])[1]
-                    np.testing.assert_allclose(got, want[i], rtol=1e-12, atol=1e-9)
+                    for got, expected in zip(_big_linear_grads(*cases[i], pool), want[i]):
+                        assert (got == expected).all()
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -1075,17 +987,14 @@ class TestOffload:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
-        assert submits[0] == 12 and len(_worker_threads()) == 1
 
-    def test_importing_starts_no_thread_machinery(self):
-        # concurrent.futures, and the queue module it uses, are imported when
-        # the first product is offloaded
-        code = ("import sys, shiftlab.cli; "
-                "print(sorted({'queue', 'concurrent.futures'} & set(sys.modules)))")
+    def test_importing_starts_no_thread(self):
+        code = ("import sys, threading, shiftlab.cli; print(threading.active_count(), "
+                "sorted({'queue', 'concurrent.futures'} & set(sys.modules)))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out.strip() == "[]"
+        assert out.strip() == "1 []"
 
 
 def _mlp_layers(rng, widths):
@@ -1156,30 +1065,19 @@ class TestMlp:
             mlp(None, np.ones((3, 4)), [])
 
     @pytest.mark.parametrize("pooled", [False, True])
-    def test_no_activation_is_overwritten_while_a_product_reads_it(self, submits, monkeypatch,
-                                                                   pooled):
+    def test_no_activation_is_overwritten_while_a_product_reads_it(self, pooled):
         # the batch-400 extractor: its middle layer's weight gradient reads the
-        # first hidden activation on the executor, here slowed down, while the
-        # rule goes on to the first layer
-        product = autodiff._product
-
-        def slow_product(operands):
-            time.sleep(0.1)
-            return product(operands)
-
-        monkeypatch.setattr(autodiff, "_product", slow_product)
+        # first hidden activation after the rule has taken that layer's input
+        # gradient from the pool
         rng = np.random.default_rng(2900)
         xv = rng.standard_normal((800, 10))
         layers = _mlp_layers(rng, (10, 128, 128, 8))
         r = rng.standard_normal((800, 8))
         pool = Pool() if pooled else None
-        offloaded = _mlp_grads(mlp, xv, layers, r, True, pool)
-        assert submits[0] == 1
-        monkeypatch.setattr(autodiff, "_OFFLOAD_MACS", np.inf)
-        synchronous = _mlp_grads(mlp, xv, layers, r, True, pool)
-        assert submits[0] == 1
-        for got, want in zip(offloaded, synchronous):
-            assert (got == want).all()
+        for _ in range(2):  # a pool reuses its arrays the second time
+            fused = _mlp_grads(mlp, xv, layers, r, True, pool)
+            for got, want in zip(fused, _mlp_grads(chained_mlp, xv, layers, r, True)):
+                assert (got == want).all()
 
 
 class TestSplitRows:

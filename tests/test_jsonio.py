@@ -90,3 +90,27 @@ def test_failed_write_removes_temporary_file(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert path.read_text(encoding="utf-8") == '{"old": true}'
     assert os.listdir(tmp_path) == ["doc.json"]
+
+
+def test_temporary_file_sits_beside_any_path_like_target(tmp_path, monkeypatch):
+    # a path-like object whose str() is not its path: the temporary name is
+    # built from os.fspath, so it is written beside the target, not in the
+    # working directory
+    out = tmp_path / "out"
+    out.mkdir()
+
+    class Target:
+        def __fspath__(self):
+            return str(out / "blob.bin")
+
+    monkeypatch.chdir(tmp_path)
+    dirs = []
+
+    def write(fh):
+        dirs.append(os.path.dirname(fh.name))
+        fh.write(b"new")
+
+    write_file(Target(), write)
+    assert dirs == [str(out)]
+    assert (out / "blob.bin").read_bytes() == b"new"
+    assert os.listdir(tmp_path) == ["out"] and os.listdir(out) == ["blob.bin"]

@@ -25,7 +25,7 @@ from shiftlab import (
     predict,
     train_step,
 )
-from shiftlab import autodiff, networks, training
+from shiftlab import networks, training
 from shiftlab.autodiff import Tensor, mlp
 
 from conftest import allocation_peak, call_count, standard_config
@@ -313,12 +313,19 @@ def warm_step_args(std_pair, cfg):
     return (state, bank, cfg, src, tgt) + batches[5] + (pool,)
 
 
-def test_warm_step_starts_no_thread(std_pair, monkeypatch):
-    # no weight gradient of the standard step is large enough for the executor
-    monkeypatch.setattr(autodiff, "_executor", None)
+def test_warm_step_starts_no_thread(std_pair):
+    # neither at the standard batch nor at full_wide's batch 400, whose
+    # extractor makes the largest weight gradient of any benchmark step
     threads = threading.active_count()
     step(*warm_step_args(std_pair, std_cfg()))
-    assert autodiff._executor is None and threading.active_count() == threads
+    assert threading.active_count() == threads
+    src, tgt = std_pair
+    state, bank, pool = init_model(STD.model, 5), CentroidBank(5), Pool()
+    rng = np.random.default_rng(13)
+    for _ in range(6):  # the first five warm the pool
+        tgt_idx, src_idx = rng.permutation(len(tgt))[:400], rng.integers(0, len(src), 400)
+        step(state, bank, std_cfg(), src, tgt, src_idx, tgt_idx, pool)
+        assert threading.active_count() == threads
 
 
 class TestCallBudget:
@@ -352,8 +359,7 @@ class TestCallBudget:
 
     def test_wide_step_pool_footprint(self, std_pair):
         # at full_wide's batch 400 later positions write into the arrays
-        # backward has freed, while the offload thread holds pool arrays;
-        # the bits stay those of unpooled steps
+        # backward has freed; the bits stay those of unpooled steps
         src, tgt = std_pair
         states = [init_model(STD.model, 5) for _ in range(2)]
         banks = [CentroidBank(5) for _ in range(2)]
