@@ -7,7 +7,7 @@ benchmark trends end to end.
 """
 from __future__ import annotations
 
-from .autodiff import Pool, Tape, TapeError, Tensor, ShapeError
+from .autodiff import Tape, TapeError, Tensor, ShapeError
 from .calibration import (
     LabelShiftState,
     PseudoLabels,

@@ -37,7 +37,7 @@ At the training step's shapes the arithmetic is cheap and the cost is in
 Python-level calls, so the ops read shapes from ``.values.shape`` rather
 than ``Tensor.shape`` and reduce with ``np.add.reduce`` and its like
 rather than the array methods, whose Python wrappers cost more calls.
-``tests/test_pool.py`` bounds the calls of a full training step.
+``tests/test_step_memory.py`` bounds the calls of a full training step.
 
 Only the operations the training method needs are provided, and all
 tensors are 2-D. There is no broadcasting beyond what the individual
@@ -69,26 +69,10 @@ helpers around them. The chain ops (``matmul``, ``add_bias``, ``add``, ``sub``, 
 are not exported and no training path calls them. They are kept for two
 reasons only: the fused ops are tested against them, and the benchmark's
 tracer wraps them by name.
-
-Inside ``with pool:`` for a ``Pool``, the ops whose arrays scale with the
-batch (``mlp``'s forward and backward, ``relu``'s output, ``split_rows``'
-backward, the n x m distances of ``pairwise_distances`` and
-``label_ratio``, and the latter's gradient blocks) write into the pool's
-arrays instead of allocating; the arithmetic and its bits are the same.
-Each array is made on a buffer that nothing else refers to, in this
-block or kept from an earlier one, so a later array may reuse the buffer
-of a forward activation whose rules backward has run and dropped. An
-array kept past its block is never overwritten, but its buffer stays
-taken and the pool makes another, so nothing made inside a block should
-outlive it. Outside any, every op allocates. A warm full training step
-at the benchmark's shapes holds 13 pool buffers and 511 KiB at batch 50,
-and 12 buffers and 3,543 KiB at batch 400; ``tests/test_pool.py`` bounds both.
 """
 from __future__ import annotations
 
-import contextvars
 import math
-import sys
 
 import numpy as np
 
@@ -97,7 +81,6 @@ __all__ = [
     "TapeError",
     "Tensor",
     "Tape",
-    "Pool",
     "as_matrix",
     "mlp",
     "ema_matmul",
@@ -194,94 +177,9 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-_FLOAT = np.dtype(np.float64)
-_refcount = sys.getrefcount
-
-
-class Pool:
-    """Scratch arrays that one step after another writes into.
-
-    ``with pool:`` makes the pool the active one for the ops (see the
-    module docstring). The i-th array taken inside the block is made on
-    the i-th position's buffer, grown when too small, so a loop whose
-    steps take the same sequence of shapes, or smaller ones, allocates
-    only in its first step. A taken array's contents are garbage until
-    the op writes it.
-
-    A buffer is free when only the pool refers to it. NumPy points the
-    ``.base`` of every array made on a buffer, and of every slice or
-    transpose of one, at the buffer itself, so ``sys.getrefcount`` on it
-    shows whether anything still views it. The first block to reach a
-    position gives it the smallest free buffer large enough, else a new
-    one. Each later take checks the position's buffer once: when it is
-    held, by an array kept from an earlier block or taken earlier in this
-    one, the position moves to a new buffer for good. So no take
-    overwrites an array that is still referenced; a kept array only costs
-    a buffer. ``len(pool)`` counts the buffers and iterating yields them.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: list[np.ndarray] = []  # flat bytes, each shared by one or more positions
-        self._slot: list[int] = []  # per position: the index of its buffer
-        self._taken = 0
-        self._tokens: list[contextvars.Token] = []
-
-    def __enter__(self) -> Pool:
-        self._tokens.append(_ACTIVE.set(self))
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _ACTIVE.reset(self._tokens.pop())
-        if not self._tokens:
-            self._taken = 0
-
-    def __len__(self) -> int:
-        return len(self._buffers)
-
-    def __iter__(self):
-        return iter(self._buffers)
-
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialised float64 array on a buffer nothing else views."""
-        i = self._taken
-        self._taken = i + 1
-        try:
-            s = self._slot[i]
-        except IndexError:  # a position no block has reached before
-            s = self._place(math.prod(shape) * _FLOAT.itemsize)
-            self._slot.append(s)
-        else:
-            # only the list and the argument refer to a free buffer
-            if _refcount(self._buffers[s]) != 2:
-                s = self._slot[i] = len(self._buffers)
-                self._buffers.append(np.empty(0, np.uint8))
-        try:
-            return np.ndarray(shape, _FLOAT, self._buffers[s])
-        except TypeError:  # too small, and free: nothing views it
-            self._buffers[s] = np.empty(math.prod(shape) * _FLOAT.itemsize, np.uint8)
-            return np.ndarray(shape, _FLOAT, self._buffers[s])
-
-    def _place(self, nbytes: int) -> int:
-        """The index of the smallest free buffer of at least ``nbytes``, else of a new one."""
-        best = -1
-        for s in range(len(self._buffers)):
-            size = self._buffers[s].size
-            if (nbytes <= size and (best < 0 or size < self._buffers[best].size)
-                    and _refcount(self._buffers[s]) == 2):
-                best = s
-        if best < 0:
-            best = len(self._buffers)
-            self._buffers.append(np.empty(0, np.uint8))
-        return best
-
-
-_ACTIVE: contextvars.ContextVar[Pool | None] = contextvars.ContextVar("pool", default=None)
-
-
-def _empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float64 array: from the active pool, else newly allocated."""
-    pool = _ACTIVE.get()
-    return np.empty(shape) if pool is None else pool.take(shape)
+# The uninitialised float64 arrays that ops write into come from here, so a
+# test can patch it to make an allocation fail.
+_empty = np.empty
 
 
 class _Output(Tensor):
@@ -407,8 +305,8 @@ def mlp(
     held for backward. From the last layer down, the rule computes each
     layer's bias and weight shares, and g @ w.T into a new array: x's
     share at the first layer, and at a hidden layer the layer below's g
-    once masked in place by the sign of h. The rule then drops h, so a
-    later pool take may reuse its buffer.
+    once masked in place by the sign of h. The rule then drops h, freeing
+    its buffer.
     """
     constant = not isinstance(x, Tensor)
     h = x if constant else x.values
@@ -910,8 +808,7 @@ def _distances(op: str, a: Tensor, b: Tensor) -> tuple[np.ndarray, tuple]:
 
     That is (ac, bc, near): the shifted rows, and None or the
     near-coincident pairs' (rows, cols, diff, exact, scaled), rows
-    ascending, ``scaled`` zeros for ``_over_distances`` to fill. The table
-    is taken from the active pool, if any.
+    ascending, ``scaled`` zeros for ``_over_distances`` to fill.
     """
     av, bv = a.values, b.values
     (n, d), (m, d_b) = av.shape, bv.shape

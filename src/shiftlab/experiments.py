@@ -459,7 +459,8 @@ def _run_cells(cells: list[ExperimentConfig], force: bool,
     """Run each cell in order through ``_run_cell``, drawing each distinct dataset once.
 
     ``grid`` is the path and document of a grid root's manifest, whose i-th
-    cell's ``state`` follows cell i. The first failing cell stops the rest.
+    cell's ``state`` follows cell i. The first failing cell stops the rest;
+    a cell whose ``completed`` mark cannot be written is marked ``failed``.
     """
     datasets: dict[str, tuple[DomainDataset, DomainDataset]] = {}
     results = []
@@ -467,10 +468,10 @@ def _run_cells(cells: list[ExperimentConfig], force: bool,
         _set_state(grid, i, "running")
         try:
             results.append(_run_cell(cell, force, datasets))
+            _set_state(grid, i, "completed")
         except Exception:
             _set_state(grid, i, "failed")
             raise
-        _set_state(grid, i, "completed")
     return results
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from ._jsonio import build, fits, write_file
 from .autodiff import (
-    Pool,
     ShapeError,
     Tape,
     Tensor,
@@ -150,24 +149,19 @@ def discriminate(
     return sigmoid(tape, mlp(tape, h, state.layers["discriminator"]))
 
 
-def predict(state: ModelState, x, pool: Pool | None = None) -> np.ndarray:
+def predict(state: ModelState, x) -> np.ndarray:
     """Class probabilities of every row of ``x``: ``classify(features(x)).values``.
 
-    The rows go through in blocks of ``PREDICT_ROWS``, each inside
-    ``with pool:`` (a new ``Pool`` if none is given), so the layers'
-    arrays are reused from block to block and, with the caller's pool,
-    from call to call. The returned array is new. The same bits come out
-    as from one pass: a block's products give each row the same sums,
-    and a lone last row joins the block before it.
+    The rows go through in blocks of ``PREDICT_ROWS``, so the layers'
+    arrays never hold more rows than that. The returned array is new. The
+    same bits come out as from one pass: a block's products give each row
+    the same sums, and a lone last row joins the block before it.
     """
     x = as_matrix(x)
     n = x.shape[0]
     probs = np.empty((n, state.config.num_classes))
-    if pool is None:
-        pool = Pool()
     for lo, hi in _row_blocks(n, PREDICT_ROWS):
-        with pool:
-            probs[lo:hi] = classify(state, features(state, x[lo:hi])).values
+        probs[lo:hi] = classify(state, features(state, x[lo:hi])).values
     return probs
 
 

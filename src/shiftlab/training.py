@@ -14,14 +14,17 @@ accuracy fields are filled by an evaluator-supplied audit callback.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .autodiff import Pool, Tape, sgd_step, split_rows, weighted_sum
+from .autodiff import Tape, sgd_step, split_rows, weighted_sum
 from .calibration import LabelShiftState, PseudoLabels, calibrate
 from .data import MAX_SIZE, BalancedSampler, DomainDataset, finite
 from .losses import (
@@ -215,8 +218,7 @@ def train_step(
     exactly the source-only update. Otherwise the source and target
     batches pass through the extractor, and the discriminator, stacked:
     the networks treat rows independently, so that is one call each, and
-    only the features are split into the two batches. Called inside ``with pool:``, the step, SGD included, reuses the
-    pool's arrays; the bits are the same without one. A non-finite total
+    only the features are split into the two batches. A non-finite total
     loss raises ``NumericError``, and so do non-finite classifier
     confidences, before any alignment loss reads them.
     """
@@ -303,6 +305,47 @@ def _seed_streams(seed: int) -> tuple[int, int, int]:
     return int(init_s), int(sampler_s), int(shuffle_s)
 
 
+# glibc's mallopt parameters (malloc.h), each with the value ``run`` asks for
+_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD = -3, -1
+_HEAP_SETTINGS = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+# Any of these set is the user's own tuning of glibc's malloc, left as it is.
+_HEAP_VARIABLES = ("GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_")
+
+
+def _c_library():
+    """The process's C library as ctypes loads it, or None where it cannot."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+@functools.cache
+def _keep_freed_arrays() -> bool:
+    """Ask glibc to keep freed step arrays in its heap; acts once per process.
+
+    A batch-400 step frees arrays of up to 1.28 MB, its 400 x 400 distance
+    table. By default glibc gives an array above its mmap threshold (128
+    KiB at first) a mapping of its own, unmapped when the array is freed,
+    and hands free memory at the heap's top back to the OS once it exceeds
+    the trim threshold, so every step faults the same pages in again. An
+    mmap threshold of 32 MiB and a trim threshold of 64 MiB keep the
+    arrays in the heap for the next step. Nothing is asked, and False
+    returned, when one of ``_HEAP_VARIABLES`` is set or the C library has
+    no ``mallopt``. The values computed are the same either way.
+    """
+    if any(name in os.environ for name in _HEAP_VARIABLES):
+        return False
+    mallopt = getattr(_c_library(), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_SETTINGS:
+        mallopt(param, value)
+    return True
+
+
 def run(
     source: DomainDataset,
     target: DomainDataset,
@@ -316,9 +359,11 @@ def run(
     ``PseudoLabels`` and returns the accuracy fields of the EpochRecord;
     it is the only place target labels are consulted, and it is supplied
     by the evaluation layer, never constructed here. Nothing is written;
-    ``experiments.run_single`` persists a run.
+    ``experiments.run_single`` persists a run. The first call in a process
+    asks glibc to keep freed step arrays in its heap (``_keep_freed_arrays``).
     """
     _check_datasets(source, target)
+    _keep_freed_arrays()
     if model_cfg is None:
         model_cfg = ModelConfig(input_dim=source.feature_dim, num_classes=source.num_classes)
     init_seed, sampler_seed, shuffle_seed = _seed_streams(cfg.seed)
@@ -331,7 +376,6 @@ def run(
     steps_per_epoch = math.ceil(n_tgt / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     bank = CentroidBank(source.num_classes, cfg.centroid_ema)
-    pool = Pool()
     shift_state: LabelShiftState | None = None
     class_weights = np.ones(source.num_classes)
     diagnostics: dict = {}
@@ -351,18 +395,17 @@ def run(
             lr = lr_schedule(cfg.lr0, progress, cfg.lr_alpha, cfg.lr_beta)
             if epoch_lr is None:
                 epoch_lr = lr
-            with pool:
-                step = train_step(
-                    state, bank, class_weights, cfg,
-                    source.features[src_idx], src_labels_all[src_idx],
-                    target.features[tgt_idx],
-                    lr, _grl_coeff(cfg, progress), diagnostics,
-                )
+            step = train_step(
+                state, bank, class_weights, cfg,
+                source.features[src_idx], src_labels_all[src_idx],
+                target.features[tgt_idx],
+                lr, _grl_coeff(cfg, progress), diagnostics,
+            )
             for key, val in step.items():
                 sums[key] += val
             completed += 1
 
-        pseudo = calibrate(predict(state, target.features, pool), class_weights)
+        pseudo = calibrate(predict(state, target.features), class_weights)
         records.append(_epoch_record(epoch, epoch_lr, sums, steps_per_epoch, pseudo, audit_fn))
 
         if cfg.lsc_enabled and epoch == pretrain_epochs:

@@ -102,6 +102,17 @@ def allocation_peak(fn, *args, **kwargs) -> int:
             tracemalloc.stop()
 
 
+def stale_allocations(monkeypatch) -> None:
+    """Make autodiff's one allocation seam, ``_empty``, hand out NaN-filled arrays.
+
+    With freed arrays kept in glibc's heap, ``np.empty`` hands back blocks
+    that still hold an earlier step's values. An op that reads an element of
+    an array it allocated before writing it gets NaN under this patch, so a
+    result bit-identical to the unpatched one shows every element was written.
+    """
+    monkeypatch.setattr(autodiff, "_empty", lambda shape: np.full(shape, np.nan))
+
+
 def call_count(fn, *args, **kwargs) -> int:
     """Python and C function calls made by ``fn(*args, **kwargs)``, ``fn``'s own included.
 

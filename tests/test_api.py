@@ -17,7 +17,7 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 # The ops a training step records, and the types and helpers around them.
 AUTODIFF_EXPORTS = {
-    "ShapeError", "TapeError", "Tensor", "Tape", "Pool", "Velocity", "LabelPairs",
+    "ShapeError", "TapeError", "Tensor", "Tape", "Velocity", "LabelPairs",
     "as_matrix", "sgd_step",
     "mlp", "ema_matmul", "weighted_sum", "relu", "sigmoid", "softmax", "ratio",
     "label_ratio", "split_rows", "nll", "binary_cross_entropy", "pairwise_distances",
@@ -35,7 +35,7 @@ CHAIN_OPS = (
 
 
 def test_autodiff_exports_the_step_ops_and_their_types():
-    assert len(autodiff.__all__) == len(set(autodiff.__all__)) == 22
+    assert len(autodiff.__all__) == len(set(autodiff.__all__)) == 21
     assert set(autodiff.__all__) == AUTODIFF_EXPORTS
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import inspect
 import os
@@ -18,7 +17,6 @@ import pytest
 
 from shiftlab import autodiff
 from shiftlab.autodiff import (
-    Pool,
     ShapeError,
     Tape,
     TapeError,
@@ -62,6 +60,7 @@ from conftest import (
     grid_label_ratio,
     relative_error,
     retained_grad,
+    stale_allocations,
     table_label_ratio,
     two_op_label_ratio,
     unfused_binary_cross_entropy,
@@ -730,28 +729,28 @@ class TestLinear:
 BIG = (800, 128, 128)
 
 
-def _big_linear_grads(xv, wv, bv, r, pool=None):
+def _big_linear_grads(xv, wv, bv, r):
     """(x, w, b) gradients of sum(relu(mlp(x, [(w, b)])) * r)."""
     x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
-    with pool if pool is not None else contextlib.nullcontext():
-        tape = Tape()
-        tape.backward(sum_all(tape, scale_by(tape, relu(tape, mlp(tape, x, [(w, b)])), r)))
-        return [t.grad.copy() for t in (x, w, b)]
+    tape = Tape()
+    tape.backward(sum_all(tape, scale_by(tape, relu(tape, mlp(tape, x, [(w, b)])), r)))
+    return [t.grad.copy() for t in (x, w, b)]
 
 
 class TestLargeProducts:
     """mlp's rule at the batch-400 step's shapes, every product on the calling thread."""
 
-    @pytest.mark.parametrize("pooled", [False, True])
-    def test_gradients_equal_the_direct_products_bit_for_bit(self, pooled):
+    @pytest.mark.parametrize("stale", [False, True])
+    def test_gradients_equal_the_direct_products_bit_for_bit(self, stale, monkeypatch):
         xv, wv, bv, r = _linear_pair(np.random.default_rng(40), *BIG)
-        pool = Pool() if pooled else None
-        got = _big_linear_grads(xv, wv, bv, r, pool)
+        if stale:
+            stale_allocations(monkeypatch)
+        got = _big_linear_grads(xv, wv, bv, r)
         g = r * (xv @ wv + bv > 0.0)
         assert (got[0] == g @ wv.T).all()
         assert (got[1] == xv.T @ g).all()
         assert (got[2] == g.sum(axis=0, keepdims=True)).all()
-        for again, first in zip(_big_linear_grads(xv, wv, bv, r, pool), got):
+        for again, first in zip(_big_linear_grads(xv, wv, bv, r), got):
             assert (again == first).all()
 
     def test_a_weight_used_twice_accumulates_in_rule_order(self):
@@ -799,21 +798,18 @@ class TestLargeProducts:
         rng = np.random.default_rng(42)
         xv, wv, bv, r = _linear_pair(rng, *BIG)
         x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
-        pool = Pool()
-        with pool:
-            tape = Tape()
+        tape = Tape()
 
-            def fail():
-                raise RuntimeError("a rule failed")
+        def fail():
+            raise RuntimeError("a rule failed")
 
-            tape.record(fail)  # runs last, after mlp's rule added its shares
-            loss = sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r))
-            with pytest.raises(RuntimeError, match="a rule failed"):
-                tape.backward(loss)
-            assert any(np.shares_memory(w._grad, buf) for buf in pool)
-            assert (w._grad == xv.T @ r).all()
-            assert (b._grad == r.sum(axis=0, keepdims=True)).all()
-            assert (x._grad == r @ wv.T).all()
+        tape.record(fail)  # runs last, after mlp's rule added its shares
+        loss = sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r))
+        with pytest.raises(RuntimeError, match="a rule failed"):
+            tape.backward(loss)
+        assert (w._grad == xv.T @ r).all()
+        assert (b._grad == r.sum(axis=0, keepdims=True)).all()
+        assert (x._grad == r @ wv.T).all()
 
     @pytest.fixture
     def failing_product(self, monkeypatch):
@@ -860,11 +856,10 @@ class TestLargeProducts:
         w2v = rng.standard_normal((BIG[2], BIG[2]))
         x, w1, b1 = Tensor(xv), Tensor(w1v), Tensor(b1v)
         w2, b2 = Tensor(w2v), Tensor(np.zeros((1, BIG[2])))
-        with Pool():
-            tape = Tape()
-            h = mlp(tape, x, [(w1, b1), (w2, b2)])
-            with pytest.raises(MemoryError, match="no room for a product"):
-                tape.backward(sum_all(tape, scale_by(tape, h, r)))
+        tape = Tape()
+        h = mlp(tape, x, [(w1, b1), (w2, b2)])
+        with pytest.raises(MemoryError, match="no room for a product"):
+            tape.backward(sum_all(tape, scale_by(tape, h, r)))
         assert len(asked) == 2
         # the rule computes every share before it adds any
         assert b1._grad is None and b2._grad is None
@@ -875,16 +870,13 @@ class TestLargeProducts:
         xv, wv, bv, r = _linear_pair(rng, *BIG)
         x, w, b = Tensor(xv), Tensor(wv), Tensor(bv)
         b._grad = np.zeros((1, BIG[2] + 1))  # the rule's bias share cannot add to it
-        pool = Pool()
-        with pool:
-            tape = Tape()
-            loss = sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r))
-            with pytest.raises(ValueError):
-                tape.backward(loss)
-            # every share was computed before any was added: the weight's went in,
-            # then the bias's raised, so the input's never did
-            assert any(np.shares_memory(w._grad, buf) for buf in pool)
-            assert (w._grad == xv.T @ r).all() and x._grad is None
+        tape = Tape()
+        loss = sum_all(tape, scale_by(tape, mlp(tape, x, [(w, b)]), r))
+        with pytest.raises(ValueError):
+            tape.backward(loss)
+        # every share was computed before any was added: the weight's went in,
+        # then the bias's raised, so the input's never did
+        assert (w._grad == xv.T @ r).all() and x._grad is None
 
     def test_backward_leaves_no_reference_cycle(self):
         rng = np.random.default_rng(43)
@@ -909,12 +901,12 @@ class TestLargeProducts:
     def test_a_forked_child_gets_the_parents_gradients(self):
         rng = np.random.default_rng(45)
         args = _linear_pair(rng, *BIG)
-        expected = _big_linear_grads(*args, Pool())
+        expected = _big_linear_grads(*args)
         pid = os.fork()
-        if pid == 0:  # the child: the same bits, on a pool of its own
+        if pid == 0:  # the child: the same bits
             code = 1
             try:
-                got = _big_linear_grads(*args, Pool())
+                got = _big_linear_grads(*args)
                 code = 0 if all((a == b).all() for a, b in zip(got, expected)) else 3
             finally:
                 os._exit(code)
@@ -959,19 +951,16 @@ class TestLargeProducts:
         assert done.returncode == 0, done.stderr
 
     def test_threads_with_their_own_tapes_get_the_single_thread_gradients(self):
-        # three callers, more than a 2-core machine has cores, each with its
-        # own tape and Pool; a pool is active only in the context of the
-        # thread that entered it
+        # three callers, more than a 2-core machine has cores, each with its own tape
         rng = np.random.default_rng(46)
         cases = [_linear_pair(rng, *BIG) for _ in range(3)]
-        want = [_big_linear_grads(*case, Pool()) for case in cases]
+        want = [_big_linear_grads(*case) for case in cases]
         errors = []
 
         def caller(i):
             try:
-                pool = Pool()
                 for _ in range(4):
-                    for got, expected in zip(_big_linear_grads(*cases[i], pool), want[i]):
+                    for got, expected in zip(_big_linear_grads(*cases[i]), want[i]):
                         assert (got == expected).all()
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
@@ -1003,37 +992,36 @@ def _mlp_layers(rng, widths):
             for d_in, d_out in zip(widths, widths[1:])]
 
 
-def _mlp_grads(op, xv, layers, r, constant, pool=None):
+def _mlp_grads(op, xv, layers, r, constant):
     """``op``'s output and the gradients of sum(op(x, layers) * r): x's if it is
     a Tensor, then each weight's and bias's."""
     x = xv if constant else Tensor(xv)
     for w, b in layers:
         w.zero_grad()
         b.zero_grad()
-    with pool if pool is not None else contextlib.nullcontext():
-        tape = Tape()
-        out = op(tape, x, layers)
-        tape.backward(sum_all(tape, scale_by(tape, out, r)))
-        grads = [t.grad.copy() for pair in layers for t in pair]
-        return [out.values.copy()] + ([] if constant else [x.grad.copy()]) + grads
+    tape = Tape()
+    out = op(tape, x, layers)
+    tape.backward(sum_all(tape, scale_by(tape, out, r)))
+    grads = [t.grad.copy() for pair in layers for t in pair]
+    return [out.values.copy()] + ([] if constant else [x.grad.copy()]) + grads
 
 
 class TestMlp:
-    @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.parametrize("stale", [False, True])
     @pytest.mark.parametrize("constant", [True, False], ids=["array", "tensor"])
     @pytest.mark.parametrize("widths", [(10, 8), (10, 128, 8), (8, 32, 16, 1)])
-    def test_bit_identical_to_the_linear_relu_chain(self, widths, constant, pooled):
+    def test_bit_identical_to_the_linear_relu_chain(self, widths, constant, stale, monkeypatch):
+        if stale:
+            stale_allocations(monkeypatch)
         rng = np.random.default_rng([2500, len(widths)])
         xv = rng.standard_normal((100, widths[0]))
         layers = _mlp_layers(rng, widths)
         r = rng.standard_normal((100, widths[-1]))
-        pool = Pool() if pooled else None
-        for _ in range(2):  # a pool reuses its arrays the second time
-            fused = _mlp_grads(mlp, xv, layers, r, constant, pool)
-            chained = _mlp_grads(chained_mlp, xv, layers, r, constant, pool)
-            assert len(fused) == len(chained) == 2 * len(layers) + 1 + (not constant)
-            for got, want in zip(fused, chained):
-                assert got.shape == want.shape and (got == want).all()
+        fused = _mlp_grads(mlp, xv, layers, r, constant)
+        chained = _mlp_grads(chained_mlp, xv, layers, r, constant)
+        assert len(fused) == len(chained) == 2 * len(layers) + 1 + (not constant)
+        for got, want in zip(fused, chained):
+            assert got.shape == want.shape and (got == want).all()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_match_finite_differences(self, seed):
@@ -1064,20 +1052,20 @@ class TestMlp:
         with pytest.raises(ShapeError, match="at least one layer"):
             mlp(None, np.ones((3, 4)), [])
 
-    @pytest.mark.parametrize("pooled", [False, True])
-    def test_no_activation_is_overwritten_while_a_product_reads_it(self, pooled):
+    @pytest.mark.parametrize("stale", [False, True])
+    def test_no_activation_is_overwritten_while_a_product_reads_it(self, stale, monkeypatch):
         # the batch-400 extractor: its middle layer's weight gradient reads the
-        # first hidden activation after the rule has taken that layer's input
-        # gradient from the pool
+        # first hidden activation after the rule has made that layer's input
+        # gradient, which relu's mask then overwrites in place
+        if stale:
+            stale_allocations(monkeypatch)
         rng = np.random.default_rng(2900)
         xv = rng.standard_normal((800, 10))
         layers = _mlp_layers(rng, (10, 128, 128, 8))
         r = rng.standard_normal((800, 8))
-        pool = Pool() if pooled else None
-        for _ in range(2):  # a pool reuses its arrays the second time
-            fused = _mlp_grads(mlp, xv, layers, r, True, pool)
-            for got, want in zip(fused, _mlp_grads(chained_mlp, xv, layers, r, True)):
-                assert (got == want).all()
+        fused = _mlp_grads(mlp, xv, layers, r, True)
+        for got, want in zip(fused, _mlp_grads(chained_mlp, xv, layers, r, True)):
+            assert (got == want).all()
 
 
 class TestSplitRows:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import errno
+import io
 import json
 import os
 import pathlib
@@ -10,7 +12,7 @@ import shutil
 import numpy as np
 import pytest
 
-from shiftlab import ModelConfig, experiments, generate, init_model, save_checkpoint
+from shiftlab import ModelConfig, _jsonio, experiments, generate, init_model, save_checkpoint
 from shiftlab.cli import main
 
 from conftest import allocation_peak
@@ -726,6 +728,39 @@ class TestFailurePath:
         # an unfinished grid has no top-level results to rebuild
         assert main(["report", "--dir", str(out)]) == 1
         assert not (out / "summary.csv").exists()
+
+
+    def test_a_completed_mark_that_cannot_be_written_marks_the_cell_failed(
+            self, config_file, tmp_path, monkeypatch, caplog):
+        # the write that marks the first rung completed fails once, partway
+        # through; the grid stops there, and the manifest says so
+        out = tmp_path / "ladder"
+        root_manifest = str(out / "manifest.json")
+        write_file, failed = _jsonio.write_file, []
+
+        def fail_the_completed_mark(path, write):
+            if os.fspath(path) == root_manifest and not failed:
+                whole = io.BytesIO()
+                write(whole)
+                if json.loads(whole.getvalue())["cells"][0]["state"] == "completed":
+                    failed.append(path)
+
+                    def partial(fh):
+                        fh.write(whole.getvalue()[:10])
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+                    return write_file(path, partial)
+            return write_file(path, write)
+
+        monkeypatch.setattr(_jsonio, "write_file", fail_the_completed_mark)
+        assert main(["ablate", "--config", config_file, "--out", str(out)]) == 2
+        assert len(failed) == 1
+        root = json.loads((out / "manifest.json").read_text())
+        assert [cell["state"] for cell in root["cells"]] == ["failed"] + ["not_run"] * 4
+        assert not list(out.rglob("*.tmp"))
+        caplog.clear()
+        assert main(["report", "--dir", str(out)]) == 1
+        assert "manifest.json" in caplog.text
 
 
 class TestParserBasics:

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import ast
+import ctypes
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -41,7 +48,7 @@ from shiftlab.training import (
     lr_schedule,
     train_step,
 )
-from conftest import relative_error, two_pass_train_step
+from conftest import STANDARD_JSON, relative_error, two_pass_train_step
 
 
 def run_source_only(
@@ -177,6 +184,10 @@ class TestTrainConfig:
         # the check admits any positive offset, not only those above 1
         assert TrainConfig(calibration_offset=offset).calibration_offset == offset
 
+    def test_seed_zero_is_valid(self):
+        # the check refuses negative seeds only
+        assert TrainConfig(seed=0).seed == 0
+
 
 def quick_cfg(**kwargs) -> TrainConfig:
     base = dict(epochs=4, pretrain_epochs=2, batch_size=16, seed=100)
@@ -269,6 +280,18 @@ class TestTrainStep:
             train_step(state, CentroidBank(3), np.ones(3), cfg, src.features[:8],
                        src.labels[:8], tgt_x, 0.01)
         assert all(np.array_equal(t.values, b) for t, b in zip(state.parameters(), before))
+
+    def test_a_batch_error_with_finite_confidences_propagates(self, tiny_pair, tiny_model_cfg,
+                                                              monkeypatch):
+        # only non-finite confidences turn a refused batch into a NumericError
+        def refuse(*args):
+            raise ValueError("batch refused")
+
+        monkeypatch.setattr(training, "WeightedBatch", refuse)
+        src, tgt = tiny_pair
+        with pytest.raises(ValueError, match="batch refused"):
+            train_step(init_model(tiny_model_cfg, 0), CentroidBank(3), np.ones(3), quick_cfg(),
+                       src.features[:8], src.labels[:8], tgt.features[:8], 0.01)
 
 
 class TestRun:
@@ -415,6 +438,94 @@ class TestRun:
         bank = CentroidBank(3, cfg.centroid_ema)
         train_step(state, bank, np.ones(3), cfg, x, y, x, lr=0.01)
         assert loss_now() < before
+
+    def test_skipped_pairwise_batches_are_logged_once_per_run(self, tiny_pair, tiny_model_cfg,
+                                                              caplog):
+        # a one-row batch never holds both kinds of label pair, so every
+        # step skips its pairwise loss, and each skip is counted
+        src, tgt = tiny_pair
+        caplog.set_level(logging.INFO, logger="shiftlab.training")
+        run(src, tgt, quick_cfg(epochs=2, pretrain_epochs=1, batch_size=1), tiny_model_cfg)
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("alignment loss diagnostics: ")]
+        counts = ast.literal_eval(line.split(": ", 1)[1])
+        assert set(counts) <= {"no_same_label_pairs", "no_diff_label_pairs"}
+        assert sum(counts.values()) == 2 * len(tgt)
+
+
+class FakeMallopt:
+    """A C ``mallopt`` that records its arguments."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+@pytest.fixture
+def heap_helper(monkeypatch):
+    """``_keep_freed_arrays`` as in a new process with no malloc variable set."""
+    for name in training._HEAP_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    training._keep_freed_arrays.cache_clear()
+    yield training._keep_freed_arrays
+    training._keep_freed_arrays.cache_clear()
+
+
+class TestKeepFreedArrays:
+    def test_asks_for_both_thresholds_once_per_process(self, heap_helper, monkeypatch,
+                                                       tiny_pair, tiny_model_cfg):
+        lib = types.SimpleNamespace(mallopt=FakeMallopt())
+        monkeypatch.setattr(training, "_c_library", lambda: lib)
+        src, tgt = tiny_pair
+        for _ in range(2):
+            run(src, tgt, quick_cfg(epochs=2, pretrain_epochs=1), tiny_model_cfg)
+        # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+        assert lib.mallopt.calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+        assert lib.mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert heap_helper() is True
+
+    @pytest.mark.parametrize("name", ["GLIBC_TUNABLES", "MALLOC_MMAP_THRESHOLD_",
+                                      "MALLOC_TRIM_THRESHOLD_"])
+    def test_skipped_when_the_environment_tunes_malloc(self, heap_helper, monkeypatch, name):
+        lib = types.SimpleNamespace(mallopt=FakeMallopt())
+        monkeypatch.setattr(training, "_c_library", lambda: lib)
+        monkeypatch.setenv(name, "0")
+        assert heap_helper() is False and heap_helper() is False
+        assert lib.mallopt.calls == []
+
+    @pytest.mark.parametrize("lib", [object(), None], ids=["no_mallopt", "no_library"])
+    def test_a_c_library_without_mallopt_makes_it_a_no_op(self, heap_helper, monkeypatch, lib,
+                                                          tiny_pair, tiny_model_cfg):
+        monkeypatch.setattr(training, "_c_library", lambda: lib)
+        src, tgt = tiny_pair
+        _, records, _ = run(src, tgt, quick_cfg(epochs=2, pretrain_epochs=1), tiny_model_cfg)
+        assert len(records) == 2 and heap_helper() is False
+
+    def test_train_writes_the_same_records_with_malloc_tuned_by_the_environment(self,
+                                                                                tmp_path):
+        # the process's own tuning, or none, changes where arrays live, not their values
+        code = ("import sys; from shiftlab import training; from shiftlab.cli import main; "
+                "code = main(); print(training._keep_freed_arrays()); sys.exit(code)")
+        argv = ["train", "--config", str(STANDARD_JSON), "--seed", "100",
+                "--set", "data.max_class_size=60", "--set", "train.epochs=3",
+                "--set", "train.pretrain_epochs=1"]
+        base = {k: v for k, v in os.environ.items() if k not in training._HEAP_VARIABLES}
+        base.update(PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+        records, asked = [], []
+        for name, extra in [("plain", {}), ("tuned", {"MALLOC_TRIM_THRESHOLD_": "0"})]:
+            out = tmp_path / name
+            done = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)],
+                                  env=dict(base, **extra), capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+            asked.append(done.stdout.splitlines()[-1])
+            records.append((out / "runs" / "seed100" / "epoch_records.jsonl").read_bytes())
+        has_mallopt = getattr(training._c_library(), "mallopt", None) is not None
+        assert asked == [str(has_mallopt), "False"]
+        assert records[0] == records[1] and records[0].count(b"\n") == 3
 
 
 class TestEpochRecord:
