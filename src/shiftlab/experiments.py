@@ -81,11 +81,11 @@ class AblationMask:
 class ExperimentConfig:
     name: str = "experiment"
     data: ShiftSpec = field(default_factory=ShiftSpec)
-    model: ModelConfig | None = None
     train: TrainConfig = field(default_factory=TrainConfig)
     ablation: AblationMask = field(default_factory=AblationMask)
     seeds: list[int] = field(default_factory=list)
     output_dir: str = "out"
+    model: ModelConfig | None = None  # last, where config.json has always had it
 
     def __post_init__(self) -> None:
         if not self.output_dir:
@@ -301,14 +301,6 @@ def run_single(
     return report
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    doc = dataclasses.asdict(cfg)
-    model = doc.pop("model")
-    if model is not None:
-        doc["model"] = model  # last, where config.json has always had it
-    return doc
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -419,7 +411,7 @@ def _run_cell(cell: ExperimentConfig, force: bool,
     manifest is updated.
     """
     out_dir = claim_output_dir(cell.output_dir, force)
-    write_json(os.path.join(out_dir, "config.json"), _config_echo(cell))
+    write_json(os.path.join(out_dir, "config.json"), dataclasses.asdict(cell))
     manifest = {"name": cell.name, "seeds": cell.seeds, "completed": [], "failed": []}
     manifest_path = os.path.join(out_dir, "manifest.json")
     write_json(manifest_path, manifest)

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._jsonio import build, fits, write_file
+from . import _jsonio
+from ._jsonio import build, fits
 from .autodiff import (
     ShapeError,
     Tape,
@@ -174,7 +175,7 @@ def save_checkpoint(state: ModelState, path, provenance: dict | None = None) -> 
     meta = {"config": asdict(state.config), "init_seed": state.init_seed, "provenance": provenance}
     arrays = {f"{net}.{i}.{key}": t.values for net, pairs in state.layers.items()
               for i, pair in enumerate(pairs) for key, t in zip(("weight", "bias"), pair)}
-    write_file(path, lambda fh: np.savez(fh, meta=np.array(json.dumps(meta)), **arrays))
+    _jsonio.write_file(path, lambda fh: np.savez(fh, meta=np.array(json.dumps(meta)), **arrays))
 
 
 def load_checkpoint(path) -> ModelState:

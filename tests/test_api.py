@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import inspect
 import pathlib
 import pkgutil
+import re
 
 import shiftlab
 from shiftlab import AblationMask, ExperimentConfig, ModelConfig, ShiftSpec, TrainConfig, autodiff
@@ -85,3 +87,46 @@ def test_readme_schema_names_every_config_field():
         for f in dataclasses.fields(cls):
             assert f"`{f.name}`" in section, f"{cls.__name__}.{f.name}"
     assert "SHIFTLAB_OUTPUT_ROOT" not in section
+
+
+# A backticked call whose arguments are plain names, such as `name(a, b, c=None)`.
+QUOTED_CALL = re.compile(r"`((?:[A-Za-z_]\w*\.)*[A-Za-z_]\w*)\(([^()`]*)\)")
+
+
+def _library_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n## Library use\n")
+    return text[start:text.index("\n## ", start + 1)]
+
+
+def _parameters(dotted: str) -> list[str] | None:
+    """The parameter names of the shiftlab function or class that ``dotted``
+    names, without ``self``; None if it names none."""
+    parts = dotted.removeprefix("shiftlab.").split(".")
+    homes = [shiftlab] + [importlib.import_module(f"shiftlab.{info.name}")
+                          for info in pkgutil.iter_modules(shiftlab.__path__)]
+    owner = next((home for home in homes if hasattr(home, parts[0])), None)
+    obj = getattr(owner, parts[0], None)
+    for part in parts[1:]:
+        owner, obj = obj, getattr(obj, part, None)
+    if not (inspect.isfunction(obj) or inspect.ismethod(obj) or inspect.isclass(obj)):
+        return None
+    params = list(inspect.signature(obj).parameters)
+    return params[1:] if inspect.isclass(owner) and inspect.isfunction(obj) else params
+
+
+def test_readme_signatures_match_the_code():
+    # each quoted call names the first parameters of what it calls, in order;
+    # a quote whose arguments are plain names must name a shiftlab callable,
+    # so a renamed or deleted one fails here, while an expression such as
+    # `sum(x * w_num)` is not a signature
+    checked = []
+    for name, args in QUOTED_CALL.findall(_library_section()):
+        quoted = [arg.strip().split("=")[0].strip() for arg in args.split(",") if arg.strip()]
+        if not all(arg.isidentifier() for arg in quoted):
+            continue
+        params = _parameters(name)
+        assert params is not None, f"`{name}({args})` names no shiftlab function or class"
+        assert params[:len(quoted)] == quoted, f"`{name}({args})` against {params}"
+        checked.append(name)
+    assert len(set(checked)) >= 15, checked

@@ -143,6 +143,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config({"seeds": [1.5]})
 
+    def test_numpy_seeds_are_stored_as_int(self):
+        # config.json must be able to hold them
+        cfg = ExperimentConfig(seeds=[np.int64(3), np.uint8(4)])
+        assert [type(s) for s in cfg.seeds] == [int, int]
+        assert json.loads(json.dumps(dataclasses.asdict(cfg)))["seeds"] == [3, 4]
+
     def test_root_must_be_object(self):
         with pytest.raises(ConfigError):
             parse_config([1, 2])
@@ -163,6 +169,21 @@ class TestParseConfig:
 
     def test_null_model_sizes_the_model_from_the_data(self):
         assert parse_config({"model": None}).model is None
+
+    @pytest.mark.parametrize("with_model", [True, False], ids=["model", "no_model"])
+    def test_config_json_parses_back_to_the_config(self, tmp_path, with_model):
+        # config.json's keys follow ExperimentConfig's fields, model last;
+        # without a model block it reads "model": null
+        doc = micro_doc(str(tmp_path / "out"))
+        doc["train"].update(epochs=2, pretrain_epochs=1)
+        if not with_model:
+            del doc["model"]
+        cfg = parse_config(doc)
+        run_experiment(cfg)
+        echo = json.loads((tmp_path / "out" / "config.json").read_text(encoding="utf-8"))
+        assert list(echo) == ["name", "data", "train", "ablation", "seeds", "output_dir", "model"]
+        assert (echo["model"] is None) is not with_model
+        assert parse_config(echo) == cfg
 
     def test_every_train_field_builds_or_names_itself(self):
         # one train field set to an edge value: the document builds into a config
@@ -389,6 +410,20 @@ class TestRunExperiment:
         dist = json.loads(pathlib.Path(plot, "distribution_estimate.json").read_text())
         assert dist["true_target_dist"] == reports[0].true_target_dist
         assert os.path.isfile(os.path.join(plot, "calibrated_subset_accuracy.json"))
+
+    def test_plotdata_means_are_pointwise_over_seeds(self, micro_experiment):
+        # the subset accuracies are None in an epoch whose subset is empty
+        _, _, out = micro_experiment
+        plot = pathlib.Path(out, "plotdata")
+        frac = json.loads((plot / "calibrated_fraction.json").read_text())
+        subset = json.loads((plot / "calibrated_subset_accuracy.json").read_text())
+        for mean, per_seed in ((frac["mean"], frac["per_seed"]),
+                               (subset["subset_acc_raw"], subset["per_seed_raw"])):
+            assert len(mean) == 4
+            for epoch, value in enumerate(mean):
+                present = [series[epoch] for series in per_seed.values()
+                           if series[epoch] is not None]
+                assert value == (float(np.mean(present)) if present else None)
 
     def test_refuses_rerun_without_force(self, micro_experiment):
         cfg, _, _ = micro_experiment

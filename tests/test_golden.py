@@ -10,9 +10,9 @@ Each case is README's standard config, ``data/standard.json``, with a few
   both alignment losses and ``split_rows``.
 - ``full_wide``: the benchmark's ``full_wide`` workload at data seed 2
   and seed 5, batch 400 for 3 epochs, against
-  ``data/golden_full_wide.jsonl``. Only this batch runs ``label_ratio``'s
-  backward in more than one block and grows the pool past the standard
-  shapes. Its bits depend on the BLAS thread count.
+  ``data/golden_full_wide.jsonl``. Only this case runs ``label_ratio``'s
+  backward in more than one block. Its bits depend on the BLAS thread
+  count.
 
 Every case trains through ``shiftlab train`` in a subprocess with every
 BLAS thread variable set to 1, so no trace depends on the thread count
