@@ -1,13 +1,24 @@
-"""Crash-safe writes of JSON, text and binary artifacts, and the type rules
-that JSON read back into a dataclass must meet."""
+"""Crash-safe writes of JSON, text and binary artifacts, and the one rule that
+every field of a config or report dataclass meets, from JSON or Python."""
 from __future__ import annotations
 
 import dataclasses
 import functools
 import json
+import math
 import os
 import typing
 from collections.abc import Callable, Iterable
+
+import numpy as np
+
+
+def finite(value) -> bool:
+    """Whether a number is finite as a float; an int beyond the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def fits(value, kind) -> bool:
@@ -30,21 +41,42 @@ def _field_types(cls) -> tuple[dict, dict]:
     return {f.name: f.type for f in dataclasses.fields(cls)}, typing.get_type_hints(cls)
 
 
-def build(cls, doc, where: str, error: type[Exception]):
-    """``cls(**doc)`` for a JSON object whose keys and values fit ``cls``'s fields.
+def _plain(value):
+    """``value`` with NumPy scalars as Python numbers, and tuples and NumPy arrays as lists."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    return [_plain(v) for v in value] if isinstance(value, (list, tuple)) else value
 
-    Anything else raises ``error`` with a message that names ``where`` and
-    the field.
+
+def settle(obj, error: type[Exception]) -> None:
+    """Make each field of the dataclass ``obj`` fit its declared type, or raise ``error``.
+
+    NumPy scalars become Python numbers, and tuples and NumPy arrays lists.
+    Then each field must ``fits`` its type, and each number in it, or in
+    the list it holds, must be ``finite``. The message names the field.
+    """
+    declared, hints = _field_types(type(obj))
+    for name, kind in hints.items():
+        value = _plain(getattr(obj, name))
+        if not fits(value, kind):
+            raise error(f"{name} must be {declared[name]}, got {value!r}")
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, (int, float)) and not finite(item):
+                raise error(f"{name} must be finite, got {item!r}")
+        setattr(obj, name, value)
+
+
+def build(cls, doc, where: str, error: type[Exception]):
+    """``cls(**doc)`` for a JSON object whose keys are ``cls``'s fields.
+
+    Anything else, and any value the class refuses (see ``settle``), raises
+    ``error`` with a message that names ``where`` and the field.
     """
     if not isinstance(doc, dict):
         raise error(f"{where} must be an object, got {type(doc).__name__}")
-    declared, hints = _field_types(cls)
-    unknown = set(doc) - set(declared)
+    unknown = set(doc) - set(_field_types(cls)[0])
     if unknown:
         raise error(f"unknown keys in {where}: {sorted(unknown)}")
-    for key, value in doc.items():
-        if not fits(value, hints[key]):
-            raise error(f"{where}.{key} must be {declared[key]}, got {value!r}")
     try:
         return cls(**doc)
     except (TypeError, ValueError) as exc:
@@ -73,8 +105,8 @@ def write_file(path, write: Callable) -> None:
     over ``path`` with ``os.replace``. A reader sees the old file or the
     complete new one, never a truncated one. If any step fails, ``write``
     included, the old file stays as it was and the temporary file is
-    removed. Nothing is fsynced: this guards against a failing or killed
-    process, not against power loss.
+    removed; an ``OSError`` that names no file is given ``path``. Nothing
+    is fsynced: this guards against a failing or killed process, not power loss.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -82,9 +114,11 @@ def write_file(path, write: Callable) -> None:
         with open(tmp, "wb") as fh:
             write(fh)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.remove(tmp)
         except FileNotFoundError:
             pass
+        if isinstance(exc, OSError) and exc.filename is None and exc.strerror is not None:
+            exc.filename = path  # a failing fh.write names no file
         raise

@@ -173,9 +173,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self._grad = None
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
-
 
 # The uninitialised float64 arrays that ops write into come from here, so a
 # test can patch it to make an allocation fail.
@@ -215,9 +212,6 @@ class Tape:
     def record(self, rule) -> None:
         """Append ``rule``, a zero-argument callable (see the module docstring)."""
         self._rules.append(rule)
-
-    def __len__(self) -> int:
-        return len(self._rules)
 
     def backward(self, output: Tensor) -> None:
         """Seed ``output`` with gradient 1 and replay all rules in reverse.

@@ -12,15 +12,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import numbers
 import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._jsonio import build, fits, write_json, write_text
-from .data import DomainDataset, ShiftSpec, features_digest, finite, generate
+from ._jsonio import build, finite, fits, settle, write_json, write_text
+from .data import DomainDataset, ShiftSpec, features_digest, generate
 from .metrics import make_audit_fn, score_target
 from .networks import ModelConfig, save_checkpoint
 from .training import ConfigError, EpochRecord, TrainConfig, run
@@ -69,6 +68,9 @@ class AblationMask:
     discriminative_alignment: bool = True
     label_shift_calibration: bool = True
 
+    def __post_init__(self) -> None:
+        settle(self, ConfigError)
+
     @classmethod
     def rung(cls, name: str) -> "AblationMask":
         """The mask of ``LADDER`` rung k: the first k fields enabled, the rest off."""
@@ -88,16 +90,15 @@ class ExperimentConfig:
     model: ModelConfig | None = None  # last, where config.json has always had it
 
     def __post_init__(self) -> None:
+        settle(self, ConfigError)
         if not self.output_dir:
             raise ConfigError("output_dir must not be empty")
-        if "\0" in str(self.output_dir):
+        if "\0" in self.output_dir:
             raise ConfigError(f"output_dir must not hold a NUL byte, got {self.output_dir!r}")
         if not self.seeds:
             self.seeds = [self.train.seed]
-        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0
-                   for s in self.seeds):
+        if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be non-negative integers, got {self.seeds!r}")
-        self.seeds = [int(s) for s in self.seeds]
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must not repeat, got {self.seeds}")
         if self.model is not None:
@@ -205,6 +206,9 @@ class RunReport:
     est_head_class: int | None
     true_head_class: int
 
+    def __post_init__(self) -> None:
+        settle(self, ConfigError)
+
     def to_dict(self) -> dict:
         """``report.json``: every field but ``records``, which ``epoch_records.jsonl`` holds."""
         return {k: v for k, v in vars(self).items() if k != "records"}
@@ -221,13 +225,11 @@ class RunReport:
         doc = read_json(path)
         if isinstance(doc, dict):
             doc = {f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc}
-            _require_finite(doc, path)
+            _require_finite(doc.get("label_shift"), f"{path}.label_shift")
             records_path = os.path.join(run_dir, "epoch_records.jsonl")
-            doc["records"] = []
-            for i, rec in enumerate(read_json(records_path, lines=True), 1):
-                where = f"{records_path} line {i}"
-                _require_finite(rec, where)
-                doc["records"].append(build(EpochRecord, rec, where, ConfigError).to_dict())
+            lines = read_json(records_path, lines=True)
+            doc["records"] = [build(EpochRecord, rec, f"{records_path} line {i}",
+                                    ConfigError).to_dict() for i, rec in enumerate(lines, 1)]
         report = build(cls, doc, path, ConfigError)
         if len(report.final_per_class_acc) != len(report.true_target_dist):
             raise ConfigError(
@@ -424,12 +426,9 @@ def _run_cell(cell: ExperimentConfig, force: bool,
     reports: list[RunReport] = []
     for seed in cell.seeds:
         seeded = dataclasses.replace(train_cfg, seed=seed)
-        run_dir = _run_dir(out_dir, seed)
-        os.makedirs(run_dir, exist_ok=True)
         try:
-            reports.append(
-                run_single(source, target, seeded, cell.model, cell.name, run_dir, cell.data)
-            )
+            reports.append(run_single(source, target, seeded, cell.model, cell.name,
+                                      _run_dir(out_dir, seed), cell.data))
         except Exception as exc:
             manifest["failed"].append({"seed": seed, "error": str(exc)})
             write_json(manifest_path, manifest)

@@ -10,14 +10,13 @@ Each network's dense layers are one ``autodiff.mlp`` node on a tape.
 from __future__ import annotations
 
 import json
-import numbers
 import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import _jsonio
-from ._jsonio import build, fits
+from ._jsonio import build, fits, settle
 from .autodiff import (
     ShapeError,
     Tape,
@@ -52,11 +51,7 @@ class ModelConfig:
     discriminator_hidden_dims: list[int] = field(default_factory=lambda: [32])
 
     def __post_init__(self) -> None:
-        for name in ("hidden_dims", "discriminator_hidden_dims"):
-            widths = getattr(self, name)
-            if not all(isinstance(h, numbers.Integral) and not isinstance(h, bool) for h in widths):
-                raise ValueError(f"{name} entries must be integers, got {list(widths)}")
-            setattr(self, name, [int(h) for h in widths])
+        settle(self, ValueError)
         for name in ("input_dim", "num_classes", "bottleneck_dim", "hidden_dims",
                      "discriminator_hidden_dims"):
             value = getattr(self, name)
@@ -95,13 +90,6 @@ class ModelState:
         return [t for net in self.layers.values() for pair in net for t in pair]
 
 
-def _init_layer(rng: np.random.Generator, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    weight = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    bias = Tensor(np.zeros((1, fan_out)))
-    return weight, bias
-
-
 def _layer_dims(cfg: ModelConfig) -> dict[str, list[tuple[int, int]]]:
     """(fan_in, fan_out) of every layer of each network, in parameter order."""
     ext_dims = [cfg.input_dim] + cfg.hidden_dims + [cfg.bottleneck_dim]
@@ -113,14 +101,35 @@ def _layer_dims(cfg: ModelConfig) -> dict[str, list[tuple[int, int]]]:
     }
 
 
+def _arrays(cfg: ModelConfig) -> list[tuple[str, tuple[int, int], str]]:
+    """Each parameter of a ``cfg`` model in ``ModelState.parameters()`` order: the
+    name of its checkpoint array, its shape, and what messages call it."""
+    table = []
+    for net, dims in _layer_dims(cfg).items():
+        for i, (fan_in, fan_out) in enumerate(dims):
+            layer = net if len(dims) == 1 else f"{net} layer {i}"
+            for key, shape in (("weight", (fan_in, fan_out)), ("bias", (1, fan_out))):
+                table.append((f"{net}.{i}.{key}", shape, f"{layer} {key}"))
+    return table
+
+
+def _state(cfg: ModelConfig, arrays: list[np.ndarray], init_seed: int,
+           provenance: dict | None = None) -> ModelState:
+    """The ``cfg`` model whose parameters are ``arrays``, in ``_arrays(cfg)`` order."""
+    pairs = iter([(Tensor(w), Tensor(b)) for w, b in zip(arrays[::2], arrays[1::2])])
+    layers = {net: [next(pairs) for _ in dims] for net, dims in _layer_dims(cfg).items()}
+    return ModelState(cfg, layers, init_seed, provenance)
+
+
 def init_model(cfg: ModelConfig, seed: int) -> ModelState:
     """Uniform fan-scaled weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
     rng = np.random.default_rng(seed)
-    layers = {
-        net: [_init_layer(rng, a, b) for a, b in dims]
-        for net, dims in _layer_dims(cfg).items()
-    }
-    return ModelState(cfg, layers, seed)
+    arrays = []
+    for name, shape, _ in _arrays(cfg):
+        bound = np.sqrt(6.0 / sum(shape))
+        arrays.append(np.zeros(shape) if name.endswith(".bias")
+                      else rng.uniform(-bound, bound, size=shape))
+    return _state(cfg, arrays, seed)
 
 
 def features(state: ModelState, x, tape: Tape | None = None) -> Tensor:
@@ -173,8 +182,8 @@ def save_checkpoint(state: ModelState, path, provenance: dict | None = None) -> 
     a 0-d string ``meta``: the JSON of the config, init seed and ``provenance``.
     """
     meta = {"config": asdict(state.config), "init_seed": state.init_seed, "provenance": provenance}
-    arrays = {f"{net}.{i}.{key}": t.values for net, pairs in state.layers.items()
-              for i, pair in enumerate(pairs) for key, t in zip(("weight", "bias"), pair)}
+    arrays = {name: t.values for (name, _, _), t
+              in zip(_arrays(state.config), state.parameters(), strict=True)}
     _jsonio.write_file(path, lambda fh: np.savez(fh, meta=np.array(json.dumps(meta)), **arrays))
 
 
@@ -218,32 +227,17 @@ def load_checkpoint(path) -> ModelState:
         raise CheckpointError(f"{path}: provenance must be an object with a string "
                               f"features_sha256 and an object data, got {provenance!r}")
 
-    layers = {}
-    for net, dims in _layer_dims(cfg).items():
-        n = len({name.split(".")[1] for name in arrays if name.startswith(net + ".")})
-        if n != len(dims):
-            raise CheckpointError(f"{path}: {net} has {n} layers, config expects {len(dims)}")
-        layers[net] = []
-        for i, (fan_in, fan_out) in enumerate(dims):
-            name = net if len(dims) == 1 else f"{net} layer {i}"
-            pair = []
-            for key, expected in (("weight", (fan_in, fan_out)), ("bias", (1, fan_out))):
-                array = arrays.get(f"{net}.{i}.{key}")
-                shape = getattr(array, "shape", None)
-                if shape != expected:
-                    raise CheckpointError(
-                        f"{path}: {name} {key} has shape {shape}, config expects {expected}"
-                    )
-                if array.dtype.kind != "f":
-                    raise CheckpointError(f"{path}: {name} {key} has dtype {array.dtype}, "
-                                          "expected floats")
-                if not np.isfinite(array).all():
-                    raise CheckpointError(f"{path}: {name} {key} holds a non-finite value")
-                pair.append(Tensor(array))
-            layers[net].append(tuple(pair))
-    layer_arrays = {f"{net}.{i}.{key}" for net, dims in _layer_dims(cfg).items()
-                    for i in range(len(dims)) for key in ("weight", "bias")}
-    stray = sorted(set(arrays) - layer_arrays)
-    if stray:
-        raise CheckpointError(f"{path}: array {stray[0]!r} belongs to no layer")
-    return ModelState(cfg, layers, init_seed, provenance)
+    params = []
+    for name, expected, label in _arrays(cfg):
+        array = arrays.pop(name, None)
+        shape = getattr(array, "shape", None)
+        if shape != expected:
+            raise CheckpointError(f"{path}: {label} has shape {shape}, config expects {expected}")
+        if array.dtype.kind != "f":
+            raise CheckpointError(f"{path}: {label} has dtype {array.dtype}, expected floats")
+        if not np.isfinite(array).all():
+            raise CheckpointError(f"{path}: {label} holds a non-finite value")
+        params.append(array)
+    if arrays:
+        raise CheckpointError(f"{path}: array {sorted(arrays)[0]!r} belongs to no layer")
+    return _state(cfg, params, init_seed, provenance)

@@ -24,9 +24,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._jsonio import settle
 from .autodiff import Tape, sgd_step, split_rows, weighted_sum
 from .calibration import LabelShiftState, PseudoLabels, calibrate
-from .data import MAX_SIZE, BalancedSampler, DomainDataset, finite
+from .data import MAX_SIZE, BalancedSampler, DomainDataset
 from .losses import (
     CentroidBank,
     WeightedBatch,
@@ -79,8 +80,8 @@ class TrainConfig:
     alignment, and domain adversarial terms on top of the classification
     loss. ``calibration_offset`` is the additive constant in the
     calibration weight formula; ``confidence_threshold`` filters the
-    pseudo-labels used for distribution estimation. Every float field must
-    be finite, and ``epochs``, ``pretrain_epochs`` and ``batch_size`` at
+    pseudo-labels used for distribution estimation. Every number must be
+    finite, and ``epochs``, ``pretrain_epochs`` and ``batch_size`` at
     most ``data.MAX_SIZE``. ``lr_alpha`` and ``lr_beta`` must keep
     ``lr_schedule``'s ``(1 + lr_alpha) ** lr_beta`` within the float range.
     """
@@ -103,10 +104,7 @@ class TrainConfig:
     lsc_enabled: bool = True
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not finite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        settle(self, ConfigError)
         for name in ("epochs", "pretrain_epochs", "batch_size"):
             value = getattr(self, name)
             if value > MAX_SIZE:
@@ -167,6 +165,9 @@ class EpochRecord:
     subset_acc_raw: float | None = None
     subset_acc_calibrated: float | None = None
     target_per_class_acc: float | None = None
+
+    def __post_init__(self) -> None:
+        settle(self, ConfigError)
 
     def to_dict(self) -> dict:
         # every field is a number or None, so nothing needs asdict's deep copy

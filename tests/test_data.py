@@ -18,6 +18,7 @@ from shiftlab import (
     ParameterError,
     ShiftSpec,
     class_sizes,
+    features_digest,
     generate,
     save_dataset,
 )
@@ -90,7 +91,7 @@ class TestShiftSpecValidation:
         ("source_order", [0, True, 2]),  # used to draw as [0, 1, 2]
     ])
     def test_rejects_non_integer_order(self, field, order):
-        with pytest.raises(ParameterError, match="must be integers"):
+        with pytest.raises(ParameterError, match=rf"{field} must be list\[int\] \| None"):
             ShiftSpec(num_classes=3, feature_dim=4, max_class_size=40, **{field: order})
 
     def test_accepts_numpy_integer_order(self):
@@ -140,6 +141,15 @@ class TestShiftSpecValidation:
         with pytest.raises(ParameterError, match=f"^{field} puts drawn features up to"):
             ShiftSpec(num_classes=3, feature_dim=4, **{field: value})
 
+    def test_accepts_a_reach_equal_to_the_norm_bound(self):
+        # sqrt(4) * (5e99 + 18) is exactly 1e100 in floats
+        spec = ShiftSpec(num_classes=3, feature_dim=4, translation=[0.0, 0.0, 0.0, 5e99])
+        assert spec.translation[3] == MAX_FEATURE_NORM / 2
+
+    def test_names_the_larger_term_beyond_the_norm_bound(self):
+        with pytest.raises(ParameterError, match="^noise_sigma puts drawn features up to"):
+            ShiftSpec(num_classes=3, feature_dim=4, noise_sigma=1e99, translation=1.0)
+
     def test_features_at_the_norm_bound_keep_finite_squares(self):
         # sqrt(4) * (1e99 + 18 sigma) just under 1e100; the drawn rows must lie
         # within the bound, so their squared distances stay finite
@@ -150,6 +160,14 @@ class TestShiftSpecValidation:
             x = ds.features
             assert np.sqrt(np.max(np.einsum("ij,ij->i", x, x))) <= MAX_FEATURE_NORM
             assert np.all(np.isfinite(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)))
+
+
+def test_features_digest_tells_apart_one_set_of_rows_split_differently():
+    rows = np.arange(24.0).reshape(6, 4)
+    digests = {features_digest(DomainDataset("source", rows[:n], np.zeros(n, dtype=int), 2),
+                               DomainDataset("target", rows[n:], np.zeros(6 - n, dtype=int), 2))
+               for n in (2, 3)}
+    assert len(digests) == 2
 
 
 class TestGenerate:
@@ -260,6 +278,11 @@ class TestBalancedSampler:
         b = BalancedSampler(src, seed=9).draw(12)
         np.testing.assert_array_equal(a, b)
 
+    def test_rejects_an_empty_batch(self):
+        src, _ = generate(ShiftSpec(num_classes=3, feature_dim=4, max_class_size=30, seed=2))
+        with pytest.raises(ParameterError, match="batch_size must be >= 1, got 0"):
+            BalancedSampler(src, seed=9).draw(0)
+
     def test_matches_per_slot_loop(self):
         # reference: pick a class per slot, then one of its samples, slot by slot
         labels = np.random.default_rng(1).permutation(np.repeat(np.arange(4), [90, 40, 20, 7]))
@@ -307,6 +330,11 @@ class TestDomainDataset:
         with pytest.raises(DatasetFormatError):
             DomainDataset("source", np.ones((2, 2)),
                           np.array([0, 5], dtype=np.int64), 2)
+
+    @pytest.mark.parametrize("labels", [[0, 1], [[0], [1], [0]]], ids=["short", "2-d"])
+    def test_rejects_labels_that_do_not_match_the_rows(self, labels):
+        with pytest.raises(ParameterError, match="does not match 3 samples"):
+            DomainDataset("source", np.ones((3, 2)), np.array(labels), 2)
 
     def test_rejects_empty(self):
         with pytest.raises(DatasetFormatError):

@@ -42,7 +42,8 @@ from shiftlab.experiments import (
     effective_train_config,
     regenerate_reports,
 )
-from shiftlab.data import MAX_FEATURE_DIM, MAX_SIZE, class_sizes, finite
+from shiftlab._jsonio import finite
+from shiftlab.data import MAX_FEATURE_DIM, MAX_SIZE, class_sizes
 from shiftlab.training import ConfigError, EpochRecord, lr_schedule
 
 
@@ -126,11 +127,11 @@ class TestParseConfig:
         assert cfg.seeds == [1, 2]
 
     def test_unknown_root_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown keys in config root: \['nam'\]"):
             parse_config({"nam": "typo"})
 
     def test_unknown_nested_key(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"unknown keys in train: \['learning_rate'\]"):
             parse_config({"train": {"learning_rate": 0.1}})
 
     def test_invalid_nested_value(self):
@@ -624,6 +625,23 @@ class TestRunSingle:
         assert report.dist_l1_error is None
         assert report.est_head_class is None
         assert os.path.isfile(tmp_path / "r" / "report.json")
+
+    @pytest.mark.parametrize("train_kwargs, numpy_model", [
+        ({"seed": np.int64(7)}, False),
+        ({}, True),
+    ], ids=["numpy_seed", "numpy_input_dim"])
+    def test_numpy_config_values_reach_every_artifact(self, tiny_pair, tiny_model_cfg, tmp_path,
+                                                      train_kwargs, numpy_model):
+        # each used to train, then fail writing report.json or checkpoint.npz
+        src, tgt = tiny_pair
+        cfg = TrainConfig(epochs=3, pretrain_epochs=1, batch_size=16, **train_kwargs)
+        model = (dataclasses.replace(tiny_model_cfg, input_dim=np.int64(4)) if numpy_model
+                 else tiny_model_cfg)
+        run_single(src, tgt, cfg, model, "numpy", str(tmp_path / "r"))
+        assert sorted(os.listdir(tmp_path / "r")) == ["checkpoint.npz", "epoch_records.jsonl",
+                                                      "report.json"]
+        loaded = RunReport.load(str(tmp_path / "r"))
+        assert loaded.seed == cfg.seed and type(loaded.seed) is int
 
 
 class TestWriteOutputs:

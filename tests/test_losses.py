@@ -353,7 +353,7 @@ class TestCentroidAlignment:
         tape = Tape()
         src = batch([[1.0, 0.0], [0.0, 1.0]], [0, 1])
         update_centroids(tape, bank, src, "source")
-        assert len(tape) == 1
+        assert len(tape._rules) == 1
         update_centroids(tape, bank, batch([[0.5, 0.0], [0.0, 2.0]], [0, 1]), "target")
         stored = dict(bank.centroids)
         on_tape = centroid_alignment_loss(tape, bank)
@@ -544,7 +544,7 @@ class TestDiscriminativeAlignment:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(tape) == 1 and loss.shape == (1, 1)
+        assert len(tape._rules) == 1 and loss.shape == (1, 1)
         assert held <= 1.5 * 8 * n * n
 
 

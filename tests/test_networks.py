@@ -57,6 +57,12 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(input_dim=4, num_classes=1)
 
+    def test_width_one_layers_build_and_predict(self):
+        # the smallest input, hidden and discriminator widths the check admits
+        state = init_model(ModelConfig(1, 2, [1], 2, [1]), seed=0)
+        probs = predict(state, np.random.default_rng(0).normal(size=(5, 1)))
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0)
+
     def test_two_classes_build_and_predict(self):
         # the smallest class count the check admits
         state = init_model(dataclasses.replace(small_cfg(), num_classes=2), seed=0)
@@ -70,7 +76,7 @@ class TestModelConfig:
         ([16], [8.9]),  # used to train as [8]
     ])
     def test_rejects_non_integer_widths(self, hidden, disc):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match=r"hidden_dims must be list\[int\], got"):
             ModelConfig(4, 3, hidden, 6, disc)
 
     @pytest.mark.parametrize("field", ["input_dim", "num_classes", "hidden_dims",
@@ -241,6 +247,20 @@ class TestCheckpoint:
         np.testing.assert_array_equal(weight, state.layers["discriminator"][1][0].values)
         assert load_checkpoint(path).provenance == {"features_sha256": "ab"}
 
+    def test_meta_without_provenance_loads(self, tmp_path):
+        # a hand-made checkpoint may leave provenance out; it reads as None
+        state = init_model(small_cfg(), seed=42)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(state, path)
+
+        def drop(arrays):
+            meta = json.loads(str(arrays["meta"]))
+            del meta["provenance"]
+            arrays["meta"] = np.array(json.dumps(meta))
+
+        _rewrite(path, drop)
+        assert load_checkpoint(path).provenance is None
+
     def test_velocity_resets_to_zero(self, tmp_path):
         # optimizer state is not part of the checkpoint; reloads start cold
         state = init_model(small_cfg(), seed=42)
@@ -285,7 +305,7 @@ class TestCheckpoint:
             del arrays["discriminator.1.weight"], arrays["discriminator.1.bias"]
 
         _rewrite(path, drop)
-        with pytest.raises(ValueError, match="discriminator has 1 layers"):
+        with pytest.raises(ValueError, match="discriminator layer 1 weight has shape None"):
             load_checkpoint(path)
 
     def test_missing_bias_rejected(self, tmp_path):
